@@ -5,6 +5,7 @@
 //! so the workspace builds with no network access.
 
 use bputil::counter::{SatCounter, UnsignedCounter};
+use bputil::hash::fold_to_bits;
 use bputil::history::{FoldedHistory, HistoryBuffer};
 use bputil::rng::SplitMix64;
 use bputil::table::SetAssoc;
@@ -32,6 +33,31 @@ fn folded_history_equals_reference() {
                 ghr.fold(olen, clen),
                 "case {case}: olen={olen} clen={clen} n={n}"
             );
+        }
+    }
+}
+
+/// The limb-at-a-time fold that `fold_to_bits`' XOR tree replaced.
+fn fold_by_limbs(mut x: u64, bits: u32) -> u64 {
+    let m = (1u64 << bits) - 1;
+    let mut acc = 0u64;
+    while x != 0 {
+        acc ^= x & m;
+        x >>= bits;
+    }
+    acc
+}
+
+/// The XOR-tree fold equals the limb loop at every width, on the edge
+/// values (zero, all ones, every single set bit) and on random values.
+#[test]
+fn fold_to_bits_equals_limb_loop() {
+    let mut rng = SplitMix64::new(0xF07D);
+    for bits in 1..=63 {
+        let edges = [0, u64::MAX].into_iter().chain((0..64).map(|k| 1u64 << k));
+        let random = (0..2_000).map(|_| rng.next_u64());
+        for x in edges.chain(random).collect::<Vec<_>>() {
+            assert_eq!(fold_to_bits(x, bits), fold_by_limbs(x, bits), "x={x:#x} bits={bits}");
         }
     }
 }

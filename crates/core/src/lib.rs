@@ -38,7 +38,7 @@ pub mod rcr;
 pub mod stats;
 
 pub use params::{CancelPolicy, CdReplacement, ContextHistoryKind, LlbpParams};
-pub use pattern::{Pattern, PatternSet};
+pub use pattern::{Pattern, PatternArena, SetGeometry};
 pub use predictor::{LlbpCheckpoint, LlbpPredictor};
 pub use prefetch::PrefetchQueue;
 pub use rcr::RollingContextRegister;

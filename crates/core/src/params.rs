@@ -255,6 +255,13 @@ impl LlbpParams {
         if self.history_lengths.is_empty() {
             return Err("LLBP needs at least one history length".into());
         }
+        if self.history_lengths.len() > crate::pattern::MAX_LENGTHS {
+            return Err(format!(
+                "LLBP supports at most {} history lengths, got {}",
+                crate::pattern::MAX_LENGTHS,
+                self.history_lengths.len()
+            ));
+        }
         if self.history_lengths.windows(2).any(|w| w[0] > w[1]) {
             return Err("LLBP history lengths must be ascending".into());
         }

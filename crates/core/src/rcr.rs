@@ -34,6 +34,10 @@ pub struct RollingContextRegister {
     distance: usize,
     cid_bits: u32,
     kind: ContextHistoryKind,
+    /// Both CIDs, rehashed whenever `pcs` changes: a context is read on
+    /// every prediction but changes only on observed branches.
+    current: u64,
+    prefetch: u64,
 }
 
 impl RollingContextRegister {
@@ -47,7 +51,17 @@ impl RollingContextRegister {
     pub fn new(window: usize, distance: usize, cid_bits: u32, kind: ContextHistoryKind) -> Self {
         assert!(window > 0, "window must be non-zero");
         assert!((1..=63).contains(&cid_bits), "cid_bits out of range");
-        Self { pcs: vec![0; window + distance], window, distance, cid_bits, kind }
+        let mut rcr = Self {
+            pcs: vec![0; window + distance],
+            window,
+            distance,
+            cid_bits,
+            kind,
+            current: 0,
+            prefetch: 0,
+        };
+        rcr.rehash();
+        rcr
     }
 
     /// Whether `record` participates in the context history under this
@@ -66,6 +80,12 @@ impl RollingContextRegister {
     pub fn push(&mut self, pc: u64) {
         self.pcs.rotate_right(1);
         self.pcs[0] = pc;
+        self.rehash();
+    }
+
+    fn rehash(&mut self) {
+        self.current = self.hash_range(self.distance);
+        self.prefetch = self.hash_range(0);
     }
 
     fn hash_range(&self, start: usize) -> u64 {
@@ -79,14 +99,14 @@ impl RollingContextRegister {
     /// The current context ID (excludes the `D` most recent branches).
     #[must_use]
     pub fn current_cid(&self) -> u64 {
-        self.hash_range(self.distance)
+        self.current
     }
 
     /// The prefetch context ID (includes the most recent branches): the
     /// CID that will become current after `D` more observed branches.
     #[must_use]
     pub fn prefetch_cid(&self) -> u64 {
-        self.hash_range(0)
+        self.prefetch
     }
 
     /// Captures the register content for later rollback.
@@ -103,6 +123,7 @@ impl RollingContextRegister {
     pub fn restore(&mut self, checkpoint: &RcrCheckpoint) {
         assert_eq!(checkpoint.pcs.len(), self.pcs.len(), "checkpoint size mismatch");
         self.pcs.copy_from_slice(&checkpoint.pcs);
+        self.rehash();
     }
 
     /// The configured window `W`.

@@ -4,43 +4,59 @@
 
 use bputil::rng::SplitMix64;
 use llbp_core::rcr::RollingContextRegister;
-use llbp_core::{ContextHistoryKind, LlbpParams, LlbpPredictor, PatternSet, PrefetchQueue};
+use llbp_core::{
+    ContextHistoryKind, LlbpParams, LlbpPredictor, PatternArena, PrefetchQueue, SetGeometry,
+};
 use llbp_tage::Predictor;
 use llbp_trace::{BranchKind, BranchRecord};
 
+fn geometry(buckets: usize) -> SetGeometry {
+    SetGeometry { patterns: 16, buckets, lengths: 16, counter_bits: 3 }
+}
+
 /// Pattern sets keep their sorted-by-length invariant and capacity
-/// bound under arbitrary allocation/training interleavings.
+/// bound under arbitrary allocation/training interleavings, and rows of
+/// one arena never disturb each other.
 #[test]
 fn pattern_set_invariants() {
     let mut rng = SplitMix64::new(0x9A7);
     for case in 0..30 {
         let buckets = [1usize, 2, 4][case % 3];
-        let mut set = PatternSet::new(16, buckets, 16);
+        let mut sets = PatternArena::new(geometry(buckets), 3);
         for _ in 0..1 + rng.below(300) {
+            let row = rng.below(2) as usize;
             let len_idx = rng.below(16) as u8;
             let tag = rng.below(0x2000) as u32;
-            set.allocate(len_idx, tag, rng.chance(1, 2), 3);
-            assert!(set.is_sorted());
-            assert!(set.occupancy() <= set.capacity());
+            sets.allocate(row, len_idx, tag, rng.chance(1, 2));
+            sets.update(row, rng.below(16) as usize, rng.chance(1, 2));
+            assert!(sets.is_sorted(row));
+            assert!(sets.occupancy(row) <= sets.capacity());
         }
+        assert_eq!(sets.occupancy(2), 0, "an untouched row stays empty");
     }
 }
 
 /// A matched pattern's length index always owns the tag that matched:
-/// `find_longest` never returns a slot whose tag differs.
+/// `find_longest` never returns a slot whose tag differs, and no
+/// occupied slot to its right matches.
 #[test]
 fn find_longest_returns_true_matches() {
     let mut rng = SplitMix64::new(0xF19D);
     for _ in 0..40 {
-        let mut set = PatternSet::new(16, 4, 16);
+        let mut sets = PatternArena::new(geometry(4), 1);
         for _ in 0..1 + rng.below(100) {
-            set.allocate(rng.below(16) as u8, rng.below(0x2000) as u32, rng.chance(1, 2), 3);
+            sets.allocate(0, rng.below(16) as u8, rng.below(0x2000) as u32, rng.chance(1, 2));
         }
         let probe: Vec<u32> = (0..16).map(|_| rng.below(0x2000) as u32).collect();
-        if let Some(slot) = set.find_longest(&probe) {
-            let p = set.pattern(slot).expect("matched slot is occupied");
-            assert_eq!(probe[usize::from(p.len_idx)], p.tag);
+        let matches = |slot: usize| {
+            sets.pattern(0, slot).is_some_and(|p| probe[usize::from(p.len_idx())] == p.tag())
+        };
+        let found = sets.find_longest(0, |len| probe[usize::from(len)]);
+        if let Some(slot) = found {
+            assert!(matches(slot));
         }
+        let after = found.map_or(0, |slot| slot + 1);
+        assert!(!(after..sets.capacity()).any(matches));
     }
 }
 
@@ -93,12 +109,12 @@ fn prefetch_queue_delivery() {
             now += gap;
             q.issue(cid, now, delay);
             expected.insert(cid);
-            for p in q.drain_ready(now) {
+            while let Some(p) = q.pop_ready(now) {
                 assert!(p.ready_at <= now);
                 delivered += 1;
             }
         }
-        delivered += q.drain_ready(u64::MAX).len() as u64;
+        delivered += std::iter::from_fn(|| q.pop_ready(u64::MAX)).count() as u64;
         assert_eq!(delivered, q.completed());
         assert!(q.is_empty());
         // Coalescing means delivered <= issues, but every distinct CID in

@@ -193,10 +193,16 @@ impl Ittage {
 
     /// Advances the path history; call for every control-flow-redirecting
     /// branch (unconditional, or taken conditional).
+    ///
+    /// The index and tag folds of table `t` share `HISTORY_LENGTHS[t]`, so
+    /// one outgoing-bit read serves both, applied branch-free via
+    /// [`FoldedHistory::update_with_out_bit`].
     pub fn update_history(&mut self, pc: u64) {
         let bit = (pc >> 2) & 1 == 1;
-        for f in self.folded.iter_mut().chain(self.folded_tag.iter_mut()) {
-            f.update_before_push(&self.path, bit);
+        for (index, tag) in self.folded.iter_mut().zip(&mut self.folded_tag) {
+            let out = self.path.bit(index.original_len() - 1);
+            index.update_with_out_bit(out, bit);
+            tag.update_with_out_bit(out, bit);
         }
         self.path.push(bit);
     }
@@ -261,6 +267,31 @@ mod tests {
             it.update_history(0x8000);
         }
         assert!(it.misprediction_rate() > 0.5, "random targets cannot be predicted");
+    }
+
+    #[test]
+    fn history_advance_matches_reference_folds() {
+        // Reference: each register folded with its own outgoing-bit read
+        // (`update_before_push`), against the same path buffer.
+        let mut it = Ittage::new();
+        let mut path = HistoryBuffer::new(128);
+        let mut folded: Vec<FoldedHistory> =
+            HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, INDEX_BITS)).collect();
+        let mut folded_tag: Vec<FoldedHistory> =
+            HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, TAG_BITS)).collect();
+        let mut rng = SplitMix64::new(0x177);
+        for step in 0..2_000 {
+            let pc = rng.next_u64();
+            let bit = (pc >> 2) & 1 == 1;
+            for f in folded.iter_mut().chain(folded_tag.iter_mut()) {
+                f.update_before_push(&path, bit);
+            }
+            path.push(bit);
+            it.update_history(pc);
+            assert_eq!(it.folded, folded, "index folds diverged at step {step}");
+            assert_eq!(it.folded_tag, folded_tag, "tag folds diverged at step {step}");
+            assert_eq!(it.path, path, "path diverged at step {step}");
+        }
     }
 
     #[test]

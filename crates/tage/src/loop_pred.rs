@@ -15,7 +15,7 @@ const CONFIDENT: u16 = 3;
 const MAX_ITER: u16 = u16::MAX - 1;
 
 /// One loop table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct LoopEntry {
     /// Trip count observed on the last completed traversal.
     past_iter: u16,
@@ -131,10 +131,8 @@ impl LoopPredictor {
         if tage_mispredicted {
             let entry =
                 LoopEntry { past_iter: 0, current_iter: 0, confidence: 0, dir: !taken, age: 3 };
-            self.table.insert_with(lookup.set, lookup.tag, entry, |ways| {
-                // Prefer the lowest-age way.
-                ways.iter().enumerate().min_by_key(|(_, (_, e))| e.age).map(|(i, _)| i).unwrap_or(0)
-            });
+            // Prefer the lowest-age way.
+            self.table.insert_with(lookup.set, lookup.tag, entry, |_, _, e| e.age);
         }
     }
 }

@@ -117,6 +117,8 @@ pub struct Tage {
     folded_index: Vec<FoldedHistory>,
     folded_tag0: Vec<FoldedHistory>,
     folded_tag1: Vec<FoldedHistory>,
+    /// Per-table [`IndexCtx::path_rotation`], fixed by the geometry.
+    path_rotation: Vec<u32>,
     // --- storage ---
     bim_dir: Vec<bool>,
     bim_hyst: Vec<bool>,
@@ -169,6 +171,9 @@ impl Tage {
             .zip(&cfg.tag_bits)
             .map(|(&l, &t)| FoldedHistory::new(l, (t - 1).max(1)))
             .collect();
+        let path_rotation = (0..cfg.num_tables() as u32)
+            .map(|t| IndexCtx::path_rotation(t, cfg.index_bits))
+            .collect();
         let tables = match cfg.storage {
             StorageKind::Finite => cfg
                 .history_lengths
@@ -187,6 +192,7 @@ impl Tage {
             folded_index,
             folded_tag0,
             folded_tag1,
+            path_rotation,
             bim_dir: vec![false; 1 << cfg.bimodal_bits],
             bim_hyst: vec![true; 1 << (cfg.bimodal_bits - 2)],
             tables,
@@ -286,7 +292,8 @@ impl Tage {
         // hoist them so the per-table loop only mixes the folded history.
         let idx_ctx = IndexCtx::new(pc, self.path.value(), self.cfg.index_bits);
         for t in 0..n {
-            indices[t] = idx_ctx.index(self.folded_index[t].value(), t as u32);
+            indices[t] =
+                idx_ctx.index(self.folded_index[t].value(), t as u32, self.path_rotation[t]);
             tags[t] = tage_tag(
                 pc ^ (t as u64).rotate_left(11),
                 self.folded_tag0[t].value(),
@@ -591,6 +598,16 @@ impl Tage {
         }
         self.ghr.push(bit);
         self.path.push(record.pc() >> 2);
+    }
+
+    /// The folded tag histories `(tag0, tag1)` of `table`: its history
+    /// length folded to `tag_bits[table]` and `tag_bits[table] - 1` bits.
+    /// A composed predictor hashing the same length at the same width can
+    /// read these instead of advancing a copy of its own.
+    #[inline]
+    #[must_use]
+    pub fn tag_folds(&self, table: usize) -> (u32, u32) {
+        (self.folded_tag0[table].value(), self.folded_tag1[table].value())
     }
 
     /// The global history buffer (exposed for composition and tests).
