@@ -194,6 +194,8 @@ pub struct FoldedHistory {
     original_len: usize,
     compressed_len: u32,
     outpoint: u32,
+    /// `compressed_len` low bits set.
+    mask: u32,
 }
 
 impl FoldedHistory {
@@ -216,6 +218,7 @@ impl FoldedHistory {
             original_len,
             compressed_len,
             outpoint: (original_len as u32) % compressed_len,
+            mask: mask(compressed_len),
         }
     }
 
@@ -253,13 +256,13 @@ impl FoldedHistory {
         }
         // Wrap the bit shifted out of the compressed register back in.
         self.comp ^= self.comp >> self.compressed_len;
-        self.comp &= mask(self.compressed_len);
+        self.comp &= self.mask;
     }
 
     /// Restores the fold from a checkpointed raw value (misprediction
     /// rollback).
     pub fn restore(&mut self, raw: u32) {
-        self.comp = raw & mask(self.compressed_len);
+        self.comp = raw & self.mask;
     }
 
     /// [`FoldedHistory::update_before_push`] with the outgoing bit
@@ -279,7 +282,7 @@ impl FoldedHistory {
         self.comp = (self.comp << 1) | u32::from(taken);
         self.comp ^= u32::from(out_bit) << self.outpoint;
         self.comp ^= self.comp >> self.compressed_len;
-        self.comp &= mask(self.compressed_len);
+        self.comp &= self.mask;
     }
 }
 
