@@ -35,10 +35,12 @@ fn bench_folded_history() {
     let mut folds: Vec<FoldedHistory> =
         (1..=21).map(|i| FoldedHistory::new(i * 140 + 6, 13)).collect();
     let mut rng = SplitMix64::new(1);
+    // The fold the batch tier runs (`update_history_fast`): the outgoing
+    // bit is read from the GHR and applied branch-free.
     bench("folded_history_update", || {
         let bit = rng.chance(1, 2);
         for f in &mut folds {
-            f.update_before_push(&ghr, bit);
+            f.update_with_out_bit(ghr.bit(f.original_len() - 1), bit);
         }
         ghr.push(bit);
         black_box(folds[20].value());

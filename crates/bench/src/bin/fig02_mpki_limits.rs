@@ -4,9 +4,9 @@
 //! Paper values: 64K TSL 0.29–6.4 MPKI (avg 2.91); Inf TAGE reduces
 //! mispredictions by 14–54% (avg 31.9%); Inf TSL by 36.5% on average.
 //!
-//! The table rendering lives in [`llbp_bench::figures`] and is shared
-//! with `llbp-coord`, whose distributed runs must reproduce this
-//! binary's stdout byte-for-byte.
+//! The grid and the table rendering live in [`llbp_bench::figures`],
+//! shared with `llbp_client submit` and the provenance parity tests; a
+//! `--server` run prints this binary's local stdout byte-for-byte.
 
 use llbp_bench::figures::{fig02_render, fig02_spec};
 use llbp_bench::{emit, engine, Opts};

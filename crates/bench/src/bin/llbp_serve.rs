@@ -1,9 +1,10 @@
 //! `llbp-serve` — the resident campaign daemon (DESIGN.md §12).
 //!
 //! Accepts sweep submissions over the length-prefixed TCP protocol,
-//! runs them in-process on the `llbp-coord` shard machinery, dedups
-//! cells across concurrent campaigns, and streams results back as they
-//! publish. Any experiment binary routes through it with
+//! shards each one over lease-claiming worker threads
+//! (`llbp_sim::shard`), dedups cells across concurrent campaigns, and
+//! streams results back as they publish. It is the one way to
+//! distribute a campaign beyond the engine's thread pool. Any experiment binary routes through it with
 //! `--server tcp://host:port` and prints byte-identical output to a
 //! local run; `llbp_client` speaks the protocol directly (submit, poll,
 //! metrics scrape, shutdown).
@@ -21,7 +22,10 @@
 //!
 //! Knobs: `LLBP_SERVE_WORKERS` (threads per campaign),
 //! `LLBP_SERVE_MAX_PASSES` (reconcile budget), `LLBP_FAULT_SPEC`
-//! (fault injection, including `crash:merge` and the `net:*` family).
+//! (fault injection, including `crash:merge` and `lease:expire`) and
+//! `LLBP_WORKER_ABORT=<worker>:<nth>` (worker thread `<worker>` aborts
+//! the daemon on its nth lease claim — the tier-1 chaos smoke's staged
+//! crash).
 
 use llbp_bench::fault_injector;
 use llbp_sim::memo::{CACHE_DIR_ENV, DEFAULT_CACHE_DIR};

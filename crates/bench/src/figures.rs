@@ -1,11 +1,11 @@
-//! Figure definitions shared between the single-process experiment
-//! binaries and the distributed coordinator.
+//! Figure definitions shared between the experiment binaries, the
+//! `llbp_client` submit verb and the tests.
 //!
-//! The chaos-parity contract — a distributed campaign's merged report is
-//! byte-identical to the single-process figure — is enforced by
-//! construction: `fig02_mpki_limits` and `llbp-coord` call the same
-//! [`fig02_render`] over the same grid, differing only in where the
-//! cell results came from.
+//! `fig02_mpki_limits` renders through [`fig02_render`] whether its
+//! cells were simulated in-process or streamed back from `llbp_serve`
+//! (`--server`), and `llbp_client submit` builds the daemon campaign from
+//! the same [`fig02_spec`], so a submitted grid and a `--server` run of
+//! the figure land on one campaign ticket.
 
 use crate::{mean_reduction, sim_config, workload_specs, Opts};
 use llbp_sim::engine::SweepSpec;

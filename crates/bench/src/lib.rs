@@ -14,10 +14,10 @@
 //!   memo cell against its recorded digest first, demoting silently
 //!   corrupted cells back to misses;
 //! * `--strict` — exit nonzero if any grid cell ultimately failed;
-//! * `--backend auto|reference|specialized|batch` — which execution
-//!   backend runs the hot loop (default: the `LLBP_BACKEND` environment
-//!   variable, then `auto` = fastest). Backends are parity-pinned, so
-//!   this changes throughput only, never the figures.
+//! * `--backend auto|reference|batch` — which execution backend runs
+//!   the hot loop (default: the `LLBP_BACKEND` environment variable,
+//!   then `auto` = fastest). Backends are parity-pinned, so this changes
+//!   throughput only, never the figures.
 //!
 //! Results print as markdown tables so they can be pasted straight into
 //! `EXPERIMENTS.md`. Traces and per-cell simulation results are memoized
@@ -25,8 +25,9 @@
 //! re-run of any figure — or a figure sharing grid cells with a previous
 //! one — skips generation and simulation for everything already stored.
 //! `LLBP_STORE=tcp://host:port` points the memo store at a shared
-//! `llbp_store` server instead of the local directory; `llbp_coord`
-//! shards a campaign across worker processes against it (DESIGN.md §11).
+//! `llbp_store` server instead of the local directory (DESIGN.md §11);
+//! `--server tcp://host:port` runs the whole sweep on an `llbp_serve`
+//! daemon instead (DESIGN.md §12).
 
 pub mod figures;
 
@@ -200,7 +201,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: <bin> [--quick] [--cold] [--resume] [--verify-resume] [--strict] [--branches N] \
          [--workloads A,B,C] [--trace-events PATH] [--metrics-out PATH] \
-         [--backend auto|reference|specialized|batch] [--server tcp://HOST:PORT] [--prov]"
+         [--backend auto|reference|batch] [--server tcp://HOST:PORT] [--prov]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -519,9 +520,9 @@ mod tests {
 
     #[test]
     fn parse_backend_flag() {
-        let o = Opts::parse(["--backend", "specialized"].iter().map(ToString::to_string));
-        assert_eq!(o.backend, BackendKind::Specialized);
-        assert_eq!(sim_config(&o).backend, BackendKind::Specialized);
+        let o = Opts::parse(["--backend", "reference"].iter().map(ToString::to_string));
+        assert_eq!(o.backend, BackendKind::Reference);
+        assert_eq!(sim_config(&o).backend, BackendKind::Reference);
         // Without the flag (and with the env untouched) the default is auto.
         if std::env::var(llbp_sim::BACKEND_ENV).is_err() {
             let o = Opts::parse(Vec::<String>::new());

@@ -107,11 +107,9 @@ fn every_backend_yields_the_same_stream() {
         PredictorKind::Gshare { index_bits: 12, history_bits: 8 },
     ] {
         let (ref_result, ref_stream) = run(BackendKind::Reference, kind.clone());
-        for backend in [BackendKind::Specialized, BackendKind::Batch] {
-            let (result, stream) = run(backend, kind.clone());
-            assert_eq!(result, ref_result, "{kind:?} on {backend:?}");
-            assert_eq!(stream, ref_stream, "{kind:?} stream on {backend:?}");
-        }
+        let (result, stream) = run(BackendKind::Batch, kind.clone());
+        assert_eq!(result, ref_result, "{kind:?} on batch");
+        assert_eq!(stream, ref_stream, "{kind:?} stream on batch");
     }
 }
 

@@ -295,43 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_associative_over_seeded_inputs() {
-        let mut rng = Rng(42);
-        let mut parts: Vec<HistogramSnapshot> = Vec::new();
-        for _ in 0..8 {
-            let mut h = HistogramSnapshot::default();
-            for _ in 0..500 {
-                h.record(rng.next() >> (rng.next() % 64));
-            }
-            parts.push(h);
-        }
-        // Left fold vs right fold vs pairwise tree — all identical.
-        let mut left = HistogramSnapshot::default();
-        for p in &parts {
-            left.merge(p);
-        }
-        let mut right = HistogramSnapshot::default();
-        for p in parts.iter().rev() {
-            right.merge(p);
-        }
-        let mut tree = parts.clone();
-        while tree.len() > 1 {
-            let mut next = Vec::new();
-            for pair in tree.chunks(2) {
-                let mut merged = pair[0].clone();
-                if let Some(b) = pair.get(1) {
-                    merged.merge(b);
-                }
-                next.push(merged);
-            }
-            tree = next;
-        }
-        assert_eq!(left, right);
-        assert_eq!(left, tree[0]);
-        assert_eq!(left.count(), 8 * 500);
-    }
-
-    #[test]
     fn quantiles_bound_the_samples() {
         let mut h = HistogramSnapshot::default();
         for v in 1..=1000u64 {
@@ -346,68 +309,6 @@ mod tests {
         assert!((950..=1023).contains(&p95), "p95 = {p95}");
         assert_eq!(h.quantile(1.0), 1000); // clamped to max
         assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
-    }
-
-    #[test]
-    fn snapshot_merge_adds_counters_and_histograms() {
-        let a = Telemetry::enabled();
-        a.counter("jobs").add(3);
-        a.histogram("wall").record(8);
-        let b = Telemetry::enabled();
-        b.counter("jobs").add(4);
-        b.counter("retries").inc();
-        b.histogram("wall").record(100);
-        let mut merged = a.metrics();
-        merged.merge(&b.metrics());
-        assert_eq!(merged.counters["jobs"], 7);
-        assert_eq!(merged.counters["retries"], 1);
-        assert_eq!(merged.histograms["wall"].count(), 2);
-        assert_eq!(merged.histograms["wall"].sum, 108);
-    }
-
-    #[test]
-    fn snapshot_text_roundtrips_and_merges_order_insensitively() {
-        let a = Telemetry::enabled();
-        a.counter("memo_hits").add(12);
-        a.gauge("workers").set(4);
-        a.histogram("cell_wall_us").record(0);
-        a.histogram("cell_wall_us").record(900);
-        a.histogram("cell_wall_us").record(u64::MAX);
-        let snap = a.metrics();
-        let back = MetricsSnapshot::from_text(&snap.to_text()).expect("roundtrip parses");
-        assert_eq!(back, snap);
-
-        // Shipping shards as text then merging in any order is the
-        // distributed-campaign contract.
-        let b = Telemetry::enabled();
-        b.counter("memo_hits").add(5);
-        b.histogram("cell_wall_us").record(17);
-        let (ta, tb) = (snap.to_text(), b.metrics().to_text());
-        let mut ab = MetricsSnapshot::from_text(&ta).unwrap();
-        ab.merge(&MetricsSnapshot::from_text(&tb).unwrap());
-        let mut ba = MetricsSnapshot::from_text(&tb).unwrap();
-        ba.merge(&MetricsSnapshot::from_text(&ta).unwrap());
-        assert_eq!(ab, ba);
-        assert_eq!(ab.counters["memo_hits"], 17);
-        assert_eq!(ab.histograms["cell_wall_us"].count(), 4);
-    }
-
-    #[test]
-    fn snapshot_text_rejects_torn_and_malformed_lines() {
-        assert!(MetricsSnapshot::from_text("").unwrap().is_empty());
-        assert!(MetricsSnapshot::from_text("\n\n").unwrap().is_empty());
-        for bad in [
-            "counter jobs",         // missing value
-            "counter jobs twelve",  // non-numeric
-            "counter jobs 1 extra", // trailing tokens
-            "gauge g",              // missing value
-            "hist h 5",             // missing max
-            "hist h 5 9 nocolon",   // malformed bucket
-            "hist h 5 9 99:1",      // bucket index out of range
-            "temperature room 20",  // unknown kind
-        ] {
-            assert!(MetricsSnapshot::from_text(bad).is_err(), "must reject `{bad}`");
-        }
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! a branch on a null pointer — no allocation, no atomics, no locks. Live
 //! handles touch only relaxed atomics, so they are safe to pre-resolve
 //! once and then hammer from the hot simulation loop.
+//!
+//! Snapshots are plain in-process data for the exporters in
+//! [`crate::export`]; nothing ships them between processes or merges
+//! them — the sweep daemon serves its one live registry directly.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,9 +143,8 @@ impl Histogram {
     }
 }
 
-/// Plain-data histogram state: buildable without any telemetry handle
-/// (the sweep engine fills one per report even when telemetry is off),
-/// mergeable, and queryable for quantiles.
+/// Plain-data histogram state: a point-in-time copy of a [`Histogram`],
+/// queryable for quantiles and rendered by the exporters.
 #[derive(Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts; bucket `i >= 1` covers
@@ -203,19 +206,6 @@ impl HistogramSnapshot {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Folds `other` into `self`. Merge is associative and commutative
-    /// (bucket-wise and sum addition, max of maxes), so shards can be
-    /// combined in any order.
-    pub fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        // Saturating unsigned addition is associative and commutative,
-        // so shard merge order still cannot change the result.
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// Upper bound on the `q`-quantile (`0.0 ..= 1.0`): the inclusive
@@ -314,121 +304,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Folds `other` into `self`: counters and gauges add, histograms
-    /// merge bucket-wise. Associative and commutative, so per-process or
-    /// per-shard snapshots can be combined in any order.
-    pub fn merge(&mut self, other: &Self) {
-        for (name, value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, value) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, hist) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(hist);
-        }
-    }
-
     /// True when nothing has been registered or recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Serializes the snapshot as plain text, one metric per line, for
-    /// shipping per-worker snapshots between processes (a distributed
-    /// campaign's coordinator reads them back with
-    /// [`MetricsSnapshot::from_text`] and merges). Deterministic: metrics
-    /// render in name order, histogram buckets in index order.
-    ///
-    /// ```text
-    /// counter memo_hits 12
-    /// gauge workers 4
-    /// hist cell_wall_us 91844 31203 7:2 11:4
-    /// ```
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let _ = writeln!(out, "counter {name} {value}");
-        }
-        for (name, value) in &self.gauges {
-            let _ = writeln!(out, "gauge {name} {value}");
-        }
-        for (name, hist) in &self.histograms {
-            let _ = write!(out, "hist {name} {} {}", hist.sum, hist.max);
-            for (i, &n) in hist.buckets.iter().enumerate() {
-                if n != 0 {
-                    let _ = write!(out, " {i}:{n}");
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses text produced by [`MetricsSnapshot::to_text`]. Strict: any
-    /// malformed line is an error (a torn snapshot must not silently
-    /// merge as a smaller one), but blank lines are tolerated so files
-    /// can be concatenated.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut snapshot = Self::default();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let bad = |what: &str| format!("line {}: {what}: `{line}`", lineno + 1);
-            let mut parts = line.split_ascii_whitespace();
-            let (kind, name) = (
-                parts.next().ok_or_else(|| bad("empty entry"))?,
-                parts.next().ok_or_else(|| bad("missing metric name"))?,
-            );
-            match kind {
-                "counter" | "gauge" => {
-                    let value: u64 = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("bad value"))?;
-                    if parts.next().is_some() {
-                        return Err(bad("trailing tokens"));
-                    }
-                    let map = if kind == "counter" {
-                        &mut snapshot.counters
-                    } else {
-                        &mut snapshot.gauges
-                    };
-                    map.insert(name.to_string(), value);
-                }
-                "hist" => {
-                    let sum = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("bad histogram sum"))?;
-                    let max = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("bad histogram max"))?;
-                    let mut hist = HistogramSnapshot { sum, max, ..Default::default() };
-                    for bucket in parts {
-                        let (index, count) =
-                            bucket.split_once(':').ok_or_else(|| bad("bad bucket"))?;
-                        let index: usize = index.parse().map_err(|_| bad("bad bucket index"))?;
-                        if index >= HISTOGRAM_BUCKETS {
-                            return Err(bad("bucket index out of range"));
-                        }
-                        hist.buckets[index] = count.parse().map_err(|_| bad("bad bucket count"))?;
-                    }
-                    snapshot.histograms.insert(name.to_string(), hist);
-                }
-                _ => return Err(bad("unknown metric kind")),
-            }
-        }
-        Ok(snapshot)
     }
 }

@@ -1,47 +1,44 @@
-//! Tiered execution backends for the simulation hot loop.
+//! Execution backends for the simulation hot loop.
 //!
 //! Every figure funnels through one loop shape — predict/train/
 //! update-history per trace record — but how that loop executes is a pure
-//! throughput choice. Three tiers implement it:
+//! throughput choice. Two tiers implement it:
 //!
 //! * **reference** — the original scalar loop in
 //!   [`crate::driver::Simulator`], driving the predictor through
-//!   `&mut dyn Predictor`. Always correct, never removed; the other tiers
-//!   are parity-pinned against it byte for byte.
-//! * **specialized** — monomorphizes the loop per [`PredictorKind`]: one
-//!   generic `run` instantiated through a match at cell start, so
-//!   `predict`/`train`/`update_history` inline into the loop body and the
-//!   virtual dispatch of the reference tier disappears. The loop is also
-//!   split into warmup/measure phases and tracked/untracked variants, so
-//!   the per-record `measuring` test and the per-branch `Option` map
-//!   probes vanish from the instruction stream entirely.
-//! * **batch** — the specialized loop over the structure-of-arrays trace
-//!   view ([`llbp_trace::TraceSoa`]), processing records in
-//!   [`BATCH_BLOCK`]-sized blocks: cancellation polls and progress
+//!   `&mut dyn Predictor`. Always correct, never removed; the batch tier
+//!   is parity-pinned against it byte for byte.
+//! * **batch** — monomorphized per [`PredictorKind`]: one generic loop
+//!   instantiated through a match at cell start, so the fused
+//!   `predict_train` and `update_history_fast` inline into the loop body.
+//!   The loop runs over the structure-of-arrays trace view
+//!   ([`llbp_trace::TraceSoa`]) in [`BATCH_BLOCK`]-sized blocks, split
+//!   into warmup and measure phases: cancellation polls and progress
 //!   accounting hoist to block boundaries, and instruction accounting is
-//!   software-pipelined ahead of the predictor stage as a branchless,
-//!   auto-vectorizable sum over the block's packed-meta column.
+//!   a branchless, auto-vectorizable sum over the block's packed-meta
+//!   column. Per-branch tracking and provenance recording are
+//!   compile-time splits, so the common loop carries neither.
 //!
 //! Selection threads through [`crate::SimConfig::backend`]: `auto` (the
 //! default) resolves to the fastest tier, the `LLBP_BACKEND` environment
 //! variable and the experiment binaries' `--backend` flag override it.
 //! Results never depend on the choice — `crates/sim/tests/backend_parity.rs`
-//! pins every tier against the reference for every predictor kind — and
-//! memo fingerprints exclude it, so cells cached under one backend are
-//! served to all of them.
+//! pins the batch tier against the reference for every predictor kind —
+//! and memo fingerprints exclude it, so cells cached under one backend
+//! are served to the other.
 
 use crate::config::{PredictorKind, SimConfig};
-use crate::driver::{finish_provider_counts, warmup_len, LlbpCellStats, SimResult, Simulator};
+use crate::driver::{finish_provider_counts, warmup_len, LlbpCellStats, SimResult};
 use crate::error::{CancelToken, SimError};
 use bputil::hash::FastHashMap;
 use llbp_core::LlbpPredictor;
 use llbp_prov::ProvRecorder;
 use llbp_tage::classic::{Gshare, HashedPerceptron, TwoLevelLocal};
 use llbp_tage::{Predictor, ProviderKind, TageScl, TslConfig};
-use llbp_trace::{BranchKind, Trace};
+use llbp_trace::Trace;
 
 /// Environment variable selecting the execution backend for harness
-/// binaries (`reference` | `specialized` | `batch` | `auto`). The
+/// binaries (`reference` | `batch` | `auto`). The
 /// `--backend` flag overrides it; library callers set
 /// [`SimConfig::backend`] directly.
 pub const BACKEND_ENV: &str = "LLBP_BACKEND";
@@ -63,21 +60,16 @@ pub enum BackendKind {
     Auto,
     /// The original scalar `dyn Predictor` loop — the correctness anchor.
     Reference,
-    /// Monomorphized per-predictor loop with phase/tracking splitting.
-    Specialized,
     /// Monomorphized block loop over the structure-of-arrays trace view.
     Batch,
 }
 
 impl BackendKind {
     /// The concrete tiers, in documentation order (excludes `Auto`).
-    pub const CONCRETE: [BackendKind; 3] =
-        [BackendKind::Reference, BackendKind::Specialized, BackendKind::Batch];
+    pub const CONCRETE: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Batch];
 
     /// The tier `auto` resolves to: the fastest implementation, as
-    /// measured by the `bench_backends` harness (batch edges out
-    /// specialized by folding instruction accounting into a vectorized
-    /// block sum and hoisting poll/progress work off the record path).
+    /// measured by the `bench_backends` harness.
     #[must_use]
     pub const fn fastest() -> Self {
         BackendKind::Batch
@@ -89,7 +81,6 @@ impl BackendKind {
         match self {
             BackendKind::Auto => "auto",
             BackendKind::Reference => "reference",
-            BackendKind::Specialized => "specialized",
             BackendKind::Batch => "batch",
         }
     }
@@ -103,11 +94,8 @@ impl BackendKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Ok(BackendKind::Auto),
             "reference" => Ok(BackendKind::Reference),
-            "specialized" => Ok(BackendKind::Specialized),
             "batch" => Ok(BackendKind::Batch),
-            other => {
-                Err(format!("unknown backend `{other}` (want auto|reference|specialized|batch)"))
-            }
+            other => Err(format!("unknown backend `{other}` (want auto|reference|batch)")),
         }
     }
 
@@ -150,32 +138,11 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Runs one cell on the **specialized** tier.
-///
-/// # Errors
-///
-/// Returns [`SimError::Timeout`] when the token fires mid-run.
-pub(crate) fn run_specialized(
-    cfg: &SimConfig,
-    kind: &PredictorKind,
-    trace: &Trace,
-    token: &CancelToken,
-    progress: &llbp_obs::Counter,
-    prov: &mut ProvRecorder,
-) -> Result<SimResult, SimError> {
-    if let PredictorKind::Llbp(params) = kind {
-        let mut predictor = LlbpPredictor::new(params.clone());
-        let mut result = specialized_loop(cfg, &mut predictor, trace, token, progress, prov)?;
-        result.llbp = Some(LlbpCellStats {
-            llbp: predictor.stats().clone(),
-            frontend: *predictor.frontend().stats(),
-        });
-        return Ok(result);
-    }
-    build_and_drive(kind, SpecializedDrive { cfg, trace, token, progress, prov })
-}
-
-/// Runs one cell on the **batch/SoA** tier.
+/// Runs one cell on the **batch/SoA** tier. The per-cell `match` turns
+/// the dynamic [`PredictorKind`] into a statically typed predictor, so
+/// each arm instantiates [`batch_loop`] for its concrete type and the
+/// per-record `predict_train`/`update_history_fast` calls devirtualize and
+/// inline. The LLBP arm also collects the LLBP-internal statistics.
 ///
 /// # Errors
 ///
@@ -188,84 +155,42 @@ pub(crate) fn run_batch(
     progress: &llbp_obs::Counter,
     prov: &mut ProvRecorder,
 ) -> Result<SimResult, SimError> {
-    if let PredictorKind::Llbp(params) = kind {
-        let mut predictor = LlbpPredictor::new(params.clone());
-        let mut result = batch_loop(cfg, &mut predictor, trace, token, progress, prov)?;
-        result.llbp = Some(LlbpCellStats {
-            llbp: predictor.stats().clone(),
-            frontend: *predictor.frontend().stats(),
-        });
-        return Ok(result);
+    macro_rules! drive {
+        ($predictor:expr) => {
+            batch_loop(cfg, &mut $predictor, trace, token, progress, prov)
+        };
     }
-    build_and_drive(kind, BatchDrive { cfg, trace, token, progress, prov })
-}
-
-/// A loop implementation generic over the concrete predictor type — the
-/// monomorphization seam. `build_and_drive` matches on [`PredictorKind`]
-/// once per cell and instantiates the driver's `go::<P>` for the concrete
-/// type, so the per-record `predict`/`train`/`update_history` calls
-/// devirtualize and inline.
-trait MonoDrive {
-    fn go<P: Predictor>(self, predictor: P) -> Result<SimResult, SimError>;
-}
-
-/// The per-cell `match` that turns a dynamic [`PredictorKind`] into a
-/// statically typed predictor and hands it to a [`MonoDrive`].
-fn build_and_drive<D: MonoDrive>(kind: &PredictorKind, drive: D) -> Result<SimResult, SimError> {
     match kind {
-        PredictorKind::Tsl64K => drive.go(TageScl::new(TslConfig::cbp64k())),
-        PredictorKind::TslScaled(f) => drive.go(TageScl::new(TslConfig::scaled(*f))),
-        PredictorKind::InfTage => drive.go(TageScl::new(TslConfig::infinite_tage())),
-        PredictorKind::InfTsl => drive.go(TageScl::new(TslConfig::infinite_tsl())),
-        PredictorKind::CustomTsl(cfg) => drive.go(TageScl::new(cfg.clone())),
+        PredictorKind::Tsl64K => drive!(TageScl::new(TslConfig::cbp64k())),
+        PredictorKind::TslScaled(f) => drive!(TageScl::new(TslConfig::scaled(*f))),
+        PredictorKind::InfTage => drive!(TageScl::new(TslConfig::infinite_tage())),
+        PredictorKind::InfTsl => drive!(TageScl::new(TslConfig::infinite_tsl())),
+        PredictorKind::CustomTsl(tsl) => drive!(TageScl::new(tsl.clone())),
         PredictorKind::Gshare { index_bits, history_bits } => {
-            drive.go(Gshare::new(*index_bits, *history_bits))
+            drive!(Gshare::new(*index_bits, *history_bits))
         }
         PredictorKind::TwoLevelLocal { bht_bits, local_bits } => {
-            drive.go(TwoLevelLocal::new(*bht_bits, *local_bits))
+            drive!(TwoLevelLocal::new(*bht_bits, *local_bits))
         }
         PredictorKind::HashedPerceptron { tables, index_bits, segment_bits } => {
-            drive.go(HashedPerceptron::new(*tables, *index_bits, *segment_bits))
+            drive!(HashedPerceptron::new(*tables, *index_bits, *segment_bits))
         }
-        // Callers that need the LLBP-internal statistics special-case this
-        // arm before dispatching; reaching it is still correct (the stats
-        // are simply not collected).
-        PredictorKind::Llbp(params) => drive.go(LlbpPredictor::new(params.clone())),
+        PredictorKind::Llbp(params) => {
+            let mut predictor = LlbpPredictor::new(params.clone());
+            let mut result = drive!(predictor)?;
+            result.llbp = Some(LlbpCellStats {
+                llbp: predictor.stats().clone(),
+                frontend: *predictor.frontend().stats(),
+            });
+            Ok(result)
+        }
     }
 }
 
-struct SpecializedDrive<'a> {
-    cfg: &'a SimConfig,
-    trace: &'a Trace,
-    token: &'a CancelToken,
-    progress: &'a llbp_obs::Counter,
-    prov: &'a mut ProvRecorder,
-}
-
-impl MonoDrive for SpecializedDrive<'_> {
-    fn go<P: Predictor>(self, mut predictor: P) -> Result<SimResult, SimError> {
-        specialized_loop(self.cfg, &mut predictor, self.trace, self.token, self.progress, self.prov)
-    }
-}
-
-struct BatchDrive<'a> {
-    cfg: &'a SimConfig,
-    trace: &'a Trace,
-    token: &'a CancelToken,
-    progress: &'a llbp_obs::Counter,
-    prov: &'a mut ProvRecorder,
-}
-
-impl MonoDrive for BatchDrive<'_> {
-    fn go<P: Predictor>(self, mut predictor: P) -> Result<SimResult, SimError> {
-        batch_loop(self.cfg, &mut predictor, self.trace, self.token, self.progress, self.prov)
-    }
-}
-
-/// Measurement accumulators shared by the non-reference tiers. Provider
-/// attribution counts into a dense ordinal array (string hashing stays
-/// out of the loop); the per-branch maps are only touched by the
-/// `TRACK = true` loop instantiations.
+/// Measurement accumulators of the batch tier. Provider attribution
+/// counts into a dense ordinal array (string hashing stays out of the
+/// loop); the per-branch maps are only touched by the `TRACK = true`
+/// loop instantiations.
 #[derive(Default)]
 struct Tally {
     instructions: u64,
@@ -293,124 +218,6 @@ impl Tally {
             llbp: None,
         }
     }
-}
-
-/// One warmup record: identical predictor *training* to the measure phase
-/// (tables must train through warmup), but zero statistics work. Uses the
-/// fused [`Predictor::predict_train`] and the branch-free
-/// [`Predictor::update_history_fast`] — both contractually bit-identical
-/// to the split reference sequence, and pinned so by the parity tests.
-#[inline(always)]
-fn warmup_step<P: Predictor>(predictor: &mut P, record: &llbp_trace::BranchRecord) {
-    if record.kind() == BranchKind::Conditional {
-        let _ = predictor.predict_train(record.pc(), record.taken());
-    }
-    predictor.update_history_fast(record);
-}
-
-/// One measured record. `TRACK` and `PROV` are compile-time splits: the
-/// untracked instantiation carries no map probes, and the non-recording
-/// instantiation carries no provenance work at all — the common
-/// `PROV = false` loops are instruction-for-instruction what they were
-/// before the recorder existed. The `PROV = true` variant switches to
-/// the fused [`Predictor::predict_train_info`] (bit-identical to
-/// `predict_train`, pinned by the predictor parity tests) and offers
-/// each measured conditional to the recorder.
-#[inline(always)]
-fn measure_step<P: Predictor, const TRACK: bool, const PROV: bool>(
-    predictor: &mut P,
-    record: &llbp_trace::BranchRecord,
-    tally: &mut Tally,
-    prov: &mut ProvRecorder,
-) {
-    tally.instructions += record.instructions();
-    if record.kind() == BranchKind::Conditional {
-        let pc = record.pc();
-        let taken = record.taken();
-        let (pred, ordinal) = if PROV {
-            let (pred, info) = predictor.predict_train_info(pc, taken);
-            prov.record(pc, taken, &info);
-            (pred, info.provider.ordinal())
-        } else {
-            let (pred, provider) = predictor.predict_train(pc, taken);
-            (pred, provider.ordinal())
-        };
-        let wrong = pred != taken;
-        tally.conditional_branches += 1;
-        tally.mispredictions += u64::from(wrong);
-        tally.providers[ordinal] += 1;
-        if TRACK {
-            *tally.per_branch_executions.entry(pc).or_default() += 1;
-            if wrong {
-                *tally.per_branch_mispredicts.entry(pc).or_default() += 1;
-            }
-        }
-    }
-    predictor.update_history_fast(record);
-}
-
-fn specialized_loop<P: Predictor>(
-    cfg: &SimConfig,
-    predictor: &mut P,
-    trace: &Trace,
-    token: &CancelToken,
-    progress: &llbp_obs::Counter,
-    prov: &mut ProvRecorder,
-) -> Result<SimResult, SimError> {
-    match (cfg.track_per_branch, prov.is_enabled()) {
-        (false, false) => {
-            specialized_loop_inner::<P, false, false>(cfg, predictor, trace, token, progress, prov)
-        }
-        (false, true) => {
-            specialized_loop_inner::<P, false, true>(cfg, predictor, trace, token, progress, prov)
-        }
-        (true, false) => {
-            specialized_loop_inner::<P, true, false>(cfg, predictor, trace, token, progress, prov)
-        }
-        (true, true) => {
-            specialized_loop_inner::<P, true, true>(cfg, predictor, trace, token, progress, prov)
-        }
-    }
-}
-
-fn specialized_loop_inner<P: Predictor, const TRACK: bool, const PROV: bool>(
-    cfg: &SimConfig,
-    predictor: &mut P,
-    trace: &Trace,
-    token: &CancelToken,
-    progress: &llbp_obs::Counter,
-    prov: &mut ProvRecorder,
-) -> Result<SimResult, SimError> {
-    let warmup = warmup_len(cfg, trace);
-    let records = trace.records();
-    let mut tally = Tally::default();
-    // Warmup phase: chunked only for cancellation polls and progress.
-    let mut i = 0usize;
-    while i < warmup {
-        if token.is_cancelled() {
-            return Err(token.cancellation_error());
-        }
-        let end = (i + Simulator::CANCEL_POLL_INTERVAL).min(warmup);
-        for record in &records[i..end] {
-            warmup_step(predictor, record);
-        }
-        progress.add((end - i) as u64);
-        i = end;
-    }
-    // Measure phase: no `measuring` test per record — the split *is* the
-    // test, evaluated once.
-    while i < records.len() {
-        if token.is_cancelled() {
-            return Err(token.cancellation_error());
-        }
-        let end = (i + Simulator::CANCEL_POLL_INTERVAL).min(records.len());
-        for record in &records[i..end] {
-            measure_step::<P, TRACK, PROV>(predictor, record, &mut tally, prov);
-        }
-        progress.add((end - i) as u64);
-        i = end;
-    }
-    Ok(tally.finish(predictor.label(), trace.name(), cfg.track_per_branch))
 }
 
 fn batch_loop<P: Predictor>(
@@ -522,16 +329,12 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_every_kind() {
-        for kind in [
-            BackendKind::Auto,
-            BackendKind::Reference,
-            BackendKind::Specialized,
-            BackendKind::Batch,
-        ] {
+        for kind in [BackendKind::Auto, BackendKind::Reference, BackendKind::Batch] {
             assert_eq!(BackendKind::parse(kind.label()), Ok(kind));
             assert_eq!(kind.label().parse::<BackendKind>(), Ok(kind));
         }
         assert!(BackendKind::parse("jit").is_err());
+        assert!(BackendKind::parse("specialized").is_err(), "deleted tier");
         assert_eq!(BackendKind::parse(" BATCH "), Ok(BackendKind::Batch));
     }
 

@@ -206,9 +206,6 @@ impl SimConfig {
     ) -> Result<SimResult, SimError> {
         match self.backend.resolve() {
             BackendKind::Reference => self.run_reference(kind, trace, token, records, prov),
-            BackendKind::Specialized => {
-                crate::backend::run_specialized(self, &kind, trace, token, records, prov)
-            }
             BackendKind::Batch => {
                 crate::backend::run_batch(self, &kind, trace, token, records, prov)
             }

@@ -62,7 +62,7 @@ use crate::faultinject::FaultInjector;
 use crate::journal::{campaign_fingerprint, CampaignJournal, CellOutcome};
 use crate::memo::MemoStore;
 use bputil::hash::FastHashMap;
-use llbp_obs::{HistogramSnapshot, Telemetry};
+use llbp_obs::Telemetry;
 use llbp_prov::{ProvConfig, ProvRecorder};
 use llbp_trace::{Fingerprint, WorkloadSpec};
 use std::collections::HashSet;
@@ -403,11 +403,6 @@ pub struct SweepReport {
     pub lock_wait: Duration,
     /// Dead-holder lock takeovers performed while opening the journal.
     pub lock_takeovers: u64,
-    /// Per-cell wall-time distribution in microseconds (simulation wall
-    /// for simulated cells, probe wall for memo-served ones; failed
-    /// placeholders excluded). Built for every run — telemetry need not
-    /// be enabled.
-    pub cell_wall: HistogramSnapshot,
     /// Label of the *resolved* execution backend that ran the simulated
     /// cells (`auto` never appears here — the concrete tier it picked
     /// does), so archived throughput records say what actually ran.
@@ -464,6 +459,25 @@ impl SweepReport {
         }
     }
 
+    /// Exact cell-wall percentiles `(p50, p95, max)` in milliseconds over
+    /// [`JobStats::wall`] of the cells that did not fail (all zero when
+    /// none did). The rank rule is
+    /// [`HistogramSnapshot::quantile`](llbp_obs::HistogramSnapshot::quantile)'s
+    /// nearest rank: the `ceil(q * n)`-th smallest sample.
+    fn wall_percentiles_ms(&self) -> (f64, f64, f64) {
+        let mut walls: Vec<Duration> = (0..self.jobs.len())
+            .filter(|&index| self.failed.iter().all(|err| err.index != index))
+            .map(|index| self.jobs[index].stats.wall)
+            .collect();
+        walls.sort_unstable();
+        let rank = |q: f64| {
+            let n = walls.len();
+            let target = ((q * n as f64).ceil() as usize).clamp(1, n.max(1));
+            walls.get(target - 1).map_or(0.0, |wall| wall.as_secs_f64() * 1000.0)
+        };
+        (rank(0.5), rank(0.95), rank(1.0))
+    }
+
     /// A single-line JSON record of the sweep's throughput, for harness
     /// scripts that archive perf numbers (`results/`). When any cell
     /// ultimately failed, a `"failed"` array of per-cell error records is
@@ -471,6 +485,7 @@ impl SweepReport {
     #[must_use]
     pub fn throughput_json(&self, label: &str) -> String {
         let sanitize = |s: &str| s.replace(['"', '\\'], "_");
+        let (wall_p50, wall_p95, wall_max) = self.wall_percentiles_ms();
         let mut line = format!(
             concat!(
                 "{{\"event\":\"sweep_throughput\",\"label\":\"{}\",",
@@ -502,9 +517,9 @@ impl SweepReport {
             self.trace_bytes as f64 / (1024.0 * 1024.0),
             self.lock_wait.as_secs_f64() * 1000.0,
             self.lock_takeovers,
-            self.cell_wall.quantile(0.5) as f64 / 1000.0,
-            self.cell_wall.quantile(0.95) as f64 / 1000.0,
-            self.cell_wall.max as f64 / 1000.0,
+            wall_p50,
+            wall_p95,
+            wall_max,
         );
         if !self.failed.is_empty() {
             line.push_str(",\"failed\":[");
@@ -885,13 +900,9 @@ impl SweepEngine {
         claimed.sort_unstable_by_key(|&(index, _)| index);
         let mut jobs = Vec::with_capacity(n);
         let mut failed = Vec::new();
-        let mut cell_wall = HistogramSnapshot::default();
         for (index, outcome) in claimed {
             match outcome {
-                Ok((record, _digest)) => {
-                    cell_wall.record(record.stats.wall.as_micros() as u64);
-                    jobs.push(record);
-                }
+                Ok((record, _digest)) => jobs.push(record),
                 Err(err) => {
                     // A placeholder keeps dense grid indexing valid;
                     // `failed` is the authoritative record of the gap.
@@ -918,7 +929,6 @@ impl SweepEngine {
             stale: stale_count,
             lock_wait,
             lock_takeovers,
-            cell_wall,
             backend: spec.sim.backend.resolve().label(),
             store_tier: self.store.as_ref().map_or("none", |store| store.tier()),
             prov: self.prov_summary(&fingerprints),
@@ -1335,6 +1345,39 @@ mod tests {
         // Provenance off: no trace of the subsystem in the record.
         assert!(report.prov.is_none());
         assert!(!line.contains("\"prov\""));
+    }
+
+    #[test]
+    fn cell_wall_percentiles_are_exact_nearest_rank() {
+        let spec = small_spec();
+        let mut report = SweepEngine::with_workers(1).run(&spec);
+        // Walls 20..=1 ms: grid order is the reverse of rank order.
+        report.jobs = (1..=20u64)
+            .rev()
+            .map(|ms| JobRecord {
+                stats: JobStats { wall: Duration::from_millis(ms), branches: 1 },
+                ..SweepEngine::placeholder_record(&spec, 0)
+            })
+            .collect();
+        let line = report.throughput_json("walls");
+        assert!(line.contains("\"cell_wall_p50_ms\":10.000,"), "{line}");
+        assert!(line.contains("\"cell_wall_p95_ms\":19.000,"), "{line}");
+        assert!(line.contains("\"cell_wall_max_ms\":20.000"), "{line}");
+        // A failed cell's placeholder never counts, however long its wall.
+        report.jobs[0].stats.wall = Duration::from_secs(60);
+        report.failed.push(JobError {
+            job: report.jobs[0].job,
+            index: 0,
+            predictor: "p".into(),
+            workload: "w".into(),
+            attempts: 1,
+            error: SimError::Injected { detail: "test".into() },
+        });
+        let line = report.throughput_json("walls");
+        assert!(line.contains("\"cell_wall_max_ms\":19.000"), "{line}");
+        // No surviving cell: every percentile reads zero.
+        report.jobs.truncate(1);
+        assert!(report.throughput_json("walls").contains("\"cell_wall_max_ms\":0.000"));
     }
 
     #[test]

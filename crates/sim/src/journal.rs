@@ -106,8 +106,8 @@ pub fn campaign_fingerprint(cells: &[Fingerprint]) -> Fingerprint {
 /// Renders the journal line for one cell outcome (without the trailing
 /// newline handling — the returned string ends in `\n`). Shared by the
 /// locked [`CampaignJournal`] and the per-worker shard journals of
-/// distributed campaigns (see [`crate::coord`]), so every journal on
-/// disk speaks one grammar.
+/// daemon campaigns (see [`crate::shard`]), so every journal on disk
+/// speaks one grammar.
 #[must_use]
 pub fn outcome_line(cell: usize, outcome: &CellOutcome) -> String {
     match outcome {
@@ -157,7 +157,7 @@ fn outcome_key(cell: usize, outcome: &CellOutcome) -> (u8, String) {
 /// the winning outcome is the maximum under [`outcome_key`]'s total
 /// order, so merging N shard journals gives the same result in any
 /// order — the property tests pin this, and it is what makes a
-/// distributed campaign's merged journal deterministic.
+/// daemon campaign's merged journal deterministic.
 #[must_use]
 pub fn merge_outcomes<I>(shards: I) -> HashMap<usize, CellOutcome>
 where

@@ -1,7 +1,9 @@
-//! Lease-based work claims for distributed campaigns.
+//! Lease-based work claims for sharded campaigns.
 //!
-//! A multi-process campaign shards one sweep grid across worker
-//! processes. Workers coordinate through per-cell *lease files* under
+//! The sweep daemon shards one sweep grid across worker threads
+//! ([`crate::shard`]), and a restarted daemon must pick up cells its
+//! crashed predecessor held, so claims live on disk, not in memory.
+//! Workers coordinate through per-cell *lease files* under
 //! `<cache-root>/leases/`: claiming a cell atomically creates
 //! `<campaign>.<cell>.lease`, stamped with the claimant's process
 //! identity and a heartbeat deadline. A cell whose lease is held by a

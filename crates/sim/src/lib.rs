@@ -18,7 +18,6 @@
 pub mod backend;
 pub mod cache;
 pub mod config;
-pub mod coord;
 pub mod driver;
 pub mod energy;
 pub mod engine;
@@ -33,13 +32,13 @@ pub mod memo;
 pub mod patterns;
 pub mod report;
 pub mod serve;
+pub mod shard;
 pub mod store;
 pub mod timing;
 
 pub use backend::{BackendKind, BACKEND_ENV, BATCH_BLOCK};
 pub use cache::TraceCache;
 pub use config::{PredictorKind, SimConfig};
-pub use coord::{finish_campaign, run_shard, CellInterlock, ShardConfig, WORKER_ABORT_ENV};
 pub use driver::{LlbpCellStats, SimResult, Simulator};
 pub use energy::EnergyModel;
 pub use engine::{JobError, ProvSummary, SweepEngine, SweepReport, SweepSpec};
@@ -50,6 +49,7 @@ pub use l1i::L1iCache;
 pub use lease::{lease_ttl_from_env, CellLease, LeaseSet, LEASE_TTL_ENV};
 pub use lock::{LockFile, LOCK_WAIT_ENV};
 pub use memo::{CachedCell, MemoStore, MEMO_FORMAT_VERSION};
+pub use shard::{run_shard, CellInterlock, ShardConfig, WORKER_ABORT_ENV};
 pub use store::{ObjectKind, StorageBackend, STORE_ENV};
 pub use timing::TimingModel;
 

@@ -18,7 +18,6 @@ use crate::error::{backoff_delay, SimError};
 use crate::faultinject::{FaultInjector, NetFaultKind};
 use crate::store::proto::{self, Op, Request, Response, Status};
 use crate::store::ObjectKind;
-use llbp_obs::HistogramSnapshot;
 use llbp_trace::fingerprint::Fingerprint;
 use std::io::Write;
 use std::net::TcpStream;
@@ -326,7 +325,6 @@ pub fn run_remote_with(
 
     let mut jobs = Vec::with_capacity(total);
     let mut failed = Vec::new();
-    let mut cell_wall = HistogramSnapshot::default();
     for (index, cell) in cells.into_iter().enumerate() {
         let job = SweepJob {
             workload: index / spec.predictors.len(),
@@ -338,7 +336,6 @@ pub fn run_remote_with(
                     op: "stream",
                     detail: format!("cell {index}: daemon streamed an undecodable cell payload"),
                 })?;
-                cell_wall.record(cell.wall.as_micros() as u64);
                 jobs.push(JobRecord {
                     job,
                     result: cell.result,
@@ -370,7 +367,6 @@ pub fn run_remote_with(
         stale: 0,
         lock_wait: Duration::ZERO,
         lock_takeovers: status.takeovers,
-        cell_wall,
         backend: spec.sim.backend.resolve().label(),
         store_tier: "serve",
         // The serve protocol streams result cells only; provenance runs

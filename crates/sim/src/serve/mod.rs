@@ -1,24 +1,22 @@
-//! `llbp-serve`: the resident sweep daemon (DESIGN.md §12).
+//! `llbp-serve`: the resident sweep daemon (DESIGN.md §12), and the one
+//! way to distribute a campaign beyond the engine's own thread pool.
 //!
-//! The distributed story so far shards **one** campaign across worker
-//! processes (`llbp-coord`) against a shared object store
-//! (`llbp-store`). What neither covers is *concurrent, independent*
-//! campaigns: two researchers sweeping overlapping grids each pay for
-//! the shared cells, because leases are namespaced per campaign and the
-//! memo probe only dedups cells that already finished. The daemon
-//! closes that gap by being the one process where every campaign runs:
+//! Leases are namespaced per campaign and the memo probe only dedups
+//! cells that already finished, so two researchers sweeping overlapping
+//! grids in separate processes would each pay for the shared cells. The
+//! daemon closes that gap by being the one process where every campaign
+//! runs:
 //!
 //! * Clients submit a [`SweepSpec`] over the same length-prefixed
 //!   framing the object store speaks ([`crate::store::proto`], ops
 //!   `SubmitSweep`/`PollSweep`/`StreamCells`), encoded field-exactly by
 //!   [`wire`] so cell fingerprints match a local run bit-for-bit.
-//! * Each campaign runs the `llbp-coord` shard machinery in-process:
-//!   worker threads race lease claims ([`crate::coord::run_shard_observed`])
-//!   and a reconcile loop recovers anything they drop — journals, lease
-//!   takeovers and the durable merged-journal publish all behave
-//!   exactly as in the multi-process deployment, which is what makes a
-//!   daemon restart resumable: the journals and the store on disk *are*
-//!   the campaign state.
+//! * Each campaign runs on the [`crate::shard`] machinery: worker
+//!   threads race lease claims ([`run_shard`]) and `drive_campaign`'s
+//!   reconcile loop recovers anything they drop. Shard journals, lease
+//!   takeovers and the durable merged-journal publish all live on disk,
+//!   which is what makes a daemon restart resumable: the journals and
+//!   the store *are* the campaign state.
 //! * A daemon-global [`CellInterlock`] spans campaigns: a cell two
 //!   in-flight grids share is held by whichever reached it first, the
 //!   second blocks until publish and then memo-hits. One simulation,
@@ -38,15 +36,15 @@
 pub mod client;
 pub mod wire;
 
-use crate::coord::{
-    grid_fingerprints, read_worker_journals, run_shard_observed, write_merged_journal,
-    CellInterlock, ShardConfig, ShardHooks, ShardSummary,
-};
 use crate::engine::SweepSpec;
 use crate::error::{backoff_delay, SimError};
 use crate::faultinject::FaultInjector;
 use crate::journal::{campaign_fingerprint, merge_outcomes, CellOutcome};
 use crate::memo::MemoStore;
+use crate::shard::{
+    grid_fingerprints, read_worker_journals, run_shard, write_merged_journal, CellInterlock,
+    ShardConfig, ShardHooks, ShardSummary,
+};
 use crate::store::proto::{self, Op, Request, Response};
 use llbp_obs::Telemetry;
 use llbp_trace::fingerprint::Fingerprint;
@@ -376,9 +374,9 @@ impl ServeHandle {
 
 impl ServeDaemon {
     /// Binds `addr` and serves campaigns against `store`. The injector
-    /// (usually from `LLBP_FAULT_SPEC`) reaches both the store IO and
-    /// the merged-journal crash hook, so fault campaigns exercise the
-    /// daemon exactly like the multi-process coordinator.
+    /// (usually from `LLBP_FAULT_SPEC`) reaches the lease checks and the
+    /// merged-journal crash hook (`lease:expire`, `crash:merge`), so
+    /// fault campaigns exercise the daemon's recovery paths.
     ///
     /// # Errors
     ///
@@ -526,10 +524,12 @@ fn submit(state: &Arc<DaemonState>, payload: &[u8]) -> Result<Fingerprint, SimEr
     Ok(campaign)
 }
 
-/// Runs one campaign to completion inside the daemon: worker threads
-/// race lease claims over the grid (sharing the daemon-global
-/// interlock), a reconcile loop recovers dropped cells, and the merged
-/// canonical journal is published with the full durability recipe.
+/// Runs one campaign to completion inside the daemon — the only
+/// reconcile loop in the system: worker threads race lease claims over
+/// the grid (sharing the daemon-global interlock), reconcile passes
+/// recover dropped cells (stolen dead-holder leases, `lease:expire`
+/// discards), and the merged canonical journal is published with the
+/// full durability recipe.
 fn drive_campaign(
     daemon: &DaemonState,
     campaign: &CampaignState,
@@ -556,7 +556,7 @@ fn drive_campaign(
             .map(|wid| {
                 scope.spawn(move || -> Result<ShardSummary, SimError> {
                     let cfg = ShardConfig::from_env(wid as u32)?;
-                    run_shard_observed(spec, store, faults, &cfg, hooks)
+                    run_shard(spec, store, faults, &cfg, hooks)
                 })
             })
             .collect();
@@ -591,7 +591,7 @@ fn drive_campaign(
     let mut passes = 0u32;
     loop {
         passes += 1;
-        let summary = run_shard_observed(spec, store, faults, &cfg, &hooks)?;
+        let summary = run_shard(spec, store, faults, &cfg, &hooks)?;
         {
             let mut progress = campaign.lock();
             progress.completed += summary.completed;

@@ -1,47 +1,45 @@
-//! Sharded execution for distributed campaigns: lease-claimed cells,
-//! per-worker journals, and the coordinator-side merge.
+//! Sharded execution for the sweep daemon: lease-claimed cells,
+//! per-worker shard journals, and the merged campaign journal.
 //!
-//! A distributed campaign runs one [`SweepSpec`] grid across several
-//! worker *processes* (spawned by the `llbp-coord` binary). There is no
-//! work queue service: coordination is files under the shared cache
-//! root. Each worker walks the grid in order and, per cell, tries to
-//! claim the cell's lease (see [`crate::lease`]); a claimed cell is
-//! probed against the memo store, simulated on a miss, published, and
-//! journaled to the worker's own shard journal
-//! `<campaign>.w<id>.journal`. Cells someone else holds are skipped —
-//! the lease *is* the shard assignment, so the split adapts to worker
-//! speed instead of being fixed up front.
+//! The `llbp-serve` daemon (DESIGN.md §12) runs each campaign on several
+//! worker threads over one [`SweepSpec`] grid. There is no work queue:
+//! coordination is files under the cache root. Each worker walks the
+//! grid in order and, per cell, tries to claim the cell's lease (see
+//! [`crate::lease`]); a claimed cell is probed against the memo store,
+//! simulated on a miss, published, and journaled to the worker's own
+//! shard journal `<campaign>.w<id>.journal`. Cells someone else holds
+//! are skipped — the lease *is* the shard assignment, so the split
+//! adapts to worker speed instead of being fixed up front.
 //!
 //! # Crash recovery
 //!
-//! A worker that dies mid-cell leaves a lease stamped with a dead
-//! process (or, eventually, an expired deadline). The coordinator's
-//! reconcile pass ([`finish_campaign`]) runs the same shard loop in the
-//! coordinator process: stale leases are stolen via the same
-//! PID-reuse-hardened takeover as the campaign lock, unpublished cells
-//! re-run, and the pass repeats until every cell is either published or
-//! deterministically failed. The memo store is the source of truth
+//! A daemon that dies mid-cell leaves a lease stamped with a dead
+//! process (or, eventually, an expired deadline). The daemon's reconcile
+//! loop runs [`run_shard`] again until every cell is published or
+//! deterministically failed: stale leases are stolen via the same
+//! PID-reuse-hardened takeover as the campaign lock, and unpublished
+//! cells re-run. A restarted daemon on the same root does the same for
+//! its predecessor's leases. The memo store is the source of truth
 //! throughout — a journal entry is a claim about the store, never a
 //! substitute for it (the same philosophy as single-process resume).
 //!
 //! # Determinism
 //!
 //! Cells are pure functions of `(predictor, workload spec, sim config)`
-//! and results roundtrip the store bit-exactly, so the merged campaign
-//! — journals folded with [`merge_outcomes`], cells loaded back in grid
-//! order — is byte-identical to a single-process run of the same grid,
-//! regardless of how the workers raced. The chaos-parity smoke in
-//! `scripts/tier1.sh` diffs exactly that.
+//! and results roundtrip the store bit-exactly, so a sharded campaign —
+//! journals folded with [`merge_outcomes`](crate::journal::merge_outcomes),
+//! cells read back in grid order — is byte-identical to a
+//! single-process run of the same grid, regardless of how the workers
+//! raced. The daemon chaos smoke in `scripts/tier1.sh` diffs exactly
+//! that.
 
 use crate::cache::TraceCache;
 use crate::engine::SweepSpec;
 use crate::error::{backoff_delay, panic_message, CancelToken, SimError};
 use crate::faultinject::FaultInjector;
-use crate::journal::{
-    campaign_fingerprint, merge_outcomes, outcome_line, read_outcomes, CellOutcome,
-};
+use crate::journal::{campaign_fingerprint, outcome_line, read_outcomes, CellOutcome};
 use crate::lease::{lease_ttl_from_env, LeaseSet};
-use crate::memo::{CachedCell, MemoStore};
+use crate::memo::MemoStore;
 use llbp_trace::fingerprint::Fingerprint;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -53,7 +51,9 @@ use std::time::Instant;
 
 /// Environment variable injecting a worker crash: `"<worker>:<nth>"`
 /// aborts worker `<worker>` after it claims its `<nth>` lease (1-based),
-/// while still holding it — the chaos smoke's dead-holder scenario.
+/// while still holding it — the chaos smoke's dead-holder scenario. In
+/// the daemon, worker ids are thread indices and the abort takes down the
+/// whole process.
 pub const WORKER_ABORT_ENV: &str = "LLBP_WORKER_ABORT";
 
 fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> SimError {
@@ -65,13 +65,6 @@ fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> SimError {
 #[must_use]
 pub fn worker_journal_path(root: &Path, campaign: Fingerprint, worker: u32) -> PathBuf {
     root.join(format!("{campaign}.w{worker}.journal"))
-}
-
-/// The per-worker metrics snapshot path (`MetricsSnapshot::to_text`
-/// contents), merged by the coordinator alongside the journals.
-#[must_use]
-pub fn worker_metrics_path(root: &Path, campaign: Fingerprint, worker: u32) -> PathBuf {
-    root.join(format!("{campaign}.w{worker}.metrics"))
 }
 
 /// Reads every shard journal of `campaign` under `root` (any worker id),
@@ -130,7 +123,7 @@ pub fn write_merged_journal(
     file.write_all(text.as_bytes()).and_then(|()| file.sync_all()).map_err(&err)?;
     drop(file);
     if faults.is_some_and(|f| f.check_crash(crate::faultinject::CrashSite::MergePublish)) {
-        eprintln!("llbp-coord: aborting before merged-journal rename (injected crash:merge)");
+        eprintln!("llbp-serve: aborting before merged-journal rename (injected crash:merge)");
         std::process::abort();
     }
     std::fs::rename(&tmp, &path).map_err(&err)?;
@@ -140,7 +133,7 @@ pub fn write_merged_journal(
 
 /// One worker's shard journal: append-only and fsynced like the campaign
 /// journal, but lock-free — the worker id in the filename is the
-/// exclusion (each process appends only to its own shard).
+/// exclusion (each worker appends only to its own shard).
 #[derive(Debug)]
 pub struct WorkerJournal {
     file: File,
@@ -173,8 +166,8 @@ impl WorkerJournal {
 /// How one shard pass should run.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// This process's worker id (names the shard journal; the
-    /// coordinator's reconcile pass uses the next id after the workers).
+    /// This worker's id (names the shard journal; the daemon's reconcile
+    /// loop uses the next id after the workers).
     pub worker: u32,
     /// Abort the process after claiming this many leases (1-based count;
     /// `None` = never). Set from [`WORKER_ABORT_ENV`] to stage a crash
@@ -290,7 +283,7 @@ impl Drop for InterlockGuard<'_> {
 /// A per-cell completion callback (see [`ShardHooks::observer`]).
 pub type CellObserver<'a> = &'a (dyn Fn(usize, &CellOutcome) + Sync);
 
-/// Optional instrumentation for a shard pass ([`run_shard_observed`]).
+/// Optional instrumentation for a shard pass ([`run_shard`]).
 #[derive(Default)]
 pub struct ShardHooks<'a> {
     /// Cross-campaign exactly-once gate; see [`CellInterlock`].
@@ -312,7 +305,9 @@ impl std::fmt::Debug for ShardHooks<'_> {
 
 /// Runs one shard pass over the whole grid: claim, probe, simulate,
 /// publish, journal. Returns what happened; cells other workers hold
-/// are skipped, not waited for.
+/// are skipped, not waited for. The hooks add an optional
+/// cross-campaign [`CellInterlock`] and an optional per-cell completion
+/// observer; `ShardHooks::default()` runs a plain pass.
 ///
 /// # Errors
 ///
@@ -320,23 +315,6 @@ impl std::fmt::Debug for ShardHooks<'_> {
 /// cannot be set up. Per-cell failures are journaled and counted, never
 /// returned.
 pub fn run_shard(
-    spec: &SweepSpec,
-    store: &Arc<MemoStore>,
-    faults: Option<&Arc<FaultInjector>>,
-    cfg: &ShardConfig,
-) -> Result<ShardSummary, SimError> {
-    run_shard_observed(spec, store, faults, cfg, &ShardHooks::default())
-}
-
-/// [`run_shard`] with hooks: an optional cross-campaign
-/// [`CellInterlock`] and an optional per-cell completion observer. The
-/// plain worker path uses empty hooks and is unchanged; the serve
-/// daemon threads share one interlock across every campaign it runs.
-///
-/// # Errors
-///
-/// As [`run_shard`].
-pub fn run_shard_observed(
     spec: &SweepSpec,
     store: &Arc<MemoStore>,
     faults: Option<&Arc<FaultInjector>>,
@@ -363,9 +341,9 @@ pub fn run_shard_observed(
         summary.claimed += 1;
         if cfg.abort_after_claims == Some(u32::try_from(summary.claimed).unwrap_or(u32::MAX)) {
             // Staged crash: die holding the lease, exactly like a real
-            // worker kill. The coordinator's takeover path cleans up.
+            // kill. A restarted daemon's takeover path cleans up.
             eprintln!(
-                "llbp-coord: worker {} aborting on claim {} (injected)",
+                "llbp-serve: worker {} aborting on claim {} (injected)",
                 cfg.worker, summary.claimed
             );
             std::process::abort();
@@ -404,99 +382,6 @@ pub fn run_shard_observed(
     }
     summary.takeovers = leases.takeovers();
     Ok(summary)
-}
-
-/// The merged view of a finished distributed campaign.
-#[derive(Debug)]
-pub struct CampaignMerge {
-    /// The campaign fingerprint (names journals and leases).
-    pub campaign: Fingerprint,
-    /// Folded per-cell outcomes from every shard journal.
-    pub outcomes: HashMap<usize, CellOutcome>,
-    /// Every cell in grid order; `None` for deterministically failed
-    /// cells (their outcome says why).
-    pub cells: Vec<Option<CachedCell>>,
-    /// Path of the merged canonical journal.
-    pub journal: PathBuf,
-    /// Reconcile passes the coordinator ran (1 = workers left nothing).
-    pub passes: u32,
-    /// Stale leases stolen during reconcile (dead workers taken over).
-    pub takeovers: u64,
-}
-
-/// Coordinator-side completion: repeat shard passes in this process
-/// until every cell is published or deterministically failed, then fold
-/// the shard journals, write the merged canonical journal, and load the
-/// cells back in grid order.
-///
-/// Crashed workers' cells are recovered here — their stale leases are
-/// stolen by the pass's claim loop, and cells they published before
-/// dying are honored via the memo probe. Lost-lease discards (e.g.
-/// injected `lease:expire`) converge because each pass re-claims
-/// whatever is still unpublished.
-///
-/// # Errors
-///
-/// [`SimError::MemoIo`] when setup fails, a published cell cannot be
-/// read back, or `max_passes` passes still leave unresolved cells
-/// (live foreign leases wedging the campaign).
-pub fn finish_campaign(
-    spec: &SweepSpec,
-    store: &Arc<MemoStore>,
-    faults: Option<&Arc<FaultInjector>>,
-    cfg: &ShardConfig,
-    max_passes: u32,
-) -> Result<CampaignMerge, SimError> {
-    let fps = grid_fingerprints(spec, store);
-    let campaign = campaign_fingerprint(&fps);
-    let mut passes = 0u32;
-    let mut takeovers = 0u64;
-    loop {
-        passes += 1;
-        let summary = run_shard(spec, store, faults, cfg)?;
-        takeovers += summary.takeovers;
-        // Resolved = published in the store, or failed by *our own*
-        // shard pass (meaning it exhausted retries locally and is
-        // deterministic, not a crashed worker's transient verdict).
-        let own = read_outcomes(&worker_journal_path(store.root(), campaign, cfg.worker));
-        let unresolved = fps.iter().enumerate().any(|(index, &fp)| {
-            !store.has_result(fp) && !matches!(own.get(&index), Some(CellOutcome::Failed { .. }))
-        });
-        if !unresolved {
-            break;
-        }
-        if passes >= max_passes {
-            return Err(SimError::MemoIo {
-                op: "campaign_merge",
-                detail: format!(
-                    "cells still unresolved after {passes} reconcile passes \
-                     (a live foreign process may hold their leases)"
-                ),
-            });
-        }
-        // Another pass: stale leases age out / their holders die.
-        std::thread::sleep(backoff_delay(passes));
-    }
-    let outcomes = merge_outcomes(read_worker_journals(store.root(), campaign));
-    let journal = write_merged_journal(store.root(), campaign, &outcomes, faults.map(Arc::as_ref))?;
-    let mut cells = Vec::with_capacity(fps.len());
-    for (index, &fp) in fps.iter().enumerate() {
-        if matches!(outcomes.get(&index), Some(CellOutcome::Failed { .. })) && !store.has_result(fp)
-        {
-            cells.push(None);
-            continue;
-        }
-        match store.load_result(fp)? {
-            Some(cell) => cells.push(Some(cell)),
-            None => {
-                return Err(SimError::MemoIo {
-                    op: "campaign_merge",
-                    detail: format!("cell {index} vanished between reconcile and merge"),
-                })
-            }
-        }
-    }
-    Ok(CampaignMerge { campaign, outcomes, cells, journal, passes, takeovers })
 }
 
 /// Cell fingerprints in grid order (workload-major, matching

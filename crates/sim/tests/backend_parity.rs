@@ -28,8 +28,8 @@ fn every_kind() -> Vec<PredictorKind> {
     ]
 }
 
-fn non_reference() -> [BackendKind; 2] {
-    [BackendKind::Specialized, BackendKind::Batch]
+fn non_reference() -> [BackendKind; 1] {
+    [BackendKind::Batch]
 }
 
 fn assert_backends_match(cfg: &SimConfig, kind: &PredictorKind, trace: &Trace) {

@@ -1,28 +1,26 @@
-//! Distributed-campaign integration tests: lease-sharded execution,
-//! crashed-worker takeover, and the order-insensitive journal merge.
+//! Sharded-execution integration tests: the lease-claimed shard pass,
+//! the order-insensitive journal merge, and the shard-journal paths.
 //!
-//! These run every multi-process ingredient inside one process (shard
-//! passes are plain function calls; "crashed workers" are planted stale
-//! lease files), so the logic is exercised deterministically. The real
-//! multi-process chaos run — spawned workers, a staged kill, injected
-//! network faults, byte-identical stdout — lives in `scripts/tier1.sh`.
+//! These run every sharding ingredient inside one process (shard passes
+//! are plain function calls), so the logic is exercised
+//! deterministically. Crash recovery through the daemon's reconcile loop
+//! — stolen dead-holder leases, `lease:expire` discards — is pinned in
+//! `tests/serve.rs`; the process-level chaos run (an aborted
+//! `llbp_serve`, a restarted daemon, byte-identical stdout) lives in
+//! `scripts/tier1.sh`.
 
-use llbp_sim::coord::{
-    finish_campaign, read_worker_journals, run_shard, worker_journal_path, ShardConfig,
-};
 use llbp_sim::journal::{campaign_fingerprint, merge_outcomes, outcome_line, read_outcomes};
-use llbp_sim::lease::LeaseSet;
-use llbp_sim::lock::ProcessStamp;
-use llbp_sim::{
-    CellOutcome, FaultInjector, MemoStore, PredictorKind, SimConfig, SweepEngine, SweepSpec,
+use llbp_sim::shard::{
+    grid_fingerprints, read_worker_journals, run_shard, worker_journal_path, ShardConfig,
+    ShardHooks,
 };
+use llbp_sim::{CellOutcome, MemoStore, PredictorKind, SimConfig, SweepSpec};
 use llbp_trace::fingerprint::Fingerprint;
 use llbp_trace::{Workload, WorkloadSpec};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU32 = AtomicU32::new(0);
@@ -68,90 +66,22 @@ fn one_shard_pass_completes_the_grid_and_later_shards_are_memo_served() {
     let store = Arc::new(MemoStore::open(&root).expect("store opens"));
     let spec = small_spec();
 
-    let first = run_shard(&spec, &store, None, &cfg(0)).expect("shard 0 runs");
+    let first = run_shard(&spec, &store, None, &cfg(0), &ShardHooks::default()).expect("shard 0");
     assert_eq!(first.claimed, 4);
     assert_eq!(first.completed, 4);
     assert_eq!(first.failed + first.lost + first.skipped, 0);
 
     // A second worker over the same grid: every cell is already
     // published, so its whole shard is memo-served, not re-simulated.
-    let second = run_shard(&spec, &store, None, &cfg(1)).expect("shard 1 runs");
+    let second = run_shard(&spec, &store, None, &cfg(1), &ShardHooks::default()).expect("shard 1");
     assert_eq!(second.memo_served, 4);
     assert_eq!(second.completed, 0);
 
     // Both shard journals agree cell-for-cell once merged.
-    let campaign = campaign_fingerprint(&llbp_sim::coord::grid_fingerprints(&spec, &store));
+    let campaign = campaign_fingerprint(&grid_fingerprints(&spec, &store));
     let merged = merge_outcomes(read_worker_journals(&root, campaign));
     assert_eq!(merged.len(), 4);
     assert!(merged.values().all(|o| matches!(o, CellOutcome::Ok { digest: Some(_), .. })));
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
-fn crashed_workers_cells_are_stolen_and_results_match_a_single_process_run() {
-    let dist_root = scratch_dir("chaos");
-    let store = Arc::new(MemoStore::open(&dist_root).expect("store opens"));
-    let spec = small_spec();
-
-    // A "crashed worker": cell 0's lease is held by a process stamp that
-    // can never be alive (our PID, perturbed start time — the PID-reuse
-    // shape), with a deadline far in the future. Only dead-holder
-    // takeover can free it.
-    let fps = llbp_sim::coord::grid_fingerprints(&spec, &store);
-    let campaign = campaign_fingerprint(&fps);
-    let leases = LeaseSet::open(&dist_root, campaign, Duration::from_secs(600)).expect("leases");
-    let dead = ProcessStamp {
-        pid: std::process::id(),
-        start_time: Some(ProcessStamp::current().start_time.unwrap_or(7) + 1),
-    };
-    let far_deadline =
-        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_millis()
-            as u64
-            + 600_000;
-    std::fs::write(leases.path_for(0), format!("{} {far_deadline}\n", dead.to_line()))
-        .expect("plant dead worker lease");
-
-    let merge = finish_campaign(&spec, &store, None, &cfg(7), 5).expect("campaign finishes");
-    assert!(merge.takeovers >= 1, "the dead worker's lease must be stolen");
-    assert_eq!(merge.cells.len(), 4);
-    assert!(merge.cells.iter().all(Option::is_some), "every cell recovered");
-    assert!(merge.journal.exists(), "merged canonical journal written");
-    assert_eq!(read_outcomes(&merge.journal).len(), 4);
-
-    // Chaos parity at the results level: the recovered distributed
-    // campaign equals a plain single-process engine run on a fresh root.
-    let serial_root = scratch_dir("chaos-serial");
-    let serial_store = Arc::new(MemoStore::open(&serial_root).expect("serial store"));
-    let serial = SweepEngine::with_workers(1).with_store(serial_store).run(&spec);
-    for (index, cell) in merge.cells.iter().enumerate() {
-        assert_eq!(
-            cell.as_ref().unwrap().result,
-            serial.jobs[index].result,
-            "cell {index} must be bit-identical to the single-process run"
-        );
-    }
-    for dir in [dist_root, serial_root] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
-#[test]
-fn injected_lease_expiry_discards_the_result_and_reconcile_converges() {
-    let root = scratch_dir("expiry");
-    let store = Arc::new(MemoStore::open(&root).expect("store opens"));
-    let spec = small_spec();
-    let faults = Arc::new(FaultInjector::parse("lease:expire:count=1").expect("spec parses"));
-
-    // The armed rule fires on the first cell's pre-publish check: that
-    // result is discarded (nobody journals it), the rest complete.
-    let first = run_shard(&spec, &store, Some(&faults), &cfg(0)).expect("shard runs");
-    assert_eq!(first.lost, 1, "exactly one cell must lose its lease");
-    assert_eq!(first.completed, 3);
-
-    // Reconcile re-claims and re-runs the lost cell; with the rule
-    // exhausted the campaign converges to a full grid.
-    let merge = finish_campaign(&spec, &store, Some(&faults), &cfg(1), 5).expect("converges");
-    assert!(merge.cells.iter().all(Option::is_some));
     let _ = std::fs::remove_dir_all(root);
 }
 

@@ -1,19 +1,25 @@
 //! Sweep-daemon integration tests: cross-campaign dedup, remote/local
-//! report parity, and restart resume — all against an in-process
-//! [`ServeDaemon`] on a loopback socket, which exercises the real wire
-//! protocol end to end. The process-level story (spawned `llbp_serve`,
-//! byte-identical stdout through `--server`, metrics scrape, injected
-//! network faults, clean shutdown) lives in `scripts/tier1.sh`.
+//! report parity, restart resume, and crash recovery through the
+//! daemon's reconcile loop (stolen dead-holder leases, injected lease
+//! expiry) — all against an in-process [`ServeDaemon`] on a loopback
+//! socket, which exercises the real wire protocol end to end. The
+//! process-level story (spawned `llbp_serve`, an aborted daemon resumed
+//! by a fresh one, byte-identical stdout through `--server`, metrics
+//! scrape, injected network faults, clean shutdown) lives in
+//! `scripts/tier1.sh`.
 
-use llbp_sim::coord::grid_fingerprints;
 use llbp_sim::journal::{campaign_fingerprint, read_outcomes};
+use llbp_sim::lease::LeaseSet;
+use llbp_sim::lock::ProcessStamp;
 use llbp_sim::serve::client::{run_remote, run_remote_with, ServeClient};
 use llbp_sim::serve::{ServeDaemon, ServeHandle};
+use llbp_sim::shard::grid_fingerprints;
 use llbp_sim::{FaultInjector, MemoStore, PredictorKind, SimConfig, SweepEngine, SweepSpec};
 use llbp_trace::{Workload, WorkloadSpec};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU32 = AtomicU32::new(0);
@@ -39,8 +45,16 @@ fn spec_for(workloads: &[Workload]) -> SweepSpec {
 /// all finished by the time the tests call it (they block on
 /// `run_remote`), so join-after-shutdown is prompt.
 fn start_daemon(root: &Path) -> (ServeHandle, String, std::thread::JoinHandle<()>) {
+    start_daemon_with(root, None)
+}
+
+/// [`start_daemon`] with a fault injector bound into the daemon.
+fn start_daemon_with(
+    root: &Path,
+    faults: Option<Arc<FaultInjector>>,
+) -> (ServeHandle, String, std::thread::JoinHandle<()>) {
     let store = Arc::new(MemoStore::open(root).expect("store opens"));
-    let daemon = ServeDaemon::bind("127.0.0.1:0", store, None).expect("daemon binds");
+    let daemon = ServeDaemon::bind("127.0.0.1:0", store, faults).expect("daemon binds");
     let addr = format!("tcp://{}", daemon.local_addr());
     let handle = daemon.handle();
     let join = std::thread::spawn(move || daemon.run());
@@ -221,4 +235,70 @@ fn daemon_restart_resumes_from_journals_and_published_cells() {
 
     handle.shutdown();
     join.join().expect("second daemon thread");
+}
+
+#[test]
+fn a_dead_holders_lease_is_stolen_and_the_cells_match_a_one_worker_run() {
+    let root = scratch_dir("takeover");
+    let spec = spec_for(&[Workload::Http, Workload::Kafka]);
+
+    // What a crashed daemon leaves behind: cell 0's lease held by a
+    // process stamp that can never be alive (our PID with a perturbed
+    // start time — the PID-reuse shape) and a deadline far in the
+    // future, so only dead-holder takeover can free it.
+    let fps = grid_fingerprints(&spec, &MemoStore::open(&root).expect("store opens"));
+    let campaign = campaign_fingerprint(&fps);
+    let leases = LeaseSet::open(&root, campaign, Duration::from_secs(600)).expect("leases");
+    let dead = ProcessStamp {
+        pid: std::process::id(),
+        start_time: Some(ProcessStamp::current().start_time.unwrap_or(7) + 1),
+    };
+    let far_deadline =
+        SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_millis() as u64 + 600_000;
+    std::fs::write(leases.path_for(0), format!("{} {far_deadline}\n", dead.to_line()))
+        .expect("plant the dead holder's lease");
+
+    let (handle, addr, join) = start_daemon(&root);
+    let report = run_remote(&addr, &spec).expect("campaign completes");
+    handle.shutdown();
+    join.join().expect("daemon thread");
+    assert!(report.lock_takeovers >= 1, "the dead holder's lease must be stolen");
+    assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+
+    // The recovered campaign equals a plain one-worker engine run on a
+    // fresh root, cell for cell.
+    let serial_root = scratch_dir("takeover-serial");
+    let serial = SweepEngine::with_workers(1)
+        .with_store(Arc::new(MemoStore::open(&serial_root).expect("serial store")))
+        .run(&spec);
+    assert_eq!(report.jobs.len(), serial.jobs.len());
+    for (index, (r, l)) in report.jobs.iter().zip(&serial.jobs).enumerate() {
+        assert_eq!(r.result, l.result, "cell {index} must match the one-worker run");
+    }
+    let outcomes = read_outcomes(&root.join(format!("{campaign}.journal")));
+    assert_eq!(outcomes.len(), spec.num_jobs(), "merged journal: one entry per cell");
+    for dir in [root, serial_root] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn an_injected_lease_expiry_is_absorbed_by_the_reconcile_loop() {
+    let root = scratch_dir("expiry");
+    let spec = spec_for(&[Workload::Http, Workload::Kafka]);
+
+    // The armed rule fires on the first pre-publish lease check: that
+    // result is discarded unjournaled, and the reconcile loop re-claims
+    // and re-runs the cell until the grid is whole.
+    let faults = Arc::new(FaultInjector::parse("lease:expire:count=1").expect("spec parses"));
+    let (handle, addr, join) = start_daemon_with(&root, Some(Arc::clone(&faults)));
+    let report = run_remote(&addr, &spec).expect("campaign converges");
+    handle.shutdown();
+    join.join().expect("daemon thread");
+    assert!(!faults.check_lease_expire(), "the rule fired during the campaign");
+    assert_eq!(report.jobs.len(), 4);
+    assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+    assert_eq!(report.memo_misses, 4, "the discarded cell re-ran and published once");
+    assert_eq!(published_cells(&root), 4);
+    let _ = std::fs::remove_dir_all(root);
 }

@@ -163,7 +163,7 @@ BACKEND_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR"' EXIT
 LLBP_CACHE_DIR="$BACKEND_DIR/reference" ./target/release/fig02_mpki_limits --quick --strict \
     --backend reference > "$BACKEND_DIR/reference.out" 2> /dev/null
-for backend in specialized batch auto; do
+for backend in batch auto; do
     LLBP_CACHE_DIR="$BACKEND_DIR/$backend" ./target/release/fig02_mpki_limits --quick --strict \
         --backend "$backend" > "$BACKEND_DIR/$backend.out" 2> /dev/null
     cmp -s "$BACKEND_DIR/reference.out" "$BACKEND_DIR/$backend.out" || {
@@ -182,11 +182,46 @@ cmp -s "$BACKEND_DIR/reference.out" "$BACKEND_DIR/env.out" || {
     exit 1
 }
 
-echo "== distributed chaos smoke =="
-# A 2-worker distributed campaign against a shared llbp_store — with one
-# injected network disconnect AND one worker killed mid-claim — must
-# recover via lease takeover and print stdout byte-identical to a plain
-# single-process run of the same grid.
+# Starts llbp_serve over cache root $1 with the caller's environment,
+# logging to $2.addr / $2.err; sets SERVE_PID and SERVE_ADDR.
+start_serve() {
+    ./target/release/llbp_serve --root "$1" --print-addr > "$2.addr" 2> "$2.err" &
+    SERVE_PID=$!
+    for _ in $(seq 50); do [ -s "$2.addr" ] && break; sleep 0.1; done
+    [ -s "$2.addr" ] || {
+        echo "llbp_serve never printed its address:"; cat "$2.err"
+        kill "$SERVE_PID" 2>/dev/null || true; exit 1
+    }
+    SERVE_ADDR="tcp://$(cat "$2.addr")"
+}
+
+# Waits up to 120 s for the daemon SERVE_PID to exit on its own and sets
+# SERVE_STATUS to its exit status; a daemon still running then fails
+# smoke $1 (its log is $2).
+await_serve_exit() {
+    for _ in $(seq 1200); do kill -0 "$SERVE_PID" 2>/dev/null || break; sleep 0.1; done
+    if kill -0 "$SERVE_PID" 2>/dev/null; then
+        echo "$1: daemon still running after 120 s:"; cat "$2"
+        kill "$SERVE_PID" 2>/dev/null || true; exit 1
+    fi
+    SERVE_STATUS=0
+    wait "$SERVE_PID" || SERVE_STATUS=$?
+}
+
+# Asks the daemon at SERVE_ADDR to shut down and requires a clean exit.
+stop_serve() {
+    ./target/release/llbp_client --server "$SERVE_ADDR" shutdown 2> /dev/null || {
+        echo "$1: shutdown request failed"
+        kill "$SERVE_PID" 2>/dev/null || true; exit 1
+    }
+    SERVE_STATUS=0
+    wait "$SERVE_PID" || SERVE_STATUS=$?
+    [ "$SERVE_STATUS" -eq 0 ] || { echo "$1: daemon exited $SERVE_STATUS after shutdown"; exit 1; }
+}
+
+echo "== live store smoke =="
+# A campaign against a live llbp_store — with one injected network
+# disconnect — must print stdout byte-identical to a plain local run.
 DIST_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR"' EXIT
 LLBP_CACHE_DIR="$DIST_DIR/serial" ./target/release/fig02_mpki_limits --quick \
@@ -196,27 +231,27 @@ LLBP_CACHE_DIR="$DIST_DIR/serial" ./target/release/fig02_mpki_limits --quick \
 STORE_PID=$!
 for _ in $(seq 50); do [ -s "$DIST_DIR/store.addr" ] && break; sleep 0.1; done
 [ -s "$DIST_DIR/store.addr" ] || {
-    echo "distributed smoke: llbp_store never printed its address:"
+    echo "live store smoke: llbp_store never printed its address:"
     cat "$DIST_DIR/store.err"; kill "$STORE_PID" 2>/dev/null || true; exit 1
 }
-DIST_STATUS=0
-LLBP_CACHE_DIR="$DIST_DIR/dist" LLBP_STORE="tcp://$(cat "$DIST_DIR/store.addr")" \
-    LLBP_FAULT_SPEC="net:disconnect:count=1" LLBP_WORKER_ABORT="1:1" \
-    ./target/release/llbp_coord --workers 2 --quick --workloads HTTP,Kafka,Tomcat \
-    > "$DIST_DIR/dist.out" 2> "$DIST_DIR/dist.err" || DIST_STATUS=$?
+LIVE_STATUS=0
+LLBP_CACHE_DIR="$DIST_DIR/live" LLBP_STORE="tcp://$(cat "$DIST_DIR/store.addr")" \
+    LLBP_FAULT_SPEC="net:disconnect:count=1" \
+    ./target/release/fig02_mpki_limits --quick --workloads HTTP,Kafka,Tomcat \
+    > "$DIST_DIR/live.out" 2> "$DIST_DIR/live.err" || LIVE_STATUS=$?
 kill "$STORE_PID" 2>/dev/null || true
 wait "$STORE_PID" 2>/dev/null || true
-[ "$DIST_STATUS" -eq 0 ] || {
-    echo "distributed smoke: coordinator exited $DIST_STATUS:"; cat "$DIST_DIR/dist.err"; exit 1
+[ "$LIVE_STATUS" -eq 0 ] || {
+    echo "live store smoke: campaign exited $LIVE_STATUS:"; cat "$DIST_DIR/live.err"; exit 1
 }
-cmp -s "$DIST_DIR/serial.out" "$DIST_DIR/dist.out" || {
-    echo "distributed smoke: distributed stdout diverged from the serial run:"
-    diff "$DIST_DIR/serial.out" "$DIST_DIR/dist.out" || true
+grep -q '"store":"remote"' "$DIST_DIR/live.err" || {
+    echo "live store smoke: campaign did not run on the remote store:"
+    cat "$DIST_DIR/live.err"; exit 1
+}
+cmp -s "$DIST_DIR/serial.out" "$DIST_DIR/live.out" || {
+    echo "live store smoke: remote-store stdout diverged from the serial run:"
+    diff "$DIST_DIR/serial.out" "$DIST_DIR/live.out" || true
     exit 1
-}
-grep -Eq '"lease_takeovers":[1-9]' "$DIST_DIR/dist.err" || {
-    echo "distributed smoke: killed worker's lease was never taken over:"
-    cat "$DIST_DIR/dist.err"; exit 1
 }
 
 echo "== remote-store degradation smoke =="
@@ -235,35 +270,75 @@ cmp -s "$DIST_DIR/serial.out" "$DIST_DIR/degraded.out" || {
     exit 1
 }
 
-echo "== merge-crash durability smoke =="
-# crash:merge aborts the coordinator between the merged journal's
-# temp-file fsync and its rename — the exact window the
-# write-temp/fsync/rename/dir-fsync recipe protects. Recovery must find
-# no (or an old) merged journal, never a torn one, and a fault-free
-# rerun must complete the campaign byte-identically.
-CRASH_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CRASH_DIR"' EXIT
-set +e
-LLBP_CACHE_DIR="$CRASH_DIR" LLBP_FAULT_SPEC="crash:merge" \
-    ./target/release/llbp_coord --workers 2 --quick --workloads HTTP,Kafka \
-    > /dev/null 2> "$CRASH_DIR/crash.err"
-CRASH_STATUS=$?
-set -e
-[ "$CRASH_STATUS" -ne 0 ] || {
-    echo "crash smoke: crash:merge did not abort the coordinator:"
-    cat "$CRASH_DIR/crash.err"; exit 1
+echo "== daemon chaos smoke =="
+# A 2-worker daemon whose worker 0 aborts on its first lease claim dies
+# holding that lease. A fresh daemon on the same root must steal the
+# dead holder's lease and, through one injected client-side disconnect,
+# serve stdout byte-identical to the serial run.
+CHAOS_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR"' EXIT
+LLBP_SERVE_WORKERS=2 LLBP_WORKER_ABORT="0:1" start_serve "$CHAOS_DIR/shared" "$CHAOS_DIR/aborted"
+# The daemon may die before it acknowledges, so the client's status is moot.
+./target/release/llbp_client --server "$SERVE_ADDR" submit --quick \
+    --workloads HTTP,Kafka,Tomcat > /dev/null 2>&1 || true
+await_serve_exit "daemon chaos smoke" "$CHAOS_DIR/aborted.err"
+[ "$SERVE_STATUS" -ne 0 ] || {
+    echo "daemon chaos smoke: the injected worker abort did not take the daemon down:"
+    cat "$CHAOS_DIR/aborted.err"; exit 1
 }
-MERGED="$(ls "$CRASH_DIR"/*.journal 2>/dev/null | grep -v '\.w[0-9]*\.journal' || true)"
+start_serve "$CHAOS_DIR/shared" "$CHAOS_DIR/fresh"
+LLBP_CACHE_DIR="$CHAOS_DIR/client" LLBP_FAULT_SPEC="net:disconnect:count=1" \
+    ./target/release/fig02_mpki_limits --quick --workloads HTTP,Kafka,Tomcat \
+    --server "$SERVE_ADDR" > "$CHAOS_DIR/chaos.out" 2> "$CHAOS_DIR/chaos.err" || {
+    echo "daemon chaos smoke: run on the fresh daemon failed:"; cat "$CHAOS_DIR/chaos.err"
+    kill "$SERVE_PID" 2>/dev/null || true; exit 1
+}
+stop_serve "daemon chaos smoke"
+cmp -s "$DIST_DIR/serial.out" "$CHAOS_DIR/chaos.out" || {
+    echo "daemon chaos smoke: recovered stdout diverged from the serial run:"
+    diff "$DIST_DIR/serial.out" "$CHAOS_DIR/chaos.out" || true
+    exit 1
+}
+grep -Eq '"lock_takeovers":[1-9]' "$CHAOS_DIR/chaos.err" || {
+    echo "daemon chaos smoke: the aborted daemon's lease was never taken over:"
+    cat "$CHAOS_DIR/chaos.err"; exit 1
+}
+
+echo "== merge-crash durability smoke =="
+# crash:merge aborts the daemon between the merged journal's temp-file
+# fsync and its rename — the exact window the
+# write-temp/fsync/rename/dir-fsync recipe protects. Recovery must find
+# only the shard journals, never a torn merged one, and a fault-free
+# daemon on the same root must complete the campaign byte-identically.
+CRASH_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$CRASH_DIR"' EXIT
+LLBP_FAULT_SPEC="crash:merge" start_serve "$CRASH_DIR/shared" "$CRASH_DIR/crashed"
+./target/release/llbp_client --server "$SERVE_ADDR" submit --quick \
+    --workloads HTTP,Kafka > /dev/null 2>&1 || true
+await_serve_exit "crash smoke" "$CRASH_DIR/crashed.err"
+[ "$SERVE_STATUS" -ne 0 ] || {
+    echo "crash smoke: crash:merge did not abort the daemon:"
+    cat "$CRASH_DIR/crashed.err"; exit 1
+}
+ls "$CRASH_DIR"/shared/*.w*.journal > /dev/null 2>&1 || {
+    echo "crash smoke: the aborted daemon left no shard journals:"
+    ls -l "$CRASH_DIR/shared"; exit 1
+}
+MERGED="$(ls "$CRASH_DIR"/shared/*.journal 2>/dev/null | grep -v '\.w[0-9]*\.journal$' || true)"
 [ -z "$MERGED" ] || {
     echo "crash smoke: merged journal published despite the pre-rename abort:"
-    ls -l "$CRASH_DIR"; exit 1
+    ls -l "$CRASH_DIR/shared"; exit 1
 }
 LLBP_CACHE_DIR="$CRASH_DIR/serial" ./target/release/fig02_mpki_limits --quick \
     --workloads HTTP,Kafka > "$CRASH_DIR/serial.out" 2> /dev/null
-LLBP_CACHE_DIR="$CRASH_DIR" ./target/release/llbp_coord --workers 2 --quick \
-    --workloads HTTP,Kafka > "$CRASH_DIR/rerun.out" 2> "$CRASH_DIR/rerun.err" || {
-    echo "crash smoke: post-crash rerun failed:"; cat "$CRASH_DIR/rerun.err"; exit 1
+start_serve "$CRASH_DIR/shared" "$CRASH_DIR/rerun"
+LLBP_CACHE_DIR="$CRASH_DIR/client" ./target/release/fig02_mpki_limits --quick \
+    --workloads HTTP,Kafka --server "$SERVE_ADDR" \
+    > "$CRASH_DIR/rerun.out" 2> "$CRASH_DIR/rerun.err" || {
+    echo "crash smoke: post-crash rerun failed:"; cat "$CRASH_DIR/rerun.err"
+    kill "$SERVE_PID" 2>/dev/null || true; exit 1
 }
+stop_serve "crash smoke"
 cmp -s "$CRASH_DIR/serial.out" "$CRASH_DIR/rerun.out" || {
     echo "crash smoke: post-crash rerun changed the figure output:"
     diff "$CRASH_DIR/serial.out" "$CRASH_DIR/rerun.out" || true
@@ -275,18 +350,10 @@ echo "== serve daemon smoke =="
 # injected client-side disconnect — must print stdout byte-identical to
 # a local run, expose live Prometheus metrics, and shut down cleanly.
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CRASH_DIR" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$CRASH_DIR" "$SERVE_DIR"' EXIT
 LLBP_CACHE_DIR="$SERVE_DIR/local" ./target/release/fig02_mpki_limits --quick \
     > "$SERVE_DIR/local.out" 2> /dev/null
-./target/release/llbp_serve --root "$SERVE_DIR/shared" --print-addr \
-    > "$SERVE_DIR/serve.addr" 2> "$SERVE_DIR/serve.err" &
-SERVE_PID=$!
-for _ in $(seq 50); do [ -s "$SERVE_DIR/serve.addr" ] && break; sleep 0.1; done
-[ -s "$SERVE_DIR/serve.addr" ] || {
-    echo "serve smoke: llbp_serve never printed its address:"
-    cat "$SERVE_DIR/serve.err"; kill "$SERVE_PID" 2>/dev/null || true; exit 1
-}
-SERVE_ADDR="tcp://$(cat "$SERVE_DIR/serve.addr")"
+start_serve "$SERVE_DIR/shared" "$SERVE_DIR/serve"
 LLBP_CACHE_DIR="$SERVE_DIR/client" LLBP_FAULT_SPEC="net:disconnect:count=1" \
     ./target/release/fig02_mpki_limits --quick --server "$SERVE_ADDR" \
     > "$SERVE_DIR/remote.out" 2> "$SERVE_DIR/remote.err" || {
@@ -310,16 +377,7 @@ grep -q '^llbp_serve_campaigns_total' "$SERVE_DIR/metrics.prom" || {
     echo "serve smoke: metrics lack the campaign counter:"
     cat "$SERVE_DIR/metrics.prom"; kill "$SERVE_PID" 2>/dev/null || true; exit 1
 }
-./target/release/llbp_client --server "$SERVE_ADDR" shutdown 2> /dev/null || {
-    echo "serve smoke: shutdown request failed"
-    kill "$SERVE_PID" 2>/dev/null || true; exit 1
-}
-SERVE_STATUS=0
-wait "$SERVE_PID" || SERVE_STATUS=$?
-[ "$SERVE_STATUS" -eq 0 ] || {
-    echo "serve smoke: daemon exited $SERVE_STATUS after shutdown:"
-    cat "$SERVE_DIR/serve.err"; exit 1
-}
+stop_serve "serve smoke"
 
 echo "== provenance smoke =="
 # Recording must be free when off and observational when on: stdout is
@@ -327,7 +385,7 @@ echo "== provenance smoke =="
 # mispredicting branches on every invocation, and the recorder costs
 # <3% wall time (min of 3 cold runs per configuration).
 PROV_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CRASH_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$CRASH_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
 for i in 1 2 3; do
     LLBP_CACHE_DIR="$PROV_DIR/off$i" ./target/release/fig02_mpki_limits --quick --strict \
         > "$PROV_DIR/off$i.out" 2> "$PROV_DIR/off$i.err"
