@@ -1,15 +1,17 @@
-//! Golden pins of LLBP behaviour: exact misprediction counts and every
-//! `LlbpStats` counter from the reference backend, for the design points
-//! the figures and ablations use.
+//! Golden pins of predictor behaviour from the reference backend: exact
+//! misprediction counts and every `LlbpStats` counter for the LLBP design
+//! points the figures and ablations use, and exact branch, instruction and
+//! provider counts for the TAGE-SC-L configurations of Figs. 2 and 9.
 //!
 //! The parity suites compare execution tiers of the *same* predictor code
-//! with each other, so a change inside `crates/core` that shifts behaviour
-//! in every tier at once would pass them. These numbers were recorded from
-//! the reference tier and must not move unless LLBP's semantics change on
-//! purpose.
+//! with each other, so a change inside `crates/core` or `crates/tage` that
+//! shifts behaviour in every tier at once would pass them. These numbers
+//! were recorded from the reference tier and must not move unless a
+//! predictor's semantics change on purpose.
 
 use llbp_core::{CdReplacement, LlbpParams, LlbpStats};
-use llbp_sim::{BackendKind, PredictorKind, SimConfig};
+use llbp_sim::{BackendKind, PredictorKind, SimConfig, SimResult};
+use llbp_tage::ProviderKind;
 use llbp_trace::{Trace, Workload, WorkloadSpec};
 
 const RECORDS: usize = 60_000;
@@ -135,6 +137,68 @@ fn llbp_design_points_match_golden_pins() {
         for (j, got) in row.iter().enumerate() {
             assert_eq!(
                 *got, GOLDEN[i][j],
+                "{label} on {:?} moved from its golden pin; all actual rows:\n{rendered}",
+                WORKLOADS[j]
+            );
+        }
+    }
+}
+
+/// The pinned TAGE-SC-L configurations, in [`TSL_GOLDEN`] row order.
+fn tsl_kinds() -> [PredictorKind; 4] {
+    [
+        PredictorKind::Tsl64K,
+        PredictorKind::TslScaled(8),
+        PredictorKind::InfTage,
+        PredictorKind::InfTsl,
+    ]
+}
+
+/// `(mispredictions, conditional_branches, instructions, provider counts
+/// in ProviderKind::LABELS order)` per configuration (outer) and workload
+/// (inner).
+type TslRow = (u64, u64, u64, [u64; ProviderKind::COUNT]);
+
+fn tsl_row(result: &SimResult) -> TslRow {
+    let providers =
+        ProviderKind::LABELS.map(|label| result.provider_counts.get(label).copied().unwrap_or(0));
+    (result.mispredictions, result.conditional_branches, result.instructions, providers)
+}
+
+#[rustfmt::skip]
+const TSL_GOLDEN: [[TslRow; 2]; 4] = [
+    // 64K TSL
+    [(2400, 29817, 280707, [19166, 10466, 185, 0, 0]), (3340, 31113, 279359, [20297, 10563, 253, 0, 0])],
+    // 512K TSL
+    [(2151, 29817, 280707, [17165, 12511, 141, 0, 0]), (3146, 31113, 279359, [18282, 12625, 206, 0, 0])],
+    // Inf TAGE
+    [(2154, 29817, 280707, [16286, 13385, 146, 0, 0]), (3050, 31113, 279359, [17390, 13537, 186, 0, 0])],
+    // Inf TSL
+    [(2203, 29817, 280707, [16254, 13270, 53, 240, 0]), (3048, 31113, 279359, [17462, 13571, 80, 0, 0])],
+];
+
+#[test]
+fn tsl_configurations_match_golden_pins() {
+    let cfg = SimConfig::default().with_backend(BackendKind::Reference);
+    let traces = traces();
+    let actual: Vec<(String, Vec<TslRow>)> = tsl_kinds()
+        .into_iter()
+        .map(|kind| {
+            let row = traces.iter().map(|trace| tsl_row(&cfg.run(kind.clone(), trace))).collect();
+            (kind.label(), row)
+        })
+        .collect();
+    let rendered: String = actual
+        .iter()
+        .map(|(label, row)| {
+            let cells: Vec<String> = row.iter().map(|r| format!("{r:?}")).collect();
+            format!("    // {label}\n    [{}],\n", cells.join(", "))
+        })
+        .collect();
+    for (i, (label, row)) in actual.iter().enumerate() {
+        for (j, got) in row.iter().enumerate() {
+            assert_eq!(
+                *got, TSL_GOLDEN[i][j],
                 "{label} on {:?} moved from its golden pin; all actual rows:\n{rendered}",
                 WORKLOADS[j]
             );
