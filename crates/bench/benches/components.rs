@@ -1,7 +1,7 @@
 //! Microbenchmarks of the predictor building blocks: folded history
-//! maintenance, pattern-set matching/allocation, RCR hashing, and table
-//! lookups. These quantify the per-branch cost of each hardware
-//! structure's software model.
+//! maintenance, pattern-set matching/allocation, RCR hashing, table
+//! lookups and the statistical corrector. These quantify the per-branch
+//! cost of each hardware structure's software model.
 //!
 //! Uses a std-only timing harness (no external bench framework) so the
 //! workspace builds hermetically; run with `cargo bench --bench components`.
@@ -11,6 +11,7 @@ use bputil::rng::SplitMix64;
 use bputil::table::SetAssoc;
 use llbp_core::rcr::RollingContextRegister;
 use llbp_core::{ContextHistoryKind, PatternArena, SetGeometry};
+use llbp_tage::{StatisticalCorrector, TslConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -91,9 +92,30 @@ fn bench_set_assoc() {
     });
 }
 
+/// One SC prediction and training step per call, history advance
+/// included, at the 64K TSL component size (2^10 counters, 1 KiB) and the
+/// Inf TSL one (2^21 counters, 2 MiB, beyond a core's L2).
+fn bench_sc() {
+    let lengths = TslConfig::cbp64k().sc_history_lengths;
+    for index_bits in [10, 21] {
+        let mut sc = StatisticalCorrector::new(index_bits, &lengths);
+        let mut ghr = HistoryBuffer::new(64);
+        let mut rng = SplitMix64::new(6);
+        bench(&format!("sc_lookup_train/2^{index_bits}"), || {
+            let (pc, tage_pred, taken) = (rng.next_u64() << 2, rng.chance(1, 2), rng.chance(1, 2));
+            let l = sc.lookup(pc, tage_pred);
+            black_box(sc.arbitrate(&l, tage_pred));
+            sc.train(&l, taken);
+            sc.update_history_fast(&ghr, taken);
+            ghr.push(taken);
+        });
+    }
+}
+
 fn main() {
     bench_folded_history();
     bench_pattern_set();
     bench_rcr();
     bench_set_assoc();
+    bench_sc();
 }

@@ -39,6 +39,7 @@ fn bench_predictors(trace: &Trace) {
     for (name, kind) in [
         ("simulate/64k_tsl", PredictorKind::Tsl64K),
         ("simulate/512k_tsl", PredictorKind::TslScaled(8)),
+        ("simulate/inf_tage", PredictorKind::InfTage),
         ("simulate/inf_tsl", PredictorKind::InfTsl),
         ("simulate/llbp", PredictorKind::Llbp(LlbpParams::default())),
         ("simulate/llbp_0lat", PredictorKind::Llbp(LlbpParams::zero_latency())),

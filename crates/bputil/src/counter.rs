@@ -7,6 +7,9 @@
 //!   the convention of Seznec's TAGE code where `ctr >= 0` predicts taken).
 //! * [`UnsignedCounter`] — an *unsigned* counter in `[0, 2^n - 1]`, used for
 //!   usefulness bits, confidence counters and replacement metadata.
+//!
+//! Both carry their bounds in every value. Tables of counters store bare
+//! `i8` values instead and keep one [`CounterWidth`] for the whole table.
 
 /// A signed saturating counter with a configurable bit width.
 ///
@@ -134,6 +137,78 @@ impl SatCounter {
 impl Default for SatCounter {
     fn default() -> Self {
         Self::new_signed(3)
+    }
+}
+
+/// The width of a table of signed saturating counters held as bare `i8`
+/// values.
+///
+/// A [`SatCounter`] stores its bounds beside its value, which makes a
+/// counter of at most 8 bits six bytes wide. Predictor tables of thousands
+/// to millions of counters store the values alone and keep one
+/// `CounterWidth` for the table. Each operation gives the same value as
+/// the [`SatCounter`] of the same width, and a zeroed table starts in the
+/// weak-taken state of [`SatCounter::new_signed`].
+///
+/// # Example
+///
+/// ```
+/// use bputil::counter::CounterWidth;
+///
+/// const WIDTH: CounterWidth = CounterWidth::signed(3); // [-4, 3]
+/// let mut table = vec![0i8; 16];
+/// assert!(CounterWidth::taken(table[5]));
+/// WIDTH.update(&mut table[5], false);
+/// assert!(!CounterWidth::taken(table[5]));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CounterWidth {
+    min: i8,
+    max: i8,
+}
+
+impl CounterWidth {
+    /// The widest counter an `i8` holds.
+    pub const MAX_BITS: u32 = 8;
+
+    /// The bounds of a signed `bits`-wide counter:
+    /// `[-2^(bits-1), 2^(bits-1) - 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is not in `1..=8`.
+    #[must_use]
+    pub const fn signed(bits: u32) -> Self {
+        assert!(bits >= 1 && bits <= Self::MAX_BITS, "counter width out of range");
+        let max = i8::MAX >> (Self::MAX_BITS - bits);
+        Self { min: -max - 1, max }
+    }
+
+    /// The weakest value for `taken`: `0` when taken, `-1` when not
+    /// (the value of [`SatCounter::weak`]).
+    #[must_use]
+    pub fn weak(taken: bool) -> i8 {
+        i8::from(taken) - 1
+    }
+
+    /// Predicted direction of `value`: taken when it is non-negative.
+    #[must_use]
+    pub fn taken(value: i8) -> bool {
+        value >= 0
+    }
+
+    /// `true` when `value` is one of the two weak states.
+    #[must_use]
+    pub fn is_weak(value: i8) -> bool {
+        value == 0 || value == -1
+    }
+
+    /// Moves `value` one step towards `taken`, saturating at this width's
+    /// bounds. Branchless, like [`SatCounter::update`].
+    #[inline]
+    pub fn update(self, value: &mut i8, taken: bool) {
+        let step = i8::from(taken) * 2 - 1;
+        *value = value.saturating_add(step).clamp(self.min, self.max);
     }
 }
 
@@ -296,6 +371,33 @@ mod tests {
     #[should_panic(expected = "counter width out of range")]
     fn zero_width_counter_panics() {
         let _ = SatCounter::new_signed(0);
+    }
+
+    #[test]
+    fn counter_width_tracks_sat_counter() {
+        let mut rng = crate::rng::SplitMix64::new(8);
+        for bits in 1..=CounterWidth::MAX_BITS {
+            let width = CounterWidth::signed(bits);
+            let mut reference = SatCounter::new_signed(bits);
+            let mut value = 0i8;
+            // Biased runs of 300 steps reach both bounds of every width.
+            for i in 0..1200 {
+                let taken = ((i / 300) % 2 == 0) != rng.chance(1, 8);
+                reference.update(taken);
+                width.update(&mut value, taken);
+                assert_eq!(i16::from(value), reference.value(), "width {bits}");
+                assert_eq!(CounterWidth::taken(value), reference.taken());
+                assert_eq!(CounterWidth::is_weak(value), reference.is_weak());
+            }
+            assert_eq!(i16::from(CounterWidth::weak(true)), SatCounter::weak(bits, true).value());
+            assert_eq!(i16::from(CounterWidth::weak(false)), SatCounter::weak(bits, false).value());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "counter width out of range")]
+    fn counter_width_rejects_nine_bits() {
+        let _ = CounterWidth::signed(9);
     }
 
     #[test]

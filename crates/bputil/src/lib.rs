@@ -36,7 +36,7 @@ pub mod rng;
 pub mod stats;
 pub mod table;
 
-pub use counter::{SatCounter, UnsignedCounter};
+pub use counter::{CounterWidth, SatCounter, UnsignedCounter};
 pub use history::{FoldedHistory, HistoryBuffer, PathHistory};
 pub use rng::SplitMix64;
 pub use table::{DirectMapped, SetAssoc};

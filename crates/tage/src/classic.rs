@@ -16,15 +16,18 @@
 //! ```
 
 use crate::predictor::{Predictor, ProviderKind};
-use bputil::counter::SatCounter;
+use bputil::counter::CounterWidth;
 use bputil::hash::{fold_to_bits, mix64};
 use llbp_trace::{BranchKind, BranchRecord};
+
+/// Width of the gshare and two-level pattern-table counters.
+const TWO_BIT: CounterWidth = CounterWidth::signed(2);
 
 /// gshare ([McFarling '93]): one table of 2-bit counters indexed by
 /// `PC ⊕ global history`.
 #[derive(Debug, Clone)]
 pub struct Gshare {
-    table: Vec<SatCounter>,
+    table: Vec<i8>,
     history: u64,
     history_bits: u32,
     label: String,
@@ -42,7 +45,7 @@ impl Gshare {
         assert!(index_bits <= 28, "table too large");
         assert!(history_bits <= 63, "history too long");
         Self {
-            table: vec![SatCounter::new_signed(2); 1 << index_bits],
+            table: vec![0; 1 << index_bits],
             history: 0,
             history_bits,
             label: format!("gshare-{index_bits}b"),
@@ -57,12 +60,12 @@ impl Gshare {
 
 impl Predictor for Gshare {
     fn predict(&mut self, pc: u64) -> bool {
-        self.table[self.index(pc)].taken()
+        CounterWidth::taken(self.table[self.index(pc)])
     }
 
     fn train(&mut self, pc: u64, taken: bool) {
         let i = self.index(pc);
-        self.table[i].update(taken);
+        TWO_BIT.update(&mut self.table[i], taken);
     }
 
     fn update_history(&mut self, record: &BranchRecord) {
@@ -90,7 +93,7 @@ impl Predictor for Gshare {
 #[derive(Debug, Clone)]
 pub struct TwoLevelLocal {
     histories: Vec<u16>,
-    pattern_table: Vec<SatCounter>,
+    pattern_table: Vec<i8>,
     local_bits: u32,
     label: String,
 }
@@ -108,7 +111,7 @@ impl TwoLevelLocal {
         assert!(bht_bits <= 24, "history table too large");
         Self {
             histories: vec![0; 1 << bht_bits],
-            pattern_table: vec![SatCounter::new_signed(2); 1 << local_bits],
+            pattern_table: vec![0; 1 << local_bits],
             local_bits,
             label: format!("2level-{bht_bits}x{local_bits}"),
         }
@@ -126,12 +129,12 @@ impl TwoLevelLocal {
 
 impl Predictor for TwoLevelLocal {
     fn predict(&mut self, pc: u64) -> bool {
-        self.pattern_table[self.pattern_index(pc)].taken()
+        CounterWidth::taken(self.pattern_table[self.pattern_index(pc)])
     }
 
     fn train(&mut self, pc: u64, taken: bool) {
         let pi = self.pattern_index(pc);
-        self.pattern_table[pi].update(taken);
+        TWO_BIT.update(&mut self.pattern_table[pi], taken);
         let hi = self.history_index(pc);
         let mask = (1u16 << self.local_bits) - 1;
         self.histories[hi] = ((self.histories[hi] << 1) | u16::from(taken)) & mask;

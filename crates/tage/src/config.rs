@@ -23,13 +23,13 @@ pub struct TageConfig {
     pub history_lengths: Vec<usize>,
     /// Partial tag width per tagged table (bits).
     pub tag_bits: Vec<u32>,
-    /// log2 entries per tagged table.
+    /// log2 entries per tagged table (1–32).
     pub index_bits: u32,
     /// log2 entries of the bimodal base predictor.
     pub bimodal_bits: u32,
-    /// Width of the signed prediction counters (3 in CBP-5).
+    /// Width of the signed prediction counters (3 in CBP-5; 1–8).
     pub counter_bits: u32,
-    /// Width of the usefulness counters (1–2).
+    /// Width of the usefulness counters (1–2 in CBP-5; 1–8).
     pub useful_bits: u32,
     /// Path-history width folded into table indices.
     pub path_bits: u32,
@@ -140,7 +140,9 @@ impl TageConfig {
         tagged + bimodal
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency, and that every width fits the
+    /// storage fields TAGE keeps it in: one-byte prediction and usefulness
+    /// counters, 16-bit tags and (in infinite storage) 32-bit indices.
     ///
     /// # Errors
     ///
@@ -162,8 +164,14 @@ impl TageConfig {
         if self.history_lengths[0] == 0 {
             return Err("history lengths must be non-zero".into());
         }
-        if !(1..=15).contains(&self.counter_bits) {
-            return Err(format!("counter_bits out of range: {}", self.counter_bits));
+        if !(1..=8).contains(&self.counter_bits) {
+            return Err(format!("counter_bits must be in 1..=8, got {}", self.counter_bits));
+        }
+        if !(1..=8).contains(&self.useful_bits) {
+            return Err(format!("useful_bits must be in 1..=8, got {}", self.useful_bits));
+        }
+        if !(1..=32).contains(&self.index_bits) {
+            return Err(format!("index_bits must be in 1..=32, got {}", self.index_bits));
         }
         if self.tag_bits.iter().any(|&t| !(4..=16).contains(&t)) {
             return Err("tag widths must be in 4..=16".into());
@@ -332,6 +340,40 @@ mod tests {
         let mut cfg = TageConfig::cbp64k();
         cfg.tag_bits.pop();
         assert!(cfg.validate().is_err());
+    }
+
+    /// `cbp64k` with one field changed, validated.
+    fn validate_with(change: impl FnOnce(&mut TageConfig)) -> Result<(), String> {
+        let mut cfg = TageConfig::cbp64k();
+        change(&mut cfg);
+        cfg.validate()
+    }
+
+    #[test]
+    fn validate_limits_counter_bits_to_a_byte() {
+        assert!(validate_with(|c| c.counter_bits = 8).is_ok());
+        assert!(validate_with(|c| c.counter_bits = 9).unwrap_err().contains("counter_bits"));
+        assert!(validate_with(|c| c.counter_bits = 0).unwrap_err().contains("counter_bits"));
+    }
+
+    #[test]
+    fn validate_limits_useful_bits_to_a_byte() {
+        assert!(validate_with(|c| c.useful_bits = 8).is_ok());
+        assert!(validate_with(|c| c.useful_bits = 9).unwrap_err().contains("useful_bits"));
+        assert!(validate_with(|c| c.useful_bits = 0).unwrap_err().contains("useful_bits"));
+    }
+
+    #[test]
+    fn validate_limits_index_bits_to_32() {
+        assert!(validate_with(|c| c.index_bits = 32).is_ok());
+        assert!(validate_with(|c| c.index_bits = 33).unwrap_err().contains("index_bits"));
+        assert!(validate_with(|c| c.index_bits = 0).unwrap_err().contains("index_bits"));
+    }
+
+    #[test]
+    fn validate_limits_tag_bits_to_16() {
+        assert!(validate_with(|c| c.tag_bits[0] = 16).is_ok());
+        assert!(validate_with(|c| c.tag_bits[0] = 17).unwrap_err().contains("tag widths"));
     }
 
     #[test]

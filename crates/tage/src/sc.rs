@@ -8,14 +8,14 @@
 //! with TAGE's own vote; when the magnitude of the sum clears an adaptive
 //! threshold, the sign of the sum replaces TAGE's prediction.
 
-use bputil::counter::SatCounter;
+use bputil::counter::{CounterWidth, SatCounter};
 use bputil::hash::{fold_to_bits, mix64};
 use bputil::history::{FoldedHistory, HistoryBuffer};
 
 /// Weight of the TAGE vote inside the SC sum.
 const TAGE_VOTE: i32 = 16;
-/// Width of the component counters.
-const CTR_BITS: u32 = 6;
+/// Width of the component counters, shared by every table.
+const CTR: CounterWidth = CounterWidth::signed(6);
 
 /// Per-lookup SC state, consumed at update time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +36,11 @@ const MAX_COMPONENTS: usize = 16;
 /// The statistical corrector.
 #[derive(Debug, Clone)]
 pub struct StatisticalCorrector {
-    /// One table per component: `components[0]` is the bias table indexed
-    /// by PC and TAGE direction; the rest are GEHL tables.
-    tables: Vec<Vec<SatCounter>>,
+    /// One table of [`CTR`]-wide counters per component: `tables[0]` is
+    /// the bias table indexed by PC and TAGE direction; the rest are GEHL
+    /// tables. Allocated as zeroes (the weak-taken state), so the 2^21-entry
+    /// tables of `Inf TSL` map zero pages instead of being written.
+    tables: Vec<Vec<i8>>,
     folded: Vec<Option<FoldedHistory>>,
     index_bits: u32,
     /// Adaptive confidence threshold (O-GEHL style).
@@ -60,10 +62,10 @@ impl StatisticalCorrector {
         assert!(!history_lengths.is_empty(), "SC needs at least one component");
         assert!(history_lengths.len() < MAX_COMPONENTS, "too many SC components");
         let entries = 1usize << index_bits;
-        let mut tables = vec![vec![SatCounter::new_signed(CTR_BITS); entries]]; // bias
+        let mut tables = vec![vec![0i8; entries]]; // bias
         let mut folded = vec![None]; // bias has no history
         for &l in history_lengths {
-            tables.push(vec![SatCounter::new_signed(CTR_BITS); entries]);
+            tables.push(vec![0i8; entries]);
             folded.push((l > 0).then(|| FoldedHistory::new(l, index_bits)));
         }
         Self {
@@ -108,7 +110,7 @@ impl StatisticalCorrector {
         for (c, (slot, table)) in indices.iter_mut().zip(&self.tables).enumerate() {
             let i = self.component_index(c, pc, tage_pred);
             *slot = i;
-            sum += 2 * i32::from(table[i as usize].value()) + 1;
+            sum += 2 * i32::from(table[i as usize]) + 1;
         }
         ScLookup {
             sum,
@@ -136,7 +138,7 @@ impl StatisticalCorrector {
         let correct = lookup.pred == taken;
         if !correct || lookup.sum.abs() <= self.threshold {
             for c in 0..lookup.num_components {
-                self.tables[c][lookup.indices[c] as usize].update(taken);
+                CTR.update(&mut self.tables[c][lookup.indices[c] as usize], taken);
             }
         }
         // Threshold adaptation, smoothed through `tc`.

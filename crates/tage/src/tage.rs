@@ -13,7 +13,7 @@
 
 use crate::config::{StorageKind, TageConfig};
 use crate::useful::UsefulPatternTracker;
-use bputil::counter::{SatCounter, UnsignedCounter};
+use bputil::counter::{CounterWidth, SatCounter};
 use bputil::hash::{tage_tag, FastHashMap, IndexCtx};
 use bputil::history::{FoldedHistory, HistoryBuffer, PathHistory};
 use bputil::rng::SplitMix64;
@@ -22,39 +22,48 @@ use llbp_trace::{BranchKind, BranchRecord};
 /// Upper bound on tagged tables, sized generously above CBP-5's 30.
 pub const MAX_TABLES: usize = 32;
 
-/// One tagged-table entry.
+/// One tagged-table entry: bare counter values whose widths
+/// (`TageConfig::counter_bits`, `useful_bits`) live once on [`Tage`].
+/// [`TageConfig::validate`] keeps every width within these fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
-    tag: u32,
-    ctr: SatCounter,
-    useful: UnsignedCounter,
+    tag: u16,
+    /// Signed prediction counter, [`Tage::ctr_width`] wide.
+    ctr: i8,
+    /// Unsigned usefulness counter in `0..=Tage::useful_max`.
+    useful: u8,
     valid: bool,
 }
 
 impl Entry {
-    fn empty(counter_bits: u32, useful_bits: u32) -> Self {
-        Self {
-            tag: 0,
-            ctr: SatCounter::new_signed(counter_bits),
-            useful: UnsignedCounter::new(useful_bits),
-            valid: false,
-        }
+    /// An invalid entry; its zeroed counters are the fresh states of
+    /// `SatCounter::new_signed` and `UnsignedCounter::new`.
+    const EMPTY: Self = Self { tag: 0, ctr: 0, useful: 0, valid: false };
+
+    /// A freshly allocated entry for `tag`, weak towards `taken`.
+    fn allocated(tag: u32, taken: bool) -> Self {
+        let tag = u16::try_from(tag).expect("tag widths are validated to at most 16 bits");
+        Self { tag, ctr: CounterWidth::weak(taken), useful: 0, valid: true }
     }
 }
 
 /// One infinite-storage pattern: the owning table and the exact
-/// `(index, tag)` pair it was allocated under. The full-PC key (the map
-/// key) removes aliasing while the index/tag hashes stay unchanged.
-/// Slots for one PC form a singly-linked chain through the arena
-/// (`next`, [`NO_SLOT`]-terminated).
+/// `(index, tag)` pair it was allocated under (the tag is the entry's).
+/// The full-PC key (the map key) removes aliasing while the index/tag
+/// hashes stay unchanged. Slots for one PC form a singly-linked chain
+/// through the arena (`next`, [`NO_SLOT`]-terminated).
 #[derive(Debug, Clone)]
 struct InfSlot {
-    table: u8,
-    tag: u32,
     next: u32,
-    index: u64,
+    /// Table index; [`TageConfig::validate`] caps `index_bits` at 32.
+    index: u32,
+    table: u8,
     entry: Entry,
 }
+
+// The layouts the storage sizes in DESIGN.md §15 rely on.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 8);
+const _: () = assert!(std::mem::size_of::<InfSlot>() <= 16);
 
 /// Chain terminator for [`InfSlot::next`].
 const NO_SLOT: u32 = u32::MAX;
@@ -62,7 +71,9 @@ const NO_SLOT: u32 = u32::MAX;
 impl InfSlot {
     #[inline]
     fn matches(&self, table: usize, index: u64, tag: u32) -> bool {
-        self.table as usize == table && self.index == index && self.tag == tag
+        usize::from(self.table) == table
+            && u64::from(self.index) == index
+            && u32::from(self.entry.tag) == tag
     }
 }
 
@@ -96,6 +107,14 @@ pub struct TageLookup {
     /// History length of the providing table (0 when bimodal provides or
     /// the alternate was used with no alternate table).
     pub provider_hist_len: usize,
+    /// Infinite storage: arena positions of the provider and alternate
+    /// entries ([`NO_SLOT`] when absent), so `commit` updates them without
+    /// walking the chain again.
+    provider_slot: u32,
+    alt_slot: u32,
+    /// Infinite storage: the arena length this lookup saw. `allocate`
+    /// only searches for an existing slot when the arena has grown since.
+    arena_len: usize,
 }
 
 /// How a resolved branch should update TAGE state.
@@ -123,6 +142,10 @@ pub struct Tage {
     bim_dir: Vec<bool>,
     bim_hyst: Vec<bool>,
     tables: Vec<Vec<Entry>>,
+    /// Width of every entry's prediction counter.
+    ctr_width: CounterWidth,
+    /// Saturation value of every entry's usefulness counter.
+    useful_max: u8,
     /// Infinite-storage backing, grouped by branch PC: `infinite_head`
     /// maps a PC to the head of its slot chain inside `infinite_arena`.
     /// A prediction costs one hash probe plus a chain walk instead of one
@@ -178,7 +201,7 @@ impl Tage {
             StorageKind::Finite => cfg
                 .history_lengths
                 .iter()
-                .map(|_| vec![Entry::empty(cfg.counter_bits, cfg.useful_bits); 1 << cfg.index_bits])
+                .map(|_| vec![Entry::EMPTY; 1 << cfg.index_bits])
                 .collect(),
             StorageKind::Infinite => Vec::new(),
         };
@@ -196,6 +219,8 @@ impl Tage {
             bim_dir: vec![false; 1 << cfg.bimodal_bits],
             bim_hyst: vec![true; 1 << (cfg.bimodal_bits - 2)],
             tables,
+            ctr_width: CounterWidth::signed(cfg.counter_bits),
+            useful_max: u8::MAX >> (u8::BITS - cfg.useful_bits),
             infinite_head: FastHashMap::default(),
             infinite_arena: Vec::new(),
             use_alt_on_na,
@@ -258,27 +283,28 @@ impl Tage {
         None
     }
 
-    fn entry(&self, table: usize, index: u64, tag: u32, pc: u64) -> Option<&Entry> {
-        match self.cfg.storage {
-            StorageKind::Finite => {
-                let e = &self.tables[table][index as usize];
-                (e.valid && e.tag == tag).then_some(e)
-            }
-            StorageKind::Infinite => self
-                .find_slot(table, index, tag, pc)
-                .map(|i| &self.infinite_arena[i as usize].entry),
-        }
+    /// The finite-table entry at `(table, index)` when it holds `tag`.
+    fn finite_entry(&self, table: usize, index: u64, tag: u32) -> Option<&Entry> {
+        let e = &self.tables[table][index as usize];
+        (e.valid && u32::from(e.tag) == tag).then_some(e)
     }
 
-    fn entry_mut(&mut self, table: usize, index: u64, tag: u32, pc: u64) -> Option<&mut Entry> {
+    /// The entry `lookup` found in `table`, at arena position `slot` in
+    /// infinite storage. A finite entry is re-checked, since a commit
+    /// since the lookup may have replaced it. Arena slots are never removed
+    /// or re-keyed, so an infinite one still holds the entry found.
+    fn found_entry_mut(
+        &mut self,
+        lookup: &TageLookup,
+        table: usize,
+        slot: u32,
+    ) -> Option<&mut Entry> {
         match self.cfg.storage {
             StorageKind::Finite => {
-                let e = &mut self.tables[table][index as usize];
-                (e.valid && e.tag == tag).then_some(e)
+                let e = &mut self.tables[table][lookup.indices[table] as usize];
+                (e.valid && u32::from(e.tag) == lookup.tags[table]).then_some(e)
             }
-            StorageKind::Infinite => self
-                .find_slot(table, index, tag, pc)
-                .map(|i| &mut self.infinite_arena[i as usize].entry),
+            StorageKind::Infinite => Some(&mut self.infinite_arena[slot as usize].entry),
         }
     }
 
@@ -311,16 +337,19 @@ impl Tage {
         let mut provider_state = None;
         let mut alt_table = None;
         let mut alt_state = None;
+        let mut provider_slot = NO_SLOT;
+        let mut alt_slot = NO_SLOT;
         match self.cfg.storage {
             StorageKind::Finite => {
                 for t in (0..n).rev() {
-                    if let Some(e) = self.entry(t, indices[t], tags[t], pc) {
+                    if let Some(e) = self.finite_entry(t, indices[t], tags[t]) {
                         if provider.is_none() {
                             provider = Some(t);
-                            provider_state = Some((e.ctr.taken(), e.ctr.is_weak()));
+                            provider_state =
+                                Some((CounterWidth::taken(e.ctr), CounterWidth::is_weak(e.ctr)));
                         } else {
                             alt_table = Some(t);
-                            alt_state = Some(e.ctr.taken());
+                            alt_state = Some(CounterWidth::taken(e.ctr));
                             break;
                         }
                     }
@@ -336,23 +365,29 @@ impl Tage {
                 let mut cur = self.infinite_head.get(&pc).copied().unwrap_or(NO_SLOT);
                 while cur != NO_SLOT {
                     let s = &self.infinite_arena[cur as usize];
-                    let t = s.table as usize;
+                    let t = usize::from(s.table);
                     if t < n && s.matches(t, indices[t], tags[t]) {
+                        let ctr = s.entry.ctr;
+                        let state = (CounterWidth::taken(ctr), CounterWidth::is_weak(ctr));
                         match provider {
                             None => {
                                 provider = Some(t);
-                                provider_state = Some((s.entry.ctr.taken(), s.entry.ctr.is_weak()));
+                                provider_state = Some(state);
+                                provider_slot = cur;
                             }
                             Some(p) if t > p => {
                                 alt_table = provider;
                                 alt_state = provider_state.map(|(taken, _)| taken);
+                                alt_slot = provider_slot;
                                 provider = Some(t);
-                                provider_state = Some((s.entry.ctr.taken(), s.entry.ctr.is_weak()));
+                                provider_state = Some(state);
+                                provider_slot = cur;
                             }
                             Some(_) => {
                                 if alt_table.is_none_or(|a| t > a) {
                                     alt_table = Some(t);
-                                    alt_state = Some(s.entry.ctr.taken());
+                                    alt_state = Some(state.0);
+                                    alt_slot = cur;
                                 }
                             }
                         }
@@ -395,6 +430,9 @@ impl Tage {
             pred,
             used_alt,
             provider_hist_len,
+            provider_slot,
+            alt_slot,
+            arena_len: self.infinite_arena.len(),
         }
     }
 
@@ -409,19 +447,20 @@ impl Tage {
         let pc = lookup.pc;
 
         // 1. Usefulness bookkeeping and the provider counter update share
-        //    a single storage probe (a hash-map lookup in infinite mode).
+        //    a single storage access (the lookup's slot in infinite mode).
         if let Some(p) = lookup.provider {
             let provider_correct = lookup.provider_pred == taken;
             let alt_differs = lookup.alt_pred != lookup.provider_pred;
-            if let Some(e) = self.entry_mut(p, lookup.indices[p], lookup.tags[p], pc) {
+            let (ctr_width, useful_max) = (self.ctr_width, self.useful_max);
+            if let Some(e) = self.found_entry_mut(lookup, p, lookup.provider_slot) {
                 if alt_differs {
-                    if provider_correct {
-                        e.useful.increment();
+                    e.useful = if provider_correct {
+                        e.useful.saturating_add(1).min(useful_max)
                     } else {
-                        e.useful.decrement();
-                    }
+                        e.useful.saturating_sub(1)
+                    };
                 }
-                e.ctr.update(taken);
+                ctr_width.update(&mut e.ctr, taken);
             }
             if alt_differs {
                 if lookup.provider_weak {
@@ -438,8 +477,9 @@ impl Tage {
             // 2. The chosen alternate trains too.
             if lookup.used_alt {
                 if let Some(a) = lookup.alt_table {
-                    if let Some(e) = self.entry_mut(a, lookup.indices[a], lookup.tags[a], pc) {
-                        e.ctr.update(taken);
+                    let ctr_width = self.ctr_width;
+                    if let Some(e) = self.found_entry_mut(lookup, a, lookup.alt_slot) {
+                        ctr_width.update(&mut e.ctr, taken);
                     }
                 } else {
                     self.update_bimodal(pc, taken);
@@ -486,28 +526,37 @@ impl Tage {
                 // Unbounded storage: always allocate in the first candidate.
                 let t = first.min(n - 1);
                 let (index, tag) = (lookup.indices[t], lookup.tags[t]);
-                let slot = match self.find_slot(t, index, tag, lookup.pc) {
-                    Some(i) => i,
+                // `t` lies above the provider, so a slot matching
+                // `(t, index, tag)` when the lookup walked the chain would
+                // have been the provider: there was none. Only a slot
+                // pushed since then (by a commit of another lookup of this
+                // PC, taken before this one committed) can match.
+                let existing = if self.infinite_arena.len() == lookup.arena_len {
+                    None
+                } else {
+                    self.find_slot(t, index, tag, lookup.pc)
+                };
+                match existing {
+                    Some(i) => {
+                        let e = &mut self.infinite_arena[i as usize].entry;
+                        e.valid = true;
+                        e.ctr = CounterWidth::weak(taken);
+                    }
                     None => {
                         // Prepend a fresh arena slot to the PC's chain.
                         let i = u32::try_from(self.infinite_arena.len())
                             .expect("infinite arena exceeds u32 indexing");
                         let head = self.infinite_head.entry(lookup.pc).or_insert(NO_SLOT);
                         self.infinite_arena.push(InfSlot {
-                            table: t as u8,
-                            tag,
                             next: *head,
-                            index,
-                            entry: Entry::empty(self.cfg.counter_bits, self.cfg.useful_bits),
+                            index: u32::try_from(index)
+                                .expect("index widths are validated to at most 32 bits"),
+                            table: u8::try_from(t).expect("table numbers fit a u8"),
+                            entry: Entry::allocated(tag, taken),
                         });
                         *head = i;
-                        i
                     }
-                };
-                let e = &mut self.infinite_arena[slot as usize].entry;
-                e.valid = true;
-                e.tag = tag;
-                e.ctr = SatCounter::weak(self.cfg.counter_bits, taken);
+                }
                 self.allocations += 1;
             }
             StorageKind::Finite => {
@@ -515,13 +564,8 @@ impl Tage {
                 let last = (first + self.cfg.alloc_tries).min(n);
                 for t in first..last {
                     let slot = &mut self.tables[t][lookup.indices[t] as usize];
-                    if !slot.valid || slot.useful.is_zero() {
-                        *slot = Entry {
-                            tag: lookup.tags[t],
-                            ctr: SatCounter::weak(self.cfg.counter_bits, taken),
-                            useful: UnsignedCounter::new(self.cfg.useful_bits),
-                            valid: true,
-                        };
+                    if !slot.valid || slot.useful == 0 {
+                        *slot = Entry::allocated(lookup.tags[t], taken);
                         self.allocations += 1;
                         done = true;
                         break;
@@ -534,7 +578,8 @@ impl Tage {
                     // pressure tick.
                     self.alloc_failures += 1;
                     for t in first..(first + self.cfg.alloc_tries).min(n) {
-                        self.tables[t][lookup.indices[t] as usize].useful.decrement();
+                        let useful = &mut self.tables[t][lookup.indices[t] as usize].useful;
+                        *useful = useful.saturating_sub(1);
                     }
                     self.tick += 1;
                     if self.tick >= 1024 {
@@ -549,7 +594,7 @@ impl Tage {
     fn reset_useful(&mut self) {
         for table in &mut self.tables {
             for e in table.iter_mut() {
-                e.useful.halve();
+                e.useful >>= 1;
             }
         }
     }
@@ -759,6 +804,40 @@ mod tests {
         }
         assert!(t.infinite_entries() > 100);
         assert_eq!(t.alloc_failures(), 0, "infinite storage never fails to allocate");
+    }
+
+    #[test]
+    fn stale_infinite_lookups_never_duplicate_a_slot() {
+        // Lookup A, lookup B of the same branch, commit A, commit B: when
+        // both mispredict, commit A may push the very slot commit B then
+        // allocates. B's lookup predates that push, so `allocate` has to
+        // search the chain instead of trusting the lookup.
+        let mut cfg = small_cfg();
+        cfg.storage = StorageKind::Infinite;
+        let mut t = Tage::new(cfg);
+        let mut rng = SplitMix64::new(13);
+        for _ in 0..4000 {
+            let pc = 0x1000 + rng.below(16) * 16;
+            let taken = rng.chance(1, 2);
+            let a = t.lookup(pc);
+            let b = t.lookup(pc);
+            t.commit(&a, taken, UpdateMode::Full);
+            t.commit(&b, taken, UpdateMode::Full);
+            t.update_history(&BranchRecord::conditional(pc, pc + 8, taken, 0));
+        }
+        let mut keys = std::collections::HashSet::new();
+        for (&pc, &head) in &t.infinite_head {
+            let mut cur = head;
+            while cur != NO_SLOT {
+                let s = &t.infinite_arena[cur as usize];
+                let key = (pc, s.table, s.index, s.entry.tag);
+                assert!(keys.insert(key), "slot {key:?} appears twice in the arena");
+                cur = s.next;
+            }
+        }
+        assert_eq!(keys.len(), t.infinite_entries(), "every slot is on its PC's chain");
+        assert!(t.infinite_entries() > 100);
+        assert_eq!(t.alloc_failures(), 0);
     }
 
     #[test]

@@ -10,16 +10,19 @@
 //! cargo run --release --example custom_predictor
 //! ```
 
-use llbp_repro::bputil::counter::SatCounter;
+use llbp_repro::bputil::counter::CounterWidth;
 use llbp_repro::bputil::history::HistoryBuffer;
 use llbp_repro::prelude::*;
 use llbp_repro::tage::{Predictor, ProviderKind};
 use llbp_repro::trace::{BranchKind, BranchRecord};
 
+/// Width of the gshare counters: one width for the whole table.
+const TWO_BIT: CounterWidth = CounterWidth::signed(2);
+
 /// A classic gshare predictor: PC XOR global history indexes one table of
 /// 2-bit counters.
 struct Gshare {
-    table: Vec<SatCounter>,
+    table: Vec<i8>,
     ghr: HistoryBuffer,
     history_bits: u32,
     label: String,
@@ -28,7 +31,7 @@ struct Gshare {
 impl Gshare {
     fn new(index_bits: u32, history_bits: u32) -> Self {
         Self {
-            table: vec![SatCounter::new_signed(2); 1 << index_bits],
+            table: vec![0; 1 << index_bits],
             ghr: HistoryBuffer::new(64),
             history_bits,
             label: format!("gshare-{}k", (1u32 << index_bits) / 1024),
@@ -43,12 +46,12 @@ impl Gshare {
 
 impl Predictor for Gshare {
     fn predict(&mut self, pc: u64) -> bool {
-        self.table[self.index(pc)].taken()
+        CounterWidth::taken(self.table[self.index(pc)])
     }
 
     fn train(&mut self, pc: u64, taken: bool) {
         let i = self.index(pc);
-        self.table[i].update(taken);
+        TWO_BIT.update(&mut self.table[i], taken);
     }
 
     fn update_history(&mut self, record: &BranchRecord) {
