@@ -477,7 +477,6 @@ impl Tage {
             // 2. The chosen alternate trains too.
             if lookup.used_alt {
                 if let Some(a) = lookup.alt_table {
-                    let ctr_width = self.ctr_width;
                     if let Some(e) = self.found_entry_mut(lookup, a, lookup.alt_slot) {
                         ctr_width.update(&mut e.ctr, taken);
                     }
