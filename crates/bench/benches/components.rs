@@ -6,11 +6,14 @@
 //! Uses a std-only timing harness (no external bench framework) so the
 //! workspace builds hermetically; run with `cargo bench --bench components`.
 
+use bputil::hash::{fold_to_bits, gehl_index, mix64, tage_index_base, tage_tag};
 use bputil::history::{FoldedHistory, HistoryBuffer};
+use bputil::kernel::{Kernel, MAX_LANES};
 use bputil::rng::SplitMix64;
 use bputil::table::SetAssoc;
 use llbp_core::rcr::RollingContextRegister;
-use llbp_core::{ContextHistoryKind, PatternArena, SetGeometry};
+use llbp_core::{ContextHistoryKind, LlbpParams, LlbpPredictor, PatternArena, SetGeometry};
+use llbp_tage::tage::{Tage, TageLookup};
 use llbp_tage::{StatisticalCorrector, TslConfig};
 use std::hint::black_box;
 use std::time::Instant;
@@ -92,22 +95,142 @@ fn bench_set_assoc() {
     });
 }
 
-/// One SC prediction and training step per call, history advance
-/// included, at the 64K TSL component size (2^10 counters, 1 KiB) and the
-/// Inf TSL one (2^21 counters, 2 MiB, beyond a core's L2).
+/// One SC prediction and training step per call, at the 64K TSL component
+/// size (2^10 counters, 1 KiB) and the Inf TSL one (2^21 counters, 2 MiB,
+/// beyond a core's L2). The SC's indices are hashed in its TAGE's lookup,
+/// so the call reads them from one fixed lookup; history does not advance.
 fn bench_sc() {
     let lengths = TslConfig::cbp64k().sc_history_lengths;
     for index_bits in [10, 21] {
-        let mut sc = StatisticalCorrector::new(index_bits, &lengths);
-        let mut ghr = HistoryBuffer::new(64);
+        let mut tage = Tage::new(TslConfig::cbp64k().tage);
+        let mut sc = StatisticalCorrector::new(index_bits, &lengths, &mut tage);
+        let lookups: Vec<TageLookup> = (0..1024u64).map(|i| tage.lookup(i * 0x2c4 + 4)).collect();
         let mut rng = SplitMix64::new(6);
         bench(&format!("sc_lookup_train/2^{index_bits}"), || {
-            let (pc, tage_pred, taken) = (rng.next_u64() << 2, rng.chance(1, 2), rng.chance(1, 2));
-            let l = sc.lookup(pc, tage_pred);
+            let lookup = &lookups[rng.below(1024) as usize];
+            let (tage_pred, taken) = (rng.chance(1, 2), rng.chance(1, 2));
+            let l = sc.lookup(lookup, tage_pred);
             black_box(sc.arbitrate(&l, tage_pred));
             sc.train(&l, taken);
-            sc.update_history_fast(&ghr, taken);
-            ghr.push(taken);
+        });
+    }
+}
+
+/// The builds of the bank and hash loops this CPU runs.
+fn kernels() -> Vec<Kernel> {
+    let detected = Kernel::detect();
+    if detected == Kernel::baseline() {
+        vec![detected]
+    } else {
+        vec![Kernel::baseline(), detected]
+    }
+}
+
+/// The 64K TSL + LLBP geometry as the per-register scalar code advanced
+/// it: `(length, widths)` per group of folds sharing one outgoing-bit read.
+fn scalar_fold_groups() -> Vec<(usize, Vec<u32>)> {
+    let (tsl, llbp) = (TslConfig::cbp64k(), LlbpParams::default());
+    let tage = &tsl.tage;
+    let mut groups: Vec<(usize, Vec<u32>)> = tage
+        .history_lengths
+        .iter()
+        .zip(&tage.tag_bits)
+        .map(|(&l, &t)| (l, vec![tage.index_bits, t, t - 1]))
+        .collect();
+    for &l in tsl.sc_history_lengths.iter().filter(|&&l| l > 0) {
+        groups.push((l, vec![tsl.sc_index_bits]));
+    }
+    let mut own: Vec<usize> = llbp
+        .history_lengths
+        .iter()
+        .copied()
+        .filter(|&l| {
+            !(0..tage.num_tables())
+                .any(|t| tage.history_lengths[t] == l && tage.tag_bits[t] == llbp.tag_bits)
+        })
+        .collect();
+    own.dedup();
+    groups.extend(own.into_iter().map(|l| (l, vec![llbp.tag_bits, llbp.tag_bits - 1])));
+    groups
+}
+
+/// One record's folded-history advance at the 64K TSL + LLBP geometry:
+/// the per-register scalar code (83 registers, 34 outgoing-bit reads)
+/// beside the bank (one register per distinct pair, one read per
+/// distinct length) in each build.
+fn bench_fold_bank() {
+    let mut ghr = HistoryBuffer::new(3100);
+    let mut groups: Vec<(usize, Vec<FoldedHistory>)> = scalar_fold_groups()
+        .into_iter()
+        .map(|(l, widths)| (l, widths.into_iter().map(|w| FoldedHistory::new(l, w)).collect()))
+        .collect();
+    let mut rng = SplitMix64::new(7);
+    bench("fold_bank_advance/scalar", || {
+        let bit = rng.chance(1, 2);
+        for (l, folds) in &mut groups {
+            let out = ghr.bit(*l - 1);
+            for f in folds {
+                f.update_with_out_bit(out, bit);
+            }
+        }
+        ghr.push(bit);
+        black_box(groups[20].1[0].value());
+    });
+    let llbp = LlbpPredictor::new(LlbpParams::default());
+    for kernel in kernels() {
+        let mut bank = llbp.baseline().tage().fold_bank().clone();
+        let mut ghr = HistoryBuffer::new(3100);
+        let mut rng = SplitMix64::new(7);
+        bench(&format!("fold_bank_advance/{}", kernel.name()), || {
+            let bit = rng.chance(1, 2);
+            bank.advance(kernel, &ghr, bit);
+            ghr.push(bit);
+            black_box(bank.values()[20]);
+        });
+    }
+}
+
+/// One lookup's 42 TAGE index/tag hashes and its SC hashes at the 64K
+/// TSL + LLBP geometry: the per-table scalar code (the PC scramble and
+/// path masking hoisted out of the table loop, a path rotation per table,
+/// 8 SC hashes) beside the hash loop in each build (9 SC hashes: the bias
+/// for both TAGE directions).
+fn bench_tage_hashes() {
+    let cfg = TslConfig::cbp64k();
+    let (ib, n) = (cfg.tage.index_bits, cfg.tage.num_tables());
+    let rotation: Vec<u32> = (0..n as u32).map(|t| t % ib).collect();
+    let mut rng = SplitMix64::new(8);
+    let folds: Vec<u32> = (0..3 * n + 8).map(|_| rng.next_u64() as u32 & 0x3ff).collect();
+    bench("tage_hashes/scalar", || {
+        let (pc, path) = (black_box(rng.next_u64()), black_box(rng.next_u64()));
+        let pc_part = pc ^ (pc >> (ib + 1)) ^ (pc >> (2 * ib + 2));
+        let m = (1u64 << ib) - 1;
+        let a = path & ((1u64 << ib.min(16)) - 1);
+        let (a1, a2) = (a & m, a >> ib);
+        let mut out = [0u64; MAX_LANES];
+        for t in 0..n {
+            let p = (a1 ^ a2.rotate_left(rotation[t])) & m;
+            let x = pc_part ^ u64::from(folds[t]) ^ p;
+            out[t] = fold_to_bits(mix64(x ^ (t as u64) << 57), ib);
+            let (f0, f1) = (folds[n + t], folds[2 * n + t]);
+            let tag = tage_tag(pc ^ (t as u64).rotate_left(11), f0, f1, cfg.tage.tag_bits[t]);
+            out[n + t] = u64::from(tag);
+        }
+        for c in 0..cfg.sc_history_lengths.len() + 1 {
+            out[2 * n + c] = u64::from(gehl_index(pc, folds[3 * n + c], c as u32, 10));
+        }
+        black_box(&out);
+    });
+    let llbp = LlbpPredictor::new(LlbpParams::default());
+    let tage = llbp.baseline().tage();
+    let (bank, lanes) = (tage.fold_bank(), tage.hash_lanes());
+    for kernel in kernels() {
+        let mut rng = SplitMix64::new(8);
+        bench(&format!("tage_hashes/{}", kernel.name()), || {
+            let (pc, path) = (black_box(rng.next_u64()), black_box(rng.next_u64()));
+            let mut out = [0u64; MAX_LANES];
+            lanes.hash(kernel, bank, pc, tage_index_base(pc, path, ib), &mut out);
+            black_box(&out);
         });
     }
 }
@@ -118,4 +241,6 @@ fn main() {
     bench_rcr();
     bench_set_assoc();
     bench_sc();
+    bench_fold_bank();
+    bench_tage_hashes();
 }

@@ -153,65 +153,64 @@ pub fn fold_to_bits(mut x: u64, bits: u32) -> u64 {
 
 /// Combines a PC with folded index history and path history in the style of
 /// TAGE's table-index hash (`gindex` in Seznec's CBP code).
+///
+/// # Panics
+///
+/// Panics (in debug builds, on the shift overflow) if `index_bits` exceeds
+/// 30, where the PC scramble would shift by 64 or more.
 #[must_use]
 pub fn tage_index(pc: u64, folded_index: u32, path: u64, table: u32, index_bits: u32) -> u64 {
-    IndexCtx::new(pc, path, index_bits).index(
-        folded_index,
-        table,
-        IndexCtx::path_rotation(table, index_bits),
-    )
+    let pc_part = pc ^ (pc >> (index_bits as u64 + 1)) ^ (pc >> (2 * index_bits as u64 + 2));
+    let m = (1u64 << index_bits) - 1;
+    let size = u64::from(index_bits.min(16));
+    let a = path & ((1u64 << size.min(32)) - 1).max(1);
+    let path = ((a & m) ^ (a >> index_bits).rotate_left(table % index_bits.max(1))) & m;
+    let mixed = pc_part ^ u64::from(folded_index) ^ path;
+    fold_to_bits(mix64(mixed ^ u64::from(table) << 57), index_bits)
 }
 
-/// The table-invariant parts of [`tage_index`], hoisted out of the
-/// per-table loop.
+/// The table-invariant part of [`tage_index`]: the PC scramble XOR the
+/// masked path bits, so that
+/// `tage_index(pc, f, path, t, b) == fold_to_bits(mix64(tage_index_base(pc, path, b) ^ f ^ t << 57), b)`.
 ///
-/// A TAGE lookup computes one index per tagged table (up to ~20 for the
-/// CBP-5 geometry) for the *same* `(pc, path)` pair; only the folded
-/// history and the table number vary. The PC scramble and the path-history
-/// masking are table-invariant, so computing them once per prediction and
-/// reusing them across tables removes redundant work from the hottest loop
-/// in the simulator. The per-table path rotation is a constant of the
-/// geometry, so callers compute [`IndexCtx::path_rotation`] once per table
-/// rather than once per lookup. [`IndexCtx::index`] is bit-identical to
-/// [`tage_index`] by construction (and pinned by a test).
-#[derive(Debug, Clone, Copy)]
-pub struct IndexCtx {
-    pc_part: u64,
-    path_a1: u64,
-    path_a2: u64,
-    mask: u64,
-    index_bits: u32,
+/// The rotated half of `tage_index`'s path term is always zero: the path is
+/// masked to `min(index_bits, 16)` bits before it is split at
+/// `index_bits`. So the whole path term is the same for every table.
+///
+/// # Example
+///
+/// ```
+/// use bputil::hash::{fold_to_bits, mix64, tage_index, tage_index_base};
+///
+/// let (pc, fold, path, table, bits) = (0x40_1234, 0x2f5, 0x1b_6f0d, 7, 10);
+/// let x = tage_index_base(pc, path, bits) ^ u64::from(fold) ^ u64::from(table) << 57;
+/// assert_eq!(fold_to_bits(mix64(x), bits), tage_index(pc, fold, path, table, bits));
+/// ```
+#[inline]
+#[must_use]
+pub fn tage_index_base(pc: u64, path: u64, index_bits: u32) -> u64 {
+    let pc_part = pc ^ (pc >> (index_bits as u64 + 1)) ^ (pc >> (2 * index_bits as u64 + 2));
+    let size = u64::from(index_bits.min(16));
+    pc_part ^ (path & ((1u64 << size) - 1))
 }
 
-impl IndexCtx {
-    /// Precomputes the table-invariant mix parts for one prediction.
-    #[inline]
-    #[must_use]
-    pub fn new(pc: u64, path: u64, index_bits: u32) -> Self {
-        let pc_part = pc ^ (pc >> (index_bits as u64 + 1)) ^ (pc >> (2 * index_bits as u64 + 2));
-        let m = (1u64 << index_bits) - 1;
-        let size = u64::from(index_bits.min(16));
-        let a = path & ((1u64 << size.min(32)) - 1).max(1);
-        Self { pc_part, path_a1: a & m, path_a2: a >> index_bits, mask: m, index_bits }
-    }
-
-    /// The path-history rotation of `table` under `index_bits`-bit
-    /// indices: the `path_rotation` argument of [`IndexCtx::index`].
-    #[inline]
-    #[must_use]
-    pub fn path_rotation(table: u32, index_bits: u32) -> u32 {
-        table % index_bits.max(1)
-    }
-
-    /// The index for `table` given its folded history value and its
-    /// [`IndexCtx::path_rotation`].
-    #[inline]
-    #[must_use]
-    pub fn index(&self, folded_index: u32, table: u32, path_rotation: u32) -> u64 {
-        let path = (self.path_a1 ^ self.path_a2.rotate_left(path_rotation)) & self.mask;
-        let mixed = self.pc_part ^ u64::from(folded_index) ^ path;
-        fold_to_bits(mix64(mixed ^ u64::from(table) << 57), self.index_bits)
-    }
+/// The statistical corrector's hash of GEHL component `component` to
+/// `bits` bits. Component 0 is the bias table, whose `fold` is the TAGE
+/// direction shifted left by one; the others fold global history.
+///
+/// # Example
+///
+/// ```
+/// use bputil::hash::gehl_index;
+///
+/// let bias_taken = gehl_index(0x4000, 1 << 1, 0, 10);
+/// assert!(bias_taken < 1 << 10);
+/// assert_ne!(bias_taken, gehl_index(0x4000, 0, 0, 10));
+/// ```
+#[inline]
+#[must_use]
+pub fn gehl_index(pc: u64, fold: u32, component: u32, bits: u32) -> u32 {
+    fold_to_bits(mix64(pc.rotate_left(component * 7) ^ u64::from(fold)), bits) as u32
 }
 
 /// Combines a PC with two folded tag histories in the style of TAGE's tag
@@ -276,20 +275,21 @@ mod tests {
     }
 
     #[test]
-    fn index_ctx_matches_scalar_tage_index() {
-        // The hoisted per-lookup context must be bit-identical to the
-        // straight-line hash for every (pc, path, table, bits) combination.
+    fn tage_index_base_is_the_table_invariant_part() {
+        // The hash loop hashes `tage_index_base` per lookup and adds the
+        // fold and table salt per lane; that must be `tage_index` for
+        // every (pc, path, table, bits) combination.
         let mut rng = crate::rng::SplitMix64::new(0x1DC);
-        for _ in 0..2_000 {
+        for _ in 0..4_000 {
             let pc = rng.next_u64();
             let path = rng.next_u64();
-            let index_bits = 1 + rng.below(20) as u32;
+            let index_bits = 1 + rng.below(30) as u32;
             let folded = rng.next_u64() as u32;
-            let table = rng.below(30) as u32;
-            let ctx = IndexCtx::new(pc, path, index_bits);
-            let rotation = IndexCtx::path_rotation(table, index_bits);
+            let table = rng.below(32) as u32;
+            let x =
+                tage_index_base(pc, path, index_bits) ^ u64::from(folded) ^ u64::from(table) << 57;
             assert_eq!(
-                ctx.index(folded, table, rotation),
+                fold_to_bits(mix64(x), index_bits),
                 tage_index(pc, folded, path, table, index_bits),
                 "pc={pc:#x} path={path:#x} bits={index_bits} table={table}"
             );

@@ -87,6 +87,24 @@ impl HistoryBuffer {
         (self.words[pos / 64] >> (pos % 64)) & 1 == 1
     }
 
+    /// [`HistoryBuffer::bit`] of every age in `ages` (at most 64), as bit
+    /// `d` of the result for `ages[d]`. Written without data-dependent
+    /// branches, so that the loop vectorizes in a build that has gathers.
+    #[inline(always)]
+    pub(crate) fn bits(&self, ages: &[usize]) -> u64 {
+        let mut out = 0u64;
+        for (d, &age) in ages.iter().enumerate() {
+            let inside = age < self.capacity;
+            let mut pos = self.head + self.capacity - 1 - if inside { age } else { 0 };
+            if pos >= self.capacity {
+                pos -= self.capacity;
+            }
+            let word = self.words.get(pos / 64).copied().unwrap_or(0);
+            out |= ((word >> (pos % 64)) & u64::from(inside)) << d;
+        }
+        out
+    }
+
     /// Number of bits pushed so far, capped at the capacity.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -246,6 +264,10 @@ impl FoldedHistory {
     /// falls out of the history window).
     #[inline]
     pub fn update_before_push(&mut self, ghr: &HistoryBuffer, taken: bool) {
+        // The bit the shift moves out of the compressed register, read
+        // before the shift: shifting the shifted value right by the width
+        // instead would overflow at width 32.
+        let wrap = (self.comp >> (self.compressed_len - 1)) & 1;
         // Shift in the new bit at position 0.
         self.comp = (self.comp << 1) | u32::from(taken);
         // Cancel the bit that leaves the window: before the push it has age
@@ -255,7 +277,7 @@ impl FoldedHistory {
             self.comp ^= 1 << self.outpoint;
         }
         // Wrap the bit shifted out of the compressed register back in.
-        self.comp ^= self.comp >> self.compressed_len;
+        self.comp ^= wrap;
         self.comp &= self.mask;
     }
 
@@ -279,9 +301,10 @@ impl FoldedHistory {
     /// bit once instead of three times.
     #[inline]
     pub fn update_with_out_bit(&mut self, out_bit: bool, taken: bool) {
+        let wrap = (self.comp >> (self.compressed_len - 1)) & 1;
         self.comp = (self.comp << 1) | u32::from(taken);
         self.comp ^= u32::from(out_bit) << self.outpoint;
-        self.comp ^= self.comp >> self.compressed_len;
+        self.comp ^= wrap;
         self.comp &= self.mask;
     }
 }
@@ -382,7 +405,7 @@ mod tests {
             rng & 1 == 1
         };
         for (original_len, compressed_len) in
-            [(1, 1), (3, 4), (8, 8), (13, 7), (27, 11), (64, 12), (389, 13)]
+            [(1, 1), (3, 4), (8, 8), (13, 7), (27, 11), (64, 12), (389, 13), (100, 31), (100, 32)]
         {
             let mut ghr = HistoryBuffer::new(original_len + 64);
             let mut slow = FoldedHistory::new(original_len, compressed_len);
@@ -417,7 +440,8 @@ mod tests {
     #[test]
     fn folded_history_matches_reference_fold() {
         let mut ghr = HistoryBuffer::new(512);
-        let cases = [(5usize, 3u32), (17, 8), (100, 11), (130, 12), (300, 13)];
+        let cases =
+            [(5usize, 3u32), (17, 8), (100, 11), (130, 12), (300, 13), (100, 31), (100, 32)];
         let mut folds: Vec<FoldedHistory> =
             cases.iter().map(|&(o, c)| FoldedHistory::new(o, c)).collect();
         let mut x: u64 = 0x1234_5678_9abc_def0;

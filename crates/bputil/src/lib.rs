@@ -12,6 +12,9 @@
 //!   victim selection (LRU or custom policies).
 //! * [`hash`] — small integer mixing functions used to build table indices
 //!   and tags.
+//! * [`kernel`] — every folded register of a predictor in one bank, and the
+//!   per-lookup index/tag hashes as one loop, each built for the baseline
+//!   target and for AVX-512.
 //! * [`rng`] — a tiny deterministic PRNG for allocation tie-breaking, so
 //!   predictors are reproducible without depending on external crates.
 //! * [`stats`] — percentiles, means and histograms for experiment reporting.
@@ -32,6 +35,7 @@
 pub mod counter;
 pub mod hash;
 pub mod history;
+pub mod kernel;
 pub mod rng;
 pub mod stats;
 pub mod table;

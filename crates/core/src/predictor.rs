@@ -23,11 +23,11 @@ use crate::pattern::{PatternArena, SetGeometry, MAX_LENGTHS};
 use crate::prefetch::PrefetchQueue;
 use crate::rcr::RollingContextRegister;
 use crate::stats::{LlbpStats, OverrideKind};
-use bputil::history::FoldedHistory;
+use bputil::kernel::FoldId;
 use bputil::table::SetAssoc;
 use llbp_tage::tage::UpdateMode;
 use llbp_tage::{FrontEnd, PredictionInfo, Predictor, ProviderKind, TageScl, TslLookup};
-use llbp_trace::{BranchKind, BranchRecord};
+use llbp_trace::BranchRecord;
 
 /// LLBP's view of one prediction, carried from `predict` to `train`.
 #[derive(Debug, Clone)]
@@ -71,16 +71,6 @@ struct LlbpMatch {
     hist_len: usize,
 }
 
-/// Where the folded tag histories of one LLBP history length live.
-#[derive(Debug, Clone, Copy)]
-enum FoldSource {
-    /// LLBP's own pair `folded_tag0[k]`, `folded_tag1[k]`.
-    Own(usize),
-    /// Tagged table `t` of the backing TAGE, which folds the same length
-    /// to the same tag widths.
-    Tage(usize),
-}
-
 /// The pattern tags of one prediction, hashed on first use.
 struct TagMemo {
     tags: [u32; MAX_LENGTHS],
@@ -107,8 +97,6 @@ impl TagMemo {
 pub struct LlbpCheckpoint {
     tsl: llbp_tage::TslCheckpoint,
     rcr: crate::rcr::RcrCheckpoint,
-    folded_tag0: Vec<u32>,
-    folded_tag1: Vec<u32>,
 }
 
 /// The Last-Level Branch Predictor backing a TAGE-SC-L baseline.
@@ -124,12 +112,10 @@ pub struct LlbpPredictor {
     params: LlbpParams,
     tsl: TageScl,
     rcr: RollingContextRegister,
-    /// Per history-length index: where its folded tag pair lives.
-    fold_source: Vec<FoldSource>,
-    /// LLBP's own folded tag pairs, one per distinct length that no TAGE
-    /// table folds at LLBP's tag width.
-    folded_tag0: Vec<FoldedHistory>,
-    folded_tag1: Vec<FoldedHistory>,
+    /// Per history-length index: its folded tag pair (the length at
+    /// `tag_bits` and `tag_bits - 1`), registers of the backing TSL's bank.
+    /// A pair a TAGE table already folds is that table's register.
+    tag_folds: [(FoldId, FoldId); MAX_LENGTHS],
     /// The context directory; its way slots index `storage_sets`.
     storage: SetAssoc<()>,
     /// Bulk pattern-set storage, one row per context-directory way.
@@ -160,40 +146,18 @@ impl LlbpPredictor {
     #[must_use]
     pub fn new(params: LlbpParams) -> Self {
         params.validate().unwrap_or_else(|e| panic!("invalid LLBP params: {e}"));
-        let tsl = TageScl::new(params.tsl.clone());
+        let mut tsl = TageScl::new(params.tsl.clone());
         let rcr = RollingContextRegister::new(
             params.window,
             params.prefetch_distance,
             params.cid_bits,
             params.history_kind,
         );
-        // One folded pair per distinct length; a TAGE table with the same
-        // length and tag width already folds exactly these values.
-        let tage = &params.tsl.tage;
-        let mut own_lengths: Vec<usize> = Vec::new();
-        let fold_source = params
-            .history_lengths
-            .iter()
-            .map(|&l| {
-                let shared = (0..tage.num_tables())
-                    .find(|&t| tage.history_lengths[t] == l && tage.tag_bits[t] == params.tag_bits);
-                match shared {
-                    Some(t) => FoldSource::Tage(t),
-                    None => FoldSource::Own(
-                        own_lengths.iter().position(|&o| o == l).unwrap_or_else(|| {
-                            own_lengths.push(l);
-                            own_lengths.len() - 1
-                        }),
-                    ),
-                }
-            })
-            .collect();
-        let folded_tag0 =
-            own_lengths.iter().map(|&l| FoldedHistory::new(l, params.tag_bits)).collect();
-        let folded_tag1 = own_lengths
-            .iter()
-            .map(|&l| FoldedHistory::new(l, (params.tag_bits - 1).max(1)))
-            .collect();
+        let mut tag_folds = [(FoldId::ZERO, FoldId::ZERO); MAX_LENGTHS];
+        for (pair, &l) in tag_folds.iter_mut().zip(&params.history_lengths) {
+            let tag1_bits = (params.tag_bits - 1).max(1);
+            *pair = (tsl.register_fold(l, params.tag_bits), tsl.register_fold(l, tag1_bits));
+        }
         let storage = SetAssoc::new(params.cd_index_bits, params.cd_ways);
         let pb = SetAssoc::new(params.pb_index_bits, params.pb_ways);
         let geometry = SetGeometry::of(&params);
@@ -202,9 +166,7 @@ impl LlbpPredictor {
         Self {
             tsl,
             rcr,
-            fold_source,
-            folded_tag0,
-            folded_tag1,
+            tag_folds,
             storage,
             storage_sets,
             pb,
@@ -260,18 +222,13 @@ impl LlbpPredictor {
         self.llbp_enabled
     }
 
-    /// Captures all speculative history state: the baseline's checkpoint
-    /// plus the RCR and LLBP's folded pattern histories (§V-E2: "Rolling
-    /// back the RCR can be done in the same way as for the folded
-    /// history registers in TAGE").
+    /// Captures all speculative history state: the baseline's checkpoint,
+    /// whose bank holds LLBP's folded pattern histories, plus the RCR
+    /// (§V-E2: "Rolling back the RCR can be done in the same way as for
+    /// the folded history registers in TAGE").
     #[must_use]
     pub fn checkpoint(&self) -> LlbpCheckpoint {
-        LlbpCheckpoint {
-            tsl: self.tsl.checkpoint(),
-            rcr: self.rcr.checkpoint(),
-            folded_tag0: self.folded_tag0.iter().map(FoldedHistory::value).collect(),
-            folded_tag1: self.folded_tag1.iter().map(FoldedHistory::value).collect(),
-        }
+        LlbpCheckpoint { tsl: self.tsl.checkpoint(), rcr: self.rcr.checkpoint() }
     }
 
     /// Restores a checkpoint taken by [`LlbpPredictor::checkpoint`],
@@ -283,15 +240,8 @@ impl LlbpPredictor {
     ///
     /// Panics if the checkpoint came from a different configuration.
     pub fn restore(&mut self, checkpoint: &LlbpCheckpoint) {
-        assert_eq!(checkpoint.folded_tag0.len(), self.folded_tag0.len(), "config mismatch");
         self.tsl.restore(&checkpoint.tsl);
         self.rcr.restore(&checkpoint.rcr);
-        for (f, &v) in self.folded_tag0.iter_mut().zip(&checkpoint.folded_tag0) {
-            f.restore(v);
-        }
-        for (f, &v) in self.folded_tag1.iter_mut().zip(&checkpoint.folded_tag1) {
-            f.restore(v);
-        }
         self.prefetches.squash();
     }
 
@@ -312,14 +262,11 @@ impl LlbpPredictor {
     /// The pattern tag of history-length index `len_idx` for `pc` under
     /// the current history.
     fn pattern_tag(&self, pc: u64, len_idx: usize) -> u32 {
-        let (fold0, fold1) = match self.fold_source[len_idx] {
-            FoldSource::Own(k) => (self.folded_tag0[k].value(), self.folded_tag1[k].value()),
-            FoldSource::Tage(t) => self.tsl.tage().tag_folds(t),
-        };
+        let (fold0, fold1) = self.tag_folds[len_idx];
         bputil::hash::tage_tag(
             pc ^ (len_idx as u64).rotate_left(7),
-            fold0,
-            fold1,
+            self.tsl.fold(fold0),
+            self.tsl.fold(fold1),
             self.params.tag_bits,
         )
     }
@@ -646,9 +593,8 @@ impl Predictor for LlbpPredictor {
 impl LlbpPredictor {
     /// The shared body of [`Predictor::update_history`] /
     /// [`Predictor::update_history_fast`]: identical except that the fast
-    /// variant advances every folded register branch-free
-    /// ([`FoldedHistory::update_with_out_bit`], one outgoing-bit read per
-    /// history length) and delegates to the backing TAGE-SC-L's fast path.
+    /// variant advances the backing TAGE-SC-L's bank, LLBP's folds
+    /// included, through its branch-free loop.
     fn advance_history(&mut self, record: &BranchRecord, fast: bool) {
         self.stats.instructions += record.instructions();
         self.stats.cycles = self.stats.instructions / self.params.fetch_width.max(1);
@@ -662,28 +608,11 @@ impl LlbpPredictor {
             self.pipeline_reset();
         }
 
-        // LLBP's own folded pattern histories advance with the same bit
-        // the backing TAGE pushes, and must fold *before* the GHR push.
-        // (The pairs shared with TAGE tables advance inside the TAGE.)
-        let bit = if record.kind() == BranchKind::Conditional {
-            record.taken()
-        } else {
-            ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
-        };
+        // LLBP's folded pattern histories are registers of the backing
+        // TAGE's bank and advance with it.
         if fast {
-            // `folded_tag0[k]` and `folded_tag1[k]` fold the same window —
-            // one outgoing bit serves both.
-            let ghr = self.tsl.ghr();
-            for (f0, f1) in self.folded_tag0.iter_mut().zip(&mut self.folded_tag1) {
-                let out = ghr.bit(f0.original_len() - 1);
-                f0.update_with_out_bit(out, bit);
-                f1.update_with_out_bit(out, bit);
-            }
             self.tsl.update_history_fast(record);
         } else {
-            for f in self.folded_tag0.iter_mut().chain(self.folded_tag1.iter_mut()) {
-                f.update_before_push(self.tsl.ghr(), bit);
-            }
             self.tsl.update_history(record);
         }
 
@@ -713,7 +642,7 @@ impl LlbpPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llbp_trace::{Trace, Workload, WorkloadSpec};
+    use llbp_trace::{BranchKind, Trace, Workload, WorkloadSpec};
 
     fn run(p: &mut dyn Predictor, trace: &Trace, skip: usize) -> (u64, u64) {
         let mut mispredicts = 0u64;

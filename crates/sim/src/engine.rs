@@ -62,6 +62,7 @@ use crate::faultinject::FaultInjector;
 use crate::journal::{campaign_fingerprint, CampaignJournal, CellOutcome};
 use crate::memo::MemoStore;
 use bputil::hash::FastHashMap;
+use bputil::kernel::Kernel;
 use llbp_obs::Telemetry;
 use llbp_prov::{ProvConfig, ProvRecorder};
 use llbp_trace::{Fingerprint, WorkloadSpec};
@@ -407,6 +408,10 @@ pub struct SweepReport {
     /// cells (`auto` never appears here — the concrete tier it picked
     /// does), so archived throughput records say what actually ran.
     pub backend: &'static str,
+    /// Build of the TAGE-SC-L history and hash loops the predictors run
+    /// (`"avx512"` or `"baseline"`, from [`Kernel::detect`]), so archived
+    /// throughput records say which code path produced a number.
+    pub kernel: &'static str,
     /// Storage tier serving memoized cells (`"local"`, `"remote"`, or
     /// `"none"` for storeless sweeps), so archived throughput records
     /// say where the cells came from.
@@ -489,7 +494,7 @@ impl SweepReport {
         let mut line = format!(
             concat!(
                 "{{\"event\":\"sweep_throughput\",\"label\":\"{}\",",
-                "\"backend\":\"{}\",\"store\":\"{}\",",
+                "\"backend\":\"{}\",\"kernel\":\"{}\",\"store\":\"{}\",",
                 "\"jobs\":{},\"workers\":{},\"branches\":{},",
                 "\"wall_s\":{:.3},\"branches_per_sec\":{:.0},",
                 "\"cache_hits\":{},\"cache_misses\":{},",
@@ -501,6 +506,7 @@ impl SweepReport {
             ),
             sanitize(label),
             self.backend,
+            self.kernel,
             self.store_tier,
             self.jobs.len(),
             self.workers,
@@ -930,6 +936,7 @@ impl SweepEngine {
             lock_wait,
             lock_takeovers,
             backend: spec.sim.backend.resolve().label(),
+            kernel: Kernel::detect().name(),
             store_tier: self.store.as_ref().map_or("none", |store| store.tier()),
             prov: self.prov_summary(&fingerprints),
         };
@@ -1340,6 +1347,8 @@ mod tests {
         assert!(line.starts_with("{\"event\":\"sweep_throughput\""));
         assert!(line.ends_with('}'));
         assert!(line.contains("\"jobs\":6"));
+        let kernel = format!("\"kernel\":\"{}\",", Kernel::detect().name());
+        assert!(line.contains(&kernel), "{line}");
         // Quotes in the label must not break the JSON.
         assert!(!line.contains("unit \"test\""));
         // Provenance off: no trace of the subsystem in the record.

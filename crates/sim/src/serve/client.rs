@@ -368,6 +368,9 @@ pub fn run_remote_with(
         lock_wait: Duration::ZERO,
         lock_takeovers: status.takeovers,
         backend: spec.sim.backend.resolve().label(),
+        // The daemon serves this host's campaigns, so it detects the same
+        // build this process would.
+        kernel: bputil::kernel::Kernel::detect().name(),
         store_tier: "serve",
         // The serve protocol streams result cells only; provenance runs
         // locally (bench rejects `--prov --server` up front).

@@ -23,7 +23,7 @@ pub struct TageConfig {
     pub history_lengths: Vec<usize>,
     /// Partial tag width per tagged table (bits).
     pub tag_bits: Vec<u32>,
-    /// log2 entries per tagged table (1–32).
+    /// log2 entries per tagged table (1–30).
     pub index_bits: u32,
     /// log2 entries of the bimodal base predictor.
     pub bimodal_bits: u32,
@@ -143,6 +143,8 @@ impl TageConfig {
     /// Validates internal consistency, and that every width fits the
     /// storage fields TAGE keeps it in: one-byte prediction and usefulness
     /// counters, 16-bit tags and (in infinite storage) 32-bit indices.
+    /// Index widths stop at 30, where the index hash's PC scramble
+    /// (`pc >> (2·index_bits + 2)`) still shifts by less than 64.
     ///
     /// # Errors
     ///
@@ -170,8 +172,8 @@ impl TageConfig {
         if !(1..=8).contains(&self.useful_bits) {
             return Err(format!("useful_bits must be in 1..=8, got {}", self.useful_bits));
         }
-        if !(1..=32).contains(&self.index_bits) {
-            return Err(format!("index_bits must be in 1..=32, got {}", self.index_bits));
+        if !(1..=30).contains(&self.index_bits) {
+            return Err(format!("index_bits must be in 1..=30, got {}", self.index_bits));
         }
         if self.tag_bits.iter().any(|&t| !(4..=16).contains(&t)) {
             return Err("tag widths must be in 4..=16".into());
@@ -193,7 +195,7 @@ pub struct TslConfig {
     pub tage: TageConfig,
     /// Enable the statistical corrector.
     pub sc_enabled: bool,
-    /// log2 entries of each SC component table.
+    /// log2 entries of each SC component table (1–30).
     pub sc_index_bits: u32,
     /// Global-history lengths of the SC's GEHL components.
     pub sc_history_lengths: Vec<usize>,
@@ -280,6 +282,9 @@ impl TslConfig {
         if self.sc_enabled && self.sc_history_lengths.is_empty() {
             return Err("SC enabled but no component history lengths given".into());
         }
+        if self.sc_enabled && !(1..=30).contains(&self.sc_index_bits) {
+            return Err(format!("sc_index_bits must be in 1..=30, got {}", self.sc_index_bits));
+        }
         Ok(())
     }
 }
@@ -364,10 +369,20 @@ mod tests {
     }
 
     #[test]
-    fn validate_limits_index_bits_to_32() {
-        assert!(validate_with(|c| c.index_bits = 32).is_ok());
-        assert!(validate_with(|c| c.index_bits = 33).unwrap_err().contains("index_bits"));
+    fn validate_limits_index_bits_to_30() {
+        assert!(validate_with(|c| c.index_bits = 30).is_ok());
+        assert!(validate_with(|c| c.index_bits = 31).unwrap_err().contains("index_bits"));
+        assert!(validate_with(|c| c.index_bits = 32).unwrap_err().contains("index_bits"));
         assert!(validate_with(|c| c.index_bits = 0).unwrap_err().contains("index_bits"));
+    }
+
+    #[test]
+    fn validate_limits_sc_index_bits_to_30() {
+        let with = |bits: u32| TslConfig { sc_index_bits: bits, ..TslConfig::cbp64k() }.validate();
+        assert!(with(30).is_ok());
+        assert!(with(31).unwrap_err().contains("sc_index_bits"));
+        assert!(with(32).unwrap_err().contains("sc_index_bits"));
+        assert!(with(0).unwrap_err().contains("sc_index_bits"));
     }
 
     #[test]

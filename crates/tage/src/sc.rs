@@ -7,10 +7,15 @@
 //! of assorted short lengths plus a bias component, are summed together
 //! with TAGE's own vote; when the magnitude of the sum clears an adaptive
 //! threshold, the sign of the sum replaces TAGE's prediction.
+//!
+//! The corrector keeps no history of its own: its folds are registers of
+//! the TAGE it corrects, and its component indices
+//! ([`bputil::hash::gehl_index`]) are lanes of that TAGE's per-lookup hash
+//! loop, delivered in the [`TageLookup`].
 
+use crate::tage::{Tage, TageLookup};
 use bputil::counter::{CounterWidth, SatCounter};
-use bputil::hash::{fold_to_bits, mix64};
-use bputil::history::{FoldedHistory, HistoryBuffer};
+use bputil::kernel::Lane;
 
 /// Weight of the TAGE vote inside the SC sum.
 const TAGE_VOTE: i32 = 16;
@@ -41,8 +46,9 @@ pub struct StatisticalCorrector {
     /// tables. Allocated as zeroes (the weak-taken state), so the 2^21-entry
     /// tables of `Inf TSL` map zero pages instead of being written.
     tables: Vec<Vec<i8>>,
-    folded: Vec<Option<FoldedHistory>>,
-    index_bits: u32,
+    /// Position of the bias lanes (not taken, then taken) in
+    /// `TageLookup::side`; the component lanes follow.
+    first_lane: usize,
     /// Adaptive confidence threshold (O-GEHL style).
     threshold: i32,
     /// Smoothing counter for threshold adaptation.
@@ -52,30 +58,30 @@ pub struct StatisticalCorrector {
 
 impl StatisticalCorrector {
     /// Creates a corrector with `2^index_bits` entries per component and
-    /// the given GEHL history lengths (length 0 = PC-only component).
+    /// the given GEHL history lengths (length 0 = PC-only component),
+    /// registering its folds and hash lanes with `tage`, whose lookups it
+    /// then corrects.
     ///
     /// # Panics
     ///
-    /// Panics if no history lengths are given or there are more than 15.
+    /// Panics if no history lengths are given, there are more than 15, or
+    /// `index_bits` is outside `1..=30`.
     #[must_use]
-    pub fn new(index_bits: u32, history_lengths: &[usize]) -> Self {
+    pub fn new(index_bits: u32, history_lengths: &[usize], tage: &mut Tage) -> Self {
         assert!(!history_lengths.is_empty(), "SC needs at least one component");
         assert!(history_lengths.len() < MAX_COMPONENTS, "too many SC components");
+        assert!((1..=30).contains(&index_bits), "SC index width out of range: {index_bits}");
         let entries = 1usize << index_bits;
-        let mut tables = vec![vec![0i8; entries]]; // bias
-        let mut folded = vec![None]; // bias has no history
-        for &l in history_lengths {
+        let mut tables = vec![vec![0i8; entries]];
+        // The bias hashes the TAGE direction in place of a fold.
+        let first_lane = tage.push_side_lane(Lane::gehl(0, None, 0, index_bits));
+        tage.push_side_lane(Lane::gehl(0, None, 1 << 1, index_bits));
+        for (c, &l) in (1..).zip(history_lengths) {
             tables.push(vec![0i8; entries]);
-            folded.push((l > 0).then(|| FoldedHistory::new(l, index_bits)));
+            let fold = (l > 0).then(|| tage.register_fold(l, index_bits));
+            tage.push_side_lane(Lane::gehl(c, fold, 0, index_bits));
         }
-        Self {
-            tables,
-            folded,
-            index_bits,
-            threshold: 6,
-            tc: SatCounter::new_signed(7),
-            overrides: 0,
-        }
+        Self { tables, first_lane, threshold: 6, tc: SatCounter::new_signed(7), overrides: 0 }
     }
 
     /// Times the SC overrode TAGE so far.
@@ -90,26 +96,17 @@ impl StatisticalCorrector {
         self.threshold
     }
 
-    fn component_index(&self, c: usize, pc: u64, tage_pred: bool) -> u32 {
-        let mask = (1u32 << self.index_bits) - 1;
-        let fold = self.folded[c].as_ref().map_or(0, FoldedHistory::value);
-        let h = if c == 0 {
-            // Bias component: PC plus the TAGE direction.
-            mix64(pc ^ u64::from(tage_pred) << 1)
-        } else {
-            mix64(pc.rotate_left(c as u32 * 7) ^ u64::from(fold))
-        };
-        (fold_to_bits(h, self.index_bits)) as u32 & mask
-    }
-
-    /// Computes the SC decision for `pc` given TAGE's direction.
+    /// Computes the SC decision for the branch `tage` looked up, given
+    /// the direction `tage_pred` to correct (TAGE's, or one that replaced
+    /// it).
     #[must_use]
-    pub fn lookup(&self, pc: u64, tage_pred: bool) -> ScLookup {
+    pub fn lookup(&self, tage: &TageLookup, tage_pred: bool) -> ScLookup {
+        let lanes = &tage.side[self.first_lane..];
         let mut indices = [0u32; MAX_COMPONENTS];
+        indices[0] = lanes[usize::from(tage_pred)];
+        indices[1..self.tables.len()].copy_from_slice(&lanes[2..self.tables.len() + 1]);
         let mut sum: i32 = if tage_pred { TAGE_VOTE } else { -TAGE_VOTE };
-        for (c, (slot, table)) in indices.iter_mut().zip(&self.tables).enumerate() {
-            let i = self.component_index(c, pc, tage_pred);
-            *slot = i;
+        for (&i, table) in indices.iter().zip(&self.tables) {
             sum += 2 * i32::from(table[i as usize]) + 1;
         }
         ScLookup {
@@ -156,73 +153,75 @@ impl StatisticalCorrector {
             }
         }
     }
-
-    /// Captures the component folded-history values for rollback.
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u32> {
-        self.folded.iter().map(|f| f.as_ref().map_or(0, FoldedHistory::value)).collect()
-    }
-
-    /// Restores folded histories captured by
-    /// [`StatisticalCorrector::checkpoint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint came from a different configuration.
-    pub fn restore(&mut self, checkpoint: &[u32]) {
-        assert_eq!(checkpoint.len(), self.folded.len(), "config mismatch");
-        for (f, &v) in self.folded.iter_mut().zip(checkpoint) {
-            if let Some(f) = f {
-                f.restore(v);
-            }
-        }
-    }
-
-    /// Advances the component folded histories. Must be called with the
-    /// global history buffer *before* the new outcome bit is pushed into
-    /// it (same contract as [`FoldedHistory::update_before_push`]).
-    pub fn update_history(&mut self, ghr: &HistoryBuffer, bit: bool) {
-        for f in self.folded.iter_mut().flatten() {
-            f.update_before_push(ghr, bit);
-        }
-    }
-
-    /// [`StatisticalCorrector::update_history`] with branch-free folded
-    /// updates ([`FoldedHistory::update_with_out_bit`]). Same contract,
-    /// bit-identical results.
-    pub fn update_history_fast(&mut self, ghr: &HistoryBuffer, bit: bool) {
-        for f in self.folded.iter_mut().flatten() {
-            let out = ghr.bit(f.original_len() - 1);
-            f.update_with_out_bit(out, bit);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TageConfig;
+    use bputil::hash::gehl_index;
+    use llbp_trace::BranchRecord;
 
-    fn sc() -> StatisticalCorrector {
-        StatisticalCorrector::new(8, &[0, 3, 8])
+    /// A small TAGE carrying an SC of three components.
+    fn sc() -> (Tage, StatisticalCorrector) {
+        let mut tage = Tage::new(TageConfig {
+            history_lengths: vec![4, 8, 16, 32],
+            tag_bits: vec![9, 9, 11, 11],
+            index_bits: 7,
+            bimodal_bits: 8,
+            ..TageConfig::cbp64k()
+        });
+        let s = StatisticalCorrector::new(8, &[0, 3, 8], &mut tage);
+        (tage, s)
+    }
+
+    fn advance(tage: &mut Tage, pc: u64, taken: bool) {
+        tage.update_history_fast(&BranchRecord::conditional(pc, pc + 8, taken, 0));
+    }
+
+    #[test]
+    fn lookup_indices_are_the_gehl_hashes() {
+        let (mut tage, s) = sc();
+        let mut folds = [bputil::FoldedHistory::new(3, 8), bputil::FoldedHistory::new(8, 8)];
+        let mut rng = bputil::rng::SplitMix64::new(2);
+        for _ in 0..500 {
+            let pc = rng.next_u64() << 2;
+            let lookup = tage.lookup(pc);
+            for tage_pred in [false, true] {
+                let l = s.lookup(&lookup, tage_pred);
+                let want = [
+                    gehl_index(pc, u32::from(tage_pred) << 1, 0, 8),
+                    gehl_index(pc, 0, 1, 8),
+                    gehl_index(pc, folds[0].value(), 2, 8),
+                    gehl_index(pc, folds[1].value(), 3, 8),
+                ];
+                assert_eq!(l.indices[..4], want);
+                assert_eq!(l.num_components, 4);
+            }
+            let taken = rng.chance(1, 2);
+            for f in &mut folds {
+                f.update_before_push(tage.ghr(), taken);
+            }
+            advance(&mut tage, pc, taken);
+        }
     }
 
     #[test]
     fn corrects_a_biased_branch_tage_gets_wrong() {
         // TAGE keeps saying "taken" for a branch that is 90% not-taken;
         // the SC must learn to override.
-        let mut s = sc();
-        let ghr = HistoryBuffer::new(64);
+        let (mut tage, mut s) = sc();
         let mut rng = bputil::rng::SplitMix64::new(3);
         let mut late_wrong = 0;
         for i in 0..5000 {
             let taken = rng.chance(1, 10);
-            let l = s.lookup(0x500, true); // TAGE insists on taken
+            let l = s.lookup(&tage.lookup(0x500), true); // TAGE insists on taken
             let final_pred = s.arbitrate(&l, true);
             if i > 2000 && final_pred != taken {
                 late_wrong += 1;
             }
             s.train(&l, taken);
-            s.update_history(&ghr, taken);
+            advance(&mut tage, 0x500, taken);
         }
         // Without the SC every not-taken outcome (90%) would mispredict;
         // with it the rate must be near the 10% noise floor.
@@ -232,30 +231,29 @@ mod tests {
 
     #[test]
     fn agrees_with_confident_tage_on_easy_branches() {
-        let mut s = sc();
-        let ghr = HistoryBuffer::new(64);
+        let (mut tage, mut s) = sc();
         let mut disagreements = 0;
         for _ in 0..1000 {
-            let l = s.lookup(0x600, true);
+            let l = s.lookup(&tage.lookup(0x600), true);
             if !s.arbitrate(&l, true) {
                 disagreements += 1;
             }
             s.train(&l, true);
-            s.update_history(&ghr, true);
+            advance(&mut tage, 0x600, true);
         }
         assert!(disagreements < 50, "{disagreements} needless overrides");
     }
 
     #[test]
     fn threshold_stays_in_bounds() {
-        let mut s = sc();
-        let ghr = HistoryBuffer::new(64);
+        let (mut tage, mut s) = sc();
         let mut rng = bputil::rng::SplitMix64::new(4);
         for _ in 0..20_000 {
             let taken = rng.chance(1, 2);
-            let l = s.lookup(rng.next_u64() % 1024, rng.chance(1, 2));
+            let pc = rng.next_u64() % 1024;
+            let l = s.lookup(&tage.lookup(pc), rng.chance(1, 2));
             s.train(&l, taken);
-            s.update_history(&ghr, taken);
+            advance(&mut tage, pc, taken);
             assert!((4..=127).contains(&s.threshold()));
         }
     }
@@ -263,6 +261,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one component")]
     fn empty_components_panic() {
-        let _ = StatisticalCorrector::new(8, &[]);
+        let (mut tage, _) = sc();
+        let _ = StatisticalCorrector::new(8, &[], &mut tage);
     }
 }

@@ -6,6 +6,12 @@
 //! `use_alt_on_na` arbitration, usefulness-guided allocation with a global
 //! tick-based reset, and folded histories maintained incrementally.
 //!
+//! The folded histories live in a [`FoldBank`] and the per-table index and
+//! tag hashes are [`HashLanes`] (`bputil::kernel`): each is one loop over
+//! all registers or tables, run as AVX-512 where the CPU has it. A statistical
+//! corrector built on this TAGE registers its folds and hashes in the same
+//! bank and loop, and a composed predictor its folds.
+//!
 //! Two storage backings are supported (§VI of the paper): realistic finite
 //! direct-mapped tables, and the *infinite* study variant where entries
 //! carry the full branch PC and associativity is unbounded while hash
@@ -14,13 +20,21 @@
 use crate::config::{StorageKind, TageConfig};
 use crate::useful::UsefulPatternTracker;
 use bputil::counter::{CounterWidth, SatCounter};
-use bputil::hash::{tage_tag, FastHashMap, IndexCtx};
-use bputil::history::{FoldedHistory, HistoryBuffer, PathHistory};
+use bputil::hash::{tage_index_base, FastHashMap};
+use bputil::history::{HistoryBuffer, PathHistory};
+use bputil::kernel::{FoldBank, FoldId, HashLanes, Kernel, Lane, LaneHashes, MAX_LANES};
 use bputil::rng::SplitMix64;
 use llbp_trace::{BranchKind, BranchRecord};
 
 /// Upper bound on tagged tables, sized generously above CBP-5's 30.
 pub const MAX_TABLES: usize = 32;
+
+/// Hash lanes beyond TAGE's own index and tag lanes: the statistical
+/// corrector's bias (twice, one per TAGE direction) and up to 15
+/// component lanes.
+pub(crate) const MAX_SIDE_LANES: usize = 17;
+
+const _: () = assert!(2 * MAX_TABLES + MAX_SIDE_LANES <= MAX_LANES);
 
 /// One tagged-table entry: bare counter values whose widths
 /// (`TageConfig::counter_bits`, `useful_bits`) live once on [`Tage`].
@@ -55,7 +69,7 @@ impl Entry {
 #[derive(Debug, Clone)]
 struct InfSlot {
     next: u32,
-    /// Table index; [`TageConfig::validate`] caps `index_bits` at 32.
+    /// Table index; [`TageConfig::validate`] caps `index_bits` at 30.
     index: u32,
     table: u8,
     entry: Entry,
@@ -88,6 +102,9 @@ pub struct TageLookup {
     pub indices: [u64; MAX_TABLES],
     /// Per-table partial tags.
     pub tags: [u32; MAX_TABLES],
+    /// The hashes of the lanes added with [`Tage::push_side_lane`] (the
+    /// statistical corrector's component indices), in push order.
+    pub(crate) side: [u32; MAX_SIDE_LANES],
     /// Longest-history matching table, if any.
     pub provider: Option<usize>,
     /// Direction predicted by the provider entry.
@@ -133,11 +150,14 @@ pub struct Tage {
     // --- histories ---
     ghr: HistoryBuffer,
     path: PathHistory,
-    folded_index: Vec<FoldedHistory>,
-    folded_tag0: Vec<FoldedHistory>,
-    folded_tag1: Vec<FoldedHistory>,
-    /// Per-table [`IndexCtx::path_rotation`], fixed by the geometry.
-    path_rotation: Vec<u32>,
+    /// Every folded register: TAGE's index and two tag folds per table,
+    /// plus those composed predictors registered.
+    bank: FoldBank,
+    /// Index lanes of tables `0..n`, tag lanes of tables `0..n`, then the
+    /// side lanes.
+    lanes: HashLanes,
+    /// The build of the bank and hash loops, chosen at construction.
+    kernel: Kernel,
     // --- storage ---
     bim_dir: Vec<bool>,
     bim_hyst: Vec<bool>,
@@ -180,23 +200,19 @@ impl Tage {
         assert!(cfg.num_tables() <= MAX_TABLES, "too many tables");
         let ghr = HistoryBuffer::new(cfg.max_history() + 64);
         let path = PathHistory::new(cfg.path_bits);
-        let folded_index =
-            cfg.history_lengths.iter().map(|&l| FoldedHistory::new(l, cfg.index_bits)).collect();
-        let folded_tag0 = cfg
-            .history_lengths
-            .iter()
-            .zip(&cfg.tag_bits)
-            .map(|(&l, &t)| FoldedHistory::new(l, t))
-            .collect();
-        let folded_tag1 = cfg
-            .history_lengths
-            .iter()
-            .zip(&cfg.tag_bits)
-            .map(|(&l, &t)| FoldedHistory::new(l, (t - 1).max(1)))
-            .collect();
-        let path_rotation = (0..cfg.num_tables() as u32)
-            .map(|t| IndexCtx::path_rotation(t, cfg.index_bits))
-            .collect();
+        let mut bank = FoldBank::new();
+        let mut lanes = HashLanes::new();
+        for (t, &l) in cfg.history_lengths.iter().enumerate() {
+            lanes.push(Lane::tage_index(
+                t as u32,
+                bank.register(l, cfg.index_bits),
+                cfg.index_bits,
+            ));
+        }
+        for (t, (&l, &bits)) in cfg.history_lengths.iter().zip(&cfg.tag_bits).enumerate() {
+            let (tag0, tag1) = (bank.register(l, bits), bank.register(l, (bits - 1).max(1)));
+            lanes.push(Lane::tage_tag(t as u32, tag0, tag1, bits));
+        }
         let tables = match cfg.storage {
             StorageKind::Finite => cfg
                 .history_lengths
@@ -212,10 +228,9 @@ impl Tage {
             rng: SplitMix64::new(cfg.seed),
             ghr,
             path,
-            folded_index,
-            folded_tag0,
-            folded_tag1,
-            path_rotation,
+            bank,
+            lanes,
+            kernel: Kernel::detect(),
             bim_dir: vec![false; 1 << cfg.bimodal_bits],
             bim_hyst: vec![true; 1 << (cfg.bimodal_bits - 2)],
             tables,
@@ -254,6 +269,47 @@ impl Tage {
     #[must_use]
     pub fn alloc_failures(&self) -> u64 {
         self.alloc_failures
+    }
+
+    /// The registers of every folded history this TAGE advances.
+    #[must_use]
+    pub fn fold_bank(&self) -> &FoldBank {
+        &self.bank
+    }
+
+    /// The per-lookup hash lanes: the index lanes of tables `0..n`, their
+    /// tag lanes, then the side lanes.
+    #[must_use]
+    pub fn hash_lanes(&self) -> &HashLanes {
+        &self.lanes
+    }
+
+    /// A folded history of `length` bits at `width` bits that advances
+    /// with this TAGE's global history: an existing register when TAGE (or
+    /// an earlier caller) folds the same pair. Read it with
+    /// [`Tage::fold`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`FoldBank::register`] does.
+    pub fn register_fold(&mut self, length: usize, width: u32) -> FoldId {
+        self.bank.register(length, width)
+    }
+
+    /// The current value of a register of [`Tage::register_fold`].
+    #[inline]
+    #[must_use]
+    pub fn fold(&self, id: FoldId) -> u32 {
+        self.bank.value(id)
+    }
+
+    /// Adds `lane` to the per-lookup hash loop; its hash lands in
+    /// `TageLookup::side` at the returned position.
+    pub(crate) fn push_side_lane(&mut self, lane: Lane) -> usize {
+        let side = self.lanes.len() - 2 * self.cfg.num_tables();
+        assert!(side < MAX_SIDE_LANES, "at most {MAX_SIDE_LANES} side lanes");
+        self.lanes.push(lane);
+        side
     }
 
     /// Number of live entries in infinite storage (0 for finite storage).
@@ -312,20 +368,18 @@ impl Tage {
     #[must_use]
     pub fn lookup(&self, pc: u64) -> TageLookup {
         let n = self.cfg.num_tables();
+        let mut hashes: LaneHashes = [0; MAX_LANES];
+        let base = tage_index_base(pc, self.path.value(), self.cfg.index_bits);
+        self.lanes.hash(self.kernel, &self.bank, pc, base, &mut hashes);
         let mut indices = [0u64; MAX_TABLES];
         let mut tags = [0u32; MAX_TABLES];
-        // The PC scramble and path masking are identical for every table;
-        // hoist them so the per-table loop only mixes the folded history.
-        let idx_ctx = IndexCtx::new(pc, self.path.value(), self.cfg.index_bits);
-        for t in 0..n {
-            indices[t] =
-                idx_ctx.index(self.folded_index[t].value(), t as u32, self.path_rotation[t]);
-            tags[t] = tage_tag(
-                pc ^ (t as u64).rotate_left(11),
-                self.folded_tag0[t].value(),
-                self.folded_tag1[t].value(),
-                self.cfg.tag_bits[t],
-            );
+        let mut side = [0u32; MAX_SIDE_LANES];
+        indices[..n].copy_from_slice(&hashes[..n]);
+        for (tag, &h) in tags.iter_mut().zip(&hashes[n..2 * n]) {
+            *tag = h as u32;
+        }
+        for (s, &h) in side.iter_mut().zip(&hashes[2 * n..self.lanes.len()]) {
+            *s = h as u32;
         }
 
         let bim_pred = self.bim_dir[self.bim_index(pc)];
@@ -421,6 +475,7 @@ impl Tage {
             pc,
             indices,
             tags,
+            side,
             provider,
             provider_pred,
             provider_weak,
@@ -549,7 +604,7 @@ impl Tage {
                         self.infinite_arena.push(InfSlot {
                             next: *head,
                             index: u32::try_from(index)
-                                .expect("index widths are validated to at most 32 bits"),
+                                .expect("index widths are validated to at most 30 bits"),
                             table: u8::try_from(t).expect("table numbers fit a u8"),
                             entry: Entry::allocated(tag, taken),
                         });
@@ -611,47 +666,24 @@ impl Tage {
     }
 
     /// Advances global, folded and path histories for a retired branch of
-    /// any kind.
+    /// any kind. Every register of the bank, the registered ones included,
+    /// advances by its own `FoldedHistory::update_before_push`: the
+    /// reference rule.
     pub fn update_history(&mut self, record: &BranchRecord) {
         let bit = Self::history_bit(record);
-        for f in self
-            .folded_index
-            .iter_mut()
-            .chain(self.folded_tag0.iter_mut())
-            .chain(self.folded_tag1.iter_mut())
-        {
-            f.update_before_push(&self.ghr, bit);
-        }
+        self.bank.advance_reference(&self.ghr, bit);
         self.ghr.push(bit);
         self.path.push(record.pc() >> 2);
     }
 
-    /// [`Tage::update_history`] restructured for throughput: the index and
-    /// both tag folds of table `i` share one window length
-    /// (`history_lengths[i]`), so the outgoing GHR bit is read once per
-    /// table and applied branch-free via
-    /// [`FoldedHistory::update_with_out_bit`]. Bit-identical to the
-    /// reference path (pinned by a test below).
+    /// [`Tage::update_history`] through the bank's branch-free loop
+    /// ([`FoldBank::advance`]): one outgoing-bit read per distinct length.
+    /// Bit-identical to the reference path.
     pub fn update_history_fast(&mut self, record: &BranchRecord) {
         let bit = Self::history_bit(record);
-        for i in 0..self.folded_index.len() {
-            let out = self.ghr.bit(self.folded_index[i].original_len() - 1);
-            self.folded_index[i].update_with_out_bit(out, bit);
-            self.folded_tag0[i].update_with_out_bit(out, bit);
-            self.folded_tag1[i].update_with_out_bit(out, bit);
-        }
+        self.bank.advance(self.kernel, &self.ghr, bit);
         self.ghr.push(bit);
         self.path.push(record.pc() >> 2);
-    }
-
-    /// The folded tag histories `(tag0, tag1)` of `table`: its history
-    /// length folded to `tag_bits[table]` and `tag_bits[table] - 1` bits.
-    /// A composed predictor hashing the same length at the same width can
-    /// read these instead of advancing a copy of its own.
-    #[inline]
-    #[must_use]
-    pub fn tag_folds(&self, table: usize) -> (u32, u32) {
-        (self.folded_tag0[table].value(), self.folded_tag1[table].value())
     }
 
     /// The global history buffer (exposed for composition and tests).
@@ -669,9 +701,7 @@ impl Tage {
         TageCheckpoint {
             ghr: self.ghr.checkpoint(),
             path: self.path.value(),
-            folded_index: self.folded_index.iter().map(FoldedHistory::value).collect(),
-            folded_tag0: self.folded_tag0.iter().map(FoldedHistory::value).collect(),
-            folded_tag1: self.folded_tag1.iter().map(FoldedHistory::value).collect(),
+            folds: self.bank.values().to_vec(),
         }
     }
 
@@ -683,18 +713,9 @@ impl Tage {
     /// Panics if the checkpoint came from a differently-configured
     /// predictor.
     pub fn restore(&mut self, checkpoint: &TageCheckpoint) {
-        assert_eq!(checkpoint.folded_index.len(), self.folded_index.len(), "config mismatch");
+        self.bank.restore(&checkpoint.folds);
         self.ghr.restore(&checkpoint.ghr);
         self.path.restore(checkpoint.path);
-        for (f, &v) in self.folded_index.iter_mut().zip(&checkpoint.folded_index) {
-            f.restore(v);
-        }
-        for (f, &v) in self.folded_tag0.iter_mut().zip(&checkpoint.folded_tag0) {
-            f.restore(v);
-        }
-        for (f, &v) in self.folded_tag1.iter_mut().zip(&checkpoint.folded_tag1) {
-            f.restore(v);
-        }
     }
 }
 
@@ -703,9 +724,8 @@ impl Tage {
 pub struct TageCheckpoint {
     ghr: bputil::history::HistoryCheckpoint,
     path: u64,
-    folded_index: Vec<u32>,
-    folded_tag0: Vec<u32>,
-    folded_tag1: Vec<u32>,
+    /// Every register of the bank, in register order.
+    folds: Vec<u32>,
 }
 
 #[cfg(test)]

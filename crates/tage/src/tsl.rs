@@ -7,7 +7,8 @@ use crate::predictor::{PredictionInfo, Predictor, ProviderKind};
 use crate::sc::{ScLookup, StatisticalCorrector};
 use crate::tage::{Tage, TageLookup, UpdateMode};
 use bputil::history::HistoryBuffer;
-use llbp_trace::{BranchKind, BranchRecord};
+use bputil::kernel::FoldId;
+use llbp_trace::BranchRecord;
 
 /// Everything computed during a TAGE-SC-L lookup.
 #[derive(Debug, Clone, Copy)]
@@ -71,10 +72,10 @@ impl TageScl {
     #[must_use]
     pub fn new(cfg: TslConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid TSL config: {e}"));
-        let tage = Tage::new(cfg.tage.clone());
-        let sc = cfg
-            .sc_enabled
-            .then(|| StatisticalCorrector::new(cfg.sc_index_bits, &cfg.sc_history_lengths));
+        let mut tage = Tage::new(cfg.tage.clone());
+        let sc = cfg.sc_enabled.then(|| {
+            StatisticalCorrector::new(cfg.sc_index_bits, &cfg.sc_history_lengths, &mut tage)
+        });
         let loop_pred = cfg.loop_enabled.then(|| LoopPredictor::new(cfg.loop_index_bits));
         Self { tage, sc, loop_pred, cfg, pending: None, predictions: 0 }
     }
@@ -95,6 +96,19 @@ impl TageScl {
     #[must_use]
     pub fn ghr(&self) -> &HistoryBuffer {
         self.tage.ghr()
+    }
+
+    /// A folded history that advances with this predictor's history, in
+    /// the TAGE's bank ([`Tage::register_fold`]).
+    pub fn register_fold(&mut self, length: usize, width: u32) -> FoldId {
+        self.tage.register_fold(length, width)
+    }
+
+    /// The current value of a register of [`TageScl::register_fold`].
+    #[inline]
+    #[must_use]
+    pub fn fold(&self, id: FoldId) -> u32 {
+        self.tage.fold(id)
     }
 
     /// Performs a full lookup without committing any state (except loop
@@ -128,14 +142,14 @@ impl TageScl {
         let sc = self.sc.as_mut().map(|s| {
             // The real datapath corrects the (possibly injected) direction;
             // the baseline path is recomputed for attribution only.
-            let l = s.lookup(pc, pred);
+            let l = s.lookup(&tage, pred);
             let corrected = s.arbitrate(&l, pred);
             if corrected != pred {
                 provider = ProviderKind::StatisticalCorrector;
                 pred = corrected;
             }
             if inject.is_some() {
-                let lb = s.lookup(pc, baseline);
+                let lb = s.lookup(&tage, baseline);
                 if lb.confident && lb.pred != baseline {
                     baseline = lb.pred;
                 }
@@ -183,31 +197,15 @@ impl TageScl {
         self.tage.commit(&lookup.tage, taken, mode);
     }
 
-    /// Advances histories for a retired branch of any kind.
+    /// Advances histories for a retired branch of any kind: the TAGE's
+    /// bank holds the SC's folds (and any registered ones) too.
     pub fn update_history(&mut self, record: &BranchRecord) {
-        if let Some(sc) = &mut self.sc {
-            let bit = if record.kind() == BranchKind::Conditional {
-                record.taken()
-            } else {
-                ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
-            };
-            sc.update_history(self.tage.ghr(), bit);
-        }
         self.tage.update_history(record);
     }
 
-    /// [`TageScl::update_history`] via the branch-free folded-register
-    /// paths ([`Tage::update_history_fast`]). Bit-identical; same SC-first
-    /// ordering (the SC folds against the GHR before the push).
+    /// [`TageScl::update_history`] through the bank's branch-free loop
+    /// ([`Tage::update_history_fast`]). Bit-identical.
     pub fn update_history_fast(&mut self, record: &BranchRecord) {
-        if let Some(sc) = &mut self.sc {
-            let bit = if record.kind() == BranchKind::Conditional {
-                record.taken()
-            } else {
-                ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
-            };
-            sc.update_history_fast(self.tage.ghr(), bit);
-        }
         self.tage.update_history_fast(record);
     }
 
@@ -217,14 +215,12 @@ impl TageScl {
         self.predictions
     }
 
-    /// Captures all speculative history state across TAGE and the SC
-    /// (§V-E2). Prediction tables train at commit and are not included.
+    /// Captures all speculative history state (§V-E2): the TAGE's, whose
+    /// bank holds the SC's folds. Prediction tables train at commit and
+    /// are not included.
     #[must_use]
     pub fn checkpoint(&self) -> TslCheckpoint {
-        TslCheckpoint {
-            tage: self.tage.checkpoint(),
-            sc: self.sc.as_ref().map(StatisticalCorrector::checkpoint),
-        }
+        TslCheckpoint { tage: self.tage.checkpoint() }
     }
 
     /// Restores a checkpoint taken by [`TageScl::checkpoint`].
@@ -234,11 +230,6 @@ impl TageScl {
     /// Panics if the checkpoint came from a different configuration.
     pub fn restore(&mut self, checkpoint: &TslCheckpoint) {
         self.tage.restore(&checkpoint.tage);
-        match (&mut self.sc, &checkpoint.sc) {
-            (Some(sc), Some(cp)) => sc.restore(cp),
-            (None, None) => {}
-            _ => panic!("checkpoint SC presence does not match configuration"),
-        }
     }
 }
 
@@ -246,7 +237,6 @@ impl TageScl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TslCheckpoint {
     tage: crate::tage::TageCheckpoint,
-    sc: Option<Vec<u32>>,
 }
 
 impl Predictor for TageScl {
@@ -319,7 +309,7 @@ impl Predictor for TageScl {
 mod tests {
     use super::*;
     use crate::config::TslConfig;
-    use llbp_trace::{Workload, WorkloadSpec};
+    use llbp_trace::{BranchKind, Workload, WorkloadSpec};
 
     /// Runs a workload through a predictor and returns MPKI.
     fn mpki(cfg: TslConfig, workload: Workload, branches: usize) -> f64 {

@@ -13,6 +13,13 @@ cargo build --workspace --release --offline
 echo "== tests =="
 cargo test --workspace --offline --quiet
 
+echo "== release tests =="
+# The benchmark measures release code, and integer overflow behaves
+# differently there (wrapping and masked shifts instead of panics), so
+# the fold, hash and golden-pin suites also run in the release build.
+cargo test --release --offline --quiet -p bputil -p llbp-tage
+cargo test --release --offline --quiet -p llbp-sim --test llbp_golden --test backend_parity
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -165,12 +172,17 @@ LLBP_CACHE_DIR="$BACKEND_DIR/reference" ./target/release/fig02_mpki_limits --qui
     --backend reference > "$BACKEND_DIR/reference.out" 2> /dev/null
 for backend in batch auto; do
     LLBP_CACHE_DIR="$BACKEND_DIR/$backend" ./target/release/fig02_mpki_limits --quick --strict \
-        --backend "$backend" > "$BACKEND_DIR/$backend.out" 2> /dev/null
+        --backend "$backend" > "$BACKEND_DIR/$backend.out" 2> "$BACKEND_DIR/$backend.err"
     cmp -s "$BACKEND_DIR/reference.out" "$BACKEND_DIR/$backend.out" || {
         echo "backend smoke: backend '$backend' changed the figure output:"
         diff "$BACKEND_DIR/reference.out" "$BACKEND_DIR/$backend.out" || true
         exit 1
     }
+    # The build of the history/hash loops behind the numbers.
+    KERNEL="$(grep -Eo '"kernel":"(avx512|baseline)"' "$BACKEND_DIR/$backend.err")" || {
+        echo "backend smoke: throughput record names no kernel:"; cat "$BACKEND_DIR/$backend.err"; exit 1
+    }
+    echo "backend smoke: $backend ran $KERNEL"
 done
 # The env-var selector must work too (flag wins over env elsewhere; here
 # the env alone drives the choice).
