@@ -380,34 +380,20 @@ const MAX_FOLD_STEPS: usize = 6;
 
 const _: () = assert!(MAX_LANES.is_multiple_of(HASH_LANES));
 
-/// What a hash lane hashes besides its folds: the raw PC, or the
-/// table-invariant part of the TAGE index ([`crate::hash::tage_index_base`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneInput {
-    /// The branch PC.
-    Pc,
-    /// The TAGE index base of the PC and path history.
-    IndexBase,
-}
-
 /// One hash of the per-lookup loop:
 /// `fold_to_bits(mix64(input.rotate_left(rotate) ^ salt ^ f0 ^ (f1 << 1)), width)`,
-/// where `f0` and `f1` are the current values of the two folds (0 for
-/// `None`).
+/// where `input` is the PC or the TAGE index base
+/// ([`crate::hash::tage_index_base`]) and `f0` and `f1` are the current
+/// values of the lane's folds (0 for none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lane {
-    /// The value the lane starts from.
-    pub input: LaneInput,
-    /// Left rotation of the input (taken mod 64).
-    pub rotate: u32,
-    /// A per-lane constant XORed in.
-    pub salt: u64,
-    /// The fold XORed in as is.
-    pub fold0: Option<FoldId>,
-    /// The fold XORed in shifted left by one.
-    pub fold1: Option<FoldId>,
-    /// Width of the result in bits, `1..=63`.
-    pub width: u32,
+    /// Whether `input` is the index base rather than the PC.
+    index_base: bool,
+    rotate: u32,
+    salt: u64,
+    fold0: Option<FoldId>,
+    fold1: Option<FoldId>,
+    width: u32,
 }
 
 impl Lane {
@@ -416,7 +402,7 @@ impl Lane {
     #[must_use]
     pub fn tage_index(table: u32, fold: FoldId, index_bits: u32) -> Self {
         Self {
-            input: LaneInput::IndexBase,
+            index_base: true,
             rotate: 0,
             salt: u64::from(table) << 57,
             fold0: Some(fold),
@@ -430,7 +416,7 @@ impl Lane {
     #[must_use]
     pub fn tage_tag(table: u32, tag0: FoldId, tag1: FoldId, tag_bits: u32) -> Self {
         Self {
-            input: LaneInput::Pc,
+            index_base: false,
             rotate: 0,
             salt: u64::from(table).rotate_left(11),
             fold0: Some(tag0),
@@ -446,7 +432,7 @@ impl Lane {
     #[must_use]
     pub fn gehl(component: u32, fold: Option<FoldId>, salt: u64, bits: u32) -> Self {
         Self {
-            input: LaneInput::Pc,
+            index_base: false,
             rotate: component * 7,
             salt,
             fold0: fold,
@@ -529,7 +515,7 @@ impl HashLanes {
     ///
     /// # Panics
     ///
-    /// Panics if `lane.width` is outside `1..=63` or the plan already holds
+    /// Panics if the lane's width is outside `1..=63` or the plan already holds
     /// [`MAX_LANES`] lanes.
     pub fn push(&mut self, lane: Lane) -> usize {
         assert!((1..=63).contains(&lane.width), "hash width out of range: {}", lane.width);
@@ -539,7 +525,7 @@ impl HashLanes {
         let (c, j) = (&mut self.chunks[i / HASH_LANES], i % HASH_LANES);
         c.fold0[j] = lane.fold0.map_or(0, |f| u32::from(f.0));
         c.fold1[j] = lane.fold1.map_or(0, |f| u32::from(f.0));
-        c.index_base[j] = if lane.input == LaneInput::IndexBase { u64::MAX } else { 0 };
+        c.index_base[j] = if lane.index_base { u64::MAX } else { 0 };
         c.rotate[j] = lane.rotate % 64;
         c.salt[j] = lane.salt;
         let mut shift = lane.width;
@@ -568,8 +554,8 @@ impl HashLanes {
 
     /// Computes every lane for `pc` into `out[..self.len()]`, reading the
     /// folds from `bank` (the bank the lanes' [`FoldId`]s came from) and
-    /// using `index_base` for [`LaneInput::IndexBase`] lanes. Entries past
-    /// the lanes are unspecified.
+    /// using `index_base` for the TAGE index lanes. Entries past the lanes
+    /// are unspecified.
     #[inline]
     pub fn hash(
         &self,

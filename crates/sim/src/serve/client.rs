@@ -368,8 +368,8 @@ pub fn run_remote_with(
         lock_wait: Duration::ZERO,
         lock_takeovers: status.takeovers,
         backend: spec.sim.backend.resolve().label(),
-        // The daemon serves this host's campaigns, so it detects the same
-        // build this process would.
+        // The build this host runs; the protocol does not carry the
+        // daemon's, which is the same when the daemon runs on this host.
         kernel: bputil::kernel::Kernel::detect().name(),
         store_tier: "serve",
         // The serve protocol streams result cells only; provenance runs
