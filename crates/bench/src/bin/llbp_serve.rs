@@ -1,13 +1,12 @@
 //! `llbp-serve` — the resident campaign daemon (DESIGN.md §12).
 //!
-//! Accepts sweep submissions over the length-prefixed TCP protocol,
-//! shards each one over lease-claiming worker threads
-//! (`llbp_sim::shard`), dedups cells across concurrent campaigns, and
-//! streams results back as they publish. It is the one way to
-//! distribute a campaign beyond the engine's thread pool. Any experiment binary routes through it with
-//! `--server tcp://host:port` and prints byte-identical output to a
-//! local run; `llbp_client` speaks the protocol directly (submit, poll,
-//! metrics scrape, shutdown).
+//! Accepts sweep submissions over the length-prefixed TCP protocol, runs
+//! each one on the sweep engine over the daemon's store, dedups cells
+//! across concurrent campaigns, and streams results back as they
+//! publish. Any experiment binary routes through it with `--server
+//! tcp://host:port` and prints byte-identical output to a local run;
+//! `llbp_client` speaks the protocol directly (submit, poll, metrics
+//! scrape, shutdown).
 //!
 //! ```text
 //! llbp_serve [--addr HOST:PORT] [--root DIR] [--print-addr]
@@ -20,12 +19,10 @@
 //! point it at the same root as a previous incarnation and interrupted
 //! campaigns resume from their journals and published cells.
 //!
-//! Knobs: `LLBP_SERVE_WORKERS` (threads per campaign),
-//! `LLBP_SERVE_MAX_PASSES` (reconcile budget), `LLBP_FAULT_SPEC`
-//! (fault injection, including `crash:merge` and `lease:expire`) and
-//! `LLBP_WORKER_ABORT=<worker>:<nth>` (worker thread `<worker>` aborts
-//! the daemon on its nth lease claim — the tier-1 chaos smoke's staged
-//! crash).
+//! Knobs: `LLBP_WORKERS`, `LLBP_MAX_RETRIES` and `LLBP_JOB_TIMEOUT_SECS`
+//! size each campaign's worker pool, retry budget and watchdog, as in
+//! every other binary; `LLBP_FAULT_SPEC` injects faults (the cell rules
+//! into every campaign, the `io` rules into the store).
 
 use llbp_bench::fault_injector;
 use llbp_sim::memo::{CACHE_DIR_ENV, DEFAULT_CACHE_DIR};

@@ -3,7 +3,7 @@
 //!
 //! Serves the length-prefixed TCP object protocol over a local
 //! content-addressed directory. Workers point `LLBP_STORE=tcp://host:port`
-//! at it; everything else (journals, locks, leases) stays on each
+//! at it; everything else (journals and their locks) stays on each
 //! worker's own filesystem.
 //!
 //! ```text

@@ -377,8 +377,8 @@ pub fn run_sweep_with_cache(
 
 /// Maps a campaign-fatal error to its diagnostic and distinct exit
 /// status: config errors exit 2, journal contention 3, network failures
-/// 4, a lost work lease 5, everything else 1 — so campaign scripts can
-/// react to each class specifically (e.g. retry contended runs).
+/// 4, everything else 1 — so campaign scripts can react to each class
+/// specifically (e.g. retry contended runs).
 fn campaign_exit(e: &llbp_sim::SimError) -> ! {
     eprintln!("error: {e}");
     if matches!(e, llbp_sim::SimError::CacheContention { .. }) {

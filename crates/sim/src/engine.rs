@@ -263,6 +263,26 @@ impl SweepSpec {
     }
 }
 
+/// The grid's result fingerprints in job order (workload-major, like
+/// [`SweepSpec`]'s job numbering), as addressed in `store`.
+#[must_use]
+pub fn grid_fingerprints(spec: &SweepSpec, store: &MemoStore) -> Vec<Fingerprint> {
+    (0..spec.num_jobs())
+        .map(|index| {
+            let job = spec.job(index);
+            store.result_fingerprint(
+                &spec.predictors[job.predictor],
+                &spec.workloads[job.workload],
+                &spec.sim,
+            )
+        })
+        .collect()
+}
+
+/// Called by [`SweepEngine::try_run_observed`] with each cell's grid
+/// index and outcome, right after the outcome is journaled.
+pub type CellObserver<'a> = &'a (dyn Fn(usize, &CellOutcome) + Sync);
+
 /// One grid cell: indices into [`SweepSpec::workloads`] and
 /// [`SweepSpec::predictors`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -659,8 +679,11 @@ impl SweepEngine {
 
     /// Attaches a persistent store: each grid cell probes it for a
     /// memoized result before simulating and writes its result (plus the
-    /// wall time, the scheduling cost model) back on a miss. Results are
-    /// bit-identical with or without a store — the parity tests pin it.
+    /// wall time, the scheduling cost model) back on a miss. A cell holds
+    /// the store's slot for its fingerprint ([`MemoStore::claim_cell`])
+    /// meanwhile, so engines sharing one store simulate a shared cell
+    /// once. Results are bit-identical with or without a store — the
+    /// parity tests pin it.
     #[must_use]
     pub fn with_store(mut self, store: Arc<MemoStore>) -> Self {
         self.store = Some(store);
@@ -792,12 +815,30 @@ impl SweepEngine {
     /// [`SimError::CacheContention`] when another live campaign holds the
     /// journal lock for this grid on this cache root.
     pub fn try_run(&self, spec: &SweepSpec) -> Result<SweepReport, SimError> {
-        let cache = match &self.store {
-            Some(store) => TraceCache::with_store(Arc::clone(store), self.cold),
-            None => TraceCache::new(),
+        self.run_grid(spec, &self.default_cache(), None)
+    }
+
+    /// [`SweepEngine::try_run`] that also reports each cell as it
+    /// finishes: `observe(index, outcome)` runs once per grid cell, on
+    /// the worker that ran it, right after the outcome is journaled, and
+    /// `outcome` is what the journal records (failed cells included).
+    /// The sweep daemon streams cells to its clients from here.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepEngine::try_run`], and [`SimError::Config`] when no
+    /// store is attached (an outcome names the cell's stored result).
+    pub fn try_run_observed(
+        &self,
+        spec: &SweepSpec,
+        observe: CellObserver<'_>,
+    ) -> Result<SweepReport, SimError> {
+        if self.store.is_none() {
+            return Err(SimError::Config {
+                detail: "an observed sweep requires a persistent store".into(),
+            });
         }
-        .with_telemetry(self.telemetry.clone());
-        self.try_run_with_cache(spec, &cache)
+        self.run_grid(spec, &self.default_cache(), Some(observe))
     }
 
     /// Fallible [`SweepEngine::run_with_cache`] (see
@@ -812,6 +853,25 @@ impl SweepEngine {
         spec: &SweepSpec,
         cache: &TraceCache,
     ) -> Result<SweepReport, SimError> {
+        self.run_grid(spec, cache, None)
+    }
+
+    /// The trace cache a run without a caller-provided one uses: backed
+    /// by the store when one is attached.
+    fn default_cache(&self) -> TraceCache {
+        match &self.store {
+            Some(store) => TraceCache::with_store(Arc::clone(store), self.cold),
+            None => TraceCache::new(),
+        }
+        .with_telemetry(self.telemetry.clone())
+    }
+
+    fn run_grid(
+        &self,
+        spec: &SweepSpec,
+        cache: &TraceCache,
+        observe: Option<CellObserver<'_>>,
+    ) -> Result<SweepReport, SimError> {
         if let Some(e) = &self.env_error {
             return Err(e.clone());
         }
@@ -824,18 +884,8 @@ impl SweepEngine {
         }
         let started = Instant::now();
         let n = spec.num_jobs();
-        let fingerprints: Vec<_> = self.store.as_ref().map_or_else(Vec::new, |store| {
-            (0..n)
-                .map(|i| {
-                    let job = spec.job(i);
-                    store.result_fingerprint(
-                        &spec.predictors[job.predictor],
-                        &spec.workloads[job.workload],
-                        &spec.sim,
-                    )
-                })
-                .collect()
-        });
+        let fingerprints =
+            self.store.as_ref().map_or_else(Vec::new, |store| grid_fingerprints(spec, store));
         let journal = self.open_journal(&fingerprints)?;
         // On resume, cells the journal marks completed (and whose result
         // is still memoized under the recorded fingerprint) are trusted;
@@ -862,7 +912,7 @@ impl SweepEngine {
                                 store.verify_result(fingerprint, digest).unwrap_or(false)
                             });
                         if !verified {
-                            journal.record_stale(cell, fingerprint);
+                            journal.record(cell, &CellOutcome::Stale { fingerprint });
                             self.telemetry.mark("stale_demotion", cell as i64);
                             stale_count += 1;
                             force_fresh.insert(cell);
@@ -894,10 +944,18 @@ impl SweepEngine {
                 force_fresh.contains(&index),
                 (&memo_hits, &memo_misses, &resumed),
             );
-            if let Some(journal) = &journal {
-                match &outcome {
-                    Ok((_, digest)) => journal.record_ok(index, fingerprints[index], *digest),
-                    Err(err) => journal.record_failed(index, err.error.class()),
+            if journal.is_some() || observe.is_some() {
+                let recorded = match &outcome {
+                    Ok((_, digest)) => {
+                        CellOutcome::Ok { fingerprint: fingerprints[index], digest: *digest }
+                    }
+                    Err(err) => CellOutcome::Failed { class: err.error.class().to_string() },
+                };
+                if let Some(journal) = &journal {
+                    journal.record(index, &recorded);
+                }
+                if let Some(observe) = observe {
+                    observe(index, &recorded);
                 }
             }
             (index, outcome)
@@ -1009,6 +1067,9 @@ impl SweepEngine {
         counters: (&AtomicU64, &AtomicU64, &AtomicU64),
     ) -> Result<(JobRecord, Option<Fingerprint>), Box<JobError>> {
         let job = spec.job(index);
+        // Held across every attempt: another campaign on this store that
+        // reaches the same cell waits here, then memo-hits.
+        let _slot = self.store.as_ref().zip(fingerprint).map(|(store, fp)| store.claim_cell(fp));
         let mut attempt = 0u32;
         loop {
             let outcome = self.attempt_cell(
@@ -1387,6 +1448,45 @@ mod tests {
         // No surviving cell: every percentile reads zero.
         report.jobs.truncate(1);
         assert!(report.throughput_json("walls").contains("\"cell_wall_max_ms\":0.000"));
+    }
+
+    #[test]
+    fn observed_runs_report_each_cell_once_as_the_journal_records_it() {
+        let dir = std::env::temp_dir().join(format!("llbp-engine-observe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(MemoStore::open(&dir).expect("scratch store"));
+        let spec = small_spec();
+        let faults = Arc::new(FaultInjector::parse("panic:cell=1").expect("spec parses"));
+        let engine = SweepEngine::with_workers(2)
+            .retries(0)
+            .with_store(Arc::clone(&store))
+            .with_faults(faults);
+        let seen = Mutex::new(Vec::new());
+        let report = engine
+            .try_run_observed(&spec, &|index, outcome| {
+                seen.lock().expect("observer lock").push((index, outcome.clone()));
+            })
+            .expect("campaign runs");
+        assert_eq!(report.failed.len(), 1, "cell 1 fails without retries");
+
+        let mut seen = seen.into_inner().expect("observer lock");
+        seen.sort_by_key(|&(index, _)| index);
+        let indices: Vec<usize> = seen.iter().map(|&(index, _)| index).collect();
+        assert_eq!(indices, (0..spec.num_jobs()).collect::<Vec<_>>(), "each cell exactly once");
+        let campaign = campaign_fingerprint(&grid_fingerprints(&spec, &store));
+        let journal = crate::journal::read_outcomes(&dir.join(format!("{campaign}.journal")));
+        for (index, outcome) in &seen {
+            assert_eq!(journal.get(index), Some(outcome), "cell {index} as journaled");
+        }
+        assert_eq!(seen[1].1, CellOutcome::Failed { class: "injected".into() });
+        assert!(matches!(seen[0].1, CellOutcome::Ok { digest: Some(_), .. }));
+
+        // Without a store an outcome has no stored result to name.
+        let err = SweepEngine::with_workers(1)
+            .try_run_observed(&spec, &|_, _| {})
+            .expect_err("storeless observed runs are rejected");
+        assert_eq!(err.class(), "config");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   value, and the parse error — surfacing as exit code 2 like every
 //!   other config error.
 //!
-//! All `LLBP_*` readers (engine retries/timeout/workers, lease TTL,
-//! lock wait, remote-store timeout, and the `LLBP_SERVE_*` daemon
-//! knobs) go through [`parse_env`] / [`parse_env_or`]. Constructors
+//! All `LLBP_*` readers (engine retries/timeout/workers, lock wait,
+//! remote-store timeout, the serve client's poll cadence) go through
+//! [`parse_env`] / [`parse_env_or`]. Constructors
 //! that must stay infallible (e.g. [`SweepEngine::new`]) capture the
 //! error and defer it to the first fallible entry point instead of
 //! dropping it.

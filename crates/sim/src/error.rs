@@ -86,16 +86,6 @@ pub enum SimError {
         /// Underlying error text.
         detail: String,
     },
-    /// A shard worker's lease on a grid cell expired (or was stolen, or
-    /// an injected `lease:expire` fault fired) before the worker could
-    /// record the cell's completion. The cell's ownership is gone; the
-    /// worker abandons it and the current owner (or a later pass)
-    /// re-runs it. Transient by construction — the content-addressed
-    /// store makes duplicate completions idempotent.
-    LeaseLost {
-        /// Grid cell index whose lease was lost.
-        cell: usize,
-    },
     /// Invalid configuration: a malformed `LLBP_FAULT_SPEC` rule, a bad
     /// `LLBP_STORE` address, or any other operator input the process must
     /// reject rather than silently reinterpret. Never retried — the same
@@ -117,7 +107,6 @@ impl SimError {
                 | SimError::Timeout { .. }
                 | SimError::Injected { .. }
                 | SimError::Network { .. }
-                | SimError::LeaseLost { .. }
         )
     }
 
@@ -132,7 +121,6 @@ impl SimError {
             SimError::Injected { .. } => "injected",
             SimError::CacheContention { .. } => "contention",
             SimError::Network { .. } => "network",
-            SimError::LeaseLost { .. } => "lease_lost",
             SimError::Config { .. } => "config",
         }
     }
@@ -140,15 +128,14 @@ impl SimError {
     /// The process exit status campaign binaries map this error to when
     /// it is campaign-fatal. Distinct codes let scripts react per class:
     /// `2` config (do not retry), `3` contention (retry when the holder
-    /// finishes), `4` network (check the store endpoint), `5` lease lost
-    /// (another worker owns the work). Everything else is a generic `1`.
+    /// finishes), `4` network (check the store endpoint). Everything else
+    /// is a generic `1`.
     #[must_use]
     pub fn exit_code(&self) -> i32 {
         match self {
             SimError::Config { .. } => 2,
             SimError::CacheContention { .. } => 3,
             SimError::Network { .. } => 4,
-            SimError::LeaseLost { .. } => 5,
             _ => 1,
         }
     }
@@ -177,9 +164,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::Network { op, detail } => {
                 write!(f, "remote store {op} failed: {detail}")
-            }
-            SimError::LeaseLost { cell } => {
-                write!(f, "lease on cell {cell} expired or was stolen before completion")
             }
             SimError::Config { detail } => write!(f, "invalid configuration: {detail}"),
         }
@@ -312,7 +296,6 @@ mod tests {
             "contention fails the campaign fast, never the per-cell retry loop"
         );
         assert!(SimError::Network { op: "get", detail: "x".into() }.is_transient());
-        assert!(SimError::LeaseLost { cell: 3 }.is_transient());
         assert!(
             !SimError::Config { detail: "x".into() }.is_transient(),
             "the same malformed input fails the same way every time"
@@ -324,7 +307,6 @@ mod tests {
         assert_eq!(SimError::Config { detail: String::new() }.exit_code(), 2);
         assert_eq!(SimError::CacheContention { path: String::new(), holder: None }.exit_code(), 3);
         assert_eq!(SimError::Network { op: "connect", detail: String::new() }.exit_code(), 4);
-        assert_eq!(SimError::LeaseLost { cell: 0 }.exit_code(), 5);
         assert_eq!(SimError::Timeout { limit: None }.exit_code(), 1);
     }
 

@@ -26,11 +26,6 @@
 //! net:timeout               stall a remote-store request past its deadline
 //! net:torn-write            send a truncated request frame, then sever
 //! net:disconnect:count=2    close the connection before the next 2 requests
-//! lease:expire              force the next lease-validity check to report expiry
-//! crash:merge               abort the process between the merged journal's
-//!                           temp-file fsync and its rename — the durability
-//!                           window the write-temp/fsync/rename/dir-fsync
-//!                           recipe protects
 //! ```
 //!
 //! The `LLBP_FAULT_SPEC` environment variable carries the spec into the
@@ -80,20 +75,6 @@ pub enum NetFaultKind {
     /// Close the connection before the request is sent
     /// (`net:disconnect`); the next request must reconnect.
     Disconnect,
-}
-
-/// Process-abort points a `crash:*` rule can target.
-///
-/// Unlike the other families (which inject recoverable errors), a crash
-/// rule kills the process outright at a chosen durability window, so
-/// subprocess tests can pin what a machine loss at that exact moment
-/// leaves on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashSite {
-    /// Between the merged campaign journal's temp-file fsync and its
-    /// rename into place (`crash:merge`): recovery must find the old
-    /// journal or none, never a torn one.
-    MergePublish,
 }
 
 /// Where a `slow` rule injects its sleep.
@@ -159,23 +140,6 @@ pub enum FaultRule {
         /// Which misbehavior to simulate.
         kind: NetFaultKind,
         /// Number of requests that fault.
-        count: u32,
-    },
-    /// Force the first `count` lease-validity checks to report expiry,
-    /// as if the heartbeat deadline passed and another worker stole the
-    /// lease.
-    LeaseExpire {
-        /// Number of checks that report expiry.
-        count: u32,
-    },
-    /// Abort the process at the given durability window for the first
-    /// `count` times it is reached.
-    Crash {
-        /// Which abort point fires.
-        site: CrashSite,
-        /// Number of reaches that abort (a restarted process re-reads
-        /// the spec, so `count` only bounds aborts *per process*;
-        /// subprocess tests clear the spec on rerun instead).
         count: u32,
     },
 }
@@ -333,40 +297,6 @@ impl FaultInjector {
         None
     }
 
-    /// Whether a `lease:expire` rule forces this lease-validity check
-    /// to report expiry (each matching rule fires for its first `count`
-    /// checks). The holder must then abandon the cell with
-    /// [`SimError::LeaseLost`] exactly as if a peer had stolen it.
-    #[must_use]
-    pub fn check_lease_expire(&self) -> bool {
-        let mut expired = false;
-        for (i, rule) in self.rules.iter().enumerate() {
-            if let FaultRule::LeaseExpire { count } = *rule {
-                if self.fired[i].fetch_add(1, Ordering::Relaxed) < count {
-                    expired = true;
-                }
-            }
-        }
-        expired
-    }
-
-    /// Whether a `crash` rule fires at `site` (each matching rule fires
-    /// for its first `count` reaches). The caller then aborts the
-    /// process — the check is separated from the abort so it stays
-    /// testable in-process.
-    #[must_use]
-    pub fn check_crash(&self, site: CrashSite) -> bool {
-        let mut fire = false;
-        for (i, rule) in self.rules.iter().enumerate() {
-            if let FaultRule::Crash { site: s, count } = *rule {
-                if s == site && self.fired[i].fetch_add(1, Ordering::Relaxed) < count {
-                    fire = true;
-                }
-            }
-        }
-        fire
-    }
-
     /// Consults the `io` rules before a memo-store operation.
     ///
     /// # Errors
@@ -397,21 +327,12 @@ pub fn is_injected_panic(payload: &(dyn std::any::Any + Send)) -> bool {
 
 fn parse_rule(rule: &str) -> Result<FaultRule, String> {
     // `lock` needs no arguments, so a bare kind (no `:`) is accepted and
-    // validated per kind like any other rule. The `net`/`lease` families
-    // spend a second `:`-segment on their sub-kind (`net:drop:count=2`),
-    // so for those the key=value arguments start after the sub-kind.
+    // validated per kind like any other rule. The `net` family spends a
+    // second `:`-segment on its sub-kind (`net:drop:count=2`), so for it
+    // the key=value arguments start after the sub-kind.
     let (mut kind, mut args) = rule.split_once(':').unwrap_or((rule, ""));
     let mut net_kind = None;
-    let mut crash_site = None;
-    if kind.trim() == "crash" {
-        let (sub, rest) = args.split_once(':').unwrap_or((args, ""));
-        crash_site = Some(match sub.trim() {
-            "merge" => CrashSite::MergePublish,
-            other => return Err(format!("unknown crash site `{other}` (expected merge)")),
-        });
-        kind = "crash";
-        args = rest;
-    } else if kind.trim() == "net" {
+    if kind.trim() == "net" {
         let (sub, rest) = args.split_once(':').unwrap_or((args, ""));
         net_kind = Some(match sub.trim() {
             "drop" => NetFaultKind::Drop,
@@ -425,13 +346,6 @@ fn parse_rule(rule: &str) -> Result<FaultRule, String> {
             }
         });
         kind = "net";
-        args = rest;
-    } else if kind.trim() == "lease" {
-        let (sub, rest) = args.split_once(':').unwrap_or((args, ""));
-        if sub.trim() != "expire" {
-            return Err(format!("unknown lease fault `{}` (expected expire)", sub.trim()));
-        }
-        kind = "lease";
         args = rest;
     }
     let mut cell = None;
@@ -487,14 +401,9 @@ fn parse_rule(rule: &str) -> Result<FaultRule, String> {
             kind: net_kind.expect("net rules parse their sub-kind above"),
             count: count.unwrap_or(1),
         }),
-        "lease" => Ok(FaultRule::LeaseExpire { count: count.unwrap_or(1) }),
-        "crash" => Ok(FaultRule::Crash {
-            site: crash_site.expect("crash rules parse their site above"),
-            count: count.unwrap_or(1),
-        }),
-        other => Err(format!(
-            "unknown fault kind `{other}` (expected panic/io/slow/lock/stale/net/lease/crash)"
-        )),
+        other => {
+            Err(format!("unknown fault kind `{other}` (expected panic/io/slow/lock/stale/net)"))
+        }
     }
 }
 
@@ -538,9 +447,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_network_and_lease_families() {
+    fn parses_the_network_family() {
         let inj = FaultInjector::parse(
-            "net:drop;net:timeout:count=2;net:torn-write;net:disconnect:count=3;lease:expire",
+            "net:drop;net:timeout:count=2;net:torn-write;net:disconnect:count=3",
         )
         .expect("spec parses");
         assert_eq!(
@@ -550,12 +459,7 @@ mod tests {
                 FaultRule::Net { kind: NetFaultKind::Timeout, count: 2 },
                 FaultRule::Net { kind: NetFaultKind::TornWrite, count: 1 },
                 FaultRule::Net { kind: NetFaultKind::Disconnect, count: 3 },
-                FaultRule::LeaseExpire { count: 1 },
             ]
-        );
-        assert_eq!(
-            FaultInjector::parse("lease:expire:count=2").expect("counted lease parses").rules(),
-            &[FaultRule::LeaseExpire { count: 2 }]
         );
     }
 
@@ -568,40 +472,14 @@ mod tests {
     }
 
     #[test]
-    fn lease_expire_fires_count_times_then_clears() {
-        let inj = FaultInjector::parse("lease:expire:count=2").expect("parse");
-        assert!(inj.check_lease_expire());
-        assert!(inj.check_lease_expire());
-        assert!(!inj.check_lease_expire(), "count exhausted");
-        let quiet = FaultInjector::parse("net:drop").expect("parse");
-        assert!(!quiet.check_lease_expire(), "net rules never expire leases");
-    }
-
-    #[test]
-    fn parses_the_crash_family_and_counts_fires() {
-        let inj = FaultInjector::parse("crash:merge").expect("spec parses");
-        assert_eq!(inj.rules(), &[FaultRule::Crash { site: CrashSite::MergePublish, count: 1 }]);
-        assert!(inj.check_crash(CrashSite::MergePublish), "first reach fires");
-        assert!(!inj.check_crash(CrashSite::MergePublish), "count exhausted");
-        let counted = FaultInjector::parse("crash:merge:count=2").expect("counted parses");
-        assert!(counted.check_crash(CrashSite::MergePublish));
-        assert!(counted.check_crash(CrashSite::MergePublish));
-        assert!(!counted.check_crash(CrashSite::MergePublish));
-        let quiet = FaultInjector::parse("net:drop").expect("parse");
-        assert!(!quiet.check_crash(CrashSite::MergePublish), "net rules never crash merges");
-    }
-
-    #[test]
     fn malformed_specs_reject_with_typed_config_errors() {
         for bad in [
             "net",                   // missing sub-kind
             "net:warp",              // unknown sub-kind
             "net:drop:cell=x",       // non-numeric argument
-            "lease",                 // missing sub-kind
-            "lease:revoke",          // unknown sub-kind
             "net:disconnect:count:", // stray colon is not key=value
-            "crash",                 // missing site
-            "crash:reboot",          // unknown site
+            "lease:expire",          // unknown kind
+            "crash:merge",           // unknown kind
         ] {
             let err = FaultInjector::parse(bad).expect_err("spec `{bad}` should fail");
             assert_eq!(err.class(), "config", "spec `{bad}`");

@@ -103,13 +103,8 @@ pub fn campaign_fingerprint(cells: &[Fingerprint]) -> Fingerprint {
     h.finish()
 }
 
-/// Renders the journal line for one cell outcome (without the trailing
-/// newline handling — the returned string ends in `\n`). Shared by the
-/// locked [`CampaignJournal`] and the per-worker shard journals of
-/// daemon campaigns (see [`crate::shard`]), so every journal on disk
-/// speaks one grammar.
-#[must_use]
-pub fn outcome_line(cell: usize, outcome: &CellOutcome) -> String {
+/// Renders the journal line for one cell outcome, ending in `\n`.
+fn outcome_line(cell: usize, outcome: &CellOutcome) -> String {
     match outcome {
         CellOutcome::Ok { fingerprint, digest: Some(digest) } => {
             format!("ok {cell} {fingerprint} {digest}\n")
@@ -120,11 +115,11 @@ pub fn outcome_line(cell: usize, outcome: &CellOutcome) -> String {
     }
 }
 
-/// Parses any journal file (locked campaign journal or per-worker shard
-/// journal) into per-cell outcomes without taking the campaign lock:
-/// later lines win, malformed or torn lines are ignored, and a missing
-/// file reads as empty. Read-only — safe on a journal another process is
-/// appending to, because entries are single-write lines.
+/// Parses a journal file into per-cell outcomes without taking the
+/// campaign lock: later lines win, malformed or torn lines are ignored,
+/// and a missing file reads as empty. Read-only — safe on a journal
+/// another process is appending to, because entries are single-write
+/// lines.
 #[must_use]
 pub fn read_outcomes(path: &Path) -> HashMap<usize, CellOutcome> {
     let Ok(text) = std::fs::read_to_string(path) else {
@@ -137,48 +132,6 @@ pub fn read_outcomes(path: &Path) -> HashMap<usize, CellOutcome> {
         }
     }
     outcomes
-}
-
-/// Precedence key for resolving the same cell reported by different
-/// shards: `Ok` beats `Stale` beats `Failed` (a cell one worker
-/// completed is complete no matter what another worker observed), and
-/// ties break on the rendered entry text, so the merge is a total order
-/// — commutative and associative, hence shard-order-insensitive.
-fn outcome_key(cell: usize, outcome: &CellOutcome) -> (u8, String) {
-    let rank = match outcome {
-        CellOutcome::Ok { .. } => 2,
-        CellOutcome::Stale { .. } => 1,
-        CellOutcome::Failed { .. } => 0,
-    };
-    (rank, outcome_line(cell, outcome))
-}
-
-/// Merges per-shard outcome maps into one campaign view. For each cell
-/// the winning outcome is the maximum under [`outcome_key`]'s total
-/// order, so merging N shard journals gives the same result in any
-/// order — the property tests pin this, and it is what makes a
-/// daemon campaign's merged journal deterministic.
-#[must_use]
-pub fn merge_outcomes<I>(shards: I) -> HashMap<usize, CellOutcome>
-where
-    I: IntoIterator<Item = HashMap<usize, CellOutcome>>,
-{
-    let mut merged: HashMap<usize, CellOutcome> = HashMap::new();
-    for shard in shards {
-        for (cell, outcome) in shard {
-            match merged.entry(cell) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(outcome);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    if outcome_key(cell, &outcome) > outcome_key(cell, slot.get()) {
-                        slot.insert(outcome);
-                    }
-                }
-            }
-        }
-    }
-    merged
 }
 
 /// An open, append-only campaign journal holding its exclusive lock.
@@ -287,23 +240,13 @@ impl CampaignJournal {
         read_outcomes(&self.path)
     }
 
-    /// Appends a completion entry for `cell` (best-effort: journal IO
-    /// failures never fail the cell they describe). `digest` is the
-    /// stored cell's payload checksum when write-back succeeded.
-    pub fn record_ok(&self, cell: usize, fingerprint: Fingerprint, digest: Option<Fingerprint>) {
-        self.append(&outcome_line(cell, &CellOutcome::Ok { fingerprint, digest }));
-    }
-
-    /// Appends a failure entry for `cell` (best-effort).
-    pub fn record_failed(&self, cell: usize, class: &str) {
-        self.append(&outcome_line(cell, &CellOutcome::Failed { class: class.to_string() }));
-    }
-
-    /// Appends a stale-demotion entry for `cell` (best-effort): the
-    /// memoized result no longer matches what the journal recorded and
-    /// the cell will re-run.
-    pub fn record_stale(&self, cell: usize, fingerprint: Fingerprint) {
-        self.append(&outcome_line(cell, &CellOutcome::Stale { fingerprint }));
+    /// Appends `cell`'s outcome (best-effort: journal IO failures never
+    /// fail the cell they describe). An `ok` entry carries the stored
+    /// cell's payload digest when write-back succeeded; a `stale` entry
+    /// means the memoized result no longer matches what the journal
+    /// recorded and the cell will re-run.
+    pub fn record(&self, cell: usize, outcome: &CellOutcome) {
+        self.append(&outcome_line(cell, outcome));
     }
 
     /// One entry = one preformatted line = one `write_all` + `sync_all`:
@@ -382,10 +325,10 @@ mod tests {
         let root = scratch_root("roundtrip");
         let camp = campaign_fingerprint(&[Fingerprint(1), Fingerprint(2)]);
         let journal = CampaignJournal::open(&root, camp, false).expect("open");
-        journal.record_ok(0, Fingerprint(0xabcd), Some(Fingerprint(0x1111)));
-        journal.record_ok(1, Fingerprint(0xbeef), None);
-        journal.record_failed(3, "timeout");
-        journal.record_stale(4, Fingerprint(0x2222));
+        journal.record(0, &ok(0xabcd, Some(0x1111)));
+        journal.record(1, &ok(0xbeef, None));
+        journal.record(3, &CellOutcome::Failed { class: "timeout".into() });
+        journal.record(4, &CellOutcome::Stale { fingerprint: Fingerprint(0x2222) });
         let outcomes = journal.load();
         assert_eq!(outcomes.len(), 4);
         assert_eq!(outcomes[&0], ok(0xabcd, Some(0x1111)));
@@ -400,8 +343,8 @@ mod tests {
         let root = scratch_root("supersede");
         let camp = campaign_fingerprint(&[Fingerprint(7)]);
         let journal = CampaignJournal::open(&root, camp, false).expect("open");
-        journal.record_failed(2, "panic");
-        journal.record_ok(2, Fingerprint(0x99), None);
+        journal.record(2, &CellOutcome::Failed { class: "panic".into() });
+        journal.record(2, &ok(0x99, None));
         assert_eq!(journal.load()[&2], ok(0x99, None));
         let _ = std::fs::remove_dir_all(root);
     }
@@ -414,10 +357,10 @@ mod tests {
         let root = scratch_root("lastwins");
         let camp = campaign_fingerprint(&[Fingerprint(11)]);
         let journal = CampaignJournal::open(&root, camp, false).expect("open");
-        journal.record_failed(0, "timeout");
-        journal.record_ok(0, Fingerprint(0xaa), Some(Fingerprint(0xd1)));
-        journal.record_ok(1, Fingerprint(0xbb), Some(Fingerprint(0xd2)));
-        journal.record_stale(1, Fingerprint(0xbb));
+        journal.record(0, &CellOutcome::Failed { class: "timeout".into() });
+        journal.record(0, &ok(0xaa, Some(0xd1)));
+        journal.record(1, &ok(0xbb, Some(0xd2)));
+        journal.record(1, &CellOutcome::Stale { fingerprint: Fingerprint(0xbb) });
         drop(journal);
         let reopened = CampaignJournal::open(&root, camp, true).expect("reopen");
         let outcomes = reopened.load();
@@ -436,7 +379,7 @@ mod tests {
         let camp = campaign_fingerprint(&[Fingerprint(9)]);
         {
             let journal = CampaignJournal::open(&root, camp, false).expect("open");
-            journal.record_ok(1, Fingerprint(0x11), None);
+            journal.record(1, &ok(0x11, None));
         }
         let resumed = CampaignJournal::open(&root, camp, true).expect("reopen");
         assert_eq!(resumed.load().len(), 1, "resume keeps prior entries");
@@ -453,7 +396,10 @@ mod tests {
         let good_fp = Fingerprint(0x42);
         {
             let journal = CampaignJournal::open(&root, camp, false).expect("open");
-            journal.record_ok(0, good_fp, Some(Fingerprint(0x77)));
+            journal.record(
+                0,
+                &CellOutcome::Ok { fingerprint: good_fp, digest: Some(Fingerprint(0x77)) },
+            );
             // Simulate a kill mid-append: a final line torn mid-digest,
             // with no trailing newline.
             journal.append(&format!("ok 1 {good_fp} deadbeef"));
@@ -466,7 +412,7 @@ mod tests {
             CellOutcome::Ok { fingerprint: good_fp, digest: Some(Fingerprint(0x77)) }
         );
         // The next append must start a fresh line, not extend the torn one.
-        resumed.record_ok(2, Fingerprint(0x55), None);
+        resumed.record(2, &ok(0x55, None));
         let outcomes = resumed.load();
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[&2], ok(0x55, None));
@@ -478,7 +424,7 @@ mod tests {
         let root = scratch_root("garbage");
         let camp = campaign_fingerprint(&[Fingerprint(3)]);
         let journal = CampaignJournal::open(&root, camp, false).expect("open");
-        journal.record_ok(0, Fingerprint(0x42), None);
+        journal.record(0, &ok(0x42, None));
         drop(journal);
         let reopened = CampaignJournal::open(&root, camp, true).expect("reopen");
         reopened.append(&format!(

@@ -26,13 +26,11 @@ pub mod error;
 pub mod faultinject;
 pub mod journal;
 pub mod l1i;
-pub mod lease;
 pub mod lock;
 pub mod memo;
 pub mod patterns;
 pub mod report;
 pub mod serve;
-pub mod shard;
 pub mod store;
 pub mod timing;
 
@@ -44,12 +42,10 @@ pub use energy::EnergyModel;
 pub use engine::{JobError, ProvSummary, SweepEngine, SweepReport, SweepSpec};
 pub use error::{CancelToken, SimError};
 pub use faultinject::{FaultInjector, FAULT_SPEC_ENV};
-pub use journal::{campaign_fingerprint, merge_outcomes, CampaignJournal, CellOutcome};
+pub use journal::{campaign_fingerprint, CampaignJournal, CellOutcome};
 pub use l1i::L1iCache;
-pub use lease::{lease_ttl_from_env, CellLease, LeaseSet, LEASE_TTL_ENV};
 pub use lock::{LockFile, LOCK_WAIT_ENV};
 pub use memo::{CachedCell, MemoStore, MEMO_FORMAT_VERSION};
-pub use shard::{run_shard, CellInterlock, ShardConfig, WORKER_ABORT_ENV};
 pub use store::{ObjectKind, StorageBackend, STORE_ENV};
 pub use timing::TimingModel;
 

@@ -65,8 +65,7 @@ pub fn lock_wait_from_env() -> Result<Duration, SimError> {
 /// Whether `pid` refers to a live process, as far as this platform lets
 /// us tell. Errs toward "alive": a false positive merely reports
 /// contention, a false negative would steal a live campaign's lock.
-#[must_use]
-pub fn pid_alive(pid: u32) -> bool {
+fn pid_alive(pid: u32) -> bool {
     if pid == std::process::id() {
         return true;
     }
@@ -85,8 +84,7 @@ pub fn pid_alive(pid: u32) -> bool {
 /// PID + start time together name a process *incarnation*: a recycled
 /// PID gets a fresh start time, so a holder stamp carrying both can
 /// never be confused with the unrelated process that inherited its PID.
-#[must_use]
-pub fn process_start_time(pid: u32) -> Option<u64> {
+fn process_start_time(pid: u32) -> Option<u64> {
     let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
     // The command name (field 2) is parenthesized and may itself contain
     // spaces or parentheses; everything after the *last* `)` is
@@ -96,8 +94,7 @@ pub fn process_start_time(pid: u32) -> Option<u64> {
     after_comm.split_ascii_whitespace().nth(19)?.parse().ok()
 }
 
-/// A `pid [start-time]` holder stamp, shared by the campaign lock file
-/// and the per-cell work leases.
+/// A `pid [start-time]` holder stamp, as written into a lock file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcessStamp {
     /// The stamping process's PID.

@@ -39,9 +39,10 @@ use llbp_core::LlbpStats;
 use llbp_tage::FrontEndStats;
 use llbp_trace::fingerprint::{Fingerprint, StableHasher};
 use llbp_trace::{read_trace, write_trace, Trace, WorkloadSpec};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Version salt mixed into every fingerprint. Bump whenever the cell
@@ -90,6 +91,26 @@ pub struct MemoStore {
     prov_stores: AtomicU64,
     faults: Option<Arc<FaultInjector>>,
     telemetry: llbp_obs::Telemetry,
+    /// Result fingerprints some caller is computing right now (see
+    /// [`MemoStore::claim_cell`]), and the signal that one was released.
+    in_flight: Mutex<HashSet<u128>>,
+    released: Condvar,
+}
+
+/// A claim on one result fingerprint, from [`MemoStore::claim_cell`];
+/// dropping it releases the fingerprint and wakes its waiters.
+#[derive(Debug)]
+pub struct CellSlot<'a> {
+    store: &'a MemoStore,
+    fp: u128,
+}
+
+impl Drop for CellSlot<'_> {
+    fn drop(&mut self) {
+        let mut in_flight = self.store.in_flight.lock().unwrap_or_else(PoisonError::into_inner);
+        in_flight.remove(&self.fp);
+        self.store.released.notify_all();
+    }
 }
 
 impl MemoStore {
@@ -118,7 +139,7 @@ impl MemoStore {
 
     /// Opens a store whose object IO goes through an explicit backend
     /// (the remote tier, or anything a test wants to interpose). `root`
-    /// stays the *local* directory holding journals, locks and leases —
+    /// stays the *local* directory holding journals and their locks —
     /// for a remote backend it doubles as the degradation overlay.
     ///
     /// # Errors
@@ -147,6 +168,8 @@ impl MemoStore {
             prov_stores: AtomicU64::new(0),
             faults: None,
             telemetry: llbp_obs::Telemetry::disabled(),
+            in_flight: Mutex::new(HashSet::new()),
+            released: Condvar::new(),
         }
     }
 
@@ -345,6 +368,20 @@ impl MemoStore {
     #[must_use]
     pub fn has_result(&self, fp: Fingerprint) -> bool {
         self.backend.contains(ObjectKind::Result, fp).unwrap_or(false)
+    }
+
+    /// Claims the cell addressed by `fp` for this process, blocking while
+    /// another caller holds it. The sweep engine holds the slot from its
+    /// memo probe until the cell is published, so two campaigns sharing
+    /// this store and a cell simulate it once: the second waits here,
+    /// then its probe hits.
+    #[must_use = "the cell is released as soon as the slot drops"]
+    pub fn claim_cell(&self, fp: Fingerprint) -> CellSlot<'_> {
+        let mut in_flight = self.in_flight.lock().unwrap_or_else(PoisonError::into_inner);
+        while !in_flight.insert(fp.0) {
+            in_flight = self.released.wait(in_flight).unwrap_or_else(PoisonError::into_inner);
+        }
+        CellSlot { store: self, fp: fp.0 }
     }
 
     /// The recorded simulation wall time of the cell addressed by `fp`,

@@ -345,7 +345,7 @@ pub fn run_remote_with(
             StreamedCell::Failed(class) => {
                 let predictor = spec.predictors[job.predictor].label();
                 let workload = spec.workloads[job.workload].name().to_string();
-                let error = error_for_class(&class, index, &predictor, &workload);
+                let error = error_for_class(&class, &predictor, &workload);
                 jobs.push(SweepEngine::placeholder_record(spec, index));
                 failed.push(JobError { job, index, predictor, workload, attempts: 1, error });
             }
@@ -383,7 +383,7 @@ pub fn run_remote_with(
 /// field, `--strict` warnings) keep their class taxonomy across the
 /// wire. Attempt counts and error detail stay daemon-side; the detail
 /// here says where to look.
-fn error_for_class(class: &str, index: usize, predictor: &str, workload: &str) -> SimError {
+fn error_for_class(class: &str, predictor: &str, workload: &str) -> SimError {
     let detail = format!("reported by llbp-serve (class `{class}`; see the daemon's stderr)");
     match class {
         "trace_gen" => SimError::TraceGen { workload: workload.to_string(), detail },
@@ -391,7 +391,6 @@ fn error_for_class(class: &str, index: usize, predictor: &str, workload: &str) -
         "timeout" => SimError::Timeout { limit: None },
         "injected" => SimError::Injected { detail },
         "network" => SimError::Network { op: "serve_cell", detail },
-        "lease_lost" => SimError::LeaseLost { cell: index },
         "config" => SimError::Config { detail },
         _ => SimError::MemoIo { op: "serve_cell", detail },
     }

@@ -1,50 +1,46 @@
 //! `llbp-serve`: the resident sweep daemon (DESIGN.md §12), and the one
-//! way to distribute a campaign beyond the engine's own thread pool.
+//! way to share a campaign's in-flight cells with other campaigns.
 //!
-//! Leases are namespaced per campaign and the memo probe only dedups
-//! cells that already finished, so two researchers sweeping overlapping
-//! grids in separate processes would each pay for the shared cells. The
-//! daemon closes that gap by being the one process where every campaign
-//! runs:
+//! The memo probe only dedups cells that already finished, so two
+//! researchers sweeping overlapping grids in separate processes would
+//! each pay for the shared cells while both are in flight. The daemon
+//! closes that gap by being the one process where every campaign runs:
 //!
 //! * Clients submit a [`SweepSpec`] over the same length-prefixed
 //!   framing the object store speaks ([`crate::store::proto`], ops
 //!   `SubmitSweep`/`PollSweep`/`StreamCells`), encoded field-exactly by
 //!   [`wire`] so cell fingerprints match a local run bit-for-bit.
-//! * Each campaign runs on the [`crate::shard`] machinery: worker
-//!   threads race lease claims ([`run_shard`]) and `drive_campaign`'s
-//!   reconcile loop recovers anything they drop. Shard journals, lease
-//!   takeovers and the durable merged-journal publish all live on disk,
-//!   which is what makes a daemon restart resumable: the journals and
-//!   the store *are* the campaign state.
-//! * A daemon-global [`CellInterlock`] spans campaigns: a cell two
-//!   in-flight grids share is held by whichever reached it first, the
-//!   second blocks until publish and then memo-hits. One simulation,
+//! * Each campaign is one [`SweepEngine`] run over the daemon's store,
+//!   with workers, retries and the watchdog from the same `LLBP_*` knobs
+//!   as any local run. It takes the grid's journal lock and resumes from
+//!   the journal, which is what makes a daemon restart resumable: a dead
+//!   predecessor's lock is taken over and its published cells memo-hit.
+//! * The store's cell gate ([`MemoStore::claim_cell`]) spans campaigns:
+//!   a cell two in-flight grids share is simulated by whichever reached
+//!   it first, and the second waits, then memo-hits. One simulation,
 //!   every campaign served.
 //! * Results stream back incrementally: `StreamCells` returns raw
 //!   published cell bytes in grid order as they complete, so a client
-//!   reconstructs the exact [`SweepReport`](crate::engine::SweepReport)
-//!   a local run would have produced (the `--server` byte-identity
-//!   guarantee), without waiting for the whole grid.
+//!   reconstructs the exact [`SweepReport`] a local run would have
+//!   produced (the `--server` byte-identity guarantee), without waiting
+//!   for the whole grid.
 //! * The `Metrics` op serves the live Prometheus rendering of the
 //!   daemon's [`Telemetry`] registry on the same listener.
 //!
-//! Submitting an identical grid while it is still running returns the
-//! *same* ticket (the campaign fingerprint is content-addressed), so
-//! whole-campaign dedup is free and poll/stream are idempotent reads.
+//! Submitting an identical grid while it runs, or after it completed,
+//! returns the *same* ticket (the campaign fingerprint is
+//! content-addressed), so whole-campaign dedup is free and poll/stream
+//! are idempotent reads. A campaign that failed is replaced by a fresh
+//! run on resubmission.
 
 pub mod client;
 pub mod wire;
 
-use crate::engine::SweepSpec;
-use crate::error::{backoff_delay, SimError};
+use crate::engine::{grid_fingerprints, SweepEngine, SweepReport, SweepSpec};
+use crate::error::SimError;
 use crate::faultinject::FaultInjector;
-use crate::journal::{campaign_fingerprint, merge_outcomes, CellOutcome};
+use crate::journal::{campaign_fingerprint, CellOutcome};
 use crate::memo::MemoStore;
-use crate::shard::{
-    grid_fingerprints, read_worker_journals, run_shard, write_merged_journal, CellInterlock,
-    ShardConfig, ShardHooks, ShardSummary,
-};
 use crate::store::proto::{self, Op, Request, Response};
 use llbp_obs::Telemetry;
 use llbp_trace::fingerprint::Fingerprint;
@@ -54,18 +50,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-/// Worker threads per campaign (`LLBP_SERVE_WORKERS`), default one per
-/// available core.
-pub const SERVE_WORKERS_ENV: &str = "LLBP_SERVE_WORKERS";
-
-/// Reconcile-pass budget per campaign (`LLBP_SERVE_MAX_PASSES`).
-pub const SERVE_MAX_PASSES_ENV: &str = "LLBP_SERVE_MAX_PASSES";
-
-/// Default for [`SERVE_MAX_PASSES_ENV`]: generous because passes are
-/// cheap once the grid is published (pure memo probes), and a wedged
-/// foreign lease needs time to age out.
-pub const DEFAULT_MAX_PASSES: u32 = 32;
 
 /// Per-connection idle timeout, matching the object store's.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
@@ -79,18 +63,6 @@ pub(crate) const TAG_OK: u8 = 1;
 
 /// Stream-entry tag: the entry payload is the failure class string.
 pub(crate) const TAG_FAILED: u8 = 2;
-
-fn serve_workers() -> Result<usize, SimError> {
-    Ok(crate::envknob::parse_env::<usize>(SERVE_WORKERS_ENV)?.map_or_else(
-        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        |n| n.max(1),
-    ))
-}
-
-fn serve_max_passes() -> Result<u32, SimError> {
-    Ok(crate::envknob::parse_env::<u32>(SERVE_MAX_PASSES_ENV)?
-        .map_or(DEFAULT_MAX_PASSES, |n| n.max(1)))
-}
 
 // ---------------------------------------------------------------------
 // Campaign status (PollSweep payload)
@@ -110,14 +82,12 @@ pub struct CampaignStatus {
     /// Cells served from the memo store (including cells another
     /// concurrent campaign computed).
     pub memo_served: u64,
-    /// Stale leases stolen (dead incarnations taken over).
+    /// Journal-lock takeovers from dead holders (a crashed predecessor).
     pub takeovers: u64,
-    /// Reconcile passes run so far.
-    pub passes: u32,
     /// Worker threads driving the campaign.
     pub workers: u64,
-    /// Whether the campaign finished (merged journal written, or the
-    /// error below set).
+    /// Whether the campaign finished (every cell journaled, or the error
+    /// below set).
     pub finished: bool,
     /// Campaign-fatal error text, when the run died.
     pub error: Option<String>,
@@ -129,14 +99,13 @@ impl CampaignStatus {
     pub fn to_text(&self) -> String {
         let mut text = format!(
             "total {}\ndone {}\nfailed {}\ncompleted {}\nmemo_served {}\n\
-             takeovers {}\npasses {}\nworkers {}\nfinished {}\n",
+             takeovers {}\nworkers {}\nfinished {}\n",
             self.total,
             self.done,
             self.failed,
             self.completed,
             self.memo_served,
             self.takeovers,
-            self.passes,
             self.workers,
             u8::from(self.finished),
         );
@@ -171,7 +140,6 @@ impl CampaignStatus {
                 "completed" => status.completed = parse(value)?,
                 "memo_served" => status.memo_served = parse(value)?,
                 "takeovers" => status.takeovers = parse(value)?,
-                "passes" => status.passes = u32::try_from(parse(value)?).unwrap_or(u32::MAX),
                 "workers" => status.workers = parse(value)?,
                 "finished" => status.finished = parse(value)? != 0,
                 "error" => status.error = Some(value.to_string()),
@@ -239,15 +207,14 @@ pub(crate) fn parse_entries(payload: &[u8]) -> Result<Vec<(usize, StreamedCell)>
 // Daemon state
 // ---------------------------------------------------------------------
 
-/// Progress of one resident campaign, updated by the shard observer and
-/// read by poll/stream handlers.
+/// Progress of one resident campaign, updated by the engine's observer
+/// and read by poll/stream handlers.
 #[derive(Debug, Default)]
 struct Progress {
     outcomes: HashMap<usize, CellOutcome>,
     completed: u64,
     memo_served: u64,
     takeovers: u64,
-    passes: u32,
     finished: bool,
     error: Option<String>,
 }
@@ -256,8 +223,6 @@ struct Progress {
 #[derive(Debug)]
 struct CampaignState {
     spec: SweepSpec,
-    fps: Vec<Fingerprint>,
-    campaign: Fingerprint,
     workers: usize,
     progress: Mutex<Progress>,
 }
@@ -267,23 +232,23 @@ impl CampaignState {
         self.progress.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Observer entry: a shard thread journaled this outcome.
+    /// Observer entry: the engine journaled this outcome.
     fn note(&self, index: usize, outcome: &CellOutcome) {
         self.lock().outcomes.insert(index, outcome.clone());
     }
 
-    /// Folds one finished shard pass into the counters.
-    fn absorb(&self, summary: &ShardSummary) {
+    /// Records how the run ended: the report's counters, or the error.
+    fn finish(&self, run: Result<SweepReport, SimError>) {
         let mut progress = self.lock();
-        progress.completed += summary.completed;
-        progress.memo_served += summary.memo_served;
-        progress.takeovers += summary.takeovers;
-    }
-
-    fn finish(&self, error: Option<String>) {
-        let mut progress = self.lock();
+        match run {
+            Ok(report) => {
+                progress.completed = report.memo_misses;
+                progress.memo_served = report.memo_hits;
+                progress.takeovers = report.lock_takeovers;
+            }
+            Err(e) => progress.error = Some(e.to_string()),
+        }
         progress.finished = true;
-        progress.error = error;
     }
 
     fn status(&self) -> CampaignStatus {
@@ -296,13 +261,12 @@ impl CampaignState {
             }
         }
         CampaignStatus {
-            total: self.fps.len() as u64,
+            total: self.spec.num_jobs() as u64,
             done,
             failed,
             completed: progress.completed,
             memo_served: progress.memo_served,
             takeovers: progress.takeovers,
-            passes: progress.passes,
             workers: self.workers as u64,
             finished: progress.finished,
             error: progress.error.clone(),
@@ -315,7 +279,7 @@ impl CampaignState {
     fn resolved_from(&self, cursor: usize) -> (Vec<(usize, CellOutcome)>, bool) {
         let progress = self.lock();
         let mut run = Vec::new();
-        for index in cursor..self.fps.len() {
+        for index in cursor..self.spec.num_jobs() {
             match progress.outcomes.get(&index) {
                 Some(outcome) => run.push((index, outcome.clone())),
                 None => break,
@@ -330,7 +294,6 @@ struct DaemonState {
     store: Arc<MemoStore>,
     faults: Option<Arc<FaultInjector>>,
     telemetry: Telemetry,
-    interlock: CellInterlock,
     campaigns: Mutex<HashMap<u128, Arc<CampaignState>>>,
     stop: AtomicBool,
     addr: SocketAddr,
@@ -374,9 +337,10 @@ impl ServeHandle {
 
 impl ServeDaemon {
     /// Binds `addr` and serves campaigns against `store`. The injector
-    /// (usually from `LLBP_FAULT_SPEC`) reaches the lease checks and the
-    /// merged-journal crash hook (`lease:expire`, `crash:merge`), so
-    /// fault campaigns exercise the daemon's recovery paths.
+    /// (usually from `LLBP_FAULT_SPEC`) drives the engine's cell rules
+    /// (`panic`, `slow`, `lock`, `stale`) in every campaign, so fault
+    /// campaigns exercise the daemon's recovery paths; the store's `io`
+    /// rules are attached to `store` by the caller.
     ///
     /// # Errors
     ///
@@ -392,7 +356,6 @@ impl ServeDaemon {
             store,
             faults,
             telemetry: Telemetry::enabled(),
-            interlock: CellInterlock::new(),
             campaigns: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
             addr: bound,
@@ -486,152 +449,60 @@ fn lookup(state: &DaemonState, ticket: Fingerprint) -> Option<Arc<CampaignState>
 }
 
 /// Registers a submitted grid and starts its runner thread — or, for a
-/// grid already resident (running *or* finished), returns the existing
-/// ticket: campaign fingerprints are content-addressed, so resubmission
-/// is idempotent.
+/// grid already running or completed, returns the existing ticket:
+/// campaign fingerprints are content-addressed, so resubmission is
+/// idempotent. A failed campaign (say, on a journal lock another process
+/// held) is replaced by a fresh run.
 fn submit(state: &Arc<DaemonState>, payload: &[u8]) -> Result<Fingerprint, SimError> {
     let spec = wire::decode_spec(payload)?;
-    let workers = serve_workers()?;
-    let max_passes = serve_max_passes()?;
-    let fps = grid_fingerprints(&spec, &state.store);
-    let campaign = campaign_fingerprint(&fps);
-    {
-        let mut campaigns = state.campaigns.lock().unwrap_or_else(PoisonError::into_inner);
-        if campaigns.contains_key(&campaign.0) {
-            state.telemetry.counter("serve_campaigns_deduped_total").inc();
-            return Ok(campaign);
-        }
-        let resident =
-            Arc::new(CampaignState { spec, fps, campaign, workers, progress: Mutex::default() });
-        campaigns.insert(campaign.0, Arc::clone(&resident));
-        state.telemetry.counter("serve_campaigns_total").inc();
-        let daemon = Arc::clone(state);
-        std::thread::Builder::new()
-            .name(format!("campaign-{campaign}"))
-            .spawn(move || {
-                let outcome = drive_campaign(&daemon, &resident, max_passes);
-                if let Err(e) = &outcome {
-                    daemon.telemetry.counter("serve_campaigns_failed_total").inc();
-                    eprintln!("llbp-serve: campaign {campaign} failed: {e}");
-                }
-                resident.finish(outcome.err().map(|e| e.to_string()));
-            })
-            .map_err(|e| SimError::MemoIo {
-                op: "serve_submit",
-                detail: format!("cannot spawn campaign runner: {e}"),
-            })?;
+    let campaign = campaign_fingerprint(&grid_fingerprints(&spec, &state.store));
+    let mut campaigns = state.campaigns.lock().unwrap_or_else(PoisonError::into_inner);
+    if campaigns.get(&campaign.0).is_some_and(|resident| resident.lock().error.is_none()) {
+        state.telemetry.counter("serve_campaigns_deduped_total").inc();
+        return Ok(campaign);
     }
+    let mut engine = SweepEngine::new().with_store(Arc::clone(&state.store)).resume(true);
+    if let Some(faults) = &state.faults {
+        engine = engine.with_faults(Arc::clone(faults));
+    }
+    let workers = engine.workers().clamp(1, spec.num_jobs().max(1));
+    let resident = Arc::new(CampaignState { spec, workers, progress: Mutex::default() });
+    campaigns.insert(campaign.0, Arc::clone(&resident));
+    state.telemetry.counter("serve_campaigns_total").inc();
+    let daemon = Arc::clone(state);
+    std::thread::Builder::new()
+        .name(format!("campaign-{campaign}"))
+        .spawn(move || {
+            let run = drive_campaign(&daemon, &engine, &resident);
+            if let Err(e) = &run {
+                daemon.telemetry.counter("serve_campaigns_failed_total").inc();
+                eprintln!("llbp-serve: campaign {campaign} failed: {e}");
+            }
+            resident.finish(run);
+        })
+        .map_err(|e| SimError::MemoIo {
+            op: "serve_submit",
+            detail: format!("cannot spawn campaign runner: {e}"),
+        })?;
     Ok(campaign)
 }
 
-/// Runs one campaign to completion inside the daemon — the only
-/// reconcile loop in the system: worker threads race lease claims over
-/// the grid (sharing the daemon-global interlock), reconcile passes
-/// recover dropped cells (stolen dead-holder leases, `lease:expire`
-/// discards), and the merged canonical journal is published with the
-/// full durability recipe.
+/// Runs one campaign on the engine, publishing each cell's outcome to
+/// pollers and streams as soon as the engine journals it.
 fn drive_campaign(
     daemon: &DaemonState,
+    engine: &SweepEngine,
     campaign: &CampaignState,
-    max_passes: u32,
-) -> Result<(), SimError> {
-    let spec = &campaign.spec;
-    let store = &daemon.store;
-    let faults = daemon.faults.as_ref();
-    let observer = |index: usize, outcome: &CellOutcome| {
+) -> Result<SweepReport, SimError> {
+    let report = engine.try_run_observed(&campaign.spec, &|index, outcome| {
         campaign.note(index, outcome);
         if matches!(outcome, CellOutcome::Failed { .. }) {
             daemon.telemetry.counter("serve_cells_failed_total").inc();
         }
-    };
-    let hooks = ShardHooks { interlock: Some(&daemon.interlock), observer: Some(&observer) };
-
-    // Worker phase: same-pid leases look live to sibling threads, so
-    // the claim race shards the grid exactly as separate processes
-    // would; a previous daemon incarnation's dead-pid leases are stolen
-    // by the standard takeover path, and its published cells memo-hit.
-    let summaries: Vec<Result<ShardSummary, SimError>> = std::thread::scope(|scope| {
-        let hooks = &hooks;
-        let handles: Vec<_> = (0..campaign.workers)
-            .map(|wid| {
-                scope.spawn(move || -> Result<ShardSummary, SimError> {
-                    let cfg = ShardConfig::from_env(wid as u32)?;
-                    run_shard(spec, store, faults, &cfg, hooks)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle.join().unwrap_or_else(|_| {
-                    Err(SimError::MemoIo {
-                        op: "serve_worker",
-                        detail: "campaign worker thread panicked".into(),
-                    })
-                })
-            })
-            .collect()
-    });
-    for summary in summaries {
-        let summary = summary?;
-        campaign.absorb(&summary);
-        daemon.telemetry.counter("serve_cells_simulated_total").add(summary.completed);
-        daemon.telemetry.counter("serve_cells_memo_total").add(summary.memo_served);
-    }
-
-    // Reconcile phase, with the same hooks so late cells still stream
-    // and stay interlocked against concurrent campaigns. Failed
-    // verdicts in our own outcome map are trustworthy (they exhausted
-    // this process's retry budget), so they count as resolved. Memo
-    // hits are deliberately NOT folded in here: every cell the worker
-    // phase already resolved re-probes as a memo hit on every pass, so
-    // counting them would inflate `memo_served` by up to `total` per
-    // pass — only simulation work and takeovers are new information.
-    let cfg = ShardConfig::from_env(campaign.workers as u32)?;
-    let mut passes = 0u32;
-    loop {
-        passes += 1;
-        let summary = run_shard(spec, store, faults, &cfg, &hooks)?;
-        {
-            let mut progress = campaign.lock();
-            progress.completed += summary.completed;
-            progress.takeovers += summary.takeovers;
-            progress.passes = passes;
-        }
-        daemon.telemetry.counter("serve_cells_simulated_total").add(summary.completed);
-        let unresolved = {
-            let progress = campaign.lock();
-            campaign.fps.iter().enumerate().any(|(index, &fp)| {
-                !matches!(progress.outcomes.get(&index), Some(CellOutcome::Failed { .. }))
-                    && !store.has_result(fp)
-            })
-        };
-        if !unresolved {
-            break;
-        }
-        if passes >= max_passes {
-            return Err(SimError::MemoIo {
-                op: "serve_campaign",
-                detail: format!(
-                    "cells still unresolved after {passes} reconcile passes \
-                     (a live foreign process may hold their leases)"
-                ),
-            });
-        }
-        std::thread::sleep(backoff_delay(passes));
-    }
-
-    // Publish the merged canonical journal (temp + fsync + rename +
-    // directory fsync, with the crash:merge hook), then backfill any
-    // outcome recovered from a previous incarnation's journals that no
-    // shard pass of ours re-observed.
-    let outcomes = merge_outcomes(read_worker_journals(store.root(), campaign.campaign));
-    write_merged_journal(store.root(), campaign.campaign, &outcomes, faults.map(Arc::as_ref))?;
-    let mut progress = campaign.lock();
-    for (index, outcome) in outcomes {
-        progress.outcomes.entry(index).or_insert(outcome);
-    }
-    Ok(())
+    })?;
+    daemon.telemetry.counter("serve_cells_simulated_total").add(report.memo_misses);
+    daemon.telemetry.counter("serve_cells_memo_total").add(report.memo_hits);
+    Ok(report)
 }
 
 /// Builds a `StreamCells` response: contiguous resolved cells from
@@ -645,8 +516,8 @@ fn stream_cells(state: &DaemonState, campaign: &CampaignState, cursor: usize) ->
     for (index, outcome) in resolved {
         let wire_index = u32::try_from(index).unwrap_or(u32::MAX);
         match outcome {
-            CellOutcome::Ok { .. } | CellOutcome::Stale { .. } => {
-                match state.store.result_bytes(campaign.fps[index]) {
+            CellOutcome::Ok { fingerprint, .. } | CellOutcome::Stale { fingerprint } => {
+                match state.store.result_bytes(fingerprint) {
                     Ok(Some(bytes)) => push_entry(&mut buf, wire_index, TAG_OK, &bytes),
                     // Journaled-ok but unreadable: transient unless the
                     // campaign is over, in which case the gap is real.
@@ -678,7 +549,6 @@ mod tests {
             completed: 10,
             memo_served: 7,
             takeovers: 1,
-            passes: 3,
             workers: 4,
             finished: true,
             error: Some("boom: multi\nline".into()),

@@ -22,7 +22,7 @@
 //!
 //! The `LLBP_STORE` environment variable selects the tier:
 //! unset/`local` keeps the local directory, `tcp://host:port` routes
-//! object IO through the shared server (journals, locks and leases stay
+//! object IO through the shared server (journals and their locks stay
 //! local — only content-addressed objects cross the network).
 
 pub mod local;

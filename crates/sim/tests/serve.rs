@@ -1,25 +1,26 @@
 //! Sweep-daemon integration tests: cross-campaign dedup, remote/local
-//! report parity, restart resume, and crash recovery through the
-//! daemon's reconcile loop (stolen dead-holder leases, injected lease
-//! expiry) — all against an in-process [`ServeDaemon`] on a loopback
-//! socket, which exercises the real wire protocol end to end. The
-//! process-level story (spawned `llbp_serve`, an aborted daemon resumed
-//! by a fresh one, byte-identical stdout through `--server`, metrics
-//! scrape, injected network faults, clean shutdown) lives in
-//! `scripts/tier1.sh`.
+//! report parity, restart resume, the journal lock (a dead holder taken
+//! over, a live one respected) and the daemon's cell fault rules — all
+//! against an in-process [`ServeDaemon`] on a loopback socket, which
+//! exercises the real wire protocol end to end. The process-level story
+//! (spawned `llbp_serve`, a killed daemon resumed by a fresh one,
+//! byte-identical stdout through `--server`, metrics scrape, injected
+//! network faults, clean shutdown) lives in `scripts/tier1.sh`.
 
+use llbp_sim::engine::grid_fingerprints;
 use llbp_sim::journal::{campaign_fingerprint, read_outcomes};
-use llbp_sim::lease::LeaseSet;
 use llbp_sim::lock::ProcessStamp;
 use llbp_sim::serve::client::{run_remote, run_remote_with, ServeClient};
 use llbp_sim::serve::{ServeDaemon, ServeHandle};
-use llbp_sim::shard::grid_fingerprints;
-use llbp_sim::{FaultInjector, MemoStore, PredictorKind, SimConfig, SweepEngine, SweepSpec};
+use llbp_sim::{
+    CampaignJournal, CellOutcome, FaultInjector, MemoStore, PredictorKind, SimConfig, SweepEngine,
+    SweepSpec,
+};
 use llbp_trace::{Workload, WorkloadSpec};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU32 = AtomicU32::new(0);
@@ -75,7 +76,7 @@ fn concurrent_overlapping_campaigns_compute_shared_cells_exactly_once() {
     let (handle, addr, join) = start_daemon(&root);
 
     // Two 2x2 grids sharing the Kafka column: 8 submitted cells, 6
-    // distinct. The daemon-global interlock plus the memo probe must
+    // distinct. The store's cell gate plus the memo probe must
     // make the 2 shared cells simulate once and memo-serve the other
     // campaign, whichever gets there first.
     let spec_a = spec_for(&[Workload::Http, Workload::Kafka]);
@@ -194,9 +195,8 @@ fn daemon_restart_resumes_from_journals_and_published_cells() {
     join.join().expect("first daemon thread");
 
     // Simulate a cell lost to a crash before publish: delete one
-    // published result. (A real crash also leaves a dead-pid lease,
-    // which the takeover path steals; in-process the pid is ours and
-    // looks live, but clean completion already released every lease.)
+    // published result. (A real crash also leaves the dead daemon's
+    // journal lock behind; a later test plants one.)
     let store = MemoStore::open(&root).expect("store reopens");
     let fps = grid_fingerprints(&spec, &store);
     let campaign = campaign_fingerprint(&fps);
@@ -217,7 +217,7 @@ fn daemon_restart_resumes_from_journals_and_published_cells() {
         assert_eq!(r.result, l.result, "resumed cell {:?}", r.job);
     }
 
-    // The merged canonical journal covers the full grid after resume.
+    // The campaign journal covers the full grid after resume.
     let outcomes = read_outcomes(&root.join(format!("{campaign}.journal")));
     assert_eq!(outcomes.len(), 4, "merged journal covers the grid: {outcomes:?}");
 
@@ -238,31 +238,30 @@ fn daemon_restart_resumes_from_journals_and_published_cells() {
 }
 
 #[test]
-fn a_dead_holders_lease_is_stolen_and_the_cells_match_a_one_worker_run() {
+fn a_dead_holders_journal_lock_is_taken_over_and_the_cells_match_a_one_worker_run() {
     let root = scratch_dir("takeover");
     let spec = spec_for(&[Workload::Http, Workload::Kafka]);
 
-    // What a crashed daemon leaves behind: cell 0's lease held by a
-    // process stamp that can never be alive (our PID with a perturbed
-    // start time — the PID-reuse shape) and a deadline far in the
-    // future, so only dead-holder takeover can free it.
+    // What a daemon killed mid-campaign leaves behind: the grid's journal
+    // lock, stamped by a process that can never be alive (our PID with a
+    // perturbed start time — the PID-reuse shape), over a journal whose
+    // last line the kill tore.
     let fps = grid_fingerprints(&spec, &MemoStore::open(&root).expect("store opens"));
-    let campaign = campaign_fingerprint(&fps);
-    let leases = LeaseSet::open(&root, campaign, Duration::from_secs(600)).expect("leases");
+    let journal = root.join(format!("{}.journal", campaign_fingerprint(&fps)));
     let dead = ProcessStamp {
         pid: std::process::id(),
         start_time: Some(ProcessStamp::current().start_time.unwrap_or(7) + 1),
     };
-    let far_deadline =
-        SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_millis() as u64 + 600_000;
-    std::fs::write(leases.path_for(0), format!("{} {far_deadline}\n", dead.to_line()))
-        .expect("plant the dead holder's lease");
+    std::fs::write(journal.with_extension("journal.lock"), format!("{}\n", dead.to_line()))
+        .expect("plant the dead holder's lock");
+    let torn = format!("ok 0 {}", &fps[0].to_string()[..20]);
+    std::fs::write(&journal, &torn).expect("plant the torn journal");
 
     let (handle, addr, join) = start_daemon(&root);
     let report = run_remote(&addr, &spec).expect("campaign completes");
     handle.shutdown();
     join.join().expect("daemon thread");
-    assert!(report.lock_takeovers >= 1, "the dead holder's lease must be stolen");
+    assert!(report.lock_takeovers >= 1, "the dead holder's journal lock must be taken over");
     assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
 
     // The recovered campaign equals a plain one-worker engine run on a
@@ -275,30 +274,67 @@ fn a_dead_holders_lease_is_stolen_and_the_cells_match_a_one_worker_run() {
     for (index, (r, l)) in report.jobs.iter().zip(&serial.jobs).enumerate() {
         assert_eq!(r.result, l.result, "cell {index} must match the one-worker run");
     }
-    let outcomes = read_outcomes(&root.join(format!("{campaign}.journal")));
-    assert_eq!(outcomes.len(), spec.num_jobs(), "merged journal: one entry per cell");
+    // The torn tail was terminated, then each cell appended one entry.
+    let text = std::fs::read_to_string(&journal).expect("journal exists");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines[0], torn, "the torn line stays, on a line of its own");
+    assert_eq!(lines.len() - 1, spec.num_jobs(), "one journal entry per cell: {text}");
+    assert_eq!(read_outcomes(&journal).len(), spec.num_jobs());
     for dir in [root, serial_root] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
 
 #[test]
-fn an_injected_lease_expiry_is_absorbed_by_the_reconcile_loop() {
-    let root = scratch_dir("expiry");
+fn the_daemons_fault_spec_drives_the_engines_cell_rules() {
+    let root = scratch_dir("cellfaults");
     let spec = spec_for(&[Workload::Http, Workload::Kafka]);
 
-    // The armed rule fires on the first pre-publish lease check: that
-    // result is discarded unjournaled, and the reconcile loop re-claims
-    // and re-runs the cell until the grid is whole.
-    let faults = Arc::new(FaultInjector::parse("lease:expire:count=1").expect("spec parses"));
-    let (handle, addr, join) = start_daemon_with(&root, Some(Arc::clone(&faults)));
-    let report = run_remote(&addr, &spec).expect("campaign converges");
+    // Cell 1 panics on its first attempt only, so the engine's retry
+    // absorbs it; cell 2 panics on every attempt and fails.
+    let faults =
+        Arc::new(FaultInjector::parse("panic:cell=1;panic:cell=2,count=99").expect("spec parses"));
+    let (handle, addr, join) = start_daemon_with(&root, Some(faults));
+    let report = run_remote(&addr, &spec).expect("campaign completes");
     handle.shutdown();
     join.join().expect("daemon thread");
-    assert!(!faults.check_lease_expire(), "the rule fired during the campaign");
     assert_eq!(report.jobs.len(), 4);
+    assert_eq!(report.failed.len(), 1, "failures: {:?}", report.failed);
+    assert_eq!(report.failed[0].index, 2);
+    assert_eq!(report.failed[0].error.class(), "injected");
+    assert_eq!(report.memo_misses, 3, "cells 0, 1 and 3 simulated");
+    assert_eq!(published_cells(&root), 3);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn a_daemon_campaign_respects_a_live_journal_lock_and_reruns_once_it_is_free() {
+    let root = scratch_dir("livelock");
+    let spec = spec_for(&[Workload::Http, Workload::Kafka]);
+
+    // A local run of the same grid on the same root holds its journal.
+    let fps = grid_fingerprints(&spec, &MemoStore::open(&root).expect("store opens"));
+    let holder =
+        CampaignJournal::open_with_wait(&root, campaign_fingerprint(&fps), false, Duration::ZERO)
+            .expect("the holder opens the journal");
+    holder.record(0, &CellOutcome::Failed { class: "timeout".into() });
+    let before = std::fs::read(holder.path()).expect("holder's journal");
+
+    let (handle, addr, join) = start_daemon(&root);
+    let err = run_remote(&addr, &spec).expect_err("a live holder's journal is not shared");
+    assert!(err.to_string().contains(".journal.lock"), "the error names the lock: {err}");
+    assert_eq!(
+        std::fs::read(holder.path()).expect("holder's journal"),
+        before,
+        "the holder's journal is untouched"
+    );
+
+    // Once the holder is done, resubmitting replaces the failed campaign.
+    drop(holder);
+    let report = run_remote(&addr, &spec).expect("campaign runs once the lock is free");
+    handle.shutdown();
+    join.join().expect("daemon thread");
     assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
-    assert_eq!(report.memo_misses, 4, "the discarded cell re-ran and published once");
-    assert_eq!(published_cells(&root), 4);
+    assert_eq!(report.memo_misses, 4, "every cell simulated on the rerun");
     let _ = std::fs::remove_dir_all(root);
 }

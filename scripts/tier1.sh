@@ -207,19 +207,6 @@ start_serve() {
     SERVE_ADDR="tcp://$(cat "$2.addr")"
 }
 
-# Waits up to 120 s for the daemon SERVE_PID to exit on its own and sets
-# SERVE_STATUS to its exit status; a daemon still running then fails
-# smoke $1 (its log is $2).
-await_serve_exit() {
-    for _ in $(seq 1200); do kill -0 "$SERVE_PID" 2>/dev/null || break; sleep 0.1; done
-    if kill -0 "$SERVE_PID" 2>/dev/null; then
-        echo "$1: daemon still running after 120 s:"; cat "$2"
-        kill "$SERVE_PID" 2>/dev/null || true; exit 1
-    fi
-    SERVE_STATUS=0
-    wait "$SERVE_PID" || SERVE_STATUS=$?
-}
-
 # Asks the daemon at SERVE_ADDR to shut down and requires a clean exit.
 stop_serve() {
     ./target/release/llbp_client --server "$SERVE_ADDR" shutdown 2> /dev/null || {
@@ -283,20 +270,39 @@ cmp -s "$DIST_DIR/serial.out" "$DIST_DIR/degraded.out" || {
 }
 
 echo "== daemon chaos smoke =="
-# A 2-worker daemon whose worker 0 aborts on its first lease claim dies
-# holding that lease. A fresh daemon on the same root must steal the
-# dead holder's lease and, through one injected client-side disconnect,
-# serve stdout byte-identical to the serial run.
+# A 2-worker daemon whose cell 0 stalls is killed with SIGKILL right after
+# it publishes its first cell, holding the grid's journal lock. Every
+# complete line of the journal it leaves must parse. A fresh daemon on
+# the same root must take over the dead holder's lock and, through one
+# injected client-side disconnect, serve stdout byte-identical to the
+# serial run.
 CHAOS_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR"' EXIT
-LLBP_SERVE_WORKERS=2 LLBP_WORKER_ABORT="0:1" start_serve "$CHAOS_DIR/shared" "$CHAOS_DIR/aborted"
-# The daemon may die before it acknowledges, so the client's status is moot.
+LLBP_WORKERS=2 LLBP_FAULT_SPEC="slow:cell=0,ms=60000" start_serve "$CHAOS_DIR/shared" "$CHAOS_DIR/killed"
 ./target/release/llbp_client --server "$SERVE_ADDR" submit --quick \
-    --workloads HTTP,Kafka,Tomcat > /dev/null 2>&1 || true
-await_serve_exit "daemon chaos smoke" "$CHAOS_DIR/aborted.err"
-[ "$SERVE_STATUS" -ne 0 ] || {
-    echo "daemon chaos smoke: the injected worker abort did not take the daemon down:"
-    cat "$CHAOS_DIR/aborted.err"; exit 1
+    --workloads HTTP,Kafka,Tomcat > /dev/null 2> "$CHAOS_DIR/submit.err" || {
+    echo "daemon chaos smoke: submission failed:"; cat "$CHAOS_DIR/submit.err"
+    kill "$SERVE_PID" 2>/dev/null || true; exit 1
+}
+for _ in $(seq 1200); do
+    ls "$CHAOS_DIR"/shared/results/*.llbr > /dev/null 2>&1 && break
+    sleep 0.1
+done
+ls "$CHAOS_DIR"/shared/results/*.llbr > /dev/null 2>&1 || {
+    echo "daemon chaos smoke: no cell published within 120 s:"; cat "$CHAOS_DIR/killed.err"
+    kill "$SERVE_PID" 2>/dev/null || true; exit 1
+}
+kill -9 "$SERVE_PID"
+wait "$SERVE_PID" 2>/dev/null || true
+ls "$CHAOS_DIR"/shared/*.journal > /dev/null 2>&1 || {
+    echo "daemon chaos smoke: the killed daemon left no journal:"; ls -l "$CHAOS_DIR/shared"; exit 1
+}
+for journal in "$CHAOS_DIR"/shared/*.journal; do
+    # The kill may tear the final line; only newline-terminated lines count.
+    if [ -n "$(tail -c 1 "$journal")" ]; then sed '$d' "$journal"; else cat "$journal"; fi
+done | grep -Ev '^(ok [0-9]+ [0-9a-f]{32} ([0-9a-f]{32}|-)|failed [0-9]+ [a-z_]+|stale [0-9]+ [0-9a-f]{32})$' \
+    > "$CHAOS_DIR/malformed" && {
+    echo "daemon chaos smoke: malformed journal lines:"; cat "$CHAOS_DIR/malformed"; exit 1
 }
 start_serve "$CHAOS_DIR/shared" "$CHAOS_DIR/fresh"
 LLBP_CACHE_DIR="$CHAOS_DIR/client" LLBP_FAULT_SPEC="net:disconnect:count=1" \
@@ -312,49 +318,8 @@ cmp -s "$DIST_DIR/serial.out" "$CHAOS_DIR/chaos.out" || {
     exit 1
 }
 grep -Eq '"lock_takeovers":[1-9]' "$CHAOS_DIR/chaos.err" || {
-    echo "daemon chaos smoke: the aborted daemon's lease was never taken over:"
+    echo "daemon chaos smoke: the killed daemon's journal lock was never taken over:"
     cat "$CHAOS_DIR/chaos.err"; exit 1
-}
-
-echo "== merge-crash durability smoke =="
-# crash:merge aborts the daemon between the merged journal's temp-file
-# fsync and its rename — the exact window the
-# write-temp/fsync/rename/dir-fsync recipe protects. Recovery must find
-# only the shard journals, never a torn merged one, and a fault-free
-# daemon on the same root must complete the campaign byte-identically.
-CRASH_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$CRASH_DIR"' EXIT
-LLBP_FAULT_SPEC="crash:merge" start_serve "$CRASH_DIR/shared" "$CRASH_DIR/crashed"
-./target/release/llbp_client --server "$SERVE_ADDR" submit --quick \
-    --workloads HTTP,Kafka > /dev/null 2>&1 || true
-await_serve_exit "crash smoke" "$CRASH_DIR/crashed.err"
-[ "$SERVE_STATUS" -ne 0 ] || {
-    echo "crash smoke: crash:merge did not abort the daemon:"
-    cat "$CRASH_DIR/crashed.err"; exit 1
-}
-ls "$CRASH_DIR"/shared/*.w*.journal > /dev/null 2>&1 || {
-    echo "crash smoke: the aborted daemon left no shard journals:"
-    ls -l "$CRASH_DIR/shared"; exit 1
-}
-MERGED="$(ls "$CRASH_DIR"/shared/*.journal 2>/dev/null | grep -v '\.w[0-9]*\.journal$' || true)"
-[ -z "$MERGED" ] || {
-    echo "crash smoke: merged journal published despite the pre-rename abort:"
-    ls -l "$CRASH_DIR/shared"; exit 1
-}
-LLBP_CACHE_DIR="$CRASH_DIR/serial" ./target/release/fig02_mpki_limits --quick \
-    --workloads HTTP,Kafka > "$CRASH_DIR/serial.out" 2> /dev/null
-start_serve "$CRASH_DIR/shared" "$CRASH_DIR/rerun"
-LLBP_CACHE_DIR="$CRASH_DIR/client" ./target/release/fig02_mpki_limits --quick \
-    --workloads HTTP,Kafka --server "$SERVE_ADDR" \
-    > "$CRASH_DIR/rerun.out" 2> "$CRASH_DIR/rerun.err" || {
-    echo "crash smoke: post-crash rerun failed:"; cat "$CRASH_DIR/rerun.err"
-    kill "$SERVE_PID" 2>/dev/null || true; exit 1
-}
-stop_serve "crash smoke"
-cmp -s "$CRASH_DIR/serial.out" "$CRASH_DIR/rerun.out" || {
-    echo "crash smoke: post-crash rerun changed the figure output:"
-    diff "$CRASH_DIR/serial.out" "$CRASH_DIR/rerun.out" || true
-    exit 1
 }
 
 echo "== serve daemon smoke =="
@@ -362,7 +327,7 @@ echo "== serve daemon smoke =="
 # injected client-side disconnect — must print stdout byte-identical to
 # a local run, expose live Prometheus metrics, and shut down cleanly.
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$CRASH_DIR" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$SERVE_DIR"' EXIT
 LLBP_CACHE_DIR="$SERVE_DIR/local" ./target/release/fig02_mpki_limits --quick \
     > "$SERVE_DIR/local.out" 2> /dev/null
 start_serve "$SERVE_DIR/shared" "$SERVE_DIR/serve"
@@ -397,7 +362,7 @@ echo "== provenance smoke =="
 # mispredicting branches on every invocation, and the recorder costs
 # <3% wall time (min of 3 cold runs per configuration).
 PROV_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$CRASH_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
 for i in 1 2 3; do
     LLBP_CACHE_DIR="$PROV_DIR/off$i" ./target/release/fig02_mpki_limits --quick --strict \
         > "$PROV_DIR/off$i.out" 2> "$PROV_DIR/off$i.err"
