@@ -1,7 +1,8 @@
 //! Microbenchmarks of the predictor building blocks: folded history
 //! maintenance, pattern-set matching/allocation, RCR hashing, table
 //! lookups and the statistical corrector. These quantify the per-branch
-//! cost of each hardware structure's software model.
+//! cost of each hardware structure's software model. The trace layer
+//! (generation, `LLBT` encode and decode) is timed per record.
 //!
 //! Uses a std-only timing harness (no external bench framework) so the
 //! workspace builds hermetically; run with `cargo bench --bench components`.
@@ -15,8 +16,9 @@ use llbp_core::rcr::RollingContextRegister;
 use llbp_core::{ContextHistoryKind, LlbpParams, LlbpPredictor, PatternArena, SetGeometry};
 use llbp_tage::tage::{Tage, TageLookup};
 use llbp_tage::{StatisticalCorrector, TslConfig};
+use llbp_trace::{read_trace, write_trace, Workload, WorkloadSpec};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const ITERS: u64 = 2_000_000;
 
@@ -235,7 +237,42 @@ fn bench_tage_hashes() {
     }
 }
 
+/// Generation, encoding into a pre-sized buffer and decoding from it, in
+/// ns per record over one quick trace (Tomcat, 150 000 records): the
+/// median of five rounds after one warm-up round.
+fn bench_trace() {
+    const RECORDS: usize = 150_000;
+    fn per_record(name: &str, mut f: impl FnMut()) {
+        f();
+        let mut rounds: Vec<Duration> = (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed()
+            })
+            .collect();
+        rounds.sort_unstable();
+        let ns = rounds[2].as_secs_f64() * 1e9 / RECORDS as f64;
+        println!("{name:28} {ns:>10.2} ns/record");
+    }
+    let spec = WorkloadSpec::named(Workload::Tomcat).with_branches(RECORDS);
+    per_record("trace_gen", || {
+        black_box(spec.generate());
+    });
+    let trace = spec.generate();
+    let mut bytes = Vec::with_capacity(RECORDS * 20 + 64);
+    per_record("trace_encode", || {
+        bytes.clear();
+        write_trace(&mut bytes, &trace).expect("writing to a Vec cannot fail");
+        black_box(&bytes);
+    });
+    per_record("trace_decode", || {
+        black_box(read_trace(bytes.as_slice()).expect("decodes its own encoding"));
+    });
+}
+
 fn main() {
+    bench_trace();
     bench_folded_history();
     bench_pattern_set();
     bench_rcr();

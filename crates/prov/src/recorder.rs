@@ -36,6 +36,9 @@ impl Default for ProvConfig {
 #[derive(Debug)]
 pub struct RecorderState {
     sample: u64,
+    /// Measured branches left before the next sampled one; the branch that
+    /// finds it at 0 is sampled and reloads it to `sample - 1`.
+    countdown: u64,
     capacity: usize,
     ring: Vec<ProvEvent>,
     /// Next ring slot to overwrite once the ring is full.
@@ -78,6 +81,7 @@ impl ProvRecorder {
         let capacity = cfg.ring.max(1);
         ProvRecorder::Enabled(Box::new(RecorderState {
             sample: cfg.sample.max(1),
+            countdown: 0,
             capacity,
             ring: Vec::with_capacity(capacity),
             head: 0,
@@ -123,16 +127,23 @@ impl RecorderState {
         if info.pred != taken || info.llbp_override {
             self.profiles.entry(pc).or_insert_with(|| BranchProfile::new(pc)).observe(taken, info);
         }
-        if seq.is_multiple_of(self.sample) {
-            let event = ProvEvent::from_info(seq, pc, taken, info);
-            if self.ring.len() < self.capacity {
-                self.ring.push(event);
-            } else {
-                self.ring[self.head] = event;
-                self.head = (self.head + 1) % self.capacity;
-            }
-            self.sampled += 1;
+        // Count down to the next sampled branch: no division per branch.
+        if self.countdown > 0 {
+            self.countdown -= 1;
+            return;
         }
+        self.countdown = self.sample - 1;
+        let event = ProvEvent::from_info(seq, pc, taken, info);
+        if self.ring.len() < self.capacity {
+            self.ring.push(event);
+        } else {
+            self.ring[self.head] = event;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
+        }
+        self.sampled += 1;
     }
 
     fn into_stream(self, label: &str, workload: &str) -> ProvStream {

@@ -351,7 +351,7 @@ impl MemoStore {
     /// Returns the underlying IO error when the write or rename fails.
     pub fn store_trace(&self, fp: Fingerprint, trace: &Trace) -> std::io::Result<()> {
         self.check_faults("store_trace").map_err(std::io::Error::other)?;
-        let mut buf = Vec::with_capacity(trace.len() * 22 + 64);
+        let mut buf = Vec::with_capacity(trace.len() * 20 + 64);
         write_trace(&mut buf, trace).map_err(|e| match e {
             llbp_trace::TraceIoError::Io(io) => io,
             other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
@@ -924,6 +924,40 @@ mod tests {
         let back = store.load_trace(fp).expect("no io fault").expect("load trace");
         assert_eq!(back.records(), trace.records());
         assert_eq!(back.name(), trace.name());
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn version_one_trace_object_is_a_miss() {
+        // A store written before the 20-byte record layout holds version-1
+        // objects: 22-byte records (pc, target, kind byte, taken byte,
+        // instructions) and an FNV-1a sum over the records. Such an object
+        // decodes as a miss, so the trace regenerates.
+        let (store, dir) = scratch_store();
+        let spec = WorkloadSpec::named(Workload::Http).with_branches(64);
+        let trace = spec.generate();
+        let mut v1 = b"LLBT".to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&(trace.name().len() as u16).to_le_bytes());
+        v1.extend_from_slice(trace.name().as_bytes());
+        v1.extend_from_slice(&(trace.len() as u64).to_le_bytes());
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        for r in &trace {
+            let mut raw = Vec::with_capacity(22);
+            raw.extend_from_slice(&r.pc().to_le_bytes());
+            raw.extend_from_slice(&r.target().to_le_bytes());
+            raw.extend_from_slice(&[r.kind().as_u8(), u8::from(r.taken())]);
+            raw.extend_from_slice(&r.non_branch_insts().to_le_bytes());
+            for &b in &raw {
+                fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            v1.extend_from_slice(&raw);
+        }
+        v1.extend_from_slice(&fnv.to_le_bytes());
+        let fp = store.trace_fingerprint(&spec);
+        store.backend.put(ObjectKind::Trace, fp, &v1).expect("put v1 object");
+        assert!(store.load_trace(fp).expect("no io fault").is_none());
+        assert_eq!(store.trace_loads(), 0);
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -1,19 +1,34 @@
 //! A compact binary trace format with integrity checks.
 //!
-//! Layout (little-endian):
+//! Layout (version 2, little-endian):
 //!
 //! ```text
-//! magic   [u8; 4] = b"LLBT"
-//! version u16     = 1
-//! name    u16 length + UTF-8 bytes
-//! count   u64     number of records
-//! records count × { pc u64, target u64, kind u8, taken u8, insts u32 }
-//! crc     u64     simple rolling checksum over the record bytes
+//! magic    [u8; 4] = b"LLBT"
+//! version  u16     = 2
+//! name     u16 length + UTF-8 bytes
+//! count    u64     number of records
+//! records  count × { pc u64, target u64, meta u32 }   20 bytes each
+//! checksum u64
 //! ```
 //!
-//! The format favours simplicity over density; traces used by the
-//! experiment harness are generated on the fly, so file IO is a
-//! convenience for caching and for interoperating with external tools.
+//! `meta` is [`BranchRecord::packed_meta`]: bits 0..3 the kind, bit 3 the
+//! direction, bits 4..32 the non-branch instruction count. The checksum
+//! covers everything after the version field. The name length, name and
+//! count pass through it zero-padded to whole 32-byte stripes, so the
+//! records start on a stripe boundary and move in blocks of 8 records
+//! (160 bytes, 5 stripes) through one stack buffer, one `read_exact` or
+//! `write_all` per block.
+//!
+//! The checksum runs four independent 64-bit lanes over the stripes, one
+//! word each, with xxHash64's round `acc = rotl(acc + w·P2, 31)·P1`; the
+//! lanes are merged by a sum of rotations, then the total length and the
+//! tail bytes are folded in and the result is avalanched. Every step is a
+//! bijection of the state it updates, so every single-bit flip in the
+//! covered bytes changes the checksum. Version 1 used 22-byte records and
+//! a byte-serial FNV-1a sum over the records only; it is not read.
+//!
+//! Traces used by the experiment harness are generated on the fly; file
+//! IO caches them between runs and interoperates with external tools.
 
 use crate::record::{BranchKind, BranchRecord, Trace};
 use std::io::{Read, Write};
@@ -21,7 +36,20 @@ use std::io::{Read, Write};
 /// Magic bytes identifying a trace file.
 pub const MAGIC: [u8; 4] = *b"LLBT";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
+
+/// Bytes per stored record: `pc`, `target` and the packed meta word.
+const RECORD_BYTES: usize = 20;
+/// Records moved per read or write call.
+const BLOCK_RECORDS: usize = 8;
+const BLOCK_BYTES: usize = BLOCK_RECORDS * RECORD_BYTES;
+/// Bytes the checksum's four lanes take per step.
+const STRIPE: usize = 32;
+const _: () = assert!(BLOCK_BYTES.is_multiple_of(STRIPE));
+/// Records reserved up front from the header's count. A larger trace
+/// grows past it; a corrupt count cannot make the reader ask the
+/// allocator for more before a record has been read.
+const MAX_RESERVED_RECORDS: usize = 1 << 20;
 
 /// Errors produced while reading or writing trace files.
 #[derive(Debug)]
@@ -32,12 +60,12 @@ pub enum TraceIoError {
     BadMagic([u8; 4]),
     /// The file uses an unsupported format version.
     UnsupportedVersion(u16),
-    /// A record carries an invalid branch-kind byte.
+    /// A record's kind bits name no branch kind.
     InvalidKind(u8),
     /// A record flags a conditional field inconsistently (e.g. an
     /// unconditional branch marked not-taken).
     InconsistentRecord { index: u64 },
-    /// The trailing checksum does not match the record payload.
+    /// The trailing checksum does not match the covered bytes.
     ChecksumMismatch { expected: u64, found: u64 },
     /// The embedded name is not valid UTF-8.
     BadName(std::string::FromUtf8Error),
@@ -49,7 +77,7 @@ impl std::fmt::Display for TraceIoError {
             TraceIoError::Io(e) => write!(f, "trace io failure: {e}"),
             TraceIoError::BadMagic(m) => write!(f, "bad trace magic {m:02x?}"),
             TraceIoError::UnsupportedVersion(v) => write!(f, "unsupported trace version {v}"),
-            TraceIoError::InvalidKind(k) => write!(f, "invalid branch kind byte {k}"),
+            TraceIoError::InvalidKind(k) => write!(f, "invalid branch kind {k}"),
             TraceIoError::InconsistentRecord { index } => {
                 write!(f, "inconsistent record at index {index}")
             }
@@ -77,25 +105,115 @@ impl From<std::io::Error> for TraceIoError {
     }
 }
 
-/// Rolling checksum over record payload bytes (FNV-1a, 64-bit).
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte slice"))
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("a 4-byte slice"))
+}
+
+/// The four-lane checksum over whole stripes (see the module docs).
 #[derive(Debug, Clone, Copy)]
-struct Checksum(u64);
+struct Checksum {
+    lanes: [u64; 4],
+    len: u64,
+}
 
 impl Checksum {
-    fn new() -> Self {
-        Checksum(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    /// Starts the sum with the header fields after the version, zero-padded
+    /// to whole stripes.
+    fn over_header(name: &[u8], count: u64) -> Self {
+        let mut crc = Checksum { lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()], len: 0 };
+        let name_len = u16::try_from(name.len()).expect("names are clamped to u16 bytes");
+        let mut stripe = [0u8; STRIPE];
+        let mut fill = 0;
+        for &b in name_len.to_le_bytes().iter().chain(name).chain(&count.to_le_bytes()) {
+            stripe[fill] = b;
+            fill += 1;
+            if fill == STRIPE {
+                crc.stripes(&stripe);
+                fill = 0;
+            }
         }
+        if fill > 0 {
+            stripe[fill..].fill(0);
+            crc.stripes(&stripe);
+        }
+        crc
     }
 
-    fn value(self) -> u64 {
-        self.0
+    /// Feeds whole stripes, one word to each lane.
+    fn stripes(&mut self, bytes: &[u8]) {
+        debug_assert!(bytes.len().is_multiple_of(STRIPE));
+        for stripe in bytes.chunks_exact(STRIPE) {
+            for (lane, word) in self.lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, le_u64(word));
+            }
+        }
+        self.len += bytes.len() as u64;
     }
+
+    /// Merges the lanes and folds in the total length and the `tail` bytes
+    /// that did not fill a stripe (a multiple of 4 bytes for record data).
+    fn finish(self, tail: &[u8]) -> u64 {
+        debug_assert!(tail.len() < STRIPE && tail.len().is_multiple_of(4));
+        let [a, b, c, d] = self.lanes;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18))
+            .wrapping_add(self.len + tail.len() as u64);
+        let mut words = tail.chunks_exact(8);
+        for word in &mut words {
+            h ^= round(0, le_u64(word));
+            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        }
+        for word in words.remainder().chunks_exact(4) {
+            h ^= u64::from(le_u32(word)).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// Writes `records` into `out`, [`RECORD_BYTES`] each.
+fn encode(records: &[BranchRecord], out: &mut [u8]) {
+    for (r, raw) in records.iter().zip(out.chunks_exact_mut(RECORD_BYTES)) {
+        raw[0..8].copy_from_slice(&r.pc().to_le_bytes());
+        raw[8..16].copy_from_slice(&r.target().to_le_bytes());
+        raw[16..20].copy_from_slice(&r.packed_meta().to_le_bytes());
+    }
+}
+
+/// Appends the records stored in `bytes` to `records`, checking what the
+/// packing does not bound: the kind bits, and that unconditional kinds
+/// are taken.
+fn decode(bytes: &[u8], records: &mut Vec<BranchRecord>) -> Result<(), TraceIoError> {
+    for raw in bytes.chunks_exact(RECORD_BYTES) {
+        let meta = le_u32(&raw[16..20]);
+        let kind_bits = (meta & 0x7) as u8;
+        let kind = BranchKind::from_u8(kind_bits).ok_or(TraceIoError::InvalidKind(kind_bits))?;
+        if kind.is_unconditional() && meta & 0x8 == 0 {
+            return Err(TraceIoError::InconsistentRecord { index: records.len() as u64 });
+        }
+        records.push(BranchRecord::from_packed(le_u64(&raw[0..8]), le_u64(&raw[8..16]), meta));
+    }
+    Ok(())
 }
 
 /// Serialises `trace` to `writer`. A buffered writer can be passed by
@@ -105,25 +223,29 @@ impl Checksum {
 ///
 /// Returns [`TraceIoError::Io`] on any underlying write failure.
 pub fn write_trace<W: Write>(mut writer: W, trace: &Trace) -> Result<(), TraceIoError> {
+    let name = trace.name().as_bytes();
+    let name = &name[..name.len().min(usize::from(u16::MAX))];
+    let count = trace.len() as u64;
     writer.write_all(&MAGIC)?;
     writer.write_all(&VERSION.to_le_bytes())?;
-    let name = trace.name().as_bytes();
-    let name_len = u16::try_from(name.len().min(u16::MAX as usize)).expect("clamped");
-    writer.write_all(&name_len.to_le_bytes())?;
-    writer.write_all(&name[..name_len as usize])?;
-    writer.write_all(&(trace.len() as u64).to_le_bytes())?;
-    let mut crc = Checksum::new();
-    for r in trace {
-        let mut buf = [0u8; 22];
-        buf[0..8].copy_from_slice(&r.pc().to_le_bytes());
-        buf[8..16].copy_from_slice(&r.target().to_le_bytes());
-        buf[16] = r.kind().as_u8();
-        buf[17] = u8::from(r.taken());
-        buf[18..22].copy_from_slice(&r.non_branch_insts().to_le_bytes());
-        crc.update(&buf);
-        writer.write_all(&buf)?;
+    writer.write_all(&(name.len() as u16).to_le_bytes())?;
+    writer.write_all(name)?;
+    writer.write_all(&count.to_le_bytes())?;
+    let mut crc = Checksum::over_header(name, count);
+    let mut block = [0u8; BLOCK_BYTES];
+    let mut blocks = trace.records().chunks_exact(BLOCK_RECORDS);
+    for records in &mut blocks {
+        encode(records, &mut block);
+        crc.stripes(&block);
+        writer.write_all(&block)?;
     }
-    writer.write_all(&crc.value().to_le_bytes())?;
+    let rest = blocks.remainder();
+    let last = &mut block[..rest.len() * RECORD_BYTES];
+    encode(rest, last);
+    let whole = last.len() / STRIPE * STRIPE;
+    crc.stripes(&last[..whole]);
+    writer.write_all(last)?;
+    writer.write_all(&crc.finish(&last[whole..]).to_le_bytes())?;
     Ok(())
 }
 
@@ -133,8 +255,8 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &Trace) -> Result<(), TraceIo
 /// # Errors
 ///
 /// Returns a [`TraceIoError`] describing the first malformation found:
-/// wrong magic, unsupported version, invalid kind bytes, inconsistent
-/// records, or a checksum mismatch.
+/// wrong magic, unsupported version (a version-1 file included), invalid
+/// kind bits, inconsistent records, a short file, or a checksum mismatch.
 pub fn read_trace<R: Read>(mut reader: R) -> Result<Trace, TraceIoError> {
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
@@ -150,32 +272,25 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Trace, TraceIoError> {
     reader.read_exact(&mut name_bytes)?;
     let name = String::from_utf8(name_bytes).map_err(TraceIoError::BadName)?;
     let count = read_u64(&mut reader)?;
-    let mut records = Vec::with_capacity(usize::try_from(count).unwrap_or(0).min(1 << 28));
-    let mut crc = Checksum::new();
-    for index in 0..count {
-        let mut buf = [0u8; 22];
-        reader.read_exact(&mut buf)?;
-        crc.update(&buf);
-        let pc = u64::from_le_bytes(buf[0..8].try_into().expect("slice length"));
-        let target = u64::from_le_bytes(buf[8..16].try_into().expect("slice length"));
-        let kind = BranchKind::from_u8(buf[16]).ok_or(TraceIoError::InvalidKind(buf[16]))?;
-        let taken = match buf[17] {
-            0 => false,
-            1 => true,
-            _ => return Err(TraceIoError::InconsistentRecord { index }),
-        };
-        if kind.is_unconditional() && !taken {
-            return Err(TraceIoError::InconsistentRecord { index });
-        }
-        let non_branch_insts = u32::from_le_bytes(buf[18..22].try_into().expect("slice length"));
-        if non_branch_insts > BranchRecord::MAX_NON_BRANCH_INSTS {
-            return Err(TraceIoError::InconsistentRecord { index });
-        }
-        records.push(BranchRecord::new(pc, target, kind, taken, non_branch_insts));
+    let mut crc = Checksum::over_header(name.as_bytes(), count);
+    let reserve =
+        usize::try_from(count).map_or(MAX_RESERVED_RECORDS, |n| n.min(MAX_RESERVED_RECORDS));
+    let mut records = Vec::with_capacity(reserve);
+    let mut block = [0u8; BLOCK_BYTES];
+    for _ in 0..count / BLOCK_RECORDS as u64 {
+        reader.read_exact(&mut block)?;
+        crc.stripes(&block);
+        decode(&block, &mut records)?;
     }
+    let last = &mut block[..(count % BLOCK_RECORDS as u64) as usize * RECORD_BYTES];
+    reader.read_exact(last)?;
+    let whole = last.len() / STRIPE * STRIPE;
+    crc.stripes(&last[..whole]);
+    decode(last, &mut records)?;
+    let found = crc.finish(&last[whole..]);
     let expected = read_u64(&mut reader)?;
-    if expected != crc.value() {
-        return Err(TraceIoError::ChecksumMismatch { expected, found: crc.value() });
+    if expected != found {
+        return Err(TraceIoError::ChecksumMismatch { expected, found });
     }
     Ok(Trace::from_records(name, records))
 }
@@ -218,6 +333,25 @@ mod tests {
     }
 
     #[test]
+    fn quick_workloads_roundtrip_exactly() {
+        // The 14 paper workloads at quick length under the benchmark's
+        // seed-1 derivation (preset seed XOR 0x9E37_79B9_7F4A_7C15).
+        for w in crate::Workload::ALL {
+            let trace = crate::WorkloadSpec::named(w)
+                .with_branches(150_000)
+                .with_seed(w.params().seed ^ 0x9E37_79B9_7F4A_7C15)
+                .generate();
+            let mut buf = Vec::new();
+            write_trace(&mut buf, &trace).unwrap();
+            assert_eq!(buf.len(), 4 + 2 + 2 + trace.name().len() + 8 + trace.len() * 20 + 8);
+            let back = read_trace(buf.as_slice()).unwrap();
+            assert_eq!(back.name(), trace.name(), "{w}");
+            assert_eq!(back.instructions(), trace.instructions(), "{w}");
+            assert!(back.records() == trace.records(), "{w}: records differ");
+        }
+    }
+
+    #[test]
     fn empty_trace_roundtrips() {
         let t = Trace::new("empty");
         let mut buf = Vec::new();
@@ -245,12 +379,51 @@ mod tests {
     }
 
     #[test]
-    fn invalid_kind_rejected() {
+    fn name_is_covered_by_checksum() {
         let mut buf = Vec::new();
         write_trace(&mut buf, &sample_trace()).unwrap();
+        // "sample" → "sbmple": still valid UTF-8, so only the sum can tell.
+        buf[4 + 2 + 2 + 1] ^= 0x01;
+        assert!(matches!(read_trace(buf.as_slice()), Err(TraceIoError::ChecksumMismatch { .. })));
+    }
+
+    #[test]
+    fn invalid_kind_rejected() {
         let header = 4 + 2 + 2 + "sample".len() + 8;
-        buf[header + 16] = 77; // kind byte of record 0
-        assert!(matches!(read_trace(buf.as_slice()), Err(TraceIoError::InvalidKind(77))));
+        for kind in [6u8, 7] {
+            let mut buf = Vec::new();
+            write_trace(&mut buf, &sample_trace()).unwrap();
+            // The low three bits of record 0's meta word hold its kind.
+            buf[header + 16] = (buf[header + 16] & !0x7) | kind;
+            assert!(
+                matches!(read_trace(buf.as_slice()), Err(TraceIoError::InvalidKind(k)) if k == kind)
+            );
+        }
+    }
+
+    #[test]
+    fn untaken_unconditional_is_inconsistent() {
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &sample_trace()).unwrap();
+        // Clear the taken bit (bit 3) of record 1, a direct call.
+        let header = 4 + 2 + 2 + "sample".len() + 8;
+        buf[header + 20 + 16] &= !0x8;
+        assert!(matches!(
+            read_trace(buf.as_slice()),
+            Err(TraceIoError::InconsistentRecord { index: 1 })
+        ));
+    }
+
+    #[test]
+    fn oversized_count_is_an_error() {
+        // A header claiming 2^40 records followed by one record: the reader
+        // must fail on the short file, not reserve memory for the claim.
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &Trace::from_records("big", sample_trace().records()[..1].to_vec()))
+            .unwrap();
+        let count_at = 4 + 2 + 2 + "big".len();
+        buf[count_at..count_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(matches!(read_trace(buf.as_slice()), Err(TraceIoError::Io(_))));
     }
 
     #[test]
@@ -267,6 +440,9 @@ mod tests {
         write_trace(&mut buf, &sample_trace()).unwrap();
         buf[4] = 0xFF;
         assert!(matches!(read_trace(buf.as_slice()), Err(TraceIoError::UnsupportedVersion(_))));
+        // Version 1 (22-byte records) has no reader.
+        buf[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(read_trace(buf.as_slice()), Err(TraceIoError::UnsupportedVersion(1))));
     }
 
     #[test]

@@ -137,12 +137,24 @@ impl BranchRecord {
             non_branch_insts <= Self::MAX_NON_BRANCH_INSTS,
             "non_branch_insts {non_branch_insts} exceeds the 28-bit record field"
         );
+        let meta = u32::from(kind.as_u8()) | (u32::from(taken) << 3) | (non_branch_insts << 4);
+        Self::from_packed(pc, target, meta)
+    }
+
+    /// Rebuilds a record from its stored words: `pc`, `target` and the
+    /// [`BranchRecord::packed_meta`] word. The caller must have checked
+    /// that the kind bits encode a [`BranchKind`] (at most 5), since
+    /// [`BranchRecord::kind`] relies on it; the packing itself bounds the
+    /// instruction count to 28 bits.
+    #[inline]
+    pub(crate) fn from_packed(pc: u64, target: u64, meta: u32) -> Self {
+        debug_assert!(meta & 0x7 <= 5, "kind bits {} are not a branch kind", meta & 0x7);
         Self {
             pc_lo: pc as u32,
             pc_hi: (pc >> 32) as u32,
             target_lo: target as u32,
             target_hi: (target >> 32) as u32,
-            meta: u32::from(kind.as_u8()) | (u32::from(taken) << 3) | (non_branch_insts << 4),
+            meta,
         }
     }
 
@@ -358,7 +370,7 @@ impl Trace {
     pub fn push(&mut self, record: BranchRecord) {
         self.instructions += record.instructions();
         self.records.push(record);
-        self.soa = std::sync::OnceLock::new();
+        self.soa.take();
     }
 
     /// Number of branch records.

@@ -75,8 +75,6 @@ impl Behavior {
 pub struct BehaviorState {
     /// Last 64 conditional outcomes, bit 0 = most recent.
     global_outcomes: u64,
-    /// Distinct (branch, context) pairs touched (analysis probe).
-    context_pairs: std::collections::HashSet<(u64, u64)>,
 }
 
 impl BehaviorState {
@@ -109,7 +107,6 @@ impl BehaviorState {
                 window.count_ones() % 2 == 1
             }
             Behavior::ContextTable { k } => {
-                self.context_pairs.insert((pc, ctx_sig));
                 let idx = self.global_outcomes & mask64(k.clamp(1, 6));
                 // A context-specific 64-bit truth table, derived
                 // deterministically so the same context always replays the
@@ -120,13 +117,6 @@ impl BehaviorState {
         };
         self.global_outcomes = (self.global_outcomes << 1) | u64::from(outcome);
         outcome
-    }
-
-    /// Number of distinct (branch, context) pairs touched so far — a proxy
-    /// for how many context-local pattern sets exist.
-    #[must_use]
-    pub fn context_pairs(&self) -> usize {
-        self.context_pairs.len()
     }
 }
 
@@ -241,15 +231,5 @@ mod tests {
             (0..32).map(|_| st.evaluate(Behavior::ContextTable { k: 3 }, 5, 42, &mut r)).collect()
         };
         assert_eq!(drive(), drive());
-    }
-
-    #[test]
-    fn context_pairs_grow_with_contexts() {
-        let mut st = BehaviorState::new();
-        let mut r = rng();
-        for ctx in 0..10 {
-            st.evaluate(Behavior::ContextTable { k: 2 }, 1, ctx, &mut r);
-        }
-        assert_eq!(st.context_pairs(), 10);
     }
 }

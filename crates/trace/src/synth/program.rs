@@ -158,7 +158,7 @@ impl Program {
             program: self,
             rng: SplitMix64::new(self.params.seed ^ 0x5ca1_ab1e),
             state: BehaviorState::new(),
-            trace: Trace::new(name),
+            records: Vec::new(),
             limit: branches,
             fuel: 0,
             call_stack: Vec::with_capacity(MAX_DEPTH + 1),
@@ -181,9 +181,12 @@ impl Program {
             return None;
         }
         sink.on_complete(run.emitted);
-        // Trim any overshoot from the last request so callers get exactly
-        // what they asked for.
-        let mut records = run.trace.records().to_vec();
+        // Hand over the run's own records. Growth by doubling can leave
+        // up to twice the length in capacity; shrinking before trimming the
+        // last request's overshoot leaves at most 64 records spare, and the
+        // system allocator shrinks in place, without a copy.
+        let mut records = run.records;
+        records.shrink_to_fit();
         records.truncate(branches);
         Some(Trace::from_records(name, records))
     }
@@ -210,7 +213,7 @@ struct Run<'p> {
     program: &'p Program,
     rng: SplitMix64,
     state: BehaviorState,
-    trace: Trace,
+    records: Vec<BranchRecord>,
     limit: usize,
     /// Remaining record budget for the current request. Bounds request
     /// size so a single deep loop-nest cannot monopolise the trace and the
@@ -220,7 +223,7 @@ struct Run<'p> {
     call_stack: Vec<u64>,
     /// Cancellation hook, polled every [`GEN_POLL_INTERVAL`] emits.
     sink: &'p dyn ProgressSink,
-    /// Records emitted so far (unlike `trace.len()`, never capped), the
+    /// Records emitted so far (unlike `records.len()`, never capped), the
     /// poll-point counter.
     emitted: usize,
     /// Set once the sink aborts; [`Run::done`] then unwinds the
@@ -243,8 +246,8 @@ impl Run<'_> {
 
     fn emit(&mut self, record: BranchRecord) {
         self.fuel = self.fuel.saturating_sub(1);
-        if self.trace.len() < self.limit + 64 {
-            self.trace.push(record);
+        if self.records.len() < self.limit + 64 {
+            self.records.push(record);
         }
         self.emitted += 1;
         if self.emitted.is_multiple_of(GEN_POLL_INTERVAL) && !self.sink.on_progress(self.emitted) {
@@ -253,7 +256,7 @@ impl Run<'_> {
     }
 
     fn done(&self) -> bool {
-        self.aborted || self.trace.len() >= self.limit
+        self.aborted || self.records.len() >= self.limit
     }
 
     /// Decides whether a call site in function `fidx` is executed this

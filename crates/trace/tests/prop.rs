@@ -37,10 +37,9 @@ fn trace_io_roundtrip() {
     }
 }
 
-/// Any single-byte corruption of the record payload is detected (either a
-/// structured error or a checksum mismatch) — silent acceptance of a
-/// modified payload is a bug. The name region is not covered by the
-/// record checksum, so corruption is injected past the header only.
+/// Any single-bit corruption after the version field (name length, name,
+/// count, records) is detected (either a structured error or a checksum
+/// mismatch) — silent acceptance of a modified file is a bug.
 #[test]
 fn corruption_is_detected() {
     let mut rng = SplitMix64::new(0x11);
@@ -52,20 +51,16 @@ fn corruption_is_detected() {
         let trace = Trace::from_records("x", records);
         let mut buf = Vec::new();
         write_trace(&mut buf, &trace).unwrap();
-        // Only corrupt bytes in the record payload (after the 17-byte
-        // header: magic 4 + version 2 + name len 2 + name 1 + count 8).
-        let payload_start = 4 + 2 + 2 + 1 + 8;
-        let payload_end = buf.len() - 8; // exclude the trailing checksum
+        // Corrupt anything past magic (4) and version (2), short of the
+        // trailing checksum, which its own test covers.
+        let payload_start = 4 + 2;
+        let payload_end = buf.len() - 8;
         assert!(payload_end > payload_start);
         let pos = payload_start + (rng.next_u64() as usize) % (payload_end - payload_start);
         buf[pos] ^= 1 << rng.below(8);
         match read_trace(buf.as_slice()) {
             Err(_) => {} // detected — good
-            Ok(back) => {
-                // A single bit flip cannot produce an identical payload.
-                assert_ne!(back.records(), trace.records());
-                panic!("corruption silently accepted");
-            }
+            Ok(_) => panic!("corruption at byte {pos} silently accepted"),
         }
     }
 }

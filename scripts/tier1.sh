@@ -16,8 +16,9 @@ cargo test --workspace --offline --quiet
 echo "== release tests =="
 # The benchmark measures release code, and integer overflow behaves
 # differently there (wrapping and masked shifts instead of panics), so
-# the fold, hash and golden-pin suites also run in the release build.
-cargo test --release --offline --quiet -p bputil -p llbp-tage
+# the fold, hash, trace-codec and golden-pin suites also run in the
+# release build.
+cargo test --release --offline --quiet -p bputil -p llbp-tage -p llbp-trace
 cargo test --release --offline --quiet -p llbp-sim --test llbp_golden --test backend_parity
 
 echo "== clippy (warnings are errors) =="
