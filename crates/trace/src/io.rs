@@ -108,7 +108,6 @@ impl From<std::io::Error> for TraceIoError {
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
 const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
 const P3: u64 = 0x1656_67B1_9E37_79F9;
-const P4: u64 = 0x85EB_CA77_C2B2_AE63;
 
 fn round(acc: u64, word: u64) -> u64 {
     acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
@@ -164,7 +163,7 @@ impl Checksum {
     }
 
     /// Merges the lanes and folds in the total length and the `tail` bytes
-    /// that did not fill a stripe (a multiple of 4 bytes for record data).
+    /// that did not fill a stripe: whole records, so whole u32 words.
     fn finish(self, tail: &[u8]) -> u64 {
         debug_assert!(tail.len() < STRIPE && tail.len().is_multiple_of(4));
         let [a, b, c, d] = self.lanes;
@@ -174,12 +173,7 @@ impl Checksum {
             .wrapping_add(c.rotate_left(12))
             .wrapping_add(d.rotate_left(18))
             .wrapping_add(self.len + tail.len() as u64);
-        let mut words = tail.chunks_exact(8);
-        for word in &mut words {
-            h ^= round(0, le_u64(word));
-            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
-        }
-        for word in words.remainder().chunks_exact(4) {
+        for word in tail.chunks_exact(4) {
             h ^= u64::from(le_u32(word)).wrapping_mul(P1);
             h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
         }
