@@ -417,32 +417,8 @@ pub fn trace_cache(opts: &Opts) -> TraceCache {
     }
 }
 
-/// Runs `f` for every workload on the sweep engine's bounded worker pool
-/// and returns the results in workload order. The closure receives the
-/// workload and its trace (served from the persistent trace store when
-/// warm).
-///
-/// Fan-out is capped at the available core count (it used to be one
-/// thread per workload, which oversubscribes small machines and keeps
-/// every workload's predictor state resident simultaneously).
-pub fn parallel_over_workloads<T, F>(opts: &Opts, f: F) -> Vec<(Workload, T)>
-where
-    T: Send,
-    F: Fn(Workload, &Trace) -> T + Sync,
-{
-    let workloads = opts.workloads.clone();
-    let cache = trace_cache(opts);
-    let results =
-        llbp_sim::engine::run_indexed(llbp_sim::engine::default_workers(), workloads.len(), |i| {
-            let trace = cache
-                .get_or_generate(&WorkloadSpec::named(workloads[i]).with_branches(opts.branches));
-            f(workloads[i], &trace)
-        });
-    workloads.into_iter().zip(results).collect()
-}
-
 /// The workload grid of an [`Opts`] as [`WorkloadSpec`]s, for sweeps that
-/// go through the engine (`SweepSpec`) rather than the closure helper.
+/// go through the engine (`SweepSpec`).
 #[must_use]
 pub fn workload_specs(opts: &Opts) -> Vec<WorkloadSpec> {
     opts.workloads.iter().map(|&w| WorkloadSpec::named(w).with_branches(opts.branches)).collect()

@@ -3,8 +3,11 @@
 //! A sweep runs many `(predictor, workload)` jobs and most of them share a
 //! workload: generating the trace once and handing every job an
 //! [`Arc<Trace>`] removes the dominant redundant work from multi-predictor
-//! sweeps and keeps the peak memory footprint proportional to the number
-//! of *distinct* workloads rather than the number of jobs.
+//! sweeps. A cache keeps every trace it has produced until it is dropped,
+//! unless its owner releases one: the sweep engine releases a trace from
+//! the cache it builds for a run once the trace's last cell has finished,
+//! so a one-worker campaign holds one trace at a time (see
+//! [`TraceCache::peak_footprint`]).
 //!
 //! The cache is safe to share across the sweep engine's worker threads.
 //! When two workers request the same trace concurrently, exactly one
@@ -17,7 +20,7 @@ use bputil::hash::FastHashMap;
 use llbp_obs::Telemetry;
 use llbp_trace::{ProgressSink, Trace, WorkloadSpec};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -55,11 +58,13 @@ enum Slot {
 /// ```
 #[derive(Default)]
 pub struct TraceCache {
-    slots: Mutex<FastHashMap<String, Slot>>,
+    slots: Mutex<FastHashMap<Arc<str>, Slot>>,
     ready: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
+    /// Largest footprint sampled just before a release.
+    peak: AtomicUsize,
     store: Option<Arc<MemoStore>>,
     cold: bool,
     telemetry: Telemetry,
@@ -93,11 +98,14 @@ impl TraceCache {
     }
 
     /// The cache key for a spec: every field that influences generation.
-    fn key(spec: &WorkloadSpec) -> String {
+    /// The sweep engine formats each workload's key once per run and
+    /// passes it to [`TraceCache::get_or_generate_keyed`] and
+    /// [`TraceCache::release`], so its cells format none.
+    pub(crate) fn key(spec: &WorkloadSpec) -> Arc<str> {
         // `WorkloadSpec` carries f64 tuning parameters, so it cannot
         // implement `Eq`/`Hash`; its `Debug` form includes every field and
         // is deterministic, which is all a cache key needs.
-        format!("{spec:?}")
+        format!("{spec:?}").into()
     }
 
     /// Locks the slot map, recovering the data from a poisoned lock.
@@ -107,7 +115,7 @@ impl TraceCache {
     /// thread that panicked while holding the lock cannot have left a
     /// torn state behind — recovering is strictly better than cascading
     /// the panic into every other worker of the sweep.
-    fn lock_slots(&self) -> MutexGuard<'_, FastHashMap<String, Slot>> {
+    fn lock_slots(&self) -> MutexGuard<'_, FastHashMap<Arc<str>, Slot>> {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -155,14 +163,25 @@ impl TraceCache {
         token: &CancelToken,
         injected_delay: Option<Duration>,
     ) -> Result<Arc<Trace>, SimError> {
-        let key = Self::key(spec);
+        self.get_or_generate_keyed(&Self::key(spec), spec, token, injected_delay)
+    }
+
+    /// [`TraceCache::get_or_generate_cancellable`] with the spec's key
+    /// already formatted ([`TraceCache::key`]).
+    pub(crate) fn get_or_generate_keyed(
+        &self,
+        key: &Arc<str>,
+        spec: &WorkloadSpec,
+        token: &CancelToken,
+        injected_delay: Option<Duration>,
+    ) -> Result<Arc<Trace>, SimError> {
         {
             let mut slots = self.lock_slots();
             loop {
                 if token.is_cancelled() {
                     return Err(token.cancellation_error());
                 }
-                match slots.get(&key) {
+                match slots.get(&**key) {
                     Some(Slot::Ready(trace)) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Ok(Arc::clone(trace));
@@ -175,7 +194,7 @@ impl TraceCache {
                             .0;
                     }
                     None => {
-                        slots.insert(key.clone(), Slot::Pending);
+                        slots.insert(Arc::clone(key), Slot::Pending);
                         break;
                     }
                 }
@@ -186,14 +205,31 @@ impl TraceCache {
         // cache is not cold), generating and writing back otherwise. The
         // guard rolls the Pending reservation back if produce() unwinds
         // *or* returns a cancellation error.
-        let mut guard = PendingGuard { cache: self, key: &key, armed: true };
+        let mut guard = PendingGuard { cache: self, key, armed: true };
         let trace = Arc::new(self.produce(spec, token, injected_delay)?);
         guard.armed = false;
         drop(guard);
         let mut slots = self.lock_slots();
-        slots.insert(key, Slot::Ready(Arc::clone(&trace)));
+        slots.insert(Arc::clone(key), Slot::Ready(Arc::clone(&trace)));
         self.ready.notify_all();
         Ok(trace)
+    }
+
+    /// Drops the trace of `key` once no caller will ask for it again,
+    /// after adding the cache's footprint at that moment to the samples
+    /// [`TraceCache::peak_footprint`] takes the largest of. A key that
+    /// is absent or still being generated is left alone.
+    pub(crate) fn release(&self, key: &str) {
+        let mut slots = self.lock_slots();
+        if !matches!(slots.get(key), Some(Slot::Ready(_))) {
+            return;
+        }
+        self.peak.fetch_max(footprint(&slots), Ordering::Relaxed);
+        let released = slots.remove(key);
+        drop(slots);
+        // The trace is freed here, outside the lock, unless a caller
+        // still holds it.
+        drop(released);
     }
 
     /// Loads the trace from the persistent store or generates it, writing
@@ -263,17 +299,35 @@ impl TraceCache {
         self.len() == 0
     }
 
-    /// Total heap bytes held by the cached traces.
+    /// Total heap bytes held by the cached traces now, column views
+    /// included.
     #[must_use]
     pub fn memory_footprint(&self) -> usize {
-        self.lock_slots()
-            .values()
-            .map(|slot| match slot {
-                Slot::Ready(trace) => trace.memory_footprint(),
-                Slot::Pending => 0,
-            })
-            .sum()
+        footprint(&self.lock_slots())
     }
+
+    /// The most heap the cached traces have held: the larger of
+    /// [`TraceCache::memory_footprint`] now and the footprints sampled
+    /// just before each release. Traces only join the cache between
+    /// releases, so with one worker this is exact; with several, a trace
+    /// whose column view another worker is still building when a release
+    /// samples is counted without it. A cache that never releases
+    /// reports what it holds.
+    #[must_use]
+    pub fn peak_footprint(&self) -> usize {
+        self.peak.load(Ordering::Relaxed).max(self.memory_footprint())
+    }
+}
+
+/// Heap bytes held by the ready traces of a locked slot map.
+fn footprint(slots: &FastHashMap<Arc<str>, Slot>) -> usize {
+    slots
+        .values()
+        .map(|slot| match slot {
+            Slot::Ready(trace) => trace.memory_footprint(),
+            Slot::Pending => 0,
+        })
+        .sum()
 }
 
 /// Adapts a [`CancelToken`] (plus an optional injected pre-generation
@@ -370,6 +424,32 @@ mod tests {
     }
 
     #[test]
+    fn release_drops_a_ready_trace_and_keeps_its_footprint_as_the_peak() {
+        let cache = TraceCache::new();
+        let spec = WorkloadSpec::named(Workload::Http).with_branches(300);
+        let key = TraceCache::key(&spec);
+        let trace = cache
+            .get_or_generate_keyed(&key, &spec, &CancelToken::none(), None)
+            .expect("no deadline to trip");
+        let _view = trace.soa();
+        let held = cache.memory_footprint();
+        assert_eq!(held, trace.memory_footprint(), "the column view counts");
+        cache.release(&key);
+        assert!(cache.is_empty());
+        assert_eq!(cache.memory_footprint(), 0);
+        assert_eq!(cache.peak_footprint(), held);
+        // An absent key is a no-op, and a released key regenerates.
+        cache.release(&key);
+        assert_eq!(cache.get_or_generate(&spec).records(), trace.records());
+        assert_eq!(cache.misses(), 2);
+        // A generation in flight is never dropped.
+        cache.release(&key);
+        cache.lock_slots().insert(Arc::clone(&key), Slot::Pending);
+        cache.release(&key);
+        assert!(matches!(cache.lock_slots().get(&*key), Some(Slot::Pending)));
+    }
+
+    #[test]
     fn persistent_store_feeds_a_fresh_cache() {
         let dir =
             std::env::temp_dir().join(format!("llbp-trace-cache-unit-{}", std::process::id()));
@@ -400,15 +480,15 @@ mod tests {
     #[test]
     fn panicking_generator_releases_its_pending_reservation() {
         let cache = TraceCache::new();
-        let key = "unit-test-key".to_string();
-        cache.lock_slots().insert(key.clone(), Slot::Pending);
+        let key: Arc<str> = Arc::from("unit-test-key");
+        cache.lock_slots().insert(Arc::clone(&key), Slot::Pending);
         // Simulate a generator thread unwinding mid-produce.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = PendingGuard { cache: &cache, key: &key, armed: true };
             panic!("generator died");
         }));
         assert!(caught.is_err());
-        assert!(!cache.lock_slots().contains_key(&key), "reservation must be rolled back");
+        assert!(!cache.lock_slots().contains_key(&*key), "reservation must be rolled back");
         // And the cache still works afterwards — including for waiters
         // that would have been blocked on the dead reservation.
         let spec = WorkloadSpec::named(Workload::Http).with_branches(200);

@@ -11,7 +11,10 @@
 //! *slower* than running serially. The engine instead claims jobs from a
 //! shared counter with `min(available cores, jobs)` workers, so memory in
 //! flight is bounded by the worker count and a single-core host degrades
-//! gracefully to a serial run.
+//! gracefully to a serial run. Traces are bounded the same way: a run
+//! drops each trace from its own cache once the trace's last cell has
+//! finished, so with the workload-major claim order a one-worker run
+//! holds one trace at a time (see [`SweepReport::trace_bytes`]).
 //!
 //! Results are bit-identical to calling [`SimConfig::run`] serially for
 //! every grid cell, at any worker count: each simulation is a pure
@@ -405,7 +408,11 @@ pub struct SweepReport {
     pub memo_hits: u64,
     /// Grid cells simulated (and written back, when a store is attached).
     pub memo_misses: u64,
-    /// Peak heap bytes held by cached traces.
+    /// Peak heap bytes held by cached traces, column views included
+    /// ([`TraceCache::peak_footprint`]): the largest footprint sampled
+    /// just before each trace was released and at the end of the run. A
+    /// run on a caller's cache releases nothing, so for it this is what
+    /// the cache holds when the run ends.
     pub trace_bytes: usize,
     /// Grid cells that ultimately failed after exhausting retries. Their
     /// slot in [`SweepReport::jobs`] holds an all-zero placeholder result
@@ -791,8 +798,10 @@ impl SweepEngine {
     /// Runs the grid against a caller-provided trace cache, so harness
     /// code that needs the traces afterwards (e.g. for L1-I traffic
     /// analysis) shares one cache with the sweep instead of regenerating.
-    /// Job panics are caught and surface as [`SweepReport::failed`]
-    /// entries, not unwinds.
+    /// The cache keeps every trace; a run on the engine's own cache
+    /// ([`SweepEngine::run`]) drops each after its last cell. Job panics
+    /// are caught and surface as [`SweepReport::failed`] entries, not
+    /// unwinds.
     ///
     /// # Panics
     ///
@@ -815,7 +824,7 @@ impl SweepEngine {
     /// [`SimError::CacheContention`] when another live campaign holds the
     /// journal lock for this grid on this cache root.
     pub fn try_run(&self, spec: &SweepSpec) -> Result<SweepReport, SimError> {
-        self.run_grid(spec, &self.default_cache(), None)
+        self.run_grid(spec, &self.default_cache(), true, None)
     }
 
     /// [`SweepEngine::try_run`] that also reports each cell as it
@@ -838,7 +847,7 @@ impl SweepEngine {
                 detail: "an observed sweep requires a persistent store".into(),
             });
         }
-        self.run_grid(spec, &self.default_cache(), Some(observe))
+        self.run_grid(spec, &self.default_cache(), true, Some(observe))
     }
 
     /// Fallible [`SweepEngine::run_with_cache`] (see
@@ -853,7 +862,7 @@ impl SweepEngine {
         spec: &SweepSpec,
         cache: &TraceCache,
     ) -> Result<SweepReport, SimError> {
-        self.run_grid(spec, cache, None)
+        self.run_grid(spec, cache, false, None)
     }
 
     /// The trace cache a run without a caller-provided one uses: backed
@@ -866,10 +875,14 @@ impl SweepEngine {
         .with_telemetry(self.telemetry.clone())
     }
 
+    /// Runs every cell of `spec` on `cache`. With `own_cache` set the
+    /// cache is the run's own, and each trace is released from it as soon
+    /// as its last cell finishes; a caller's cache keeps every trace.
     fn run_grid(
         &self,
         spec: &SweepSpec,
         cache: &TraceCache,
+        own_cache: bool,
         observe: Option<CellObserver<'_>>,
     ) -> Result<SweepReport, SimError> {
         if let Some(e) = &self.env_error {
@@ -926,6 +939,7 @@ impl SweepEngine {
             _ => FastHashMap::default(),
         };
         let order = self.schedule(n, &fingerprints);
+        let traces = TraceKeys::new(spec);
         let memo_hits = AtomicU64::new(0);
         let memo_misses = AtomicU64::new(0);
         let resumed = AtomicU64::new(0);
@@ -935,15 +949,19 @@ impl SweepEngine {
             if self.telemetry.is_enabled() {
                 self.telemetry.record_span("queue_wait", started, Instant::now(), index as i64);
             }
+            let workload = spec.job(index).workload;
             let outcome = self.run_cell(
                 spec,
                 index,
-                cache,
+                (cache, traces.key(workload)),
                 fingerprints.get(index).copied(),
                 done_before.contains_key(&index),
                 force_fresh.contains(&index),
                 (&memo_hits, &memo_misses, &resumed),
             );
+            if own_cache && traces.finish(workload) {
+                cache.release(traces.key(workload));
+            }
             if journal.is_some() || observe.is_some() {
                 let recorded = match &outcome {
                     Ok((_, digest)) => {
@@ -987,7 +1005,7 @@ impl SweepEngine {
             trace_disk_hits: cache.disk_hits(),
             memo_hits: memo_hits.into_inner(),
             memo_misses: memo_misses.into_inner(),
-            trace_bytes: cache.memory_footprint(),
+            trace_bytes: cache.peak_footprint(),
             failed,
             resumed: resumed.into_inner(),
             stale: stale_count,
@@ -1060,7 +1078,7 @@ impl SweepEngine {
         &self,
         spec: &SweepSpec,
         index: usize,
-        cache: &TraceCache,
+        trace: (&TraceCache, &Arc<str>),
         fingerprint: Option<Fingerprint>,
         resumable: bool,
         force_fresh: bool,
@@ -1076,7 +1094,7 @@ impl SweepEngine {
                 spec,
                 job,
                 index,
-                cache,
+                trace,
                 fingerprint,
                 resumable,
                 force_fresh,
@@ -1121,7 +1139,7 @@ impl SweepEngine {
         spec: &SweepSpec,
         job: SweepJob,
         index: usize,
-        cache: &TraceCache,
+        (cache, key): (&TraceCache, &Arc<str>),
         fingerprint: Option<Fingerprint>,
         resumable: bool,
         force_fresh: bool,
@@ -1170,7 +1188,7 @@ impl SweepEngine {
         let trace = {
             let _span = self.telemetry.span("generation").with_cell(index as i64);
             catch_unwind(AssertUnwindSafe(|| {
-                cache.get_or_generate_cancellable(wspec, &token, gen_delay)
+                cache.get_or_generate_keyed(key, wspec, &token, gen_delay)
             }))
             .map_err(|payload| SimError::TraceGen {
                 workload: wspec.name().to_string(),
@@ -1313,6 +1331,10 @@ impl SweepEngine {
     /// that will be served from disk are near-free and scheduled last.
     /// Ties keep grid order, so a store-less engine degrades to exactly
     /// the workload-major order (which maximizes trace-cache locality).
+    /// Recorded walls interleave workloads instead (a `--cold` run over a
+    /// store that has run the grid before), and then each trace stays in
+    /// the run's cache until its last cell in this order, not its
+    /// workload's last grid cell.
     fn schedule(&self, n: usize, fingerprints: &[llbp_trace::Fingerprint]) -> Vec<usize> {
         let Some(store) = &self.store else {
             return (0..n).collect();
@@ -1332,6 +1354,57 @@ impl SweepEngine {
             .collect();
         keyed.sort_unstable();
         keyed.into_iter().map(|(_, i)| i).collect()
+    }
+}
+
+/// A run's trace-cache keys, formatted once per workload, and the count
+/// of each distinct key's cells that have not finished yet. Counting by
+/// key rather than by workload index means a spec listed twice in one
+/// grid is generated once and released once.
+struct TraceKeys {
+    /// Each workload's index into `keys`.
+    slot: Vec<usize>,
+    /// One key per distinct spec.
+    keys: Vec<Arc<str>>,
+    /// Unfinished cells per key.
+    unfinished: Vec<AtomicUsize>,
+}
+
+impl TraceKeys {
+    fn new(spec: &SweepSpec) -> Self {
+        let mut keys: Vec<Arc<str>> = Vec::new();
+        let slot = spec
+            .workloads
+            .iter()
+            .map(|workload| {
+                let key = TraceCache::key(workload);
+                keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                })
+            })
+            .collect::<Vec<_>>();
+        let unfinished = (0..keys.len())
+            .map(|k| {
+                let workloads = slot.iter().filter(|&&s| s == k).count();
+                AtomicUsize::new(workloads * spec.predictors.len())
+            })
+            .collect();
+        Self { slot, keys, unfinished }
+    }
+
+    /// The cache key of `workload`'s trace.
+    fn key(&self, workload: usize) -> &Arc<str> {
+        &self.keys[self.slot[workload]]
+    }
+
+    /// Counts one finished cell of `workload`, whatever its outcome;
+    /// `true` when it was the last cell of its key.
+    fn finish(&self, workload: usize) -> bool {
+        // Release publishes this cell's use of the trace; the acquire half
+        // lets the cell that reaches zero see every other cell's before it
+        // drops the trace.
+        self.unfinished[self.slot[workload]].fetch_sub(1, Ordering::AcqRel) == 1
     }
 }
 

@@ -38,7 +38,7 @@ use bputil::hash::FastHashMap;
 use llbp_core::LlbpStats;
 use llbp_tage::FrontEndStats;
 use llbp_trace::fingerprint::{Fingerprint, StableHasher};
-use llbp_trace::{read_trace, write_trace, Trace, WorkloadSpec};
+use llbp_trace::{read_trace, write_trace, Trace, TraceIoError, WorkloadSpec};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -320,7 +320,9 @@ impl MemoStore {
 
     /// Loads the trace addressed by `fp`. `Ok(None)` is a miss — no
     /// such object, or an object that is corrupt (bad magic,
-    /// truncation, checksum mismatch) and must be regenerated.
+    /// truncation, checksum mismatch) and must be regenerated. The local
+    /// tier decodes the file as it reads it, through a small buffer, so
+    /// the object's bytes are never held whole.
     ///
     /// # Errors
     ///
@@ -329,17 +331,26 @@ impl MemoStore {
     /// retry or degrade to regeneration.
     pub fn load_trace(&self, fp: Fingerprint) -> Result<Option<Trace>, SimError> {
         self.check_faults("load_trace")?;
-        let Some(bytes) = self.backend.get(ObjectKind::Trace, fp)? else {
-            return Ok(None);
-        };
-        // A parse failure is a corrupt entry, not an IO fault: the cell
-        // degrades to a miss and the regenerated trace overwrites it.
-        let Ok(trace) = read_trace(bytes.as_slice()) else {
-            return Ok(None);
-        };
-        self.trace_loads.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.counter("memo_trace_loads").inc();
-        Ok(Some(trace))
+        let mut decoded = None;
+        self.backend.stream(ObjectKind::Trace, fp, &mut |reader| {
+            decoded = Some(read_trace(reader));
+        })?;
+        match decoded {
+            Some(Ok(trace)) => {
+                self.trace_loads.fetch_add(1, Ordering::Relaxed);
+                self.telemetry.counter("memo_trace_loads").inc();
+                Ok(Some(trace))
+            }
+            // A read that fails before the object ends is the disk's
+            // trouble, not the entry's.
+            Some(Err(TraceIoError::Io(e))) if e.kind() != std::io::ErrorKind::UnexpectedEof => {
+                Err(SimError::MemoIo { op: "load_trace", detail: e.to_string() })
+            }
+            // No object, or a corrupt one (a parse failure or a short
+            // object) rather than an IO fault: the cell degrades to a miss
+            // and the regenerated trace overwrites it.
+            _ => Ok(None),
+        }
     }
 
     /// Persists `trace` under `fp` (best-effort; callers typically ignore
@@ -353,7 +364,7 @@ impl MemoStore {
         self.check_faults("store_trace").map_err(std::io::Error::other)?;
         let mut buf = Vec::with_capacity(trace.len() * 20 + 64);
         write_trace(&mut buf, trace).map_err(|e| match e {
-            llbp_trace::TraceIoError::Io(io) => io,
+            TraceIoError::Io(io) => io,
             other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
         })?;
         self.backend.put(ObjectKind::Trace, fp, &buf).map_err(std::io::Error::other)?;
@@ -924,6 +935,32 @@ mod tests {
         let back = store.load_trace(fp).expect("no io fault").expect("load trace");
         assert_eq!(back.records(), trace.records());
         assert_eq!(back.name(), trace.name());
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn streamed_trace_loads_keep_the_miss_and_error_classes() {
+        let (store, dir) = scratch_store();
+        let spec = WorkloadSpec::named(Workload::Http).with_branches(5_000);
+        let fp = store.trace_fingerprint(&spec);
+        store.store_trace(fp, &spec.generate()).expect("store trace");
+        let path = dir.join(ObjectKind::Trace.dir()).join(format!("{fp}.llbt"));
+        let bytes = fs::read(&path).expect("trace object");
+        // A short object and a flipped bit are corrupt entries: misses.
+        fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
+        assert!(store.load_trace(fp).expect("truncation is no IO fault").is_none());
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 0x04;
+        fs::write(&path, &flipped).expect("flip");
+        assert!(store.load_trace(fp).expect("corruption is no IO fault").is_none());
+        // A read the disk refuses is transient, as a failed whole-object
+        // read was: here the object's path is a directory.
+        fs::remove_file(&path).expect("remove");
+        fs::create_dir(&path).expect("directory in the object's place");
+        let err = store.load_trace(fp).expect_err("unreadable object");
+        assert_eq!(err.class(), "memo_io");
+        assert!(err.is_transient());
+        assert_eq!(store.trace_loads(), 0);
         let _ = fs::remove_dir_all(dir);
     }
 

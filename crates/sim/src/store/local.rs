@@ -10,9 +10,13 @@ use super::{ObjectKind, StorageBackend};
 use crate::error::SimError;
 use llbp_trace::fingerprint::Fingerprint;
 use std::fs;
-use std::io::{ErrorKind, Read};
+use std::io::{BufReader, ErrorKind, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Read buffer of [`StorageBackend::stream`]: a quick trace object
+/// (≈3 MB) takes about 46 reads through it.
+const STREAM_BUFFER: usize = 64 << 10;
 
 /// A content-addressed object directory.
 #[derive(Debug)]
@@ -45,6 +49,20 @@ impl LocalDir {
     #[must_use]
     pub fn object_path(&self, kind: ObjectKind, fp: Fingerprint) -> PathBuf {
         self.root.join(kind.dir()).join(format!("{fp}.{}", kind.ext()))
+    }
+
+    /// Opens one object for reading, `Ok(None)` on miss.
+    fn open_object(
+        &self,
+        kind: ObjectKind,
+        fp: Fingerprint,
+        op: &'static str,
+    ) -> Result<Option<fs::File>, SimError> {
+        match fs::File::open(self.object_path(kind, fp)) {
+            Ok(file) => Ok(Some(file)),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(SimError::MemoIo { op, detail: e.to_string() }),
+        }
     }
 
     /// Writes `bytes` to a unique temp file and renames it into place.
@@ -80,6 +98,18 @@ impl StorageBackend for LocalDir {
         }
     }
 
+    fn stream(
+        &self,
+        kind: ObjectKind,
+        fp: Fingerprint,
+        consume: &mut dyn FnMut(&mut dyn Read),
+    ) -> Result<(), SimError> {
+        if let Some(file) = self.open_object(kind, fp, "stream")? {
+            consume(&mut BufReader::with_capacity(STREAM_BUFFER, file));
+        }
+        Ok(())
+    }
+
     fn put(&self, kind: ObjectKind, fp: Fingerprint, bytes: &[u8]) -> Result<(), SimError> {
         self.publish(bytes, &self.object_path(kind, fp))
             .map_err(|e| SimError::MemoIo { op: "put", detail: e.to_string() })
@@ -91,10 +121,8 @@ impl StorageBackend for LocalDir {
         fp: Fingerprint,
         len: usize,
     ) -> Result<Option<Vec<u8>>, SimError> {
-        let mut file = match fs::File::open(self.object_path(kind, fp)) {
-            Ok(file) => file,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(SimError::MemoIo { op: "head", detail: e.to_string() }),
+        let Some(mut file) = self.open_object(kind, fp, "head")? else {
+            return Ok(None);
         };
         let mut buf = vec![0u8; len];
         let mut filled = 0;
@@ -148,6 +176,27 @@ mod tests {
             Some(b"hello world".to_vec()),
             "result object must be untouched by the trace overwrite"
         );
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn stream_reads_what_get_returns() {
+        let (store, dir) = scratch();
+        let fp = Fingerprint(2);
+        let streamed = || {
+            let mut read = None;
+            let mut consume = |r: &mut dyn Read| {
+                let mut bytes = Vec::new();
+                r.read_to_end(&mut bytes).expect("readable");
+                read = Some(bytes);
+            };
+            store.stream(ObjectKind::Trace, fp, &mut consume).expect("no IO trouble");
+            read
+        };
+        assert_eq!(streamed(), None, "a miss never calls the consumer");
+        let bytes: Vec<u8> = (0..200_000u32).map(|i| i.to_le_bytes()[0]).collect();
+        store.put(ObjectKind::Trace, fp, &bytes).expect("put");
+        assert_eq!(streamed(), Some(bytes), "an object past one buffer streams whole");
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -118,6 +118,23 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Fetches the full object, `Ok(None)` on miss.
     fn get(&self, kind: ObjectKind, fp: Fingerprint) -> Result<Option<Vec<u8>>, SimError>;
 
+    /// Hands the object to `consume` as a reader; on a miss `consume` is
+    /// not called. The default reads the whole object with
+    /// [`StorageBackend::get`]; the local tier streams its file through a
+    /// small buffer instead. An IO error `consume` meets while reading is
+    /// its own to classify.
+    fn stream(
+        &self,
+        kind: ObjectKind,
+        fp: Fingerprint,
+        consume: &mut dyn FnMut(&mut dyn std::io::Read),
+    ) -> Result<(), SimError> {
+        if let Some(bytes) = self.get(kind, fp)? {
+            consume(&mut bytes.as_slice());
+        }
+        Ok(())
+    }
+
     /// Publishes an object atomically: readers (local or remote) never
     /// observe a partial write.
     fn put(&self, kind: ObjectKind, fp: Fingerprint, bytes: &[u8]) -> Result<(), SimError>;

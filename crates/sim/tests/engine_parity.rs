@@ -1,11 +1,13 @@
 //! The sweep engine must be bit-identical to the serial simulation path:
 //! for every grid cell, the engine's `SimResult` equals what a plain
 //! `Simulator::run` over a freshly generated trace produces, at any worker
-//! count.
+//! count. It must also hold each trace only while the trace's cells run,
+//! unless the caller owns the cache.
 
 use llbp_sim::engine::{SweepEngine, SweepSpec};
-use llbp_sim::{PredictorKind, SimConfig};
+use llbp_sim::{MemoStore, PredictorKind, SimConfig, TraceCache};
 use llbp_trace::{Workload, WorkloadSpec};
+use std::sync::Arc;
 
 fn grid() -> SweepSpec {
     SweepSpec::new(
@@ -69,4 +71,92 @@ fn per_branch_tracking_survives_the_engine() {
     let report = SweepEngine::with_workers(3).run(&spec);
     assert_eq!(report.jobs[0].result, reference[0]);
     assert!(report.jobs[0].result.per_branch_mispredicts.is_some());
+}
+
+/// Three workloads × two predictors.
+fn small_grid() -> SweepSpec {
+    SweepSpec::new(
+        vec![PredictorKind::Tsl64K, PredictorKind::TslScaled(2)],
+        vec![
+            WorkloadSpec::named(Workload::Http).with_branches(4_000),
+            WorkloadSpec::named(Workload::Tpcc).with_branches(6_000),
+            WorkloadSpec::named(Workload::NodeApp).with_branches(5_000),
+        ],
+        SimConfig::default(),
+    )
+}
+
+#[test]
+fn a_one_worker_run_holds_one_trace_at_a_time() {
+    let spec = small_grid();
+    let report = SweepEngine::with_workers(1).run(&spec);
+    assert_eq!(report.cache_misses, 3);
+    let largest = spec
+        .workloads
+        .iter()
+        .map(|w| {
+            let trace = w.generate();
+            let _view = trace.soa();
+            trace.memory_footprint()
+        })
+        .max()
+        .expect("three workloads");
+    assert!(report.trace_bytes > 0, "the peak counts the trace that ran");
+    assert!(
+        report.trace_bytes <= largest,
+        "peak {} B exceeds the largest single trace with its view, {largest} B",
+        report.trace_bytes
+    );
+}
+
+#[test]
+fn a_spec_listed_twice_is_generated_once() {
+    let http = WorkloadSpec::named(Workload::Http).with_branches(4_000);
+    let tpcc = WorkloadSpec::named(Workload::Tpcc).with_branches(4_000);
+    let predictors = vec![PredictorKind::Tsl64K, PredictorKind::TslScaled(2)];
+    let once =
+        SweepSpec::new(predictors.clone(), vec![http.clone(), tpcc.clone()], SimConfig::default());
+    let twice = SweepSpec::new(predictors, vec![http.clone(), tpcc, http], SimConfig::default());
+    let base = SweepEngine::with_workers(1).run(&once);
+    for workers in [1, 2] {
+        let report = SweepEngine::with_workers(workers).run(&twice);
+        assert_eq!(report.cache_misses, 2, "workers={workers}: one generation per distinct spec");
+        assert_eq!(report.row(0), base.row(0), "workers={workers}");
+        assert_eq!(report.row(1), base.row(1), "workers={workers}");
+        assert_eq!(report.row(2), base.row(0), "workers={workers}: the repeated spec");
+    }
+}
+
+#[test]
+fn a_callers_cache_keeps_every_trace() {
+    let spec = small_grid();
+    let cache = TraceCache::new();
+    let report = SweepEngine::with_workers(1).run_with_cache(&spec, &cache);
+    assert_eq!(cache.len(), spec.workloads.len());
+    assert_eq!(report.trace_bytes, cache.memory_footprint());
+}
+
+#[test]
+fn a_cold_campaign_decodes_each_stored_trace_once() {
+    // perfbench's cold workloads: traces stored ahead, no results yet.
+    let spec = small_grid();
+    for workers in [1, 2] {
+        let dir = std::env::temp_dir()
+            .join(format!("llbp-engine-cold-decode-{}-{workers}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(MemoStore::open(&dir).expect("scratch store"));
+        for w in &spec.workloads {
+            store.store_trace(store.trace_fingerprint(w), &w.generate()).expect("store trace");
+        }
+        let report = SweepEngine::with_workers(workers).with_store(store).run(&spec);
+        assert!(report.is_complete());
+        assert_eq!(report.memo_misses, spec.num_jobs() as u64, "workers={workers}");
+        assert_eq!(report.cache_misses, 0, "workers={workers}: nothing regenerates");
+        assert_eq!(
+            report.trace_disk_hits,
+            spec.workloads.len() as u64,
+            "workers={workers}: one decode per trace"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

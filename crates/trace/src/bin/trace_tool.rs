@@ -58,7 +58,10 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let branches: usize = branches.parse().map_err(|e| format!("bad count: {e}"))?;
     let trace = WorkloadSpec::named(workload).with_branches(branches).generate();
     let file = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
-    write_trace(BufWriter::new(file), &trace).map_err(|e| e.to_string())?;
+    let mut w = BufWriter::new(file);
+    write_trace(&mut w, &trace).map_err(|e| format!("write {out}: {e}"))?;
+    // Flushed here, not on drop, which would discard a failed final write.
+    w.flush().map_err(|e| format!("write {out}: {e}"))?;
     println!("wrote {} records ({} instructions) to {out}", trace.len(), trace.instructions());
     Ok(())
 }
@@ -115,7 +118,8 @@ fn cmd_csv(args: &[String]) -> Result<(), String> {
     let trace = load(path)?;
     let file = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
     let mut w = BufWriter::new(file);
-    writeln!(w, "pc,target,kind,taken,non_branch_insts").map_err(|e| e.to_string())?;
+    let write_err = |e: std::io::Error| format!("write {out}: {e}");
+    writeln!(w, "pc,target,kind,taken,non_branch_insts").map_err(write_err)?;
     for r in &trace {
         writeln!(
             w,
@@ -126,8 +130,9 @@ fn cmd_csv(args: &[String]) -> Result<(), String> {
             u8::from(r.taken()),
             r.non_branch_insts()
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(write_err)?;
     }
+    w.flush().map_err(write_err)?;
     println!("wrote {} rows to {out}", trace.len());
     Ok(())
 }

@@ -27,7 +27,15 @@ pub struct Fingerprint(pub u128);
 
 impl std::fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:032x}", self.0)
+        // The same text as `{:032x}`, written in one piece: that format
+        // writes its zero padding separately, so a string built from it
+        // grew (and allocated) once more per leading zero nibble.
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut digits = [0u8; 32];
+        for (i, digit) in digits.iter_mut().enumerate() {
+            *digit = HEX[(self.0 >> (124 - 4 * i)) as usize & 0xf];
+        }
+        f.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
     }
 }
 
@@ -139,6 +147,9 @@ mod tests {
     fn display_is_32_hex_chars() {
         assert_eq!(Fingerprint(0).to_string(), "0".repeat(32));
         assert_eq!(Fingerprint(u128::MAX).to_string(), "f".repeat(32));
+        for v in [1, 0xabcd_1234, 1 << 120, 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210, u128::MAX] {
+            assert_eq!(Fingerprint(v).to_string(), format!("{v:032x}"));
+        }
     }
 
     #[test]

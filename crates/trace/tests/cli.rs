@@ -93,3 +93,27 @@ fn no_args_prints_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
+
+#[test]
+fn write_errors_on_the_last_buffered_bytes_fail_the_command() {
+    // `/dev/full` accepts the open and fails every write with ENOSPC, so
+    // only an explicit flush of the buffered tail can report it.
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let llbt = temp_path("full.llbt");
+    let out = tool().args(["gen", "Tpcc", "300", llbt.to_str().unwrap()]).output().expect("gen");
+    assert!(out.status.success(), "gen failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    for args in
+        [vec!["gen", "Tpcc", "100", "/dev/full"], vec!["csv", llbt.to_str().unwrap(), "/dev/full"]]
+    {
+        let out = tool().args(&args).output().expect("run into /dev/full");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(!out.status.success(), "{} must fail on a full device: {stderr}", args[0]);
+        assert_eq!(stderr.lines().count(), 1, "{} stderr: {stderr}", args[0]);
+        assert!(stderr.starts_with("error: write /dev/full: "), "{} stderr: {stderr}", args[0]);
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("wrote"), "{}", args[0]);
+    }
+    let _ = std::fs::remove_file(llbt);
+}
