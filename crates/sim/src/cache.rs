@@ -100,7 +100,10 @@ impl TraceCache {
     /// The cache key for a spec: every field that influences generation.
     /// The sweep engine formats each workload's key once per run and
     /// passes it to [`TraceCache::get_or_generate_keyed`] and
-    /// [`TraceCache::release`], so its cells format none.
+    /// [`TraceCache::release`], so its cells format none. The key is the
+    /// spec's `Debug` text, the text [`MemoStore::trace_fingerprint`] and
+    /// [`MemoStore::result_fingerprint`] hash, so the engine's result
+    /// fingerprints and a store load share it too.
     pub(crate) fn key(spec: &WorkloadSpec) -> Arc<str> {
         // `WorkloadSpec` carries f64 tuning parameters, so it cannot
         // implement `Eq`/`Hash`; its `Debug` form includes every field and
@@ -206,7 +209,7 @@ impl TraceCache {
         // guard rolls the Pending reservation back if produce() unwinds
         // *or* returns a cancellation error.
         let mut guard = PendingGuard { cache: self, key, armed: true };
-        let trace = Arc::new(self.produce(spec, token, injected_delay)?);
+        let trace = Arc::new(self.produce(key, spec, token, injected_delay)?);
         guard.armed = false;
         drop(guard);
         let mut slots = self.lock_slots();
@@ -236,9 +239,11 @@ impl TraceCache {
     /// freshly generated traces back (best-effort). Store read *errors*
     /// (as opposed to misses) also degrade to regeneration: a trace can
     /// always be rebuilt from its spec, so retrying the disk is never
-    /// worth blocking a worker for.
+    /// worth blocking a worker for. `key` is the spec's [`TraceCache::key`],
+    /// the text its store fingerprint hashes.
     fn produce(
         &self,
+        key: &str,
         spec: &WorkloadSpec,
         token: &CancelToken,
         injected_delay: Option<Duration>,
@@ -249,7 +254,7 @@ impl TraceCache {
             records: self.telemetry.counter("gen_records_total"),
         };
         if let Some(store) = &self.store {
-            let fp = store.trace_fingerprint(spec);
+            let fp = store.trace_fingerprint_of(key);
             if !self.cold {
                 if let Ok(Some(trace)) = store.load_trace(fp) {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);

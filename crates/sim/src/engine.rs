@@ -12,9 +12,11 @@
 //! shared counter with `min(available cores, jobs)` workers, so memory in
 //! flight is bounded by the worker count and a single-core host degrades
 //! gracefully to a serial run. Traces are bounded the same way: a run
-//! drops each trace from its own cache once the trace's last cell has
-//! finished, so with the workload-major claim order a one-worker run
-//! holds one trace at a time (see [`SweepReport::trace_bytes`]).
+//! drops each trace from its own cache once the last of the trace's cells
+//! it expects to simulate has finished (a memo hit never reads a trace),
+//! so with the workload-major claim order a one-worker run, cold or
+//! partially warm, holds one trace at a time (see
+//! [`SweepReport::trace_bytes`]).
 //!
 //! Results are bit-identical to calling [`SimConfig::run`] serially for
 //! every grid cell, at any worker count: each simulation is a pure
@@ -267,17 +269,24 @@ impl SweepSpec {
 }
 
 /// The grid's result fingerprints in job order (workload-major, like
-/// [`SweepSpec`]'s job numbering), as addressed in `store`.
+/// [`SweepSpec`]'s job numbering), as addressed in `store`: cell by cell
+/// what [`MemoStore::result_fingerprint`] returns.
 #[must_use]
 pub fn grid_fingerprints(spec: &SweepSpec, store: &MemoStore) -> Vec<Fingerprint> {
+    cell_fingerprints(spec, store, &TraceKeys::new(spec))
+}
+
+/// [`grid_fingerprints`] with each text it hashes formatted once per
+/// grid, not once per cell: the predictors' and the config's here, the
+/// workloads' as `traces`' keys (a spec's key is its `Debug` text).
+fn cell_fingerprints(spec: &SweepSpec, store: &MemoStore, traces: &TraceKeys) -> Vec<Fingerprint> {
+    let predictors: Vec<String> =
+        spec.predictors.iter().map(PredictorKind::fingerprint_text).collect();
+    let sim = spec.sim.fingerprint_text();
     (0..spec.num_jobs())
         .map(|index| {
             let job = spec.job(index);
-            store.result_fingerprint(
-                &spec.predictors[job.predictor],
-                &spec.workloads[job.workload],
-                &spec.sim,
-            )
+            store.result_fingerprint_of(&predictors[job.predictor], traces.key(job.workload), &sim)
         })
         .collect()
 }
@@ -897,8 +906,11 @@ impl SweepEngine {
         }
         let started = Instant::now();
         let n = spec.num_jobs();
-        let fingerprints =
-            self.store.as_ref().map_or_else(Vec::new, |store| grid_fingerprints(spec, store));
+        let mut traces = TraceKeys::new(spec);
+        let fingerprints = self
+            .store
+            .as_ref()
+            .map_or_else(Vec::new, |store| cell_fingerprints(spec, store, &traces));
         let journal = self.open_journal(&fingerprints)?;
         // On resume, cells the journal marks completed (and whose result
         // is still memoized under the recorded fingerprint) are trusted;
@@ -938,8 +950,8 @@ impl SweepEngine {
             }
             _ => FastHashMap::default(),
         };
-        let order = self.schedule(n, &fingerprints);
-        let traces = TraceKeys::new(spec);
+        let (order, memoized) = self.schedule(n, &fingerprints);
+        traces.count_simulations(spec.predictors.len(), &memoized);
         let memo_hits = AtomicU64::new(0);
         let memo_misses = AtomicU64::new(0);
         let resumed = AtomicU64::new(0);
@@ -959,7 +971,7 @@ impl SweepEngine {
                 force_fresh.contains(&index),
                 (&memo_hits, &memo_misses, &resumed),
             );
-            if own_cache && traces.finish(workload) {
+            if own_cache && traces.finish(workload, !memoized[index]) {
                 cache.release(traces.key(workload));
             }
             if journal.is_some() || observe.is_some() {
@@ -1323,54 +1335,63 @@ impl SweepEngine {
         }
     }
 
-    /// The order in which workers claim grid cells: longest-job-first,
-    /// using the store's recorded per-cell wall times as the cost model.
+    /// The order in which workers claim grid cells, and which cells the
+    /// run expects the store to serve (`memoized[index]`).
     ///
-    /// Cells with no cost information (never simulated under this format
-    /// version) are assumed expensive and scheduled first; memoized cells
-    /// that will be served from disk are near-free and scheduled last.
-    /// Ties keep grid order, so a store-less engine degrades to exactly
-    /// the workload-major order (which maximizes trace-cache locality).
-    /// Recorded walls interleave workloads instead (a `--cold` run over a
-    /// store that has run the grid before), and then each trace stays in
-    /// the run's cache until its last cell in this order, not its
-    /// workload's last grid cell.
-    fn schedule(&self, n: usize, fingerprints: &[llbp_trace::Fingerprint]) -> Vec<usize> {
+    /// The order is longest-job-first. Memoized cells are near-free and
+    /// scheduled last. Every other cell of a warm run is assumed expensive
+    /// and scheduled first. A `--cold` run, which simulates every cell,
+    /// orders its cells by the store's recorded wall times instead; cells
+    /// never simulated under this format version count as expensive. Each
+    /// cell thus costs one store probe. Ties keep grid order, so a
+    /// store-less engine degrades to exactly the workload-major order
+    /// (which maximizes trace-cache locality). Recorded walls interleave
+    /// workloads instead (a `--cold` run over a store that has run the
+    /// grid before), and then each trace stays in the run's cache until
+    /// its last cell in this order, not its workload's last grid cell.
+    fn schedule(&self, n: usize, fingerprints: &[Fingerprint]) -> (Vec<usize>, Vec<bool>) {
         let Some(store) = &self.store else {
-            return (0..n).collect();
+            return ((0..n).collect(), vec![false; n]);
         };
+        let memoized: Vec<bool> =
+            fingerprints.iter().map(|&fp| !self.cold && store.has_result(fp)).collect();
         let mut keyed: Vec<(std::cmp::Reverse<u64>, usize)> = (0..n)
             .map(|i| {
-                let fp = fingerprints[i];
-                let cost = if !self.cold && store.has_result(fp) {
+                let cost = if memoized[i] {
                     0
-                } else {
+                } else if self.cold {
                     store
-                        .recorded_cost(fp)
+                        .recorded_cost(fingerprints[i])
                         .map_or(u64::MAX, |wall| u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX))
+                } else {
+                    u64::MAX
                 };
                 (std::cmp::Reverse(cost), i)
             })
             .collect();
         keyed.sort_unstable();
-        keyed.into_iter().map(|(_, i)| i).collect()
+        (keyed.into_iter().map(|(_, i)| i).collect(), memoized)
     }
 }
 
 /// A run's trace-cache keys, formatted once per workload, and the count
-/// of each distinct key's cells that have not finished yet. Counting by
-/// key rather than by workload index means a spec listed twice in one
-/// grid is generated once and released once.
+/// of each distinct key's cells that the run expects to simulate and that
+/// have not finished yet. Counting by key rather than by workload index
+/// means a spec listed twice in one grid is generated once and released
+/// once. Memoized cells do not count: a memo hit never reads the trace,
+/// so a partially warm run releases each trace after its last simulated
+/// cell instead of holding it for the memo hits claimed after it.
 struct TraceKeys {
     /// Each workload's index into `keys`.
     slot: Vec<usize>,
     /// One key per distinct spec.
     keys: Vec<Arc<str>>,
-    /// Unfinished cells per key.
+    /// Unfinished cells expected to simulate, per key.
     unfinished: Vec<AtomicUsize>,
 }
 
 impl TraceKeys {
+    /// The keys of `spec`'s workloads, no cell counted yet.
     fn new(spec: &SweepSpec) -> Self {
         let mut keys: Vec<Arc<str>> = Vec::new();
         let slot = spec
@@ -1383,14 +1404,21 @@ impl TraceKeys {
                     keys.len() - 1
                 })
             })
-            .collect::<Vec<_>>();
-        let unfinished = (0..keys.len())
-            .map(|k| {
-                let workloads = slot.iter().filter(|&&s| s == k).count();
-                AtomicUsize::new(workloads * spec.predictors.len())
-            })
             .collect();
-        Self { slot, keys, unfinished }
+        Self { slot, keys, unfinished: Vec::new() }
+    }
+
+    /// Counts the cells of a grid with `predictors` predictors per
+    /// workload that the schedule expects to simulate: those not
+    /// `memoized`.
+    fn count_simulations(&mut self, predictors: usize, memoized: &[bool]) {
+        let mut counts = vec![0; self.keys.len()];
+        for (index, &hit) in memoized.iter().enumerate() {
+            if !hit {
+                counts[self.slot[index / predictors]] += 1;
+            }
+        }
+        self.unfinished = counts.into_iter().map(AtomicUsize::new).collect();
     }
 
     /// The cache key of `workload`'s trace.
@@ -1398,13 +1426,21 @@ impl TraceKeys {
         &self.keys[self.slot[workload]]
     }
 
-    /// Counts one finished cell of `workload`, whatever its outcome;
-    /// `true` when it was the last cell of its key.
-    fn finish(&self, workload: usize) -> bool {
+    /// Notes one finished cell of `workload`, whatever its outcome,
+    /// counting it when it was `expected` to simulate; `true` when no
+    /// expected cell of its key is left. A memoized cell whose probe
+    /// missed loaded the trace itself, so its caller releases the trace
+    /// after it on the same rule.
+    fn finish(&self, workload: usize, expected: bool) -> bool {
         // Release publishes this cell's use of the trace; the acquire half
         // lets the cell that reaches zero see every other cell's before it
         // drops the trace.
-        self.unfinished[self.slot[workload]].fetch_sub(1, Ordering::AcqRel) == 1
+        let unfinished = &self.unfinished[self.slot[workload]];
+        if expected {
+            unfinished.fetch_sub(1, Ordering::AcqRel) == 1
+        } else {
+            unfinished.load(Ordering::Acquire) == 0
+        }
     }
 }
 
@@ -1437,6 +1473,34 @@ mod tests {
     fn run_indexed_handles_empty_input() {
         let out: Vec<usize> = run_indexed(4, 0, |i| i);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn grid_fingerprints_hash_what_result_fingerprint_hashes() {
+        let dir = std::env::temp_dir().join(format!("llbp-engine-gridfp-{}", std::process::id()));
+        let store = MemoStore::open(&dir).expect("scratch store");
+        // The first workload listed again: its cells share one key.
+        let mut spec = small_spec();
+        spec.workloads.push(spec.workloads[0].clone());
+        for sim in
+            [SimConfig::default(), SimConfig { track_per_branch: true, ..SimConfig::default() }]
+        {
+            spec.sim = sim;
+            let fps = grid_fingerprints(&spec, &store);
+            assert_eq!(fps.len(), spec.num_jobs());
+            for (index, fp) in fps.iter().enumerate() {
+                let job = spec.job(index);
+                let want = store.result_fingerprint(
+                    &spec.predictors[job.predictor],
+                    &spec.workloads[job.workload],
+                    &spec.sim,
+                );
+                assert_eq!(*fp, want, "cell {index}");
+            }
+            let p = spec.predictors.len();
+            assert_eq!(fps[..p], fps[fps.len() - p..], "a repeated spec addresses the same cells");
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

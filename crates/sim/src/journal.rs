@@ -103,16 +103,31 @@ pub fn campaign_fingerprint(cells: &[Fingerprint]) -> Fingerprint {
     h.finish()
 }
 
-/// Renders the journal line for one cell outcome, ending in `\n`.
+/// The longest journal line without a `failed` entry's error class: an
+/// `ok` entry with a digest, at a 20-digit cell number.
+const LINE_MAX: usize = "ok ".len() + 20 + 1 + 32 + 1 + 32 + "\n".len();
+
+/// Renders the journal line for one cell outcome, ending in `\n`, in one
+/// allocation: the buffer is sized for the widest line of its kind.
 fn outcome_line(cell: usize, outcome: &CellOutcome) -> String {
-    match outcome {
+    use std::fmt::Write as _;
+    let class_len = match outcome {
+        CellOutcome::Failed { class } => class.len(),
+        _ => 0,
+    };
+    let mut line = String::with_capacity(LINE_MAX + class_len);
+    let written = match outcome {
         CellOutcome::Ok { fingerprint, digest: Some(digest) } => {
-            format!("ok {cell} {fingerprint} {digest}\n")
+            writeln!(line, "ok {cell} {fingerprint} {digest}")
         }
-        CellOutcome::Ok { fingerprint, digest: None } => format!("ok {cell} {fingerprint} -\n"),
-        CellOutcome::Failed { class } => format!("failed {cell} {class}\n"),
-        CellOutcome::Stale { fingerprint } => format!("stale {cell} {fingerprint}\n"),
-    }
+        CellOutcome::Ok { fingerprint, digest: None } => {
+            writeln!(line, "ok {cell} {fingerprint} -")
+        }
+        CellOutcome::Failed { class } => writeln!(line, "failed {cell} {class}"),
+        CellOutcome::Stale { fingerprint } => writeln!(line, "stale {cell} {fingerprint}"),
+    };
+    written.expect("writing to a String cannot fail");
+    line
 }
 
 /// Parses a journal file into per-cell outcomes without taking the
@@ -436,6 +451,36 @@ mod tests {
         assert_eq!(outcomes.len(), 1, "only the complete entry survives: {outcomes:?}");
         assert!(outcomes.contains_key(&0));
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn outcome_lines_keep_their_text_and_fit_their_buffer() {
+        let (fp, digest) = (Fingerprint(0x0123), Fingerprint(u128::MAX));
+        let cases = [
+            (7, ok(fp.0, Some(digest.0)), format!("ok 7 {fp} {digest}\n")),
+            (usize::MAX, ok(fp.0, None), format!("ok {} {fp} -\n", usize::MAX)),
+            (usize::MAX, ok(fp.0, Some(digest.0)), format!("ok {} {fp} {digest}\n", usize::MAX)),
+            (
+                3,
+                CellOutcome::Failed { class: "predictor_panic".into() },
+                "failed 3 predictor_panic\n".into(),
+            ),
+            (
+                usize::MAX,
+                CellOutcome::Stale { fingerprint: fp },
+                format!("stale {} {fp}\n", usize::MAX),
+            ),
+        ];
+        for (cell, outcome, want) in cases {
+            let line = outcome_line(cell, &outcome);
+            assert_eq!(line, want);
+            let class_len = match &outcome {
+                CellOutcome::Failed { class } => class.len(),
+                _ => 0,
+            };
+            assert_eq!(line.capacity(), LINE_MAX + class_len, "{line:?} grew its buffer");
+            assert_eq!(parse_line(line.trim_end()), Some((cell, outcome)));
+        }
     }
 
     #[test]

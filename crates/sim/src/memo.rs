@@ -32,7 +32,7 @@ use crate::config::{PredictorKind, SimConfig};
 use crate::driver::{LlbpCellStats, SimResult};
 use crate::error::SimError;
 use crate::faultinject::FaultInjector;
-use crate::store::local::LocalDir;
+use crate::store::local::{object_path_in, LocalDir};
 use crate::store::{ObjectKind, StorageBackend};
 use bputil::hash::FastHashMap;
 use llbp_core::LlbpStats;
@@ -279,12 +279,19 @@ impl MemoStore {
     /// Fingerprint addressing the generated trace of `spec`.
     #[must_use]
     pub fn trace_fingerprint(&self, spec: &WorkloadSpec) -> Fingerprint {
-        let mut h = self.base_hasher("llbp-trace");
-        h.write_u64(u64::from(llbp_trace::io::VERSION));
         // `WorkloadSpec`'s `Debug` form covers every generation parameter
         // (preset fields, branch count, seed) and is deterministic; f64
         // tuning fields keep the spec from implementing `Hash` directly.
-        h.write_str(&format!("{spec:?}"));
+        self.trace_fingerprint_of(&format!("{spec:?}"))
+    }
+
+    /// [`MemoStore::trace_fingerprint`] of the spec whose `Debug` text is
+    /// `spec_text`. That text is also the spec's trace-cache key, which
+    /// the sweep engine formats once per run.
+    pub(crate) fn trace_fingerprint_of(&self, spec_text: &str) -> Fingerprint {
+        let mut h = self.base_hasher("llbp-trace");
+        h.write_u64(u64::from(llbp_trace::io::VERSION));
+        h.write_str(spec_text);
         h.finish()
     }
 
@@ -296,13 +303,30 @@ impl MemoStore {
         workload: &WorkloadSpec,
         sim: &SimConfig,
     ) -> Fingerprint {
-        let mut h = self.base_hasher("llbp-result");
-        h.write_str(&kind.fingerprint_text());
-        h.write_str(&format!("{workload:?}"));
         // `fingerprint_text`, not `{sim:?}`: the execution backend is a
         // parity-pinned throughput choice, so cells must be shared across
         // backends (and stores written before backends existed stay warm).
-        h.write_str(&sim.fingerprint_text());
+        self.result_fingerprint_of(
+            &kind.fingerprint_text(),
+            &format!("{workload:?}"),
+            &sim.fingerprint_text(),
+        )
+    }
+
+    /// [`MemoStore::result_fingerprint`] of the texts it hashes: the
+    /// predictor's [`PredictorKind::fingerprint_text`], the workload's
+    /// `Debug` form and [`SimConfig::fingerprint_text`]. A grid has few
+    /// distinct parts, so the sweep engine formats each once per run.
+    pub(crate) fn result_fingerprint_of(
+        &self,
+        kind_text: &str,
+        workload_text: &str,
+        sim_text: &str,
+    ) -> Fingerprint {
+        let mut h = self.base_hasher("llbp-result");
+        h.write_str(kind_text);
+        h.write_str(workload_text);
+        h.write_str(sim_text);
         h.finish()
     }
 
@@ -315,7 +339,7 @@ impl MemoStore {
     /// tamper with cells through it).
     #[must_use]
     pub fn result_path(&self, fp: Fingerprint) -> PathBuf {
-        self.root.join(ObjectKind::Result.dir()).join(format!("{fp}.{}", ObjectKind::Result.ext()))
+        object_path_in(&self.root, ObjectKind::Result, fp)
     }
 
     /// Loads the trace addressed by `fp`. `Ok(None)` is a miss — no
@@ -516,7 +540,7 @@ impl MemoStore {
     /// can walk from a campaign cell to its stream without re-hashing.
     #[must_use]
     pub fn prov_path(&self, fp: Fingerprint) -> PathBuf {
-        self.root.join(ObjectKind::Prov.dir()).join(format!("{fp}.{}", ObjectKind::Prov.ext()))
+        object_path_in(&self.root, ObjectKind::Prov, fp)
     }
 
     /// Whether a provenance stream exists for the result cell `fp` (no

@@ -10,13 +10,40 @@ use super::{ObjectKind, StorageBackend};
 use crate::error::SimError;
 use llbp_trace::fingerprint::Fingerprint;
 use std::fs;
-use std::io::{BufReader, ErrorKind, Read};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Read buffer of [`StorageBackend::stream`]: a quick trace object
 /// (≈3 MB) takes about 46 reads through it.
 const STREAM_BUFFER: usize = 64 << 10;
+
+/// Subdirectory of the temp files that publishes rename into place.
+const TMP_DIR: &str = "tmp";
+
+/// The widest `<pid>-<seq>-` prefix of a temp file name: a `u32` PID and
+/// a `u64` sequence number at their full decimal width.
+const TEMP_PREFIX_MAX: usize = 10 + 1 + 20 + 1;
+
+/// The path of one object in the directory layout at `root`,
+/// `<root>/<dir>/<32 hex digits>.<ext>`, built in one allocation. Its text
+/// is that of `root.join(dir).join(format!("{fp}.{ext}"))`, so stores
+/// written before stay addressable.
+#[must_use]
+pub fn object_path_in(root: &Path, kind: ObjectKind, fp: Fingerprint) -> PathBuf {
+    let digits = fp.hex_digits();
+    let name = std::str::from_utf8(&digits).expect("hex digits are ASCII");
+    // Two separators and the extension's dot.
+    let len = root.as_os_str().len() + kind.dir().len() + name.len() + kind.ext().len() + 3;
+    let mut path = PathBuf::with_capacity(len);
+    path.push(root);
+    path.push(kind.dir());
+    path.push(name);
+    let text = path.as_mut_os_string();
+    text.push(".");
+    text.push(kind.ext());
+    path
+}
 
 /// A content-addressed object directory.
 #[derive(Debug)]
@@ -35,7 +62,7 @@ impl LocalDir {
         fs::create_dir_all(root.join(ObjectKind::Trace.dir()))?;
         fs::create_dir_all(root.join(ObjectKind::Result.dir()))?;
         fs::create_dir_all(root.join(ObjectKind::Prov.dir()))?;
-        fs::create_dir_all(root.join("tmp"))?;
+        fs::create_dir_all(root.join(TMP_DIR))?;
         Ok(Self { root })
     }
 
@@ -45,10 +72,10 @@ impl LocalDir {
         &self.root
     }
 
-    /// The path addressing one object.
+    /// The path addressing one object ([`object_path_in`] this root).
     #[must_use]
     pub fn object_path(&self, kind: ObjectKind, fp: Fingerprint) -> PathBuf {
-        self.root.join(kind.dir()).join(format!("{fp}.{}", kind.ext()))
+        object_path_in(&self.root, kind, fp)
     }
 
     /// Opens one object for reading, `Ok(None)` on miss.
@@ -65,15 +92,30 @@ impl LocalDir {
         }
     }
 
+    /// The temp file a publish of `dest` writes first,
+    /// `<root>/tmp/<pid>-<seq>-<dest's name>`, built in one allocation
+    /// whatever the number of digits in the PID and in `seq`.
+    fn temp_path(&self, dest: &Path, seq: u64) -> PathBuf {
+        let name = dest.file_name().and_then(|n| n.to_str()).unwrap_or("cell");
+        let mut prefix = [0u8; TEMP_PREFIX_MAX];
+        let mut rest = &mut prefix[..];
+        write!(rest, "{}-{seq}-", std::process::id()).expect("the prefix fits its widest form");
+        let written = TEMP_PREFIX_MAX - rest.len();
+        let prefix = std::str::from_utf8(&prefix[..written]).expect("decimal digits are ASCII");
+        // Two separators.
+        let len = self.root.as_os_str().len() + TMP_DIR.len() + TEMP_PREFIX_MAX + name.len() + 2;
+        let mut tmp = PathBuf::with_capacity(len);
+        tmp.push(&self.root);
+        tmp.push(TMP_DIR);
+        tmp.push(prefix);
+        tmp.as_mut_os_string().push(name);
+        tmp
+    }
+
     /// Writes `bytes` to a unique temp file and renames it into place.
     fn publish(&self, bytes: &[u8], dest: &Path) -> std::io::Result<()> {
         static SEQ: AtomicU64 = AtomicU64::new(0);
-        let tmp = self.root.join("tmp").join(format!(
-            "{}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed),
-            dest.file_name().and_then(|n| n.to_str()).unwrap_or("cell")
-        ));
+        let tmp = self.temp_path(dest, SEQ.fetch_add(1, Ordering::Relaxed));
         fs::write(&tmp, bytes)?;
         match fs::rename(&tmp, dest) {
             Ok(()) => Ok(()),
@@ -197,6 +239,36 @@ mod tests {
         let bytes: Vec<u8> = (0..200_000u32).map(|i| i.to_le_bytes()[0]).collect();
         store.put(ObjectKind::Trace, fp, &bytes).expect("put");
         assert_eq!(streamed(), Some(bytes), "an object past one buffer streams whole");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn temp_and_object_paths_keep_the_text_of_joined_parts() {
+        let (store, dir) = scratch();
+        for fp in [Fingerprint(0), Fingerprint(0xabcd), Fingerprint(u128::MAX)] {
+            for kind in [ObjectKind::Trace, ObjectKind::Result, ObjectKind::Prov] {
+                let dest = store.object_path(kind, fp);
+                for seq in [0, 9, 10, 12_345, u64::MAX] {
+                    let name = dest.file_name().and_then(|n| n.to_str()).expect("UTF-8 name");
+                    let joined =
+                        dir.join("tmp").join(format!("{}-{seq}-{name}", std::process::id()));
+                    assert_eq!(store.temp_path(&dest, seq).as_os_str(), joined.as_os_str());
+                }
+            }
+        }
+        assert_eq!(
+            store.temp_path(Path::new("/"), 3).as_os_str(),
+            dir.join("tmp").join(format!("{}-3-cell", std::process::id())).as_os_str(),
+            "a destination without a name publishes as `cell`"
+        );
+        // Roots as written: relative, empty, and with a trailing separator.
+        for root in ["store", "", "store/"] {
+            let fp = Fingerprint(7);
+            assert_eq!(
+                object_path_in(Path::new(root), ObjectKind::Result, fp).as_os_str(),
+                Path::new(root).join("results").join(format!("{fp}.llbr")).as_os_str()
+            );
+        }
         let _ = fs::remove_dir_all(dir);
     }
 

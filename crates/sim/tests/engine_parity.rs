@@ -1,8 +1,8 @@
 //! The sweep engine must be bit-identical to the serial simulation path:
 //! for every grid cell, the engine's `SimResult` equals what a plain
 //! `Simulator::run` over a freshly generated trace produces, at any worker
-//! count. It must also hold each trace only while the trace's cells run,
-//! unless the caller owns the cache.
+//! count. It must also hold each trace only while the trace's cells that
+//! simulate run, unless the caller owns the cache.
 
 use llbp_sim::engine::{SweepEngine, SweepSpec};
 use llbp_sim::{MemoStore, PredictorKind, SimConfig, TraceCache};
@@ -86,13 +86,9 @@ fn small_grid() -> SweepSpec {
     )
 }
 
-#[test]
-fn a_one_worker_run_holds_one_trace_at_a_time() {
-    let spec = small_grid();
-    let report = SweepEngine::with_workers(1).run(&spec);
-    assert_eq!(report.cache_misses, 3);
-    let largest = spec
-        .workloads
+/// The footprint of the grid's largest trace with its column view.
+fn largest_trace_bytes(spec: &SweepSpec) -> usize {
+    spec.workloads
         .iter()
         .map(|w| {
             let trace = w.generate();
@@ -100,13 +96,46 @@ fn a_one_worker_run_holds_one_trace_at_a_time() {
             trace.memory_footprint()
         })
         .max()
-        .expect("three workloads");
+        .expect("a grid with workloads")
+}
+
+#[test]
+fn a_one_worker_run_holds_one_trace_at_a_time() {
+    let spec = small_grid();
+    let report = SweepEngine::with_workers(1).run(&spec);
+    assert_eq!(report.cache_misses, 3);
+    let largest = largest_trace_bytes(&spec);
     assert!(report.trace_bytes > 0, "the peak counts the trace that ran");
     assert!(
         report.trace_bytes <= largest,
         "peak {} B exceeds the largest single trace with its view, {largest} B",
         report.trace_bytes
     );
+}
+
+#[test]
+fn a_partially_warm_run_holds_one_trace_at_a_time() {
+    // As fig09 over a store fig02 populated: the first predictor's cells
+    // are memoized and claimed last, after every cell that simulates.
+    let spec = small_grid();
+    let dir = std::env::temp_dir().join(format!("llbp-engine-partial-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(MemoStore::open(&dir).expect("scratch store"));
+    let first = SweepSpec::new(vec![spec.predictors[0].clone()], spec.workloads.clone(), spec.sim);
+    assert!(SweepEngine::with_workers(1).with_store(Arc::clone(&store)).run(&first).is_complete());
+    let report = SweepEngine::with_workers(1).with_store(store).run(&spec);
+    assert!(report.is_complete());
+    assert_eq!((report.memo_hits, report.memo_misses), (3, 3));
+    assert_eq!(report.trace_disk_hits, 3, "each trace is decoded once");
+    let largest = largest_trace_bytes(&spec);
+    assert!(report.trace_bytes > 0, "the peak counts the traces that ran");
+    assert!(
+        report.trace_bytes <= largest,
+        "peak {} B exceeds the largest single trace with its view, {largest} B: \
+         memo hits kept traces they never read",
+        report.trace_bytes
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -161,7 +161,10 @@ pub struct Tage {
     // --- storage ---
     bim_dir: Vec<bool>,
     bim_hyst: Vec<bool>,
-    tables: Vec<Vec<Entry>>,
+    /// Every finite tagged table in one block: entry `i` of table `t` at
+    /// [`Tage::slot`]`(t, i)`, `(t << index_bits) + i`. Empty for
+    /// infinite storage.
+    tables: Vec<Entry>,
     /// Width of every entry's prediction counter.
     ctr_width: CounterWidth,
     /// Saturation value of every entry's usefulness counter.
@@ -214,11 +217,7 @@ impl Tage {
             lanes.push(Lane::tage_tag(t as u32, tag0, tag1, bits));
         }
         let tables = match cfg.storage {
-            StorageKind::Finite => cfg
-                .history_lengths
-                .iter()
-                .map(|_| vec![Entry::EMPTY; 1 << cfg.index_bits])
-                .collect(),
+            StorageKind::Finite => vec![Entry::EMPTY; cfg.num_tables() << cfg.index_bits],
             StorageKind::Infinite => Vec::new(),
         };
         let tracker = cfg.track_useful.then(UsefulPatternTracker::new);
@@ -339,9 +338,16 @@ impl Tage {
         None
     }
 
+    /// The position of entry `index` of finite table `table` in the
+    /// block of all tables.
+    #[inline]
+    fn slot(&self, table: usize, index: u64) -> usize {
+        (table << self.cfg.index_bits) + index as usize
+    }
+
     /// The finite-table entry at `(table, index)` when it holds `tag`.
     fn finite_entry(&self, table: usize, index: u64, tag: u32) -> Option<&Entry> {
-        let e = &self.tables[table][index as usize];
+        let e = &self.tables[self.slot(table, index)];
         (e.valid && u32::from(e.tag) == tag).then_some(e)
     }
 
@@ -357,7 +363,8 @@ impl Tage {
     ) -> Option<&mut Entry> {
         match self.cfg.storage {
             StorageKind::Finite => {
-                let e = &mut self.tables[table][lookup.indices[table] as usize];
+                let at = self.slot(table, lookup.indices[table]);
+                let e = &mut self.tables[at];
                 (e.valid && u32::from(e.tag) == lookup.tags[table]).then_some(e)
             }
             StorageKind::Infinite => Some(&mut self.infinite_arena[slot as usize].entry),
@@ -617,7 +624,8 @@ impl Tage {
                 let mut done = false;
                 let last = (first + self.cfg.alloc_tries).min(n);
                 for t in first..last {
-                    let slot = &mut self.tables[t][lookup.indices[t] as usize];
+                    let at = self.slot(t, lookup.indices[t]);
+                    let slot = &mut self.tables[at];
                     if !slot.valid || slot.useful == 0 {
                         *slot = Entry::allocated(lookup.tags[t], taken);
                         self.allocations += 1;
@@ -632,7 +640,8 @@ impl Tage {
                     // pressure tick.
                     self.alloc_failures += 1;
                     for t in first..(first + self.cfg.alloc_tries).min(n) {
-                        let useful = &mut self.tables[t][lookup.indices[t] as usize].useful;
+                        let at = self.slot(t, lookup.indices[t]);
+                        let useful = &mut self.tables[at].useful;
                         *useful = useful.saturating_sub(1);
                     }
                     self.tick += 1;
@@ -646,10 +655,8 @@ impl Tage {
     }
 
     fn reset_useful(&mut self) {
-        for table in &mut self.tables {
-            for e in table.iter_mut() {
-                e.useful >>= 1;
-            }
+        for e in &mut self.tables {
+            e.useful >>= 1;
         }
     }
 
@@ -910,6 +917,40 @@ mod tests {
         }
         let tracker = t.useful_tracker().expect("tracking enabled");
         assert!(tracker.total_patterns() > 0, "some patterns must be useful");
+    }
+
+    #[test]
+    fn a_saturated_tick_halves_every_tables_useful_counters() {
+        let mut t = Tage::new(TageConfig { useful_bits: 2, ..small_cfg() });
+        let (n, size) = (t.cfg.num_tables(), 1usize << t.cfg.index_bits);
+        assert_eq!(t.tables.len(), n * size, "one block holds every table");
+        let full = t.useful_max;
+        assert!(full >= 2, "the test needs counters that halve to a non-zero value");
+        // Every entry valid and fully useful, under a tag no lookup of the
+        // PC below produces: allocation finds no victim and fails.
+        for e in &mut t.tables {
+            *e = Entry { tag: 0, ctr: 0, useful: full, valid: true };
+        }
+        let pc = 0x4000;
+        let l = t.lookup(pc);
+        assert!(l.tags[..n].iter().all(|&tag| tag != 0), "pick a PC whose tags are non-zero");
+        assert_eq!(l.provider, None);
+        t.tick = 1023;
+        t.commit(&l, !l.pred, UpdateMode::Full);
+        assert_eq!(t.alloc_failures(), 1);
+        assert_eq!(t.tick, 0, "the 1024th failure saturates the tick and resets it");
+        // Each table's aged candidate lost one before the halving.
+        let (halved, aged) = (full >> 1, (full - 1) >> 1);
+        for table in [0, n - 1] {
+            for index in 0..size {
+                let useful = t.tables[t.slot(table, index as u64)].useful;
+                let candidate = index as u64 == l.indices[table];
+                assert!(
+                    useful == halved || (candidate && useful == aged),
+                    "table {table} entry {index}: useful {useful}, want {halved}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -30,16 +30,24 @@ impl std::fmt::Display for Fingerprint {
         // The same text as `{:032x}`, written in one piece: that format
         // writes its zero padding separately, so a string built from it
         // grew (and allocated) once more per leading zero nibble.
+        f.write_str(std::str::from_utf8(&self.hex_digits()).expect("hex digits are ASCII"))
+    }
+}
+
+impl Fingerprint {
+    /// The 32 lowercase hex digits of the `Display` form, on the stack:
+    /// a caller that writes them into a buffer of its own (a store object
+    /// path) allocates no text for them.
+    #[must_use]
+    pub fn hex_digits(self) -> [u8; 32] {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut digits = [0u8; 32];
         for (i, digit) in digits.iter_mut().enumerate() {
             *digit = HEX[(self.0 >> (124 - 4 * i)) as usize & 0xf];
         }
-        f.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
+        digits
     }
-}
 
-impl Fingerprint {
     /// Parses the exact 32-hex-digit form produced by `Display`.
     ///
     /// Strictness is the point: persistent journals address cells by

@@ -361,21 +361,16 @@ echo "== provenance smoke =="
 # Recording must be free when off and observational when on: stdout is
 # byte-identical either way, `prov_tool why` reports the same hottest
 # mispredicting branches on every invocation, and the recorder costs
-# <3% wall time: the median of the on/off wall ratios of 5 cold pairs,
-# each pair run back to back with the first side alternating, so a slow
-# phase of a shared host lands inside one pair instead of on one side.
+# <3% wall time. The cost is timed in-process over fig02's quick cells
+# (prov_overhead.rs: each cell's fastest of 5 runs per side, in off/on
+# pairs whose first side alternates), so process start-up, trace decodes
+# and store writes, which both sides share, stay out of the ratio.
 PROV_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
-prov_run() { # prov_run off|on <pair>
-    local flag=""
-    [ "$1" = on ] && flag="--prov"
-    LLBP_CACHE_DIR="$PROV_DIR/$1$2" ./target/release/fig02_mpki_limits --quick --strict $flag \
-        > "$PROV_DIR/$1$2.out" 2> "$PROV_DIR/$1$2.err"
-}
-for i in 1 2 3 4 5; do
-    if [ $((i % 2)) -eq 1 ]; then prov_run off "$i"; prov_run on "$i"
-    else prov_run on "$i"; prov_run off "$i"; fi
-done
+LLBP_CACHE_DIR="$PROV_DIR/off1" ./target/release/fig02_mpki_limits --quick --strict \
+    > "$PROV_DIR/off1.out" 2> "$PROV_DIR/off1.err"
+LLBP_CACHE_DIR="$PROV_DIR/on1" ./target/release/fig02_mpki_limits --quick --strict --prov \
+    > "$PROV_DIR/on1.out" 2> "$PROV_DIR/on1.err"
 cmp -s "$PROV_DIR/off1.out" "$PROV_DIR/on1.out" || {
     echo "prov smoke: --prov changed the figure output:"
     diff "$PROV_DIR/off1.out" "$PROV_DIR/on1.out" || true
@@ -387,16 +382,8 @@ grep -q '"prov":{"streams":' "$PROV_DIR/on1.err" || {
 grep -q '"prov"' "$PROV_DIR/off1.err" && {
     echo "prov smoke: plain run leaked a prov section:"; cat "$PROV_DIR/off1.err"; exit 1
 }
-RATIOS="$(for i in 1 2 3 4 5; do
-    off="$(grep -o '"wall_s":[0-9.]*' "$PROV_DIR/off$i.err" | cut -d: -f2)"
-    on="$(grep -o '"wall_s":[0-9.]*' "$PROV_DIR/on$i.err" | cut -d: -f2)"
-    awk -v off="$off" -v on="$on" 'BEGIN { printf "%.4f\n", on / off }'
-done | sort -g)"
-MEDIAN="$(echo "$RATIOS" | sed -n 3p)"
-awk -v m="$MEDIAN" 'BEGIN { exit !(m <= 1.03) }' || {
-    echo "prov smoke: recorder overhead exceeds 3% (median on/off wall ratio $MEDIAN;" \
-        "pairs:" $RATIOS")"
-    exit 1
+cargo test --release --offline --quiet -p llbp-sim --test prov_overhead -- --ignored --nocapture || {
+    echo "prov smoke: recorder overhead exceeds 3%"; exit 1
 }
 ./target/release/prov_tool why "$PROV_DIR/on1" --label "64K TSL" --workload Tomcat --top 10 \
     > "$PROV_DIR/why1.md" || {
