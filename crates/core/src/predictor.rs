@@ -26,7 +26,7 @@ use crate::stats::{LlbpStats, OverrideKind};
 use bputil::kernel::FoldId;
 use bputil::table::SetAssoc;
 use llbp_tage::tage::UpdateMode;
-use llbp_tage::{FrontEnd, PredictionInfo, Predictor, ProviderKind, TageScl, TslLookup};
+use llbp_tage::{FrontEnd, PredictionInfo, Predictor, ProviderKind, TablePool, TageScl, TslLookup};
 use llbp_trace::BranchRecord;
 
 /// LLBP's view of one prediction, carried from `predict` to `train`.
@@ -145,8 +145,21 @@ impl LlbpPredictor {
     /// Panics if the parameters fail [`LlbpParams::validate`].
     #[must_use]
     pub fn new(params: LlbpParams) -> Self {
+        Self::with_pool(params, &mut TablePool::new())
+    }
+
+    /// [`LlbpPredictor::new`] with the baseline TAGE-SC-L built on
+    /// `pool`'s tables ([`TageScl::with_pool`]). LLBP's own pattern
+    /// arenas are allocated afresh. Hand the baseline's tables back with
+    /// [`LlbpPredictor::into_pool`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters fail [`LlbpParams::validate`].
+    #[must_use]
+    pub fn with_pool(params: LlbpParams, pool: &mut TablePool) -> Self {
         params.validate().unwrap_or_else(|e| panic!("invalid LLBP params: {e}"));
-        let mut tsl = TageScl::new(params.tsl.clone());
+        let mut tsl = TageScl::with_pool(params.tsl.clone(), pool);
         let rcr = RollingContextRegister::new(
             params.window,
             params.prefetch_distance,
@@ -178,6 +191,11 @@ impl LlbpPredictor {
             llbp_enabled: true,
             params,
         }
+    }
+
+    /// Hands the baseline's pooled tables to `pool` ([`TageScl::into_pool`]).
+    pub fn into_pool(self, pool: &mut TablePool) {
+        self.tsl.into_pool(pool);
     }
 
     /// The parameters this instance was built from.

@@ -34,7 +34,7 @@ use bputil::hash::FastHashMap;
 use llbp_core::LlbpPredictor;
 use llbp_prov::ProvRecorder;
 use llbp_tage::classic::{Gshare, HashedPerceptron, TwoLevelLocal};
-use llbp_tage::{Predictor, ProviderKind, TageScl, TslConfig};
+use llbp_tage::{Predictor, ProviderKind, TablePool, TageScl};
 use llbp_trace::Trace;
 
 /// Environment variable selecting the execution backend for harness
@@ -68,8 +68,9 @@ impl BackendKind {
     /// The concrete tiers, in documentation order (excludes `Auto`).
     pub const CONCRETE: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Batch];
 
-    /// The tier `auto` resolves to: the fastest implementation, as
-    /// measured by the `bench_backends` harness.
+    /// The tier `auto` resolves to: the fastest implementation. Batch
+    /// measured 1.69× the reference throughput on the 2M-record Tomcat
+    /// trace (DESIGN.md §10); perfbench's `sim.ns_per_record` times it.
     #[must_use]
     pub const fn fastest() -> Self {
         BackendKind::Batch
@@ -142,7 +143,9 @@ impl std::fmt::Display for BackendKind {
 /// the dynamic [`PredictorKind`] into a statically typed predictor, so
 /// each arm instantiates [`batch_loop`] for its concrete type and the
 /// per-record `predict_train`/`update_history_fast` calls devirtualize and
-/// inline. The LLBP arm also collects the LLBP-internal statistics.
+/// inline. TAGE-SC-L predictors, LLBP's baseline included, are built on
+/// `pool`'s tables and hand them back when the loop returns. The LLBP arm
+/// also collects the LLBP-internal statistics.
 ///
 /// # Errors
 ///
@@ -154,6 +157,7 @@ pub(crate) fn run_batch(
     token: &CancelToken,
     progress: &llbp_obs::Counter,
     prov: &mut ProvRecorder,
+    pool: &mut TablePool,
 ) -> Result<SimResult, SimError> {
     macro_rules! drive {
         ($predictor:expr) => {
@@ -161,11 +165,6 @@ pub(crate) fn run_batch(
         };
     }
     match kind {
-        PredictorKind::Tsl64K => drive!(TageScl::new(TslConfig::cbp64k())),
-        PredictorKind::TslScaled(f) => drive!(TageScl::new(TslConfig::scaled(*f))),
-        PredictorKind::InfTage => drive!(TageScl::new(TslConfig::infinite_tage())),
-        PredictorKind::InfTsl => drive!(TageScl::new(TslConfig::infinite_tsl())),
-        PredictorKind::CustomTsl(tsl) => drive!(TageScl::new(tsl.clone())),
         PredictorKind::Gshare { index_bits, history_bits } => {
             drive!(Gshare::new(*index_bits, *history_bits))
         }
@@ -176,13 +175,18 @@ pub(crate) fn run_batch(
             drive!(HashedPerceptron::new(*tables, *index_bits, *segment_bits))
         }
         PredictorKind::Llbp(params) => {
-            let mut predictor = LlbpPredictor::new(params.clone());
-            let mut result = drive!(predictor)?;
-            result.llbp = Some(LlbpCellStats {
-                llbp: predictor.stats().clone(),
-                frontend: *predictor.frontend().stats(),
-            });
-            Ok(result)
+            let mut predictor = LlbpPredictor::with_pool(params.clone(), pool);
+            let result = drive!(predictor)
+                .map(|r| SimResult { llbp: Some(LlbpCellStats::of(&predictor)), ..r });
+            predictor.into_pool(pool);
+            result
+        }
+        tsl => {
+            let tsl = tsl.tsl_config().expect("the other kinds are TSLs");
+            let mut predictor = TageScl::with_pool(tsl, pool);
+            let result = drive!(predictor);
+            predictor.into_pool(pool);
+            result
         }
     }
 }

@@ -6,7 +6,7 @@ use crate::error::{CancelToken, SimError};
 use llbp_core::{LlbpParams, LlbpPredictor};
 use llbp_prov::ProvRecorder;
 use llbp_tage::classic::{Gshare, HashedPerceptron, TwoLevelLocal};
-use llbp_tage::{Predictor, TageScl, TslConfig};
+use llbp_tage::{Predictor, TablePool, TageScl, TslConfig};
 use llbp_trace::Trace;
 
 /// Which predictor design to simulate — the paper's §VI model list.
@@ -55,12 +55,7 @@ impl PredictorKind {
     #[must_use]
     pub fn build(&self) -> Box<dyn Predictor> {
         match self {
-            PredictorKind::Tsl64K => Box::new(TageScl::new(TslConfig::cbp64k())),
-            PredictorKind::TslScaled(f) => Box::new(TageScl::new(TslConfig::scaled(*f))),
-            PredictorKind::InfTage => Box::new(TageScl::new(TslConfig::infinite_tage())),
-            PredictorKind::InfTsl => Box::new(TageScl::new(TslConfig::infinite_tsl())),
             PredictorKind::Llbp(p) => Box::new(LlbpPredictor::new(p.clone())),
-            PredictorKind::CustomTsl(cfg) => Box::new(TageScl::new(cfg.clone())),
             PredictorKind::Gshare { index_bits, history_bits } => {
                 Box::new(Gshare::new(*index_bits, *history_bits))
             }
@@ -70,6 +65,23 @@ impl PredictorKind {
             PredictorKind::HashedPerceptron { tables, index_bits, segment_bits } => {
                 Box::new(HashedPerceptron::new(*tables, *index_bits, *segment_bits))
             }
+            tsl => Box::new(TageScl::new(tsl.tsl_config().expect("the other kinds are TSLs"))),
+        }
+    }
+
+    /// The configuration of a TAGE-SC-L kind; `None` for LLBP and the
+    /// classic predictors.
+    pub(crate) fn tsl_config(&self) -> Option<TslConfig> {
+        match self {
+            PredictorKind::Tsl64K => Some(TslConfig::cbp64k()),
+            PredictorKind::TslScaled(f) => Some(TslConfig::scaled(*f)),
+            PredictorKind::InfTage => Some(TslConfig::infinite_tage()),
+            PredictorKind::InfTsl => Some(TslConfig::infinite_tsl()),
+            PredictorKind::CustomTsl(cfg) => Some(cfg.clone()),
+            PredictorKind::Llbp(_)
+            | PredictorKind::Gshare { .. }
+            | PredictorKind::TwoLevelLocal { .. }
+            | PredictorKind::HashedPerceptron { .. } => None,
         }
     }
 
@@ -204,10 +216,28 @@ impl SimConfig {
         records: &llbp_obs::Counter,
         prov: &mut ProvRecorder,
     ) -> Result<SimResult, SimError> {
+        self.run_pooled(&kind, trace, token, records, prov, &mut TablePool::new())
+    }
+
+    /// [`SimConfig::run_recorded`] with `kind` by reference and every
+    /// TAGE-SC-L (LLBP's baseline included) built on `pool`'s tables and
+    /// handed back to it, also when the token fires. The sweep engine
+    /// keeps one pool per worker for a run, so a worker builds its
+    /// predictors' large tables once per run instead of once per cell
+    /// (see [`TablePool`]).
+    pub(crate) fn run_pooled(
+        &self,
+        kind: &PredictorKind,
+        trace: &Trace,
+        token: &CancelToken,
+        records: &llbp_obs::Counter,
+        prov: &mut ProvRecorder,
+        pool: &mut TablePool,
+    ) -> Result<SimResult, SimError> {
         match self.backend.resolve() {
-            BackendKind::Reference => self.run_reference(kind, trace, token, records, prov),
+            BackendKind::Reference => self.run_reference(kind, trace, token, records, prov, pool),
             BackendKind::Batch => {
-                crate::backend::run_batch(self, &kind, trace, token, records, prov)
+                crate::backend::run_batch(self, kind, trace, token, records, prov, pool)
             }
             BackendKind::Auto => unreachable!("resolve() always returns a concrete backend"),
         }
@@ -216,24 +246,31 @@ impl SimConfig {
     /// The reference backend: the original scalar `dyn Predictor` loop.
     fn run_reference(
         &self,
-        kind: PredictorKind,
+        kind: &PredictorKind,
         trace: &Trace,
         token: &CancelToken,
         records: &llbp_obs::Counter,
         prov: &mut ProvRecorder,
+        pool: &mut TablePool,
     ) -> Result<SimResult, SimError> {
+        let sim = Simulator::new(*self);
         if let PredictorKind::Llbp(params) = kind {
-            let mut predictor = LlbpPredictor::new(params);
-            let mut result =
-                Simulator::new(*self).run_recorded(&mut predictor, trace, token, records, prov)?;
-            result.llbp = Some(LlbpCellStats {
-                llbp: predictor.stats().clone(),
-                frontend: *predictor.frontend().stats(),
-            });
-            return Ok(result);
+            let mut predictor = LlbpPredictor::with_pool(params.clone(), pool);
+            let result = sim
+                .run_recorded(&mut predictor, trace, token, records, prov)
+                .map(|r| SimResult { llbp: Some(LlbpCellStats::of(&predictor)), ..r });
+            predictor.into_pool(pool);
+            return result;
         }
-        let mut predictor = kind.build();
-        Simulator::new(*self).run_recorded(predictor.as_mut(), trace, token, records, prov)
+        match kind.tsl_config() {
+            Some(cfg) => {
+                let mut predictor = TageScl::with_pool(cfg, pool);
+                let result = sim.run_recorded(&mut predictor, trace, token, records, prov);
+                predictor.into_pool(pool);
+                result
+            }
+            None => sim.run_recorded(kind.build().as_mut(), trace, token, records, prov),
+        }
     }
 
     /// Runs a pre-built predictor (for callers that need to inspect its

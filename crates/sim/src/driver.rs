@@ -3,7 +3,7 @@
 use crate::config::SimConfig;
 use crate::error::{CancelToken, SimError};
 use bputil::hash::FastHashMap;
-use llbp_core::LlbpStats;
+use llbp_core::{LlbpPredictor, LlbpStats};
 use llbp_prov::ProvRecorder;
 use llbp_tage::{FrontEndStats, Predictor, ProviderKind};
 use llbp_trace::{BranchKind, Trace};
@@ -18,6 +18,13 @@ pub struct LlbpCellStats {
     pub llbp: LlbpStats,
     /// Front-end reset attribution (BTB / RAS / indirect).
     pub frontend: FrontEndStats,
+}
+
+impl LlbpCellStats {
+    /// The statistics `predictor` has gathered.
+    pub(crate) fn of(predictor: &LlbpPredictor) -> Self {
+        Self { llbp: predictor.stats().clone(), frontend: *predictor.frontend().stats() }
+    }
 }
 
 /// Measured outcome of one simulation run (post-warmup statistics).

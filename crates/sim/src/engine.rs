@@ -70,6 +70,7 @@ use bputil::hash::FastHashMap;
 use bputil::kernel::Kernel;
 use llbp_obs::Telemetry;
 use llbp_prov::{ProvConfig, ProvRecorder};
+use llbp_tage::TablePool;
 use llbp_trace::{Fingerprint, WorkloadSpec};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -202,22 +203,37 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    run_indexed_with(workers, n, || (), |(), i| f(i))
+}
+
+/// [`run_indexed`] with per-worker state: each worker makes one `S` with
+/// `init` before its first index, lends it to `f` for every index it
+/// runs, and drops it when the queue is empty. The sweep engine keeps
+/// each worker's [`TablePool`] this way, for the length of one run.
+fn run_indexed_with<S, T, I, F>(workers: usize, n: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
     let workers = workers.clamp(1, n.max(1));
     if workers == 1 {
-        return (0..n).map(f).collect();
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
     }
     let next = AtomicUsize::new(0);
     let collected = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
+                let mut state = init();
                 let mut local = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
                     }
-                    local.push((i, f(i)));
+                    local.push((i, f(&mut state, i)));
                 }
                 collected.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
             });
@@ -955,7 +971,7 @@ impl SweepEngine {
         let memo_hits = AtomicU64::new(0);
         let memo_misses = AtomicU64::new(0);
         let resumed = AtomicU64::new(0);
-        let mut claimed = run_indexed(self.workers, n, |slot| {
+        let mut claimed = run_indexed_with(self.workers, n, TablePool::new, |pool, slot| {
             let index = order[slot];
             // Queue wait: campaign start until a worker claims the cell.
             if self.telemetry.is_enabled() {
@@ -970,6 +986,7 @@ impl SweepEngine {
                 done_before.contains_key(&index),
                 force_fresh.contains(&index),
                 (&memo_hits, &memo_misses, &resumed),
+                pool,
             );
             if own_cache && traces.finish(workload, !memoized[index]) {
                 cache.release(traces.key(workload));
@@ -1095,6 +1112,7 @@ impl SweepEngine {
         resumable: bool,
         force_fresh: bool,
         counters: (&AtomicU64, &AtomicU64, &AtomicU64),
+        pool: &mut TablePool,
     ) -> Result<(JobRecord, Option<Fingerprint>), Box<JobError>> {
         let job = spec.job(index);
         // Held across every attempt: another campaign on this store that
@@ -1112,6 +1130,7 @@ impl SweepEngine {
                 force_fresh,
                 counters,
                 attempt,
+                pool,
             );
             match outcome {
                 Ok(record) => return Ok(record),
@@ -1143,8 +1162,10 @@ impl SweepEngine {
     /// One attempt at one grid cell, fully isolated: injected faults,
     /// trace generation and the simulation itself each run under
     /// `catch_unwind`, and every failure maps to a typed [`SimError`].
-    /// On success, also returns the memoized cell's content digest (when
-    /// a store is attached and the write-back landed) for the journal.
+    /// The simulation builds its predictor on the worker's `pool`; a
+    /// panic drops the predictor's tables with it. On success, also
+    /// returns the memoized cell's content digest (when a store is
+    /// attached and the write-back landed) for the journal.
     #[allow(clippy::too_many_arguments)]
     fn attempt_cell(
         &self,
@@ -1157,6 +1178,7 @@ impl SweepEngine {
         force_fresh: bool,
         (memo_hits, memo_misses, resumed): (&AtomicU64, &AtomicU64, &AtomicU64),
         attempt: u32,
+        pool: &mut TablePool,
     ) -> Result<(JobRecord, Option<Fingerprint>), SimError> {
         // The watchdog deadline starts before fault injection so that an
         // injected-slow attempt is charged for its sleep: the simulation
@@ -1207,8 +1229,7 @@ impl SweepEngine {
                 detail: panic_message(payload.as_ref()),
             })??
         };
-        let kind = spec.predictors[job.predictor].clone();
-        let label = kind.label();
+        let kind = &spec.predictors[job.predictor];
         let sim_records = self.telemetry.counter("sim_records_total");
         let mut recorder = match self.prov {
             Some(cfg) => ProvRecorder::enabled(cfg),
@@ -1218,10 +1239,10 @@ impl SweepEngine {
         let result = {
             let _span = self.telemetry.span("simulation").with_cell(index as i64);
             catch_unwind(AssertUnwindSafe(|| {
-                spec.sim.run_recorded(kind, &trace, &token, &sim_records, &mut recorder)
+                spec.sim.run_pooled(kind, &trace, &token, &sim_records, &mut recorder, pool)
             }))
             .map_err(|payload| SimError::PredictorPanic {
-                label,
+                label: kind.label(),
                 detail: panic_message(payload.as_ref()),
             })??
         };

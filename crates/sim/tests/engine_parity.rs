@@ -4,14 +4,28 @@
 //! count. It must also hold each trace only while the trace's cells that
 //! simulate run, unless the caller owns the cache.
 
+use llbp_core::LlbpParams;
 use llbp_sim::engine::{SweepEngine, SweepSpec};
 use llbp_sim::{MemoStore, PredictorKind, SimConfig, TraceCache};
+use llbp_tage::TslConfig;
 use llbp_trace::{Workload, WorkloadSpec};
 use std::sync::Arc;
 
+/// Every TAGE-SC-L family, so that a worker's cells hand statistical-
+/// corrector tables of two lengths (2^10 and 2^14) and the infinite
+/// storage on to each other, while the serial reference builds every
+/// predictor afresh. The infinite TSL's corrector is 2^14 entries, not
+/// Inf TSL's 2^21, to keep the debug run short.
 fn grid() -> SweepSpec {
+    let inf_tsl = TslConfig { sc_index_bits: 14, ..TslConfig::infinite_tsl() };
     SweepSpec::new(
-        vec![PredictorKind::Tsl64K, PredictorKind::TslScaled(2), PredictorKind::InfTage],
+        vec![
+            PredictorKind::Tsl64K,
+            PredictorKind::TslScaled(2),
+            PredictorKind::InfTage,
+            PredictorKind::CustomTsl(inf_tsl),
+            PredictorKind::Llbp(LlbpParams::default()),
+        ],
         vec![
             WorkloadSpec::named(Workload::Http).with_branches(4_000),
             WorkloadSpec::named(Workload::Tpcc).with_branches(4_000),

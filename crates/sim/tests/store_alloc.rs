@@ -1,7 +1,10 @@
 //! A cell's store costs repeat exactly: an object path takes one heap
 //! allocation, a result write takes as many at its thousandth call as at
 //! its first, whatever the PID and the temp-file sequence number, and two
-//! identical cold campaigns allocate equally.
+//! identical cold campaigns allocate equally. A cell's predictor costs
+//! shrink on a warm table pool: an `Inf TSL` built from a pool that a
+//! previous one filled allocates nothing for its statistical corrector or
+//! its infinite storage, and faults few pages in.
 //!
 //! Uses a counting global allocator, as
 //! `crates/trace/tests/fingerprint_alloc.rs` does. The count is per
@@ -12,8 +15,9 @@
 use llbp_sim::engine::{SweepEngine, SweepSpec};
 use llbp_sim::store::local::LocalDir;
 use llbp_sim::{MemoStore, ObjectKind, PredictorKind, SimConfig};
+use llbp_tage::{Predictor, TablePool, TageScl, TslConfig};
 use llbp_trace::fingerprint::Fingerprint;
-use llbp_trace::{Workload, WorkloadSpec};
+use llbp_trace::{BranchKind, Trace, Workload, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -146,4 +150,77 @@ fn identical_cold_campaigns_allocate_equally() {
         "allocations of two identical campaigns at PID {}",
         std::process::id()
     );
+}
+
+/// Minor page faults of the calling thread so far: field 10 of
+/// `/proc/thread-self/stat`. `None` where that file cannot be read.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // The fields after the parenthesised command name start at field 3.
+    stat.rsplit_once(')')?.1.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Drives `tsl` over `trace` as the batch tier does.
+fn drive(tsl: &mut TageScl, trace: &Trace) {
+    for r in trace {
+        if r.kind() == BranchKind::Conditional {
+            std::hint::black_box(tsl.predict_train(r.pc(), r.taken()));
+        }
+        tsl.update_history_fast(r);
+    }
+}
+
+/// Allocations while `tsl` is built, allocations while it runs `trace`,
+/// and the minor faults of both.
+fn build_and_drive(
+    build: impl FnOnce() -> TageScl,
+    trace: &Trace,
+) -> (TageScl, u64, u64, Option<u64>) {
+    let faults = minor_faults();
+    let before = allocations();
+    let mut tsl = build();
+    let built = allocations() - before;
+    let before = allocations();
+    drive(&mut tsl, trace);
+    let ran = allocations() - before;
+    let faults = faults.zip(minor_faults()).map(|(before, after)| after - before);
+    (tsl, built, ran, faults)
+}
+
+#[test]
+fn an_inf_tsl_on_a_warm_pool_allocates_nothing_for_its_tables() {
+    // NodeApp, as in `crates/core/tests/no_alloc.rs`: its 20K records
+    // write most of the corrector's pages. The pooled build re-zeroes
+    // every page, so a page the previous cell only read (a zero-page
+    // mapping) faults at that `fill(0)` instead of at its first read.
+    let trace = WorkloadSpec::named(Workload::NodeApp).with_branches(20_000).generate();
+    // The fresh build goes first, before this thread has freed a large
+    // table the allocator could hand back already resident.
+    let (fresh, fresh_built, fresh_ran, fresh_faults) =
+        build_and_drive(|| TageScl::new(TslConfig::infinite_tsl()), &trace);
+    drop(fresh);
+    let mut pool = TablePool::new();
+    let (previous, ..) =
+        build_and_drive(|| TageScl::with_pool(TslConfig::infinite_tsl(), &mut pool), &trace);
+    previous.into_pool(&mut pool);
+    let (pooled, pooled_built, pooled_ran, pooled_faults) =
+        build_and_drive(|| TageScl::with_pool(TslConfig::infinite_tsl(), &mut pool), &trace);
+    pooled.into_pool(&mut pool);
+
+    let sc_tables = TslConfig::infinite_tsl().sc_history_lengths.len() as u64 + 1;
+    assert_eq!(
+        fresh_built - pooled_built,
+        sc_tables,
+        "a build from the pool takes all {sc_tables} corrector tables from it \
+         ({fresh_built} allocations fresh, {pooled_built} pooled)"
+    );
+    assert!(fresh_ran > 0, "a fresh build grows its infinite storage while it runs");
+    assert_eq!(pooled_ran, 0, "the pooled arena and head map already fit the trace");
+    match (fresh_faults, pooled_faults) {
+        (Some(fresh), Some(pooled)) => assert!(
+            pooled * 10 < fresh,
+            "minor faults: {pooled} on the pool, {fresh} fresh (want under a tenth)"
+        ),
+        _ => eprintln!("skipping the fault check: /proc/thread-self/stat cannot be read"),
+    }
 }

@@ -211,14 +211,21 @@ impl TslConfig {
     /// The baseline 64 KiB TAGE-SC-L (the paper's `64K TSL`).
     #[must_use]
     pub fn cbp64k() -> Self {
+        Self::baseline_around(TageConfig::cbp64k(), "64K TSL".into())
+    }
+
+    /// The baseline's SC and loop predictor around `tage`. The presets
+    /// start from it rather than from [`TslConfig::cbp64k`], whose TAGE
+    /// vectors and label they would build only to replace.
+    fn baseline_around(tage: TageConfig, label: String) -> Self {
         Self {
-            tage: TageConfig::cbp64k(),
+            tage,
             sc_enabled: true,
             sc_index_bits: 10,
             sc_history_lengths: vec![0, 3, 8, 12, 17, 27, 44],
             loop_enabled: true,
             loop_index_bits: 4,
-            label: "64K TSL".into(),
+            label,
         }
     }
 
@@ -231,30 +238,24 @@ impl TslConfig {
     /// Panics if `factor` is not a power of two.
     #[must_use]
     pub fn scaled(factor: u32) -> Self {
-        let mut cfg = Self::cbp64k();
-        cfg.tage = TageConfig::scaled(factor);
-        cfg.label = format!("{}K TSL", 64 * factor);
-        cfg
+        Self::baseline_around(TageConfig::scaled(factor), format!("{}K TSL", 64 * factor))
     }
 
     /// `Inf TAGE`: unbounded TAGE tables, baseline SC and loop predictor.
     #[must_use]
     pub fn infinite_tage() -> Self {
-        let mut cfg = Self::cbp64k();
-        cfg.tage = TageConfig::infinite();
-        cfg.label = "Inf TAGE".into();
-        cfg
+        Self::baseline_around(TageConfig::infinite(), "Inf TAGE".into())
     }
 
     /// `Inf TSL`: unbounded TAGE tables *and* enlarged auxiliary
     /// components (the paper scales SC/loop tables to 2M entries).
     #[must_use]
     pub fn infinite_tsl() -> Self {
-        let mut cfg = Self::infinite_tage();
-        cfg.sc_index_bits = 21;
-        cfg.loop_index_bits = 12;
-        cfg.label = "Inf TSL".into();
-        cfg
+        Self {
+            sc_index_bits: 21,
+            loop_index_bits: 12,
+            ..Self::baseline_around(TageConfig::infinite(), "Inf TSL".into())
+        }
     }
 
     /// Storage bits of the whole composition (finite geometry).
@@ -395,6 +396,64 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn scaled_requires_power_of_two() {
         let _ = TageConfig::scaled(3);
+    }
+
+    #[test]
+    fn presets_keep_their_values() {
+        let lengths = TageConfig::CBP5_LENGTHS.to_vec();
+        let tags = [[9; 7], [11; 7], [13; 7]].concat();
+        let tage = TageConfig {
+            history_lengths: lengths,
+            tag_bits: tags,
+            index_bits: 10,
+            bimodal_bits: 13,
+            counter_bits: 3,
+            useful_bits: 1,
+            path_bits: 27,
+            alloc_tries: 3,
+            storage: StorageKind::Finite,
+            track_useful: false,
+            seed: 0x7A6E,
+        };
+        let base = TslConfig {
+            tage: tage.clone(),
+            sc_enabled: true,
+            sc_index_bits: 10,
+            sc_history_lengths: vec![0, 3, 8, 12, 17, 27, 44],
+            loop_enabled: true,
+            loop_index_bits: 4,
+            label: "64K TSL".into(),
+        };
+        let infinite = TageConfig { storage: StorageKind::Infinite, ..tage.clone() };
+        assert_eq!(TageConfig::cbp64k(), tage);
+        assert_eq!(TageConfig::infinite(), infinite);
+        assert_eq!(TslConfig::cbp64k(), base);
+        assert_eq!(
+            TslConfig::scaled(8),
+            TslConfig {
+                tage: TageConfig { index_bits: 13, ..tage.clone() },
+                label: "512K TSL".into(),
+                ..base.clone()
+            }
+        );
+        assert_eq!(
+            TslConfig::scaled(1),
+            TslConfig { tage: tage.clone(), label: "64K TSL".into(), ..base.clone() }
+        );
+        assert_eq!(
+            TslConfig::infinite_tage(),
+            TslConfig { tage: infinite.clone(), label: "Inf TAGE".into(), ..base.clone() }
+        );
+        assert_eq!(
+            TslConfig::infinite_tsl(),
+            TslConfig {
+                tage: infinite,
+                sc_index_bits: 21,
+                loop_index_bits: 12,
+                label: "Inf TSL".into(),
+                ..base
+            }
+        );
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   tagged tables unbounded associativity while keeping the hash
 //!   functions unchanged (§VI).
 //! * [`Predictor`] — the driving trait shared with LLBP and the simulator.
+//! * [`TablePool`] — the large tables one predictor hands to the next, so a
+//!   sweep worker builds them once per run instead of once per cell.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ pub mod config;
 pub mod frontend;
 pub mod ittage;
 pub mod loop_pred;
+pub mod pool;
 pub mod predictor;
 pub mod ras;
 pub mod sc;
@@ -54,6 +57,7 @@ pub use config::{StorageKind, TageConfig, TslConfig};
 pub use frontend::{FrontEnd, FrontEndStats, ResetReason};
 pub use ittage::Ittage;
 pub use loop_pred::LoopPredictor;
+pub use pool::TablePool;
 pub use predictor::{PredictionInfo, Predictor, ProviderKind};
 pub use ras::ReturnAddressStack;
 pub use sc::StatisticalCorrector;

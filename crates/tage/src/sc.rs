@@ -13,6 +13,7 @@
 //! ([`bputil::hash::gehl_index`]) are lanes of that TAGE's per-lookup hash
 //! loop, delivered in the [`TageLookup`].
 
+use crate::pool::TablePool;
 use crate::tage::{Tage, TageLookup};
 use bputil::counter::{CounterWidth, SatCounter};
 use bputil::kernel::Lane;
@@ -41,11 +42,15 @@ const MAX_COMPONENTS: usize = 16;
 /// The statistical corrector.
 #[derive(Debug, Clone)]
 pub struct StatisticalCorrector {
-    /// One table of [`CTR`]-wide counters per component: `tables[0]` is
-    /// the bias table indexed by PC and TAGE direction; the rest are GEHL
-    /// tables. Allocated as zeroes (the weak-taken state), so the 2^21-entry
-    /// tables of `Inf TSL` map zero pages instead of being written.
-    tables: Vec<Vec<i8>>,
+    /// One table of [`CTR`]-wide counters per component, the first
+    /// `components` slots used: `tables[0]` is the bias table indexed by
+    /// PC and TAGE direction; the rest are GEHL tables. Zeroes (the
+    /// weak-taken state) from a [`TablePool`]: a new table is a zeroed
+    /// allocation, so the 2^21-entry tables of `Inf TSL` map zero pages
+    /// instead of being written, and a pooled one is re-zeroed. Held
+    /// inline, so the corrector allocates nothing beyond its tables.
+    tables: [Vec<i8>; MAX_COMPONENTS],
+    components: usize,
     /// Position of the bias lanes (not taken, then taken) in
     /// `TageLookup::side`; the component lanes follow.
     first_lane: usize,
@@ -68,20 +73,52 @@ impl StatisticalCorrector {
     /// `index_bits` is outside `1..=30`.
     #[must_use]
     pub fn new(index_bits: u32, history_lengths: &[usize], tage: &mut Tage) -> Self {
+        Self::with_pool(index_bits, history_lengths, tage, &mut TablePool::new())
+    }
+
+    /// [`StatisticalCorrector::new`] on tables from `pool`.
+    ///
+    /// # Panics
+    ///
+    /// As [`StatisticalCorrector::new`].
+    #[must_use]
+    pub(crate) fn with_pool(
+        index_bits: u32,
+        history_lengths: &[usize],
+        tage: &mut Tage,
+        pool: &mut TablePool,
+    ) -> Self {
         assert!(!history_lengths.is_empty(), "SC needs at least one component");
         assert!(history_lengths.len() < MAX_COMPONENTS, "too many SC components");
         assert!((1..=30).contains(&index_bits), "SC index width out of range: {index_bits}");
         let entries = 1usize << index_bits;
-        let mut tables = vec![vec![0i8; entries]];
+        let components = history_lengths.len() + 1;
+        let mut tables: [Vec<i8>; MAX_COMPONENTS] = Default::default();
+        tables[0] = pool.sc_table(entries);
         // The bias hashes the TAGE direction in place of a fold.
         let first_lane = tage.push_side_lane(Lane::gehl(0, None, 0, index_bits));
         tage.push_side_lane(Lane::gehl(0, None, 1 << 1, index_bits));
         for (c, &l) in (1..).zip(history_lengths) {
-            tables.push(vec![0i8; entries]);
+            tables[c as usize] = pool.sc_table(entries);
             let fold = (l > 0).then(|| tage.register_fold(l, index_bits));
             tage.push_side_lane(Lane::gehl(c, fold, 0, index_bits));
         }
-        Self { tables, first_lane, threshold: 6, tc: SatCounter::new_signed(7), overrides: 0 }
+        Self {
+            tables,
+            components,
+            first_lane,
+            threshold: 6,
+            tc: SatCounter::new_signed(7),
+            overrides: 0,
+        }
+    }
+
+    /// Hands the component tables to `pool` for the next corrector built
+    /// on it.
+    pub(crate) fn into_pool(self, pool: &mut TablePool) {
+        for table in self.tables.into_iter().take(self.components) {
+            pool.put_sc_table(table);
+        }
     }
 
     /// Times the SC overrode TAGE so far.
@@ -101,12 +138,13 @@ impl StatisticalCorrector {
     /// it).
     #[must_use]
     pub fn lookup(&self, tage: &TageLookup, tage_pred: bool) -> ScLookup {
+        let n = self.components;
         let lanes = &tage.side[self.first_lane..];
         let mut indices = [0u32; MAX_COMPONENTS];
         indices[0] = lanes[usize::from(tage_pred)];
-        indices[1..self.tables.len()].copy_from_slice(&lanes[2..self.tables.len() + 1]);
+        indices[1..n].copy_from_slice(&lanes[2..n + 1]);
         let mut sum: i32 = if tage_pred { TAGE_VOTE } else { -TAGE_VOTE };
-        for (&i, table) in indices.iter().zip(&self.tables) {
+        for (&i, table) in indices.iter().zip(&self.tables[..n]) {
             sum += 2 * i32::from(table[i as usize]) + 1;
         }
         ScLookup {
@@ -114,7 +152,7 @@ impl StatisticalCorrector {
             pred: sum >= 0,
             confident: sum.abs() > self.threshold,
             indices,
-            num_components: self.tables.len(),
+            num_components: n,
         }
     }
 

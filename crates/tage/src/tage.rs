@@ -18,6 +18,7 @@
 //! functions stay identical.
 
 use crate::config::{StorageKind, TageConfig};
+use crate::pool::TablePool;
 use crate::useful::UsefulPatternTracker;
 use bputil::counter::{CounterWidth, SatCounter};
 use bputil::hash::{tage_index_base, FastHashMap};
@@ -67,7 +68,7 @@ impl Entry {
 /// hashes stay unchanged. Slots for one PC form a singly-linked chain
 /// through the arena (`next`, [`NO_SLOT`]-terminated).
 #[derive(Debug, Clone)]
-struct InfSlot {
+pub(crate) struct InfSlot {
     next: u32,
     /// Table index; [`TageConfig::validate`] caps `index_bits` at 30.
     index: u32,
@@ -176,7 +177,8 @@ pub struct Tage {
     /// pc)`-keyed map the ~`num_tables` random probes per branch dominate
     /// the infinite-variant runs. A single growing arena (rather than a
     /// `Vec` per PC) keeps the allocator out of the hot path and makes
-    /// teardown two frees instead of thousands.
+    /// teardown two frees instead of thousands. Both come from a
+    /// [`TablePool`] and go back to it ([`Tage::into_pool`]).
     infinite_head: FastHashMap<u64, u32>,
     infinite_arena: Vec<InfSlot>,
     // --- policy state ---
@@ -199,6 +201,18 @@ impl Tage {
     /// Panics if the configuration fails [`TageConfig::validate`].
     #[must_use]
     pub fn new(cfg: TageConfig) -> Self {
+        Self::with_pool(cfg, &mut TablePool::new())
+    }
+
+    /// [`Tage::new`] on `pool`'s infinite storage (cleared, capacity
+    /// kept) when `cfg` asks for infinite storage. The finite tables are
+    /// allocated afresh either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`TageConfig::validate`].
+    #[must_use]
+    pub(crate) fn with_pool(cfg: TageConfig, pool: &mut TablePool) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid TAGE config: {e}"));
         assert!(cfg.num_tables() <= MAX_TABLES, "too many tables");
         let ghr = HistoryBuffer::new(cfg.max_history() + 64);
@@ -216,9 +230,11 @@ impl Tage {
             let (tag0, tag1) = (bank.register(l, bits), bank.register(l, (bits - 1).max(1)));
             lanes.push(Lane::tage_tag(t as u32, tag0, tag1, bits));
         }
-        let tables = match cfg.storage {
-            StorageKind::Finite => vec![Entry::EMPTY; cfg.num_tables() << cfg.index_bits],
-            StorageKind::Infinite => Vec::new(),
+        let (tables, (infinite_head, infinite_arena)) = match cfg.storage {
+            StorageKind::Finite => {
+                (vec![Entry::EMPTY; cfg.num_tables() << cfg.index_bits], Default::default())
+            }
+            StorageKind::Infinite => (Vec::new(), pool.take_infinite()),
         };
         let tracker = cfg.track_useful.then(UsefulPatternTracker::new);
         let mut use_alt_on_na = SatCounter::new_signed(4);
@@ -235,14 +251,22 @@ impl Tage {
             tables,
             ctr_width: CounterWidth::signed(cfg.counter_bits),
             useful_max: u8::MAX >> (u8::BITS - cfg.useful_bits),
-            infinite_head: FastHashMap::default(),
-            infinite_arena: Vec::new(),
+            infinite_head,
+            infinite_arena,
             use_alt_on_na,
             tick: 0,
             tracker,
             allocations: 0,
             alloc_failures: 0,
             cfg,
+        }
+    }
+
+    /// Hands the infinite storage to `pool` for the next predictor built
+    /// on it; a finite TAGE took nothing from the pool and returns nothing.
+    pub(crate) fn into_pool(self, pool: &mut TablePool) {
+        if self.cfg.storage == StorageKind::Infinite {
+            pool.put_infinite(self.infinite_head, self.infinite_arena);
         }
     }
 

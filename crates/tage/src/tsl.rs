@@ -3,6 +3,7 @@
 
 use crate::config::TslConfig;
 use crate::loop_pred::{LoopLookup, LoopPredictor};
+use crate::pool::TablePool;
 use crate::predictor::{PredictionInfo, Predictor, ProviderKind};
 use crate::sc::{ScLookup, StatisticalCorrector};
 use crate::tage::{Tage, TageLookup, UpdateMode};
@@ -71,13 +72,40 @@ impl TageScl {
     /// Panics if the configuration fails [`TslConfig::validate`].
     #[must_use]
     pub fn new(cfg: TslConfig) -> Self {
+        Self::with_pool(cfg, &mut TablePool::new())
+    }
+
+    /// [`TageScl::new`] on `pool`'s tables: the statistical corrector's
+    /// component tables and, for infinite TAGE storage, its arena and head
+    /// map. Predicts exactly as a fresh build does. Hand the tables back
+    /// with [`TageScl::into_pool`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`TslConfig::validate`].
+    #[must_use]
+    pub fn with_pool(cfg: TslConfig, pool: &mut TablePool) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid TSL config: {e}"));
-        let mut tage = Tage::new(cfg.tage.clone());
+        let mut tage = Tage::with_pool(cfg.tage.clone(), pool);
         let sc = cfg.sc_enabled.then(|| {
-            StatisticalCorrector::new(cfg.sc_index_bits, &cfg.sc_history_lengths, &mut tage)
+            StatisticalCorrector::with_pool(
+                cfg.sc_index_bits,
+                &cfg.sc_history_lengths,
+                &mut tage,
+                pool,
+            )
         });
         let loop_pred = cfg.loop_enabled.then(|| LoopPredictor::new(cfg.loop_index_bits));
         Self { tage, sc, loop_pred, cfg, pending: None, predictions: 0 }
+    }
+
+    /// Hands the tables [`TageScl::with_pool`] takes to `pool`, for the
+    /// next predictor built on it.
+    pub fn into_pool(self, pool: &mut TablePool) {
+        if let Some(sc) = self.sc {
+            sc.into_pool(pool);
+        }
+        self.tage.into_pool(pool);
     }
 
     /// The configuration this instance was built from.

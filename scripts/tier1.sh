@@ -17,9 +17,12 @@ echo "== release tests =="
 # The benchmark measures release code, and integer overflow behaves
 # differently there (wrapping and masked shifts instead of panics), so
 # the fold, hash, trace-codec and golden-pin suites also run in the
-# release build.
+# release build. So does the engine's parity suite: its one-worker runs
+# hand pooled predictor tables from cell to cell, re-zeroed by the
+# `fill(0)` that compiles to a memset here.
 cargo test --release --offline --quiet -p bputil -p llbp-tage -p llbp-trace
-cargo test --release --offline --quiet -p llbp-sim --test llbp_golden --test backend_parity
+cargo test --release --offline --quiet -p llbp-sim --test llbp_golden --test backend_parity \
+    --test engine_parity
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
