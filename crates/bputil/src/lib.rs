@@ -32,6 +32,9 @@
 //! assert!(ctr.is_saturated());
 //! ```
 
+// Every `unsafe` block states why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod counter;
 pub mod hash;
 pub mod history;

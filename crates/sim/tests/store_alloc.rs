@@ -4,7 +4,8 @@
 //! identical cold campaigns allocate equally. A cell's predictor costs
 //! shrink on a warm table pool: an `Inf TSL` built from a pool that a
 //! previous one filled allocates nothing for its statistical corrector or
-//! its infinite storage, and faults few pages in.
+//! its infinite storage, and faults few pages in; a 64K TSL built on a
+//! warm pool copies no configuration.
 //!
 //! Uses a counting global allocator, as
 //! `crates/trace/tests/fingerprint_alloc.rs` does. The count is per
@@ -215,7 +216,7 @@ fn an_inf_tsl_on_a_warm_pool_allocates_nothing_for_its_tables() {
          ({fresh_built} allocations fresh, {pooled_built} pooled)"
     );
     assert!(fresh_ran > 0, "a fresh build grows its infinite storage while it runs");
-    assert_eq!(pooled_ran, 0, "the pooled arena and head map already fit the trace");
+    assert_eq!(pooled_ran, 0, "the pooled arena and run map already fit the trace");
     match (fresh_faults, pooled_faults) {
         (Some(fresh), Some(pooled)) => assert!(
             pooled * 10 < fresh,
@@ -223,4 +224,22 @@ fn an_inf_tsl_on_a_warm_pool_allocates_nothing_for_its_tables() {
         ),
         _ => eprintln!("skipping the fault check: /proc/thread-self/stat cannot be read"),
     }
+}
+
+#[test]
+fn a_64k_tsl_on_a_warm_pool_moves_its_tage_config_into_its_tage() {
+    // Eight allocations: TAGE's history buffer, fold bank, hash lanes, two
+    // bimodal tables and table block, and the loop predictor's two. The
+    // corrector's tables come from the pool, and the `TageConfig` moves
+    // into the TAGE: a clone of it (as the build once made) adds two, one
+    // per vector (`history_lengths`, `tag_bits`), for 10 in all.
+    const BUILD: u64 = 8;
+    let mut pool = TablePool::new();
+    TageScl::with_pool(TslConfig::cbp64k(), &mut pool).into_pool(&mut pool);
+    let cfg = TslConfig::cbp64k();
+    let before = allocations();
+    let tsl = TageScl::with_pool(cfg, &mut pool);
+    let built = allocations() - before;
+    tsl.into_pool(&mut pool);
+    assert_eq!(built, BUILD, "allocations of a warm-pool 64K TSL build");
 }

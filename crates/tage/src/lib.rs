@@ -39,6 +39,9 @@
 //! assert!(mispredicts < 2_000);
 //! ```
 
+// Every `unsafe` block states why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod btb;
 pub mod classic;
 pub mod config;

@@ -3,7 +3,7 @@
 //! A sweep worker simulates many cells one after another, and every
 //! TAGE-SC-L it builds needs the same few large tables: the statistical
 //! corrector's component tables (16 MiB in `Inf TSL`) and, for the
-//! infinite variants, the slot arena and its head map. Allocating them
+//! infinite variants, the slot arena and its run map. Allocating them
 //! afresh for each cell pays their page faults and allocations again
 //! every time. A [`TablePool`] keeps them between cells instead: a
 //! predictor built with a pool (`TageScl::with_pool`) takes its tables
@@ -17,7 +17,7 @@
 //!   small table never runs on the front of a large one (eight hot 1 KiB
 //!   tables 2 MiB apart would share cache sets), and a pool that serves
 //!   one cell at a time holds at most one cell's tables of each length.
-//! * **Cleared infinite storage.** The arena and the head map come back
+//! * **Cleared infinite storage.** The arena and the run map come back
 //!   empty, with their capacity kept, so a cell grows them only past the
 //!   largest trace the pool has seen.
 //!
@@ -38,7 +38,7 @@
 //! assert_eq!(second.tage().infinite_entries(), 0);
 //! ```
 
-use crate::tage::InfSlot;
+use crate::tage::{InfSlot, Run};
 use bputil::hash::FastHashMap;
 
 /// Tables handed from one predictor to the next; see the [module
@@ -47,8 +47,8 @@ use bputil::hash::FastHashMap;
 pub struct TablePool {
     /// Statistical-corrector tables handed back, of any length.
     sc_tables: Vec<Vec<i8>>,
-    /// The infinite-storage head map and arena, empty, capacity kept.
-    infinite_head: FastHashMap<u64, u32>,
+    /// The infinite-storage run map and arena, empty, capacity kept.
+    infinite_runs: FastHashMap<u64, Run>,
     infinite_arena: Vec<InfSlot>,
 }
 
@@ -78,20 +78,20 @@ impl TablePool {
     }
 
     /// The pooled infinite storage (empty), leaving the pool without any.
-    pub(crate) fn take_infinite(&mut self) -> (FastHashMap<u64, u32>, Vec<InfSlot>) {
-        (std::mem::take(&mut self.infinite_head), std::mem::take(&mut self.infinite_arena))
+    pub(crate) fn take_infinite(&mut self) -> (FastHashMap<u64, Run>, Vec<InfSlot>) {
+        (std::mem::take(&mut self.infinite_runs), std::mem::take(&mut self.infinite_arena))
     }
 
     /// Keeps a predictor's infinite storage, cleared, for the next
     /// [`TablePool::take_infinite`].
     pub(crate) fn put_infinite(
         &mut self,
-        mut head: FastHashMap<u64, u32>,
+        mut runs: FastHashMap<u64, Run>,
         mut arena: Vec<InfSlot>,
     ) {
-        head.clear();
+        runs.clear();
         arena.clear();
-        self.infinite_head = head;
+        self.infinite_runs = runs;
         self.infinite_arena = arena;
     }
 }
@@ -141,7 +141,7 @@ mod tests {
         let inf_tsl_tables = tables_of(&pool, big);
         assert_eq!(inf_tsl_tables.len(), 8, "Inf TSL hands back its eight tables");
         let arena = pool.infinite_arena.capacity();
-        assert!(arena > 0 && pool.infinite_arena.is_empty() && pool.infinite_head.is_empty());
+        assert!(arena > 0 && pool.infinite_arena.is_empty() && pool.infinite_runs.is_empty());
         run_beside_a_fresh_build(TslConfig::cbp64k(), Workload::Tpcc, &mut pool);
         assert_eq!(tables_of(&pool, small).len(), 8);
         assert_eq!(tables_of(&pool, big), inf_tsl_tables, "64K TSL leaves the 2 MiB tables");

@@ -133,6 +133,22 @@ impl StatisticalCorrector {
         self.threshold
     }
 
+    /// Prefetches every row [`StatisticalCorrector::lookup`] may read for
+    /// the branch `tage` hashed: the bias row of each TAGE direction and
+    /// each component's row. Issued before TAGE's own probes, so the
+    /// corrector's loads overlap them; a 2^21-entry Inf TSL table rarely
+    /// has the row in cache.
+    #[inline]
+    pub(crate) fn prefetch(&self, tage: &TageLookup) {
+        let n = self.components;
+        let lanes = &tage.side[self.first_lane..self.first_lane + n + 1];
+        prefetch_row(&self.tables[0], lanes[0]);
+        prefetch_row(&self.tables[0], lanes[1]);
+        for (table, &i) in self.tables[1..n].iter().zip(&lanes[2..]) {
+            prefetch_row(table, i);
+        }
+    }
+
     /// Computes the SC decision for the branch `tage` looked up, given
     /// the direction `tage_pred` to correct (TAGE's, or one that replaced
     /// it).
@@ -191,6 +207,22 @@ impl StatisticalCorrector {
             }
         }
     }
+}
+
+/// Asks the CPU to bring counter `i` of `table` into the cache; a hint
+/// that changes no state. Compiles to nothing off x86_64.
+#[inline(always)]
+fn prefetch_row(table: &[i8], i: u32) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let row = table.as_ptr().wrapping_add(i as usize);
+        // SAFETY: SSE is baseline on x86_64, and a prefetch is a hint that
+        // cannot fault, whatever the address.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(row) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (table, i);
 }
 
 #[cfg(test)]

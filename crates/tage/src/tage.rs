@@ -64,12 +64,11 @@ impl Entry {
 
 /// One infinite-storage pattern: the owning table and the exact
 /// `(index, tag)` pair it was allocated under (the tag is the entry's).
-/// The full-PC key (the map key) removes aliasing while the index/tag
-/// hashes stay unchanged. Slots for one PC form a singly-linked chain
-/// through the arena (`next`, [`NO_SLOT`]-terminated).
+/// The full-PC key (the run map's key) removes aliasing while the
+/// index/tag hashes stay unchanged. A PC's slots sit side by side in the
+/// arena, in the [`Run`] the map holds for it.
 #[derive(Debug, Clone)]
 pub(crate) struct InfSlot {
-    next: u32,
     /// Table index; [`TageConfig::validate`] caps `index_bits` at 30.
     index: u32,
     table: u8,
@@ -78,12 +77,12 @@ pub(crate) struct InfSlot {
 
 // The layouts the storage sizes in DESIGN.md §15 rely on.
 const _: () = assert!(std::mem::size_of::<Entry>() <= 8);
-const _: () = assert!(std::mem::size_of::<InfSlot>() <= 16);
-
-/// Chain terminator for [`InfSlot::next`].
-const NO_SLOT: u32 = u32::MAX;
+const _: () = assert!(std::mem::size_of::<InfSlot>() <= 12);
 
 impl InfSlot {
+    /// Fills the room a run has not used yet; no lookup reads it.
+    const UNUSED: Self = Self { index: 0, table: u8::MAX, entry: Entry::EMPTY };
+
     #[inline]
     fn matches(&self, table: usize, index: u64, tag: u32) -> bool {
         usize::from(self.table) == table
@@ -91,6 +90,28 @@ impl InfSlot {
             && u32::from(self.entry.tag) == tag
     }
 }
+
+/// Where one PC's slots live in the arena: `len` slots from `start`, with
+/// room for `cap` before the next run begins.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Run {
+    /// The arena positions of the run's slots.
+    #[inline]
+    fn slots(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The room a PC's first slot gets; a full run moves with twice its room.
+/// Of 1, 2 and 4, a first room of 2 leaves the arena shortest over the
+/// quick traces (DESIGN.md §15).
+const FIRST_RUN_ROOM: u32 = 2;
 
 /// Everything computed during a TAGE lookup, consumed again at update.
 ///
@@ -125,14 +146,18 @@ pub struct TageLookup {
     /// History length of the providing table (0 when bimodal provides or
     /// the alternate was used with no alternate table).
     pub provider_hist_len: usize,
-    /// Infinite storage: arena positions of the provider and alternate
-    /// entries ([`NO_SLOT`] when absent), so `commit` updates them without
-    /// walking the chain again.
+    /// Infinite storage: the positions of the provider and alternate
+    /// entries within the PC's run, so `commit` updates them without
+    /// scanning the run again. A run that moves keeps its order, so an
+    /// offset stays valid.
     provider_slot: u32,
     alt_slot: u32,
-    /// Infinite storage: the arena length this lookup saw. `allocate`
-    /// only searches for an existing slot when the arena has grown since.
-    arena_len: usize,
+    /// Infinite storage: where the PC's run started at the lookup.
+    run_start: u32,
+    /// Infinite storage: the live slot count this lookup saw. While it is
+    /// unchanged no slot was allocated since, so no run has moved and
+    /// `allocate` needs no search for an existing slot.
+    live_slots: u32,
 }
 
 /// How a resolved branch should update TAGE state.
@@ -170,17 +195,22 @@ pub struct Tage {
     ctr_width: CounterWidth,
     /// Saturation value of every entry's usefulness counter.
     useful_max: u8,
-    /// Infinite-storage backing, grouped by branch PC: `infinite_head`
-    /// maps a PC to the head of its slot chain inside `infinite_arena`.
-    /// A prediction costs one hash probe plus a chain walk instead of one
-    /// scattered map probe per table — with a flat `(table, index, tag,
-    /// pc)`-keyed map the ~`num_tables` random probes per branch dominate
-    /// the infinite-variant runs. A single growing arena (rather than a
-    /// `Vec` per PC) keeps the allocator out of the hot path and makes
-    /// teardown two frees instead of thousands. Both come from a
-    /// [`TablePool`] and go back to it ([`Tage::into_pool`]).
-    infinite_head: FastHashMap<u64, u32>,
+    /// Infinite-storage backing, grouped by branch PC: `infinite_runs`
+    /// maps a PC to the [`Run`] of its slots inside `infinite_arena`. A
+    /// prediction costs one hash probe plus a scan of contiguous slots,
+    /// instead of one scattered map probe per table (with a flat `(table,
+    /// index, tag, pc)`-keyed map the ~`num_tables` random probes per
+    /// branch dominate the infinite-variant runs) or a walk of dependent
+    /// loads (a linked chain per PC). A full run moves to the arena's end
+    /// with twice the room and leaves its old room unused. A single
+    /// growing arena (rather than a `Vec` per PC) keeps the allocator out
+    /// of the hot path and makes teardown two frees instead of thousands.
+    /// Both come from a [`TablePool`] and go back to it
+    /// ([`Tage::into_pool`]).
+    infinite_runs: FastHashMap<u64, Run>,
     infinite_arena: Vec<InfSlot>,
+    /// Slots allocated in all runs: the arena also holds runs' unused room.
+    infinite_live: u32,
     // --- policy state ---
     rng: SplitMix64,
     use_alt_on_na: SatCounter,
@@ -230,7 +260,7 @@ impl Tage {
             let (tag0, tag1) = (bank.register(l, bits), bank.register(l, (bits - 1).max(1)));
             lanes.push(Lane::tage_tag(t as u32, tag0, tag1, bits));
         }
-        let (tables, (infinite_head, infinite_arena)) = match cfg.storage {
+        let (tables, (infinite_runs, infinite_arena)) = match cfg.storage {
             StorageKind::Finite => {
                 (vec![Entry::EMPTY; cfg.num_tables() << cfg.index_bits], Default::default())
             }
@@ -251,8 +281,9 @@ impl Tage {
             tables,
             ctr_width: CounterWidth::signed(cfg.counter_bits),
             useful_max: u8::MAX >> (u8::BITS - cfg.useful_bits),
-            infinite_head,
+            infinite_runs,
             infinite_arena,
+            infinite_live: 0,
             use_alt_on_na,
             tick: 0,
             tracker,
@@ -266,7 +297,7 @@ impl Tage {
     /// on it; a finite TAGE took nothing from the pool and returns nothing.
     pub(crate) fn into_pool(self, pool: &mut TablePool) {
         if self.cfg.storage == StorageKind::Infinite {
-            pool.put_infinite(self.infinite_head, self.infinite_arena);
+            pool.put_infinite(self.infinite_runs, self.infinite_arena);
         }
     }
 
@@ -338,7 +369,7 @@ impl Tage {
     /// Number of live entries in infinite storage (0 for finite storage).
     #[must_use]
     pub fn infinite_entries(&self) -> usize {
-        self.infinite_arena.len()
+        self.infinite_live as usize
     }
 
     fn bim_index(&self, pc: u64) -> usize {
@@ -348,18 +379,44 @@ impl Tage {
         (bputil::hash::mix64(pc >> 2) as usize) & (self.bim_dir.len() - 1)
     }
 
-    /// Walks `pc`'s slot chain for the slot matching `(table, index, tag)`,
+    /// Scans `pc`'s run for the slot matching `(table, index, tag)`,
     /// returning its arena position.
-    fn find_slot(&self, table: usize, index: u64, tag: u32, pc: u64) -> Option<u32> {
-        let mut cur = self.infinite_head.get(&pc).copied().unwrap_or(NO_SLOT);
-        while cur != NO_SLOT {
-            let s = &self.infinite_arena[cur as usize];
-            if s.matches(table, index, tag) {
-                return Some(cur);
-            }
-            cur = s.next;
+    fn find_slot(&self, table: usize, index: u64, tag: u32, pc: u64) -> Option<usize> {
+        let run = self.infinite_runs.get(&pc)?;
+        let slots = run.slots();
+        let found =
+            self.infinite_arena[slots.clone()].iter().position(|s| s.matches(table, index, tag));
+        found.map(|at| slots.start + at)
+    }
+
+    /// Where `lookup`'s PC run starts now: the start the lookup saw, unless
+    /// a slot was allocated since, which may have moved the run.
+    fn run_start(&self, lookup: &TageLookup) -> u32 {
+        if self.infinite_live == lookup.live_slots {
+            lookup.run_start
+        } else {
+            self.infinite_runs[&lookup.pc].start
         }
-        None
+    }
+
+    /// Appends `slot` to `pc`'s run. A full run (a new PC's has no room)
+    /// first moves to the arena's end with twice its room; the room it
+    /// moves out of stays unused.
+    fn push_slot(&mut self, pc: u64, slot: InfSlot) {
+        let arena = &mut self.infinite_arena;
+        let run = self.infinite_runs.entry(pc).or_insert(Run { start: 0, len: 0, cap: 0 });
+        if run.len == run.cap {
+            const TOO_LONG: &str = "infinite arena exceeds u32 indexing";
+            let start = u32::try_from(arena.len()).expect(TOO_LONG);
+            let cap = run.cap.checked_mul(2).expect(TOO_LONG).max(FIRST_RUN_ROOM);
+            let end = start.checked_add(cap).expect(TOO_LONG);
+            arena.extend_from_within(run.slots());
+            arena.resize(end as usize, InfSlot::UNUSED);
+            (run.start, run.cap) = (start, cap);
+        }
+        arena[(run.start + run.len) as usize] = slot;
+        run.len += 1;
+        self.infinite_live += 1;
     }
 
     /// The position of entry `index` of finite table `table` in the
@@ -375,10 +432,11 @@ impl Tage {
         (e.valid && u32::from(e.tag) == tag).then_some(e)
     }
 
-    /// The entry `lookup` found in `table`, at arena position `slot` in
-    /// infinite storage. A finite entry is re-checked, since a commit
-    /// since the lookup may have replaced it. Arena slots are never removed
-    /// or re-keyed, so an infinite one still holds the entry found.
+    /// The entry `lookup` found in `table`, at position `slot` of the PC's
+    /// run in infinite storage. A finite entry is re-checked, since a
+    /// commit since the lookup may have replaced it. Slots are never
+    /// removed or re-keyed, and a moved run keeps its order, so an infinite
+    /// one still holds the entry found.
     fn found_entry_mut(
         &mut self,
         lookup: &TageLookup,
@@ -391,13 +449,26 @@ impl Tage {
                 let e = &mut self.tables[at];
                 (e.valid && u32::from(e.tag) == lookup.tags[table]).then_some(e)
             }
-            StorageKind::Infinite => Some(&mut self.infinite_arena[slot as usize].entry),
+            StorageKind::Infinite => {
+                let at = self.run_start(lookup) + slot;
+                Some(&mut self.infinite_arena[at as usize].entry)
+            }
         }
     }
 
     /// Performs a full lookup for the conditional branch at `pc`.
     #[must_use]
     pub fn lookup(&self, pc: u64) -> TageLookup {
+        let mut lookup = self.hash_lookup(pc);
+        self.probe(&mut lookup);
+        lookup
+    }
+
+    /// The first stage of [`Tage::lookup`]: every lane's hash for `pc`
+    /// (the tables' indices and tags and the side lanes), with nothing
+    /// found yet. [`Tage::probe`] completes it.
+    #[inline]
+    pub(crate) fn hash_lookup(&self, pc: u64) -> TageLookup {
         let n = self.cfg.num_tables();
         let mut hashes: LaneHashes = [0; MAX_LANES];
         let base = tage_index_base(pc, self.path.value(), self.cfg.index_bits);
@@ -412,7 +483,34 @@ impl Tage {
         for (s, &h) in side.iter_mut().zip(&hashes[2 * n..self.lanes.len()]) {
             *s = h as u32;
         }
+        TageLookup {
+            pc,
+            indices,
+            tags,
+            side,
+            provider: None,
+            provider_pred: false,
+            provider_weak: false,
+            alt_table: None,
+            alt_pred: false,
+            bim_pred: false,
+            pred: false,
+            used_alt: false,
+            provider_hist_len: 0,
+            provider_slot: 0,
+            alt_slot: 0,
+            run_start: 0,
+            live_slots: self.infinite_live,
+        }
+    }
 
+    /// The second stage of [`Tage::lookup`]: probes the bimodal table and
+    /// the tagged storage under the hashes of [`Tage::hash_lookup`] and
+    /// arbitrates the direction.
+    #[inline]
+    pub(crate) fn probe(&self, lookup: &mut TageLookup) {
+        let n = self.cfg.num_tables();
+        let (pc, indices, tags) = (lookup.pc, &lookup.indices, &lookup.tags);
         let bim_pred = self.bim_dir[self.bim_index(pc)];
 
         // One storage probe per table: the provider's and alternate's
@@ -422,8 +520,8 @@ impl Tage {
         let mut provider_state = None;
         let mut alt_table = None;
         let mut alt_state = None;
-        let mut provider_slot = NO_SLOT;
-        let mut alt_slot = NO_SLOT;
+        let mut provider_slot = 0;
+        let mut alt_slot = 0;
         match self.cfg.storage {
             StorageKind::Finite => {
                 for t in (0..n).rev() {
@@ -441,43 +539,43 @@ impl Tage {
                 }
             }
             StorageKind::Infinite => {
-                // Infinite storage chains all of this PC's patterns
-                // together: a single hash probe plus one chain walk finds
-                // the two longest-history matches, instead of one
-                // scattered probe per table. At most one slot per table can
-                // match the current (index, tag), so tracking the top two
-                // table numbers reproduces the reverse scan exactly.
-                let mut cur = self.infinite_head.get(&pc).copied().unwrap_or(NO_SLOT);
-                while cur != NO_SLOT {
-                    let s = &self.infinite_arena[cur as usize];
-                    let t = usize::from(s.table);
-                    if t < n && s.matches(t, indices[t], tags[t]) {
-                        let ctr = s.entry.ctr;
-                        let state = (CounterWidth::taken(ctr), CounterWidth::is_weak(ctr));
-                        match provider {
-                            None => {
-                                provider = Some(t);
-                                provider_state = Some(state);
-                                provider_slot = cur;
-                            }
-                            Some(p) if t > p => {
-                                alt_table = provider;
-                                alt_state = provider_state.map(|(taken, _)| taken);
-                                alt_slot = provider_slot;
-                                provider = Some(t);
-                                provider_state = Some(state);
-                                provider_slot = cur;
-                            }
-                            Some(_) => {
-                                if alt_table.is_none_or(|a| t > a) {
-                                    alt_table = Some(t);
-                                    alt_state = Some(state.0);
-                                    alt_slot = cur;
+                // Infinite storage keeps all of this PC's patterns in one
+                // run: a single hash probe plus one scan of contiguous
+                // slots finds the two longest-history matches, instead of
+                // one scattered probe per table. At most one slot per table
+                // can match the current (index, tag), so tracking the top
+                // two table numbers reproduces the reverse scan exactly.
+                if let Some(&run) = self.infinite_runs.get(&pc) {
+                    lookup.run_start = run.start;
+                    for (at, s) in (0..).zip(&self.infinite_arena[run.slots()]) {
+                        let t = usize::from(s.table);
+                        if t < n && s.matches(t, indices[t], tags[t]) {
+                            let ctr = s.entry.ctr;
+                            let state = (CounterWidth::taken(ctr), CounterWidth::is_weak(ctr));
+                            match provider {
+                                None => {
+                                    provider = Some(t);
+                                    provider_state = Some(state);
+                                    provider_slot = at;
+                                }
+                                Some(p) if t > p => {
+                                    alt_table = provider;
+                                    alt_state = provider_state.map(|(taken, _)| taken);
+                                    alt_slot = provider_slot;
+                                    provider = Some(t);
+                                    provider_state = Some(state);
+                                    provider_slot = at;
+                                }
+                                Some(_) => {
+                                    if alt_table.is_none_or(|a| t > a) {
+                                        alt_table = Some(t);
+                                        alt_state = Some(state.0);
+                                        alt_slot = at;
+                                    }
                                 }
                             }
                         }
                     }
-                    cur = s.next;
                 }
             }
         }
@@ -502,24 +600,17 @@ impl Tage {
             _ => 0,
         };
 
-        TageLookup {
-            pc,
-            indices,
-            tags,
-            side,
-            provider,
-            provider_pred,
-            provider_weak,
-            alt_table,
-            alt_pred,
-            bim_pred,
-            pred,
-            used_alt,
-            provider_hist_len,
-            provider_slot,
-            alt_slot,
-            arena_len: self.infinite_arena.len(),
-        }
+        lookup.provider = provider;
+        lookup.provider_pred = provider_pred;
+        lookup.provider_weak = provider_weak;
+        lookup.alt_table = alt_table;
+        lookup.alt_pred = alt_pred;
+        lookup.bim_pred = bim_pred;
+        lookup.pred = pred;
+        lookup.used_alt = used_alt;
+        lookup.provider_hist_len = provider_hist_len;
+        lookup.provider_slot = provider_slot;
+        lookup.alt_slot = alt_slot;
     }
 
     /// Trains the predictor with the resolved direction.
@@ -612,35 +703,30 @@ impl Tage {
                 let t = first.min(n - 1);
                 let (index, tag) = (lookup.indices[t], lookup.tags[t]);
                 // `t` lies above the provider, so a slot matching
-                // `(t, index, tag)` when the lookup walked the chain would
+                // `(t, index, tag)` when the lookup scanned the run would
                 // have been the provider: there was none. Only a slot
                 // pushed since then (by a commit of another lookup of this
                 // PC, taken before this one committed) can match.
-                let existing = if self.infinite_arena.len() == lookup.arena_len {
+                let existing = if self.infinite_live == lookup.live_slots {
                     None
                 } else {
                     self.find_slot(t, index, tag, lookup.pc)
                 };
                 match existing {
-                    Some(i) => {
-                        let e = &mut self.infinite_arena[i as usize].entry;
+                    Some(at) => {
+                        let e = &mut self.infinite_arena[at].entry;
                         e.valid = true;
                         e.ctr = CounterWidth::weak(taken);
                     }
-                    None => {
-                        // Prepend a fresh arena slot to the PC's chain.
-                        let i = u32::try_from(self.infinite_arena.len())
-                            .expect("infinite arena exceeds u32 indexing");
-                        let head = self.infinite_head.entry(lookup.pc).or_insert(NO_SLOT);
-                        self.infinite_arena.push(InfSlot {
-                            next: *head,
+                    None => self.push_slot(
+                        lookup.pc,
+                        InfSlot {
                             index: u32::try_from(index)
                                 .expect("index widths are validated to at most 30 bits"),
                             table: u8::try_from(t).expect("table numbers fit a u8"),
                             entry: Entry::allocated(tag, taken),
-                        });
-                        *head = i;
-                    }
+                        },
+                    ),
                 }
                 self.allocations += 1;
             }
@@ -861,7 +947,7 @@ mod tests {
         // Lookup A, lookup B of the same branch, commit A, commit B: when
         // both mispredict, commit A may push the very slot commit B then
         // allocates. B's lookup predates that push, so `allocate` has to
-        // search the chain instead of trusting the lookup.
+        // search the run instead of trusting the lookup.
         let mut cfg = small_cfg();
         cfg.storage = StorageKind::Infinite;
         let mut t = Tage::new(cfg);
@@ -876,18 +962,61 @@ mod tests {
             t.update_history(&BranchRecord::conditional(pc, pc + 8, taken, 0));
         }
         let mut keys = std::collections::HashSet::new();
-        for (&pc, &head) in &t.infinite_head {
-            let mut cur = head;
-            while cur != NO_SLOT {
-                let s = &t.infinite_arena[cur as usize];
+        let mut rooms = Vec::new();
+        for (&pc, &run) in &t.infinite_runs {
+            let end = run.start as usize + run.cap as usize;
+            assert!(run.len <= run.cap && end <= t.infinite_arena.len(), "{run:?} lies outside");
+            rooms.push(run.start as usize..end);
+            for s in &t.infinite_arena[run.slots()] {
                 let key = (pc, s.table, s.index, s.entry.tag);
                 assert!(keys.insert(key), "slot {key:?} appears twice in the arena");
-                cur = s.next;
             }
         }
-        assert_eq!(keys.len(), t.infinite_entries(), "every slot is on its PC's chain");
+        rooms.sort_unstable_by_key(|room| room.start);
+        for pair in rooms.windows(2) {
+            assert!(pair[0].end <= pair[1].start, "runs {pair:?} overlap");
+        }
+        let live: usize = t.infinite_runs.values().map(|run| run.len as usize).sum();
+        assert_eq!(t.infinite_entries(), live, "infinite_entries() counts every run's slots");
+        assert_eq!(keys.len(), live);
         assert!(t.infinite_entries() > 100);
         assert_eq!(t.alloc_failures(), 0);
+    }
+
+    #[test]
+    fn a_commit_trains_the_slot_of_a_run_that_moved_since_its_lookup() {
+        // Lookups A and B of one branch whose run is full and which has a
+        // provider below the last table. B's commit mispredicts and pushes
+        // a slot into the run, which moves it to the arena's end; A's
+        // commit must then train A's provider at its new position.
+        let mut cfg = small_cfg();
+        cfg.storage = StorageKind::Infinite;
+        let n = cfg.num_tables();
+        let mut t = Tage::new(cfg);
+        let mut rng = SplitMix64::new(17);
+        for _ in 0..20_000 {
+            let pc = 0x1000 + rng.below(4) * 16;
+            let a = t.lookup(pc);
+            let full = t.infinite_runs.get(&pc).is_some_and(|run| run.len == run.cap);
+            let allocates_above = a.provider.is_some_and(|p| p + 1 < n);
+            if !(full && allocates_above) {
+                let taken = rng.chance(1, 2);
+                t.commit(&a, taken, UpdateMode::Full);
+                t.update_history(&BranchRecord::conditional(pc, pc + 8, taken, 0));
+                continue;
+            }
+            let b = t.lookup(pc);
+            t.commit(&b, !b.pred, UpdateMode::Full);
+            let moved = t.infinite_runs[&pc].start;
+            assert_ne!(moved, a.run_start, "B's allocation moves the full run");
+            let at = (moved + a.provider_slot) as usize;
+            let before = t.infinite_arena[at].entry.ctr;
+            // Train against the counter's direction, which always moves it.
+            t.commit(&a, !CounterWidth::taken(before), UpdateMode::Full);
+            assert_ne!(t.infinite_arena[at].entry.ctr, before, "A trained the moved slot");
+            return;
+        }
+        panic!("no full run with a provider below the last table came up");
     }
 
     #[test]

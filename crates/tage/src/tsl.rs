@@ -59,7 +59,10 @@ pub struct TageScl {
     tage: Tage,
     sc: Option<StatisticalCorrector>,
     loop_pred: Option<LoopPredictor>,
-    cfg: TslConfig,
+    /// The configuration's label and [`TslConfig::storage_bits`]: all of
+    /// it this predictor reads after construction.
+    label: String,
+    storage_bits: u64,
     pending: Option<TslLookup>,
     predictions: u64,
 }
@@ -76,7 +79,7 @@ impl TageScl {
     }
 
     /// [`TageScl::new`] on `pool`'s tables: the statistical corrector's
-    /// component tables and, for infinite TAGE storage, its arena and head
+    /// component tables and, for infinite TAGE storage, its arena and run
     /// map. Predicts exactly as a fresh build does. Hand the tables back
     /// with [`TageScl::into_pool`].
     ///
@@ -86,17 +89,22 @@ impl TageScl {
     #[must_use]
     pub fn with_pool(cfg: TslConfig, pool: &mut TablePool) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid TSL config: {e}"));
-        let mut tage = Tage::with_pool(cfg.tage.clone(), pool);
-        let sc = cfg.sc_enabled.then(|| {
-            StatisticalCorrector::with_pool(
-                cfg.sc_index_bits,
-                &cfg.sc_history_lengths,
-                &mut tage,
-                pool,
-            )
+        let storage_bits = cfg.storage_bits();
+        let TslConfig {
+            tage,
+            sc_enabled,
+            sc_index_bits,
+            sc_history_lengths,
+            loop_enabled,
+            loop_index_bits,
+            label,
+        } = cfg;
+        let mut tage = Tage::with_pool(tage, pool);
+        let sc = sc_enabled.then(|| {
+            StatisticalCorrector::with_pool(sc_index_bits, &sc_history_lengths, &mut tage, pool)
         });
-        let loop_pred = cfg.loop_enabled.then(|| LoopPredictor::new(cfg.loop_index_bits));
-        Self { tage, sc, loop_pred, cfg, pending: None, predictions: 0 }
+        let loop_pred = loop_enabled.then(|| LoopPredictor::new(loop_index_bits));
+        Self { tage, sc, loop_pred, label, storage_bits, pending: None, predictions: 0 }
     }
 
     /// Hands the tables [`TageScl::with_pool`] takes to `pool`, for the
@@ -106,12 +114,6 @@ impl TageScl {
             sc.into_pool(pool);
         }
         self.tage.into_pool(pool);
-    }
-
-    /// The configuration this instance was built from.
-    #[must_use]
-    pub fn config(&self) -> &TslConfig {
-        &self.cfg
     }
 
     /// Access to the core TAGE (for probes and LLBP composition).
@@ -140,9 +142,10 @@ impl TageScl {
     }
 
     /// Performs a full lookup without committing any state (except loop
-    /// predictor engagement statistics).
+    /// predictor engagement statistics): [`TageScl::lookup_tage`], then
+    /// [`TageScl::finish_lookup`].
     pub fn lookup(&mut self, pc: u64) -> TslLookup {
-        let tage = self.tage.lookup(pc);
+        let tage = self.lookup_tage(pc);
         self.finish_lookup(pc, tage, None)
     }
 
@@ -203,10 +206,17 @@ impl TageScl {
     }
 
     /// The core TAGE stage only (pure); combine with
-    /// [`TageScl::finish_lookup`].
+    /// [`TageScl::finish_lookup`]. Between TAGE's hash loop and its table
+    /// probes it prefetches every statistical-corrector row the finishing
+    /// stage may read, so those loads overlap the probes.
     #[must_use]
     pub fn lookup_tage(&self, pc: u64) -> TageLookup {
-        self.tage.lookup(pc)
+        let mut tage = self.tage.hash_lookup(pc);
+        if let Some(sc) = &self.sc {
+            sc.prefetch(&tage);
+        }
+        self.tage.probe(&mut tage);
+        tage
     }
 
     /// Trains all components with the resolved direction.
@@ -325,11 +335,11 @@ impl Predictor for TageScl {
     }
 
     fn label(&self) -> &str {
-        &self.cfg.label
+        &self.label
     }
 
     fn storage_bits(&self) -> u64 {
-        self.cfg.storage_bits()
+        self.storage_bits
     }
 }
 
