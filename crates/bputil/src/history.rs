@@ -48,6 +48,14 @@ impl HistoryBuffer {
         Self { words, head: 0, capacity, len: 0 }
     }
 
+    /// Empties the history, as [`HistoryBuffer::new`] of its capacity
+    /// leaves it. Allocates nothing.
+    pub fn reset(&mut self) {
+        self.words.fill(0);
+        self.head = 0;
+        self.len = 0;
+    }
+
     /// Pushes a new outcome as the most recent bit.
     #[inline]
     pub fn push(&mut self, taken: bool) {

@@ -108,7 +108,7 @@ impl FoldId {
 }
 
 /// The per-register constants of one chunk of [`REG_LANES`] registers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Shape {
     /// Bit `width - 1`: the bit that wraps around to bit 0.
     top: [u32; REG_LANES],
@@ -129,7 +129,7 @@ const EMPTY_SHAPE: Shape = Shape {
     source: [0; REG_LANES],
 };
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Registers {
     values: [u32; MAX_REGISTERS],
     shapes: [Shape; MAX_REGISTERS / REG_LANES],
@@ -166,7 +166,7 @@ struct Registers {
 /// }
 /// assert_eq!(bank.value(a), spec.value());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldBank {
     regs: Box<Registers>,
     /// Registers in use, the zero register included.
@@ -196,6 +196,18 @@ impl FoldBank {
             len: 1,
             lengths: 0,
         }
+    }
+
+    /// Returns the bank to the state [`FoldBank::new`] leaves, keeping its
+    /// storage: only the constant-zero register.
+    pub fn clear(&mut self) {
+        let regs = &mut *self.regs;
+        regs.values.fill(0);
+        regs.shapes.fill(EMPTY_SHAPE);
+        regs.rules.fill(FoldedHistory::new(1, 1));
+        regs.ages.fill(0);
+        self.len = 1;
+        self.lengths = 0;
     }
 
     /// The register folding the most recent `length` history bits into
@@ -442,7 +454,7 @@ impl Lane {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LaneChunk {
     /// Register ids of the two folds (0, the zero register, for none).
     fold0: [u32; HASH_LANES],
@@ -490,7 +502,7 @@ pub type LaneHashes = [u64; MAX_LANES];
 /// assert_eq!(out[0], tage_index(pc, 0, path, 4, 10));
 /// assert_eq!(out[1], u64::from(tage_tag(pc ^ 4u64.rotate_left(11), 0, 0, 9)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashLanes {
     chunks: Box<[LaneChunk; MAX_LANES / HASH_LANES]>,
     len: usize,
@@ -509,6 +521,14 @@ impl HashLanes {
     #[must_use]
     pub fn new() -> Self {
         Self { chunks: Box::new([EMPTY_LANES; MAX_LANES / HASH_LANES]), len: 0, steps: 0 }
+    }
+
+    /// Removes every lane, keeping the storage: the state
+    /// [`HashLanes::new`] leaves.
+    pub fn clear(&mut self) {
+        self.chunks.fill(EMPTY_LANES);
+        self.len = 0;
+        self.steps = 0;
     }
 
     /// Appends `lane`, returning its position in the hash output.
@@ -707,6 +727,24 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(bank.len(), 4, "three registers plus the zero register");
         assert_eq!(bank.distinct_lengths(), 2, "54 and 78");
+    }
+
+    #[test]
+    fn clear_restores_a_fresh_bank_and_plan() {
+        let mut bank = FoldBank::new();
+        let mut lanes = HashLanes::new();
+        let (fold, tag) = (bank.register(300, 11), bank.register(300, 9));
+        lanes.push(Lane::tage_index(3, fold, 11));
+        lanes.push(Lane::gehl(2, Some(tag), 0, 10));
+        let mut ghr = HistoryBuffer::new(512);
+        for i in 0..400 {
+            bank.advance(Kernel::detect(), &ghr, i % 3 == 0);
+            ghr.push(i % 3 == 0);
+        }
+        bank.clear();
+        lanes.clear();
+        assert_eq!(bank, FoldBank::new());
+        assert_eq!(lanes, HashLanes::new());
     }
 
     #[test]

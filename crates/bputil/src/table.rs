@@ -114,7 +114,7 @@ struct Way<V> {
 /// t.insert_lru(1, 0xCC, "c"); // evicts LRU ("a" was touched by get? yes)
 /// assert!(t.get(1, 0xBB).is_none());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssoc<V> {
     /// `num_sets × ways` ways, set-major.
     slots: Vec<Way<V>>,
@@ -141,6 +141,38 @@ impl<V: Default> SetAssoc<V> {
         let mut slots = Vec::with_capacity(sets * ways);
         slots.resize_with(sets * ways, || Way { tag: 0, lru: 0, value: V::default() });
         Self { slots, filled: vec![0; sets], ways, tick: 0, hits: 0, misses: 0, evictions: 0 }
+    }
+
+    /// [`SetAssoc::new`]`(index_bits, ways)` in `spare`'s storage when it
+    /// has exactly that geometry ([`SetAssoc::reset`]); otherwise `spare`
+    /// is freed and a new table allocated.
+    ///
+    /// # Panics
+    ///
+    /// As [`SetAssoc::new`].
+    #[must_use]
+    pub fn recycle(spare: Option<Self>, index_bits: u32, ways: usize) -> Self {
+        if let Some(mut table) = spare {
+            if table.ways == ways && table.filled.len() == 1 << index_bits {
+                table.reset();
+                return table;
+            }
+        }
+        Self::new(index_bits, ways)
+    }
+
+    /// Returns the table to the state [`SetAssoc::new`] of its geometry
+    /// leaves: every way empty with a default value, the LRU clock and the
+    /// hit, miss and eviction counts at zero. Allocates nothing.
+    pub fn reset(&mut self) {
+        for way in &mut self.slots {
+            *way = Way { tag: 0, lru: 0, value: V::default() };
+        }
+        self.filled.fill(0);
+        self.tick = 0;
+        self.hits = 0;
+        self.misses = 0;
+        self.evictions = 0;
     }
 
     /// Removes `(index, tag)`, returning its value if present. The set's
@@ -245,6 +277,41 @@ impl<V> SetAssoc<V> {
     #[must_use]
     pub fn peek(&self, index: u64, tag: u64) -> Option<&V> {
         self.peek_slot(index, tag).map(|slot| &self.slots[slot].value)
+    }
+
+    /// [`SetAssoc::get`] of `(index, tag)`, then [`SetAssoc::insert_lru`]
+    /// of `value` under it, in one scan of the set: the LRU clock, the
+    /// ways' ticks, the hit, miss and eviction counts and the victim end
+    /// as the two calls leave them. Returns whether the lookup hit.
+    pub fn get_then_insert_lru(&mut self, index: u64, tag: u64, value: V) -> bool {
+        let s = self.set_of(index);
+        // One tick for the lookup, one for the insertion, which stamps the way.
+        self.tick += 2;
+        let tick = self.tick;
+        let range = self.valid(s);
+        // The least recently used valid way, the first one on ties.
+        let mut victim = range.start;
+        for slot in range.clone() {
+            let way = &mut self.slots[slot];
+            if way.tag == tag {
+                way.value = value;
+                way.lru = tick;
+                self.hits += 1;
+                return true;
+            }
+            if way.lru < self.slots[victim].lru {
+                victim = slot;
+            }
+        }
+        self.misses += 1;
+        if range.len() < self.ways {
+            self.filled[s] += 1;
+            victim = range.end;
+        } else {
+            self.evictions += 1;
+        }
+        self.slots[victim] = Way { tag, lru: tick, value };
+        false
     }
 
     /// Inserts with LRU victim selection; see [`SetAssoc::insert_with`]
@@ -445,6 +512,17 @@ mod tests {
         assert_eq!(t.peek(1, 9), Some(&1));
         assert_eq!(t.peek(2, 9), Some(&2));
         assert_eq!(t.occupancy(), 3);
+    }
+
+    #[test]
+    fn reset_restores_a_fresh_table() {
+        let mut t: SetAssoc<u32> = SetAssoc::new(1, 2);
+        for tag in 0..7 {
+            t.insert_lru(tag, tag, 1);
+            let _ = t.get(tag, tag + 1);
+        }
+        t.reset();
+        assert_eq!(t, SetAssoc::new(1, 2), "ways, clock and counts as a fresh build's");
     }
 
     #[test]

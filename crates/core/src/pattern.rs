@@ -149,6 +149,31 @@ impl PatternArena {
     /// width is not in `1..=15`.
     #[must_use]
     pub fn new(geometry: SetGeometry, rows: usize) -> Self {
+        // `vec![0; n]` is a zeroed allocation: untouched rows cost no
+        // resident memory.
+        Self::with_cells(geometry, vec![0; rows * geometry.patterns])
+    }
+
+    /// [`PatternArena::new`] in `spare`'s storage when it holds exactly as
+    /// many pattern slots, re-zeroed with one fill; otherwise `spare` is
+    /// freed and a new arena allocated.
+    ///
+    /// # Panics
+    ///
+    /// As [`PatternArena::new`].
+    #[must_use]
+    pub fn recycle(spare: Option<Self>, geometry: SetGeometry, rows: usize) -> Self {
+        if let Some(PatternArena { mut cells, .. }) = spare {
+            if cells.len() == rows * geometry.patterns {
+                cells.fill(0);
+                return Self::with_cells(geometry, cells);
+            }
+        }
+        Self::new(geometry, rows)
+    }
+
+    /// An arena shaped by `geometry` over `cells`, which must be zero.
+    fn with_cells(geometry: SetGeometry, cells: Vec<u64>) -> Self {
         let SetGeometry { patterns, buckets, lengths, counter_bits } = geometry;
         assert!(patterns > 0 && buckets > 0 && lengths > 0);
         assert_eq!(patterns % buckets, 0, "slots must divide into buckets");
@@ -156,9 +181,7 @@ impl PatternArena {
         assert!((1..=15).contains(&counter_bits), "counter width out of range: {counter_bits}");
         let ctr_max = (1i16 << (counter_bits - 1)) - 1;
         Self {
-            // `vec![0; n]` is a zeroed allocation: untouched rows cost no
-            // resident memory.
-            cells: vec![0; rows * patterns],
+            cells,
             patterns,
             buckets,
             lengths_per_bucket: lengths / buckets,

@@ -99,6 +99,107 @@ pub struct LlbpCheckpoint {
     rcr: crate::rcr::RcrCheckpoint,
 }
 
+/// The parts of [`LlbpParams`] a prediction reads, copied at
+/// construction: a predictor keeps no configuration vector.
+#[derive(Debug, Clone, Copy)]
+struct Config {
+    /// The pattern history lengths; the first `num_lengths` are used.
+    history_lengths: [usize; MAX_LENGTHS],
+    num_lengths: usize,
+    tag_bits: u32,
+    cd_index_bits: u32,
+    pb_index_bits: u32,
+    prefetch_delay: u64,
+    fetch_width: u64,
+    confidence_threshold: u32,
+    cd_replacement: CdReplacement,
+    cancel_policy: CancelPolicy,
+    weak_override_gate: bool,
+}
+
+impl Config {
+    /// The scalars of `params`, whose lengths [`LlbpParams::validate`]
+    /// has bounded by [`MAX_LENGTHS`].
+    fn of(params: &LlbpParams) -> Self {
+        let num_lengths = params.history_lengths.len();
+        let mut history_lengths = [0; MAX_LENGTHS];
+        history_lengths[..num_lengths].copy_from_slice(&params.history_lengths);
+        Self {
+            history_lengths,
+            num_lengths,
+            tag_bits: params.tag_bits,
+            cd_index_bits: params.cd_index_bits,
+            pb_index_bits: params.pb_index_bits,
+            prefetch_delay: params.prefetch_delay,
+            fetch_width: params.fetch_width,
+            confidence_threshold: params.confidence_threshold,
+            cd_replacement: params.cd_replacement,
+            cancel_policy: params.cancel_policy,
+            weak_override_gate: params.weak_override_gate,
+        }
+    }
+
+    /// The pattern history lengths, ascending.
+    fn lengths(&self) -> &[usize] {
+        &self.history_lengths[..self.num_lengths]
+    }
+}
+
+/// LLBP's own tables and front end, kept in a [`TablePool`] between
+/// cells ([`TablePool::put_state`]). A build reuses each part of its own
+/// shape, reset to a fresh build's state, and allocates the others anew.
+#[derive(Debug)]
+struct LlbpTables {
+    storage: SetAssoc<()>,
+    storage_sets: PatternArena,
+    pb: SetAssoc<bool>,
+    pb_sets: PatternArena,
+    rcr: RollingContextRegister,
+    prefetches: PrefetchQueue,
+    frontend: FrontEnd,
+}
+
+impl LlbpTables {
+    /// The tables `params` configures, in `spare`'s storage where a part
+    /// has the same shape.
+    fn recycle(spare: Option<Self>, params: &LlbpParams) -> Self {
+        let (storage, storage_sets, pb, pb_sets, rcr, prefetches, frontend) = match spare {
+            Some(t) => (
+                Some(t.storage),
+                Some(t.storage_sets),
+                Some(t.pb),
+                Some(t.pb_sets),
+                Some(t.rcr),
+                Some(t.prefetches),
+                Some(t.frontend),
+            ),
+            None => Default::default(),
+        };
+        let geometry = SetGeometry::of(params);
+        let storage = SetAssoc::recycle(storage, params.cd_index_bits, params.cd_ways);
+        let rows = storage.num_sets() * storage.ways();
+        let storage_sets = PatternArena::recycle(storage_sets, geometry, rows);
+        let pb = SetAssoc::recycle(pb, params.pb_index_bits, params.pb_ways);
+        let pb_sets = PatternArena::recycle(pb_sets, geometry, pb.num_sets() * pb.ways());
+        let rcr = RollingContextRegister::recycle(
+            rcr,
+            params.window,
+            params.prefetch_distance,
+            params.cid_bits,
+            params.history_kind,
+        );
+        let prefetches = prefetches.map_or_else(PrefetchQueue::new, |mut queue| {
+            queue.reset();
+            queue
+        });
+        let frontend = frontend.map_or_else(FrontEnd::new, |mut frontend| {
+            frontend.reset();
+            frontend
+        });
+        Self { storage, storage_sets, pb, pb_sets, rcr, prefetches, frontend }
+    }
+}
+
 /// The Last-Level Branch Predictor backing a TAGE-SC-L baseline.
 ///
 /// Pattern sets live in two [`PatternArena`]s: LLBP storage, one row per
@@ -109,7 +210,10 @@ pub struct LlbpCheckpoint {
 /// independently, as the paper's separate arrays do.
 #[derive(Debug)]
 pub struct LlbpPredictor {
-    params: LlbpParams,
+    cfg: Config,
+    /// The report label and [`Predictor::storage_bits`].
+    label: String,
+    storage_bits: u64,
     tsl: TageScl,
     rcr: RollingContextRegister,
     /// Per history-length index: its folded tag pair (the length at
@@ -145,38 +249,40 @@ impl LlbpPredictor {
     /// Panics if the parameters fail [`LlbpParams::validate`].
     #[must_use]
     pub fn new(params: LlbpParams) -> Self {
-        Self::with_pool(params, &mut TablePool::new())
+        Self::with_pool(&params, &mut TablePool::new())
     }
 
-    /// [`LlbpPredictor::new`] with the baseline TAGE-SC-L built on
-    /// `pool`'s tables ([`TageScl::with_pool`]). LLBP's own pattern
-    /// arenas are allocated afresh. Hand the baseline's tables back with
-    /// [`LlbpPredictor::into_pool`].
+    /// [`LlbpPredictor::new`] on `pool`'s tables: the baseline TAGE-SC-L's
+    /// ([`TageScl::with_pool`]) and LLBP's own, which are the pattern
+    /// arenas, the context directory, the pattern buffer, the RCR, the
+    /// prefetch queue and the front end (BTB, RAS, ITTAGE). Each is reused
+    /// only for the same shape and reset to a fresh build's state; a part
+    /// of another shape is freed and allocated anew, so the pool holds one
+    /// LLBP's tables at most. Reads `params` without keeping it: the
+    /// predictor copies its label and the scalars it reads. Hand the
+    /// tables back with [`LlbpPredictor::into_pool`].
     ///
     /// # Panics
     ///
     /// Panics if the parameters fail [`LlbpParams::validate`].
     #[must_use]
-    pub fn with_pool(params: LlbpParams, pool: &mut TablePool) -> Self {
+    pub fn with_pool(params: &LlbpParams, pool: &mut TablePool) -> Self {
         params.validate().unwrap_or_else(|e| panic!("invalid LLBP params: {e}"));
-        let mut tsl = TageScl::with_pool(params.tsl.clone(), pool);
-        let rcr = RollingContextRegister::new(
-            params.window,
-            params.prefetch_distance,
-            params.cid_bits,
-            params.history_kind,
-        );
+        let mut tsl = TageScl::with_pool(&params.tsl, pool);
         let mut tag_folds = [(FoldId::ZERO, FoldId::ZERO); MAX_LENGTHS];
         for (pair, &l) in tag_folds.iter_mut().zip(&params.history_lengths) {
             let tag1_bits = (params.tag_bits - 1).max(1);
             *pair = (tsl.register_fold(l, params.tag_bits), tsl.register_fold(l, tag1_bits));
         }
-        let storage = SetAssoc::new(params.cd_index_bits, params.cd_ways);
-        let pb = SetAssoc::new(params.pb_index_bits, params.pb_ways);
-        let geometry = SetGeometry::of(&params);
-        let storage_sets = PatternArena::new(geometry, storage.num_sets() * storage.ways());
-        let pb_sets = PatternArena::new(geometry, pb.num_sets() * pb.ways());
+        let LlbpTables { storage, storage_sets, pb, pb_sets, rcr, prefetches, frontend } =
+            LlbpTables::recycle(pool.take_state(), params);
         Self {
+            cfg: Config::of(params),
+            label: params.label.clone(),
+            storage_bits: params.storage_bits()
+                + params.cd_bits()
+                + params.pb_bits()
+                + params.tsl.storage_bits(),
             tsl,
             rcr,
             tag_folds,
@@ -184,24 +290,28 @@ impl LlbpPredictor {
             storage_sets,
             pb,
             pb_sets,
-            prefetches: PrefetchQueue::new(),
-            frontend: FrontEnd::new(),
+            prefetches,
+            frontend,
             stats: LlbpStats::default(),
             pending: None,
             llbp_enabled: true,
-            params,
         }
     }
 
-    /// Hands the baseline's pooled tables to `pool` ([`TageScl::into_pool`]).
+    /// Hands the tables [`LlbpPredictor::with_pool`] takes to `pool`, for
+    /// the next predictor built on it.
     pub fn into_pool(self, pool: &mut TablePool) {
-        self.tsl.into_pool(pool);
-    }
-
-    /// The parameters this instance was built from.
-    #[must_use]
-    pub fn params(&self) -> &LlbpParams {
-        &self.params
+        let Self { tsl, storage, storage_sets, pb, pb_sets, rcr, prefetches, frontend, .. } = self;
+        tsl.into_pool(pool);
+        pool.put_state(LlbpTables {
+            storage,
+            storage_sets,
+            pb,
+            pb_sets,
+            rcr,
+            prefetches,
+            frontend,
+        });
     }
 
     /// The backing TAGE-SC-L (for probes).
@@ -270,11 +380,11 @@ impl LlbpPredictor {
     }
 
     fn storage_key(&self, cid: u64) -> (u64, u64) {
-        (cid & ((1 << self.params.cd_index_bits) - 1), cid >> self.params.cd_index_bits)
+        (cid & ((1 << self.cfg.cd_index_bits) - 1), cid >> self.cfg.cd_index_bits)
     }
 
     fn pb_key(&self, cid: u64) -> (u64, u64) {
-        (cid & ((1u64 << self.params.pb_index_bits) - 1), cid >> self.params.pb_index_bits)
+        (cid & ((1u64 << self.cfg.pb_index_bits) - 1), cid >> self.cfg.pb_index_bits)
     }
 
     /// The pattern tag of history-length index `len_idx` for `pc` under
@@ -285,7 +395,7 @@ impl LlbpPredictor {
             pc ^ (len_idx as u64).rotate_left(7),
             self.tsl.fold(fold0),
             self.tsl.fold(fold1),
-            self.params.tag_bits,
+            self.cfg.tag_bits,
         )
     }
 
@@ -320,7 +430,7 @@ impl LlbpPredictor {
         let (slot, victim) = self.pb.insert_lru(pi, pt, dirty);
         // The victim's patterns are still in the row until it is refilled.
         if let Some((victim_tag, true)) = victim {
-            let victim_cid = (victim_tag << self.params.pb_index_bits) | pi;
+            let victim_cid = (victim_tag << self.cfg.pb_index_bits) | pi;
             self.write_back(victim_cid, slot);
         }
         match from {
@@ -356,9 +466,9 @@ impl LlbpPredictor {
         // an empty set in the PB.
         self.stats.contexts_created += 1;
         let (si, st) = self.storage_key(cid);
-        let (row, _) = match self.params.cd_replacement {
+        let (row, _) = match self.cfg.cd_replacement {
             CdReplacement::Confidence => {
-                let (sets, threshold) = (&self.storage_sets, self.params.confidence_threshold);
+                let (sets, threshold) = (&self.storage_sets, self.cfg.confidence_threshold);
                 self.storage
                     .insert_with(si, st, (), |row, _, ()| sets.confident_count(row, threshold))
             }
@@ -395,7 +505,7 @@ impl LlbpPredictor {
             }
             let (si, st) = self.storage_key(cid);
             if self.storage.peek_slot(si, st).is_some() {
-                self.prefetches.issue(cid, now, self.params.prefetch_delay);
+                self.prefetches.issue(cid, now, self.cfg.prefetch_delay);
             }
         }
     }
@@ -417,7 +527,7 @@ impl LlbpPredictor {
             // The set may exist in LLBP storage but not have arrived yet.
             let (si, st) = self.storage_key(cid);
             if self.storage.peek_slot(si, st).is_some() {
-                if self.params.prefetch_delay == 0 {
+                if self.cfg.prefetch_delay == 0 {
                     // LLBP-0Lat: storage is reachable within the cycle.
                     resident = self.fill_pb_from_storage(cid);
                 } else {
@@ -425,7 +535,7 @@ impl LlbpPredictor {
                     // Demand-request the set for later predictions in this
                     // context.
                     let now = self.cycle();
-                    self.prefetches.issue(cid, now, self.params.prefetch_delay);
+                    self.prefetches.issue(cid, now, self.cfg.prefetch_delay);
                 }
             }
         }
@@ -441,7 +551,7 @@ impl LlbpPredictor {
                 slot,
                 pred: p.taken(),
                 weak: p.is_weak(),
-                hist_len: self.params.history_lengths[usize::from(p.len_idx())],
+                hist_len: self.cfg.history_lengths[usize::from(p.len_idx())],
             })
         });
 
@@ -452,7 +562,7 @@ impl LlbpPredictor {
         // weak-override gate, a just-allocated pattern defers to a
         // baseline backed by a tagged TAGE match.
         let weak_blocked =
-            |m: &LlbpMatch| self.params.weak_override_gate && m.weak && tage.provider.is_some();
+            |m: &LlbpMatch| self.cfg.weak_override_gate && m.weak && tage.provider.is_some();
         let inject = match &llbp {
             Some(m) if m.hist_len >= tage.provider_hist_len && !weak_blocked(m) => Some(m.pred),
             _ => None,
@@ -467,8 +577,8 @@ impl LlbpPredictor {
             _ => tsl.tage.provider_hist_len,
         };
         let alloc = self
-            .params
-            .history_lengths
+            .cfg
+            .lengths()
             .iter()
             .position(|&l| l > base_len)
             .map(|i| (i as u8, tags.get(i, || self.pattern_tag(pc, i))));
@@ -513,7 +623,7 @@ impl LlbpPredictor {
                     *self.pb.value_mut(row) = true;
                 }
             }
-            let mode = match self.params.cancel_policy {
+            let mode = match self.cfg.cancel_policy {
                 CancelPolicy::Always => UpdateMode::Cancelled,
                 CancelPolicy::OnDisagree if m.pred != pending.tsl.tage.pred => {
                     UpdateMode::Cancelled
@@ -597,14 +707,11 @@ impl Predictor for LlbpPredictor {
     }
 
     fn label(&self) -> &str {
-        &self.params.label
+        &self.label
     }
 
     fn storage_bits(&self) -> u64 {
-        self.params.storage_bits()
-            + self.params.cd_bits()
-            + self.params.pb_bits()
-            + self.params.tsl.storage_bits()
+        self.storage_bits
     }
 }
 
@@ -615,7 +722,7 @@ impl LlbpPredictor {
     /// included, through its branch-free loop.
     fn advance_history(&mut self, record: &BranchRecord, fast: bool) {
         self.stats.instructions += record.instructions();
-        self.stats.cycles = self.stats.instructions / self.params.fetch_width.max(1);
+        self.stats.cycles = self.stats.instructions / self.cfg.fetch_width.max(1);
         self.process_arrivals();
 
         // Late front-end redirects (BTB misses on taken branches, RAS
@@ -650,7 +757,7 @@ impl LlbpPredictor {
                 let (pi, pt) = self.pb_key(upcoming);
                 if self.pb.peek_slot(pi, pt).is_none() {
                     let now = self.cycle();
-                    self.prefetches.issue(upcoming, now, self.params.prefetch_delay);
+                    self.prefetches.issue(upcoming, now, self.cfg.prefetch_delay);
                 }
             }
         }
@@ -797,9 +904,48 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_cycled_through_llbp_designs_predicts_as_fresh_builds() {
+        let trace = WorkloadSpec::named(Workload::NodeApp).with_branches(4_000).generate();
+        let mut pool = TablePool::new();
+        let designs = [
+            LlbpParams::default(),
+            LlbpParams::zero_latency(),
+            LlbpParams::default().with_pb_entries(256),
+            LlbpParams::study_full_assoc(1024, 8),
+            LlbpParams::default(),
+        ];
+        for params in designs {
+            let label = params.label.clone();
+            let mut fresh = LlbpPredictor::new(params.clone());
+            let mut pooled = LlbpPredictor::with_pool(&params, &mut pool);
+            // A pooled table starts exactly as a fresh one: contents,
+            // LRU clocks and counts.
+            assert!(pooled.storage == fresh.storage, "{label}: context directory");
+            assert!(pooled.storage_sets == fresh.storage_sets, "{label}: LLBP storage");
+            assert!(pooled.pb == fresh.pb, "{label}: pattern buffer");
+            assert!(pooled.pb_sets == fresh.pb_sets, "{label}: pattern buffer sets");
+            assert!(pooled.rcr == fresh.rcr, "{label}: RCR");
+            assert!(pooled.prefetches == fresh.prefetches, "{label}: prefetch queue");
+            assert!(pooled.frontend == fresh.frontend, "{label}: front end");
+            for (i, r) in trace.iter().enumerate() {
+                if r.kind() == BranchKind::Conditional {
+                    let want = fresh.predict_train(r.pc(), r.taken());
+                    let got = pooled.predict_train(r.pc(), r.taken());
+                    assert_eq!(got, want, "{label} diverged at record {i}");
+                }
+                fresh.update_history_fast(r);
+                pooled.update_history_fast(r);
+            }
+            assert_eq!(pooled.stats(), fresh.stats(), "{label}");
+            assert_eq!(pooled.frontend().stats(), fresh.frontend().stats(), "{label}");
+            pooled.into_pool(&mut pool);
+        }
+    }
+
+    #[test]
     fn storage_accounting_is_about_half_a_mebibyte() {
         let p = LlbpPredictor::new(LlbpParams::default());
-        let kib = (p.storage_bits() - p.params().tsl.storage_bits()) as f64 / 8192.0;
+        let kib = (p.storage_bits() - LlbpParams::default().tsl.storage_bits()) as f64 / 8192.0;
         assert!((500.0..530.0).contains(&kib), "LLBP-side storage is {kib:.1} KiB");
     }
 }

@@ -19,7 +19,7 @@ pub struct Prefetch {
 }
 
 /// A FIFO of in-flight prefetches with squash support.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefetchQueue {
     inflight: VecDeque<Prefetch>,
     issued: u64,
@@ -48,6 +48,14 @@ impl PrefetchQueue {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empties the queue and zeroes its counts, keeping its storage.
+    pub fn reset(&mut self) {
+        self.inflight.clear();
+        self.issued = 0;
+        self.squashed = 0;
+        self.completed = 0;
     }
 
     /// Issues a prefetch for `cid`, usable `delay` cycles from `now`.

@@ -49,17 +49,33 @@ impl RollingContextRegister {
     /// Panics if `window` is zero or `cid_bits` is not in `1..=63`.
     #[must_use]
     pub fn new(window: usize, distance: usize, cid_bits: u32, kind: ContextHistoryKind) -> Self {
+        Self::recycle(None, window, distance, cid_bits, kind)
+    }
+
+    /// [`RollingContextRegister::new`] in `spare`'s storage when it holds
+    /// as many PCs (`window + distance`); otherwise in a new allocation.
+    ///
+    /// # Panics
+    ///
+    /// As [`RollingContextRegister::new`].
+    #[must_use]
+    pub fn recycle(
+        spare: Option<Self>,
+        window: usize,
+        distance: usize,
+        cid_bits: u32,
+        kind: ContextHistoryKind,
+    ) -> Self {
         assert!(window > 0, "window must be non-zero");
         assert!((1..=63).contains(&cid_bits), "cid_bits out of range");
-        let mut rcr = Self {
-            pcs: vec![0; window + distance],
-            window,
-            distance,
-            cid_bits,
-            kind,
-            current: 0,
-            prefetch: 0,
+        let pcs = match spare {
+            Some(Self { mut pcs, .. }) if pcs.len() == window + distance => {
+                pcs.fill(0);
+                pcs
+            }
+            _ => vec![0; window + distance],
         };
+        let mut rcr = Self { pcs, window, distance, cid_bits, kind, current: 0, prefetch: 0 };
         rcr.rehash();
         rcr
     }

@@ -11,13 +11,15 @@
 //! * **batch** — monomorphized per [`PredictorKind`]: one generic loop
 //!   instantiated through a match at cell start, so the fused
 //!   `predict_train` and `update_history_fast` inline into the loop body.
-//!   The loop runs over the structure-of-arrays trace view
-//!   ([`llbp_trace::TraceSoa`]) in [`BATCH_BLOCK`]-sized blocks, split
-//!   into warmup and measure phases: cancellation polls and progress
-//!   accounting hoist to block boundaries, and instruction accounting is
-//!   a branchless, auto-vectorizable sum over the block's packed-meta
-//!   column. Per-branch tracking and provenance recording are
-//!   compile-time splits, so the common loop carries neither.
+//!   The loop runs over the trace's 20-byte records in
+//!   [`BATCH_BLOCK`]-sized blocks, split into warmup and measure phases:
+//!   cancellation polls and progress accounting hoist to block
+//!   boundaries, and instruction accounting is a branchless sum over the
+//!   block's packed-meta words. It reads each record's `pc` and packed
+//!   meta from the record it hands to `update_history_fast`, so a cell
+//!   builds no column copy of the trace ([`llbp_trace::TraceSoa`]).
+//!   Per-branch tracking and provenance recording are compile-time
+//!   splits, so the common loop carries neither.
 //!
 //! Selection threads through [`crate::SimConfig::backend`]: `auto` (the
 //! default) resolves to the fastest tier, the `LLBP_BACKEND` environment
@@ -60,7 +62,7 @@ pub enum BackendKind {
     Auto,
     /// The original scalar `dyn Predictor` loop — the correctness anchor.
     Reference,
-    /// Monomorphized block loop over the structure-of-arrays trace view.
+    /// Monomorphized block loop over the trace's records.
     Batch,
 }
 
@@ -139,7 +141,7 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Runs one cell on the **batch/SoA** tier. The per-cell `match` turns
+/// Runs one cell on the **batch** tier. The per-cell `match` turns
 /// the dynamic [`PredictorKind`] into a statically typed predictor, so
 /// each arm instantiates [`batch_loop`] for its concrete type and the
 /// per-record `predict_train`/`update_history_fast` calls devirtualize and
@@ -175,15 +177,15 @@ pub(crate) fn run_batch(
             drive!(HashedPerceptron::new(*tables, *index_bits, *segment_bits))
         }
         PredictorKind::Llbp(params) => {
-            let mut predictor = LlbpPredictor::with_pool(params.clone(), pool);
+            let mut predictor = LlbpPredictor::with_pool(params, pool);
             let result = drive!(predictor)
                 .map(|r| SimResult { llbp: Some(LlbpCellStats::of(&predictor)), ..r });
             predictor.into_pool(pool);
             result
         }
         tsl => {
-            let tsl = tsl.tsl_config().expect("the other kinds are TSLs");
-            let mut predictor = TageScl::with_pool(tsl, pool);
+            let cfg = tsl.tsl_config().expect("the other kinds are TSLs");
+            let mut predictor = TageScl::with_pool(&cfg, pool);
             let result = drive!(predictor);
             predictor.into_pool(pool);
             result
@@ -262,43 +264,41 @@ fn batch_loop_inner<P: Predictor, const TRACK: bool, const PROV: bool>(
     prov: &mut ProvRecorder,
 ) -> Result<SimResult, SimError> {
     let warmup = warmup_len(cfg, trace);
-    let soa = trace.soa();
-    let (pcs, metas) = (soa.pcs(), soa.metas());
     let records = trace.records();
     let mut tally = Tally::default();
     let mut i = 0usize;
-    // Warmup blocks: direction/kind decode from the dense meta column.
+    // Warmup blocks: direction/kind decode from each record's meta word.
     while i < warmup {
         if token.is_cancelled() {
             return Err(token.cancellation_error());
         }
         let end = (i + BATCH_BLOCK).min(warmup);
-        for j in i..end {
-            let meta = metas[j];
+        for record in &records[i..end] {
+            let meta = record.packed_meta();
             if meta & META_KIND_MASK == META_COND {
-                let pc = pcs[j];
-                let _ = predictor.predict_train(pc, meta & META_TAKEN_BIT != 0);
+                let _ = predictor.predict_train(record.pc(), meta & META_TAKEN_BIT != 0);
             }
-            predictor.update_history_fast(&records[j]);
+            predictor.update_history_fast(record);
         }
         progress.add((end - i) as u64);
         i = end;
     }
     // Measure blocks: instruction accounting is software-pipelined ahead
     // of the predictor stage — a branchless sum over the block's meta
-    // column that the compiler vectorizes — so the predictor stage below
-    // touches only the branch-prediction work itself.
+    // words — so the predictor stage below touches only the
+    // branch-prediction work itself.
     while i < records.len() {
         if token.is_cancelled() {
             return Err(token.cancellation_error());
         }
         let end = (i + BATCH_BLOCK).min(records.len());
+        let block = &records[i..end];
         tally.instructions +=
-            metas[i..end].iter().map(|&meta| u64::from(meta >> 4) + 1).sum::<u64>();
-        for j in i..end {
-            let meta = metas[j];
+            block.iter().map(|record| u64::from(record.packed_meta() >> 4) + 1).sum::<u64>();
+        for record in block {
+            let meta = record.packed_meta();
             if meta & META_KIND_MASK == META_COND {
-                let pc = pcs[j];
+                let pc = record.pc();
                 let taken = meta & META_TAKEN_BIT != 0;
                 let (pred, ordinal) = if PROV {
                     let (pred, info) = predictor.predict_train_info(pc, taken);
@@ -319,7 +319,7 @@ fn batch_loop_inner<P: Predictor, const TRACK: bool, const PROV: bool>(
                     }
                 }
             }
-            predictor.update_history_fast(&records[j]);
+            predictor.update_history_fast(record);
         }
         progress.add((end - i) as u64);
         i = end;

@@ -7,7 +7,10 @@
 //! unless its owner releases one: the sweep engine releases a trace from
 //! the cache it builds for a run once the trace's last cell has finished,
 //! so a one-worker campaign holds one trace at a time (see
-//! [`TraceCache::peak_footprint`]).
+//! [`TraceCache::peak_footprint`]). A released trace that no caller still
+//! holds leaves its record buffer to the cache, and the next trace loaded
+//! from the persistent store is decoded into it, so a run's decodes
+//! reuse one buffer instead of faulting a new one in per trace.
 //!
 //! The cache is safe to share across the sweep engine's worker threads.
 //! When two workers request the same trace concurrently, exactly one
@@ -18,8 +21,9 @@ use crate::error::{CancelToken, SimError};
 use crate::memo::MemoStore;
 use bputil::hash::FastHashMap;
 use llbp_obs::Telemetry;
-use llbp_trace::{ProgressSink, Trace, WorkloadSpec};
+use llbp_trace::{BranchRecord, ProgressSink, Trace, WorkloadSpec};
 use std::cell::Cell;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -59,6 +63,8 @@ enum Slot {
 #[derive(Default)]
 pub struct TraceCache {
     slots: Mutex<FastHashMap<Arc<str>, Slot>>,
+    /// The record buffer of the last released trace, for the next decode.
+    spare: Mutex<Vec<BranchRecord>>,
     ready: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -98,17 +104,27 @@ impl TraceCache {
     }
 
     /// The cache key for a spec: every field that influences generation.
-    /// The sweep engine formats each workload's key once per run and
-    /// passes it to [`TraceCache::get_or_generate_keyed`] and
-    /// [`TraceCache::release`], so its cells format none. The key is the
-    /// spec's `Debug` text, the text [`MemoStore::trace_fingerprint`] and
+    /// The sweep engine formats each workload's key once per run
+    /// ([`TraceCache::format_key`]) and passes it to
+    /// [`TraceCache::get_or_generate_keyed`] and [`TraceCache::release`],
+    /// so its cells format none. The key is the spec's `Debug` text, the
+    /// text [`MemoStore::trace_fingerprint`] and
     /// [`MemoStore::result_fingerprint`] hash, so the engine's result
     /// fingerprints and a store load share it too.
     pub(crate) fn key(spec: &WorkloadSpec) -> Arc<str> {
+        let mut text = String::new();
+        Self::format_key(spec, &mut text);
+        text.as_str().into()
+    }
+
+    /// Replaces `text` with `spec`'s [`TraceCache::key`] text, so that one
+    /// buffer serves a run's keys.
+    pub(crate) fn format_key(spec: &WorkloadSpec, text: &mut String) {
         // `WorkloadSpec` carries f64 tuning parameters, so it cannot
         // implement `Eq`/`Hash`; its `Debug` form includes every field and
         // is deterministic, which is all a cache key needs.
-        format!("{spec:?}").into()
+        text.clear();
+        write!(text, "{spec:?}").expect("formatting into a String cannot fail");
     }
 
     /// Locks the slot map, recovering the data from a poisoned lock.
@@ -221,7 +237,11 @@ impl TraceCache {
     /// Drops the trace of `key` once no caller will ask for it again,
     /// after adding the cache's footprint at that moment to the samples
     /// [`TraceCache::peak_footprint`] takes the largest of. A key that
-    /// is absent or still being generated is left alone.
+    /// is absent or still being generated is left alone. When the cache
+    /// decodes from a store and no caller still holds the trace, its
+    /// record buffer becomes the buffer the next decode fills (the larger
+    /// of it and the one kept before); a cache that only generates frees
+    /// it.
     pub(crate) fn release(&self, key: &str) {
         let mut slots = self.lock_slots();
         if !matches!(slots.get(key), Some(Slot::Ready(_))) {
@@ -230,9 +250,23 @@ impl TraceCache {
         self.peak.fetch_max(footprint(&slots), Ordering::Relaxed);
         let released = slots.remove(key);
         drop(slots);
-        // The trace is freed here, outside the lock, unless a caller
-        // still holds it.
-        drop(released);
+        // Outside the lock: the trace is freed, or its buffer kept,
+        // unless a caller still holds it.
+        let decodes = self.store.is_some() && !self.cold;
+        if let (Some(Slot::Ready(trace)), true) = (released, decodes) {
+            if let Ok(trace) = Arc::try_unwrap(trace) {
+                let records = trace.into_records();
+                let mut spare = self.spare.lock().unwrap_or_else(PoisonError::into_inner);
+                if records.capacity() > spare.capacity() {
+                    *spare = records;
+                }
+            }
+        }
+    }
+
+    /// The record buffer a release left, leaving the cache without one.
+    fn take_spare(&self) -> Vec<BranchRecord> {
+        std::mem::take(&mut *self.spare.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Loads the trace from the persistent store or generates it, writing
@@ -256,7 +290,7 @@ impl TraceCache {
         if let Some(store) = &self.store {
             let fp = store.trace_fingerprint_of(key);
             if !self.cold {
-                if let Ok(Some(trace)) = store.load_trace(fp) {
+                if let Ok(Some(trace)) = store.load_trace_into(fp, self.take_spare()) {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     self.telemetry.counter("trace_disk_load").inc();
                     return Ok(trace);
@@ -305,7 +339,9 @@ impl TraceCache {
     }
 
     /// Total heap bytes held by the cached traces now, column views
-    /// included.
+    /// included. The buffer a release keeps for the next decode is not
+    /// counted between that release, whose sample counts it, and the
+    /// decode, after which its trace counts it.
     #[must_use]
     pub fn memory_footprint(&self) -> usize {
         footprint(&self.lock_slots())
@@ -452,6 +488,40 @@ mod tests {
         cache.lock_slots().insert(Arc::clone(&key), Slot::Pending);
         cache.release(&key);
         assert!(matches!(cache.lock_slots().get(&*key), Some(Slot::Pending)));
+    }
+
+    #[test]
+    fn the_second_decode_of_a_run_lands_in_the_first_traces_buffer() {
+        let dir =
+            std::env::temp_dir().join(format!("llbp-trace-cache-reuse-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(MemoStore::open(&dir).expect("temp store"));
+        let first = WorkloadSpec::named(Workload::Http).with_branches(3_000);
+        let second = WorkloadSpec::named(Workload::Tpcc).with_branches(2_000);
+        for spec in [&first, &second] {
+            store.store_trace(store.trace_fingerprint(spec), &spec.generate()).expect("store");
+        }
+        let cache = TraceCache::with_store(store, false);
+        let load = |spec: &WorkloadSpec| {
+            cache
+                .get_or_generate_keyed(&TraceCache::key(spec), spec, &CancelToken::none(), None)
+                .expect("no deadline to trip")
+        };
+        // The record buffer's address and capacity (the footprint less the
+        // name, which a decode allocates exactly).
+        let buffer = |t: &Trace| {
+            let records = t.memory_footprint() - t.name().len();
+            (t.records().as_ptr(), records / std::mem::size_of::<BranchRecord>())
+        };
+        let trace = load(&first);
+        let held = buffer(&trace);
+        drop(trace);
+        cache.release(&TraceCache::key(&first));
+        let next = load(&second);
+        assert_eq!(buffer(&next), held, "decoded into the released buffer, not regrown");
+        assert_eq!(next.records(), second.generate().records(), "and nothing of the first left");
+        assert_eq!(cache.disk_hits(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

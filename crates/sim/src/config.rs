@@ -8,6 +8,7 @@ use llbp_prov::ProvRecorder;
 use llbp_tage::classic::{Gshare, HashedPerceptron, TwoLevelLocal};
 use llbp_tage::{Predictor, TablePool, TageScl, TslConfig};
 use llbp_trace::Trace;
+use std::borrow::Cow;
 
 /// Which predictor design to simulate — the paper's §VI model list.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,23 +66,44 @@ impl PredictorKind {
             PredictorKind::HashedPerceptron { tables, index_bits, segment_bits } => {
                 Box::new(HashedPerceptron::new(*tables, *index_bits, *segment_bits))
             }
-            tsl => Box::new(TageScl::new(tsl.tsl_config().expect("the other kinds are TSLs"))),
+            tsl => {
+                let cfg = tsl.tsl_config().expect("the other kinds are TSLs");
+                Box::new(TageScl::with_pool(&cfg, &mut TablePool::new()))
+            }
         }
     }
 
-    /// The configuration of a TAGE-SC-L kind; `None` for LLBP and the
-    /// classic predictors.
-    pub(crate) fn tsl_config(&self) -> Option<TslConfig> {
-        match self {
-            PredictorKind::Tsl64K => Some(TslConfig::cbp64k()),
-            PredictorKind::TslScaled(f) => Some(TslConfig::scaled(*f)),
-            PredictorKind::InfTage => Some(TslConfig::infinite_tage()),
-            PredictorKind::InfTsl => Some(TslConfig::infinite_tsl()),
-            PredictorKind::CustomTsl(cfg) => Some(cfg.clone()),
+    /// The configuration of a TAGE-SC-L kind, built for a preset and
+    /// borrowed from a [`PredictorKind::CustomTsl`]; `None` for LLBP and
+    /// the classic predictors.
+    pub(crate) fn tsl_config(&self) -> Option<Cow<'_, TslConfig>> {
+        Some(match self {
+            PredictorKind::Tsl64K => Cow::Owned(TslConfig::cbp64k()),
+            PredictorKind::TslScaled(f) => Cow::Owned(TslConfig::scaled(*f)),
+            PredictorKind::InfTage => Cow::Owned(TslConfig::infinite_tage()),
+            PredictorKind::InfTsl => Cow::Owned(TslConfig::infinite_tsl()),
+            PredictorKind::CustomTsl(cfg) => Cow::Borrowed(cfg),
             PredictorKind::Llbp(_)
             | PredictorKind::Gshare { .. }
             | PredictorKind::TwoLevelLocal { .. }
-            | PredictorKind::HashedPerceptron { .. } => None,
+            | PredictorKind::HashedPerceptron { .. } => return None,
+        })
+    }
+
+    /// This kind with a TAGE-SC-L preset replaced by the
+    /// [`PredictorKind::CustomTsl`] of its configuration, which builds the
+    /// same predictor under the same label and borrows the configuration.
+    /// The sweep engine resolves each predictor once per run, so its cells
+    /// build no configuration; other kinds are borrowed as they are.
+    pub(crate) fn resolve_preset(&self) -> Cow<'_, PredictorKind> {
+        match self {
+            PredictorKind::Tsl64K
+            | PredictorKind::TslScaled(_)
+            | PredictorKind::InfTage
+            | PredictorKind::InfTsl => Cow::Owned(PredictorKind::CustomTsl(
+                self.tsl_config().expect("a TSL preset").into_owned(),
+            )),
+            other => Cow::Borrowed(other),
         }
     }
 
@@ -220,11 +242,10 @@ impl SimConfig {
     }
 
     /// [`SimConfig::run_recorded`] with `kind` by reference and every
-    /// TAGE-SC-L (LLBP's baseline included) built on `pool`'s tables and
-    /// handed back to it, also when the token fires. The sweep engine
-    /// keeps one pool per worker for a run, so a worker builds its
-    /// predictors' large tables once per run instead of once per cell
-    /// (see [`TablePool`]).
+    /// TAGE-SC-L and LLBP built on `pool`'s tables and handed back to it,
+    /// also when the token fires. The sweep engine keeps one pool per
+    /// worker for a run, so a worker builds its predictors' large tables
+    /// once per run instead of once per cell (see [`TablePool`]).
     pub(crate) fn run_pooled(
         &self,
         kind: &PredictorKind,
@@ -255,7 +276,7 @@ impl SimConfig {
     ) -> Result<SimResult, SimError> {
         let sim = Simulator::new(*self);
         if let PredictorKind::Llbp(params) = kind {
-            let mut predictor = LlbpPredictor::with_pool(params.clone(), pool);
+            let mut predictor = LlbpPredictor::with_pool(params, pool);
             let result = sim
                 .run_recorded(&mut predictor, trace, token, records, prov)
                 .map(|r| SimResult { llbp: Some(LlbpCellStats::of(&predictor)), ..r });
@@ -264,7 +285,7 @@ impl SimConfig {
         }
         match kind.tsl_config() {
             Some(cfg) => {
-                let mut predictor = TageScl::with_pool(cfg, pool);
+                let mut predictor = TageScl::with_pool(&cfg, pool);
                 let result = sim.run_recorded(&mut predictor, trace, token, records, prov);
                 predictor.into_pool(pool);
                 result

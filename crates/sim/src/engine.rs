@@ -72,6 +72,7 @@ use llbp_obs::Telemetry;
 use llbp_prov::{ProvConfig, ProvRecorder};
 use llbp_tage::TablePool;
 use llbp_trace::{Fingerprint, WorkloadSpec};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -971,6 +972,8 @@ impl SweepEngine {
         let memo_hits = AtomicU64::new(0);
         let memo_misses = AtomicU64::new(0);
         let resumed = AtomicU64::new(0);
+        // Each predictor resolved once: its cells borrow their configuration.
+        let kinds: Vec<_> = spec.predictors.iter().map(PredictorKind::resolve_preset).collect();
         let mut claimed = run_indexed_with(self.workers, n, TablePool::new, |pool, slot| {
             let index = order[slot];
             // Queue wait: campaign start until a worker claims the cell.
@@ -986,7 +989,7 @@ impl SweepEngine {
                 done_before.contains_key(&index),
                 force_fresh.contains(&index),
                 (&memo_hits, &memo_misses, &resumed),
-                pool,
+                (&kinds, pool),
             );
             if own_cache && traces.finish(workload, !memoized[index]) {
                 cache.release(traces.key(workload));
@@ -1112,7 +1115,7 @@ impl SweepEngine {
         resumable: bool,
         force_fresh: bool,
         counters: (&AtomicU64, &AtomicU64, &AtomicU64),
-        pool: &mut TablePool,
+        (kinds, pool): (&[Cow<'_, PredictorKind>], &mut TablePool),
     ) -> Result<(JobRecord, Option<Fingerprint>), Box<JobError>> {
         let job = spec.job(index);
         // Held across every attempt: another campaign on this store that
@@ -1130,7 +1133,7 @@ impl SweepEngine {
                 force_fresh,
                 counters,
                 attempt,
-                pool,
+                (kinds, &mut *pool),
             );
             match outcome {
                 Ok(record) => return Ok(record),
@@ -1162,7 +1165,8 @@ impl SweepEngine {
     /// One attempt at one grid cell, fully isolated: injected faults,
     /// trace generation and the simulation itself each run under
     /// `catch_unwind`, and every failure maps to a typed [`SimError`].
-    /// The simulation builds its predictor on the worker's `pool`; a
+    /// The simulation builds its predictor, `kinds` resolved for the run
+    /// ([`PredictorKind::resolve_preset`]), on the worker's `pool`; a
     /// panic drops the predictor's tables with it. On success, also
     /// returns the memoized cell's content digest (when a store is
     /// attached and the write-back landed) for the journal.
@@ -1178,7 +1182,7 @@ impl SweepEngine {
         force_fresh: bool,
         (memo_hits, memo_misses, resumed): (&AtomicU64, &AtomicU64, &AtomicU64),
         attempt: u32,
-        pool: &mut TablePool,
+        (kinds, pool): (&[Cow<'_, PredictorKind>], &mut TablePool),
     ) -> Result<(JobRecord, Option<Fingerprint>), SimError> {
         // The watchdog deadline starts before fault injection so that an
         // injected-slow attempt is charged for its sleep: the simulation
@@ -1229,7 +1233,7 @@ impl SweepEngine {
                 detail: panic_message(payload.as_ref()),
             })??
         };
-        let kind = &spec.predictors[job.predictor];
+        let kind = &*kinds[job.predictor];
         let sim_records = self.telemetry.counter("sim_records_total");
         let mut recorder = match self.prov {
             Some(cfg) => ProvRecorder::enabled(cfg),
@@ -1412,16 +1416,18 @@ struct TraceKeys {
 }
 
 impl TraceKeys {
-    /// The keys of `spec`'s workloads, no cell counted yet.
+    /// The keys of `spec`'s workloads, no cell counted yet. Every key is
+    /// formatted into one buffer, and each distinct one copied out once.
     fn new(spec: &SweepSpec) -> Self {
-        let mut keys: Vec<Arc<str>> = Vec::new();
+        let mut keys: Vec<Arc<str>> = Vec::with_capacity(spec.workloads.len());
+        let mut text = String::new();
         let slot = spec
             .workloads
             .iter()
             .map(|workload| {
-                let key = TraceCache::key(workload);
-                keys.iter().position(|k| *k == key).unwrap_or_else(|| {
-                    keys.push(key);
+                TraceCache::format_key(workload, &mut text);
+                keys.iter().position(|k| **k == *text).unwrap_or_else(|| {
+                    keys.push(text.as_str().into());
                     keys.len() - 1
                 })
             })

@@ -38,7 +38,7 @@ use bputil::hash::FastHashMap;
 use llbp_core::LlbpStats;
 use llbp_tage::FrontEndStats;
 use llbp_trace::fingerprint::{Fingerprint, StableHasher};
-use llbp_trace::{read_trace, write_trace, Trace, TraceIoError, WorkloadSpec};
+use llbp_trace::{read_trace_into, write_trace, BranchRecord, Trace, TraceIoError, WorkloadSpec};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -354,10 +354,26 @@ impl MemoStore {
     /// answer (local IO trouble, or an injected IO fault). Callers may
     /// retry or degrade to regeneration.
     pub fn load_trace(&self, fp: Fingerprint) -> Result<Option<Trace>, SimError> {
+        self.load_trace_into(fp, Vec::new())
+    }
+
+    /// [`MemoStore::load_trace`] decoding into `records`
+    /// ([`read_trace_into`]): a released trace's buffer serves the next
+    /// decode. The buffer is dropped on a miss or an error.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemoStore::load_trace`].
+    pub fn load_trace_into(
+        &self,
+        fp: Fingerprint,
+        records: Vec<BranchRecord>,
+    ) -> Result<Option<Trace>, SimError> {
         self.check_faults("load_trace")?;
         let mut decoded = None;
+        let mut records = Some(records);
         self.backend.stream(ObjectKind::Trace, fp, &mut |reader| {
-            decoded = Some(read_trace(reader));
+            decoded = Some(read_trace_into(reader, records.take().unwrap_or_default()));
         })?;
         match decoded {
             Some(Ok(trace)) => {

@@ -11,11 +11,13 @@ use llbp_tage::TslConfig;
 use llbp_trace::{Workload, WorkloadSpec};
 use std::sync::Arc;
 
-/// Every TAGE-SC-L family, so that a worker's cells hand statistical-
-/// corrector tables of two lengths (2^10 and 2^14) and the infinite
-/// storage on to each other, while the serial reference builds every
-/// predictor afresh. The infinite TSL's corrector is 2^14 entries, not
-/// Inf TSL's 2^21, to keep the debug run short.
+/// Every TAGE-SC-L family and LLBP designs of two shapes, so that a
+/// worker's cells hand statistical-corrector tables of two lengths (2^10
+/// and 2^14), TAGE table blocks of two lengths, loop predictors of two
+/// sizes, the infinite storage and LLBP's arenas, directories and front end
+/// on to each other, while the serial reference builds every predictor
+/// afresh. The infinite TSL's corrector is 2^14 entries, not Inf TSL's
+/// 2^21, to keep the debug run short.
 fn grid() -> SweepSpec {
     let inf_tsl = TslConfig { sc_index_bits: 14, ..TslConfig::infinite_tsl() };
     SweepSpec::new(
@@ -25,6 +27,8 @@ fn grid() -> SweepSpec {
             PredictorKind::InfTage,
             PredictorKind::CustomTsl(inf_tsl),
             PredictorKind::Llbp(LlbpParams::default()),
+            PredictorKind::Llbp(LlbpParams::zero_latency()),
+            PredictorKind::Llbp(LlbpParams::default().with_pb_entries(256)),
         ],
         vec![
             WorkloadSpec::named(Workload::Http).with_branches(4_000),

@@ -2,10 +2,9 @@
 //! allocation, a result write takes as many at its thousandth call as at
 //! its first, whatever the PID and the temp-file sequence number, and two
 //! identical cold campaigns allocate equally. A cell's predictor costs
-//! shrink on a warm table pool: an `Inf TSL` built from a pool that a
-//! previous one filled allocates nothing for its statistical corrector or
-//! its infinite storage, and faults few pages in; a 64K TSL built on a
-//! warm pool copies no configuration.
+//! shrink on a warm table pool: a TAGE-SC-L or an LLBP built from a pool
+//! that a previous one filled allocates only its labels, copies no
+//! configuration, and faults few pages in.
 //!
 //! Uses a counting global allocator, as
 //! `crates/trace/tests/fingerprint_alloc.rs` does. The count is per
@@ -13,6 +12,7 @@
 //! so sibling tests running on other threads cannot disturb a
 //! measurement.
 
+use llbp_core::{LlbpParams, LlbpPredictor};
 use llbp_sim::engine::{SweepEngine, SweepSpec};
 use llbp_sim::store::local::LocalDir;
 use llbp_sim::{MemoStore, ObjectKind, PredictorKind, SimConfig};
@@ -161,31 +161,31 @@ fn minor_faults() -> Option<u64> {
     stat.rsplit_once(')')?.1.split_whitespace().nth(7)?.parse().ok()
 }
 
-/// Drives `tsl` over `trace` as the batch tier does.
-fn drive(tsl: &mut TageScl, trace: &Trace) {
+/// Drives `predictor` over `trace` as the batch tier does.
+fn drive(predictor: &mut impl Predictor, trace: &Trace) {
     for r in trace {
         if r.kind() == BranchKind::Conditional {
-            std::hint::black_box(tsl.predict_train(r.pc(), r.taken()));
+            std::hint::black_box(predictor.predict_train(r.pc(), r.taken()));
         }
-        tsl.update_history_fast(r);
+        predictor.update_history_fast(r);
     }
 }
 
-/// Allocations while `tsl` is built, allocations while it runs `trace`,
-/// and the minor faults of both.
-fn build_and_drive(
-    build: impl FnOnce() -> TageScl,
+/// Allocations while a predictor is built, allocations while it runs
+/// `trace`, and the minor faults of both.
+fn build_and_drive<P: Predictor>(
+    build: impl FnOnce() -> P,
     trace: &Trace,
-) -> (TageScl, u64, u64, Option<u64>) {
+) -> (P, u64, u64, Option<u64>) {
     let faults = minor_faults();
     let before = allocations();
-    let mut tsl = build();
+    let mut predictor = build();
     let built = allocations() - before;
     let before = allocations();
-    drive(&mut tsl, trace);
+    drive(&mut predictor, trace);
     let ran = allocations() - before;
     let faults = faults.zip(minor_faults()).map(|(before, after)| after - before);
-    (tsl, built, ran, faults)
+    (predictor, built, ran, faults)
 }
 
 #[test]
@@ -195,26 +195,22 @@ fn an_inf_tsl_on_a_warm_pool_allocates_nothing_for_its_tables() {
     // every page, so a page the previous cell only read (a zero-page
     // mapping) faults at that `fill(0)` instead of at its first read.
     let trace = WorkloadSpec::named(Workload::NodeApp).with_branches(20_000).generate();
+    let cfg = TslConfig::infinite_tsl();
     // The fresh build goes first, before this thread has freed a large
     // table the allocator could hand back already resident.
     let (fresh, fresh_built, fresh_ran, fresh_faults) =
-        build_and_drive(|| TageScl::new(TslConfig::infinite_tsl()), &trace);
+        build_and_drive(|| TageScl::new(cfg.clone()), &trace);
     drop(fresh);
     let mut pool = TablePool::new();
-    let (previous, ..) =
-        build_and_drive(|| TageScl::with_pool(TslConfig::infinite_tsl(), &mut pool), &trace);
+    let (previous, ..) = build_and_drive(|| TageScl::with_pool(&cfg, &mut pool), &trace);
     previous.into_pool(&mut pool);
     let (pooled, pooled_built, pooled_ran, pooled_faults) =
-        build_and_drive(|| TageScl::with_pool(TslConfig::infinite_tsl(), &mut pool), &trace);
+        build_and_drive(|| TageScl::with_pool(&cfg, &mut pool), &trace);
     pooled.into_pool(&mut pool);
 
-    let sc_tables = TslConfig::infinite_tsl().sc_history_lengths.len() as u64 + 1;
-    assert_eq!(
-        fresh_built - pooled_built,
-        sc_tables,
-        "a build from the pool takes all {sc_tables} corrector tables from it \
-         ({fresh_built} allocations fresh, {pooled_built} pooled)"
-    );
+    let sc_tables = cfg.sc_history_lengths.len() as u64 + 1;
+    assert!(fresh_built > sc_tables, "a fresh build allocates its tables ({fresh_built})");
+    assert_eq!(pooled_built, 1, "a build from the pool copies its label and nothing else");
     assert!(fresh_ran > 0, "a fresh build grows its infinite storage while it runs");
     assert_eq!(pooled_ran, 0, "the pooled arena and run map already fit the trace");
     match (fresh_faults, pooled_faults) {
@@ -226,20 +222,61 @@ fn an_inf_tsl_on_a_warm_pool_allocates_nothing_for_its_tables() {
     }
 }
 
-#[test]
-fn a_64k_tsl_on_a_warm_pool_moves_its_tage_config_into_its_tage() {
-    // Eight allocations: TAGE's history buffer, fold bank, hash lanes, two
-    // bimodal tables and table block, and the loop predictor's two. The
-    // corrector's tables come from the pool, and the `TageConfig` moves
-    // into the TAGE: a clone of it (as the build once made) adds two, one
-    // per vector (`history_lengths`, `tag_bits`), for 10 in all.
-    const BUILD: u64 = 8;
+/// Allocations of a build of `cfg` from a pool that a build of the same
+/// configuration has filled.
+fn warm_tsl_build(cfg: &TslConfig) -> u64 {
     let mut pool = TablePool::new();
-    TageScl::with_pool(TslConfig::cbp64k(), &mut pool).into_pool(&mut pool);
-    let cfg = TslConfig::cbp64k();
+    TageScl::with_pool(cfg, &mut pool).into_pool(&mut pool);
     let before = allocations();
     let tsl = TageScl::with_pool(cfg, &mut pool);
     let built = allocations() - before;
     tsl.into_pool(&mut pool);
-    assert_eq!(built, BUILD, "allocations of a warm-pool 64K TSL build");
+    built
+}
+
+#[test]
+fn warm_pool_builds_allocate_only_their_labels() {
+    // A TAGE-SC-L takes its TAGE tables, history buffer, fold bank, hash
+    // lanes, loop predictor and corrector tables from the pool and reads
+    // its configuration without copying it: one allocation, the label.
+    assert_eq!(warm_tsl_build(&TslConfig::cbp64k()), 1, "warm 64K TSL");
+    assert_eq!(warm_tsl_build(&TslConfig::scaled(8)), 1, "warm 512K TSL");
+    // LLBP adds its own tables and front end from the pool, and copies
+    // two labels: its own and its baseline's.
+    let params = LlbpParams::default();
+    let mut pool = TablePool::new();
+    LlbpPredictor::with_pool(&params, &mut pool).into_pool(&mut pool);
+    let before = allocations();
+    let llbp = LlbpPredictor::with_pool(&params, &mut pool);
+    let built = allocations() - before;
+    llbp.into_pool(&mut pool);
+    assert_eq!(built, 2, "warm LLBP");
+}
+
+#[test]
+fn an_llbp_on_a_warm_pool_faults_few_pages() {
+    let trace = WorkloadSpec::named(Workload::NodeApp).with_branches(20_000).generate();
+    let params = LlbpParams::default();
+    let (fresh, _, _, fresh_faults) =
+        build_and_drive(|| LlbpPredictor::new(params.clone()), &trace);
+    drop(fresh);
+    // The first pooled build re-zeroes arena pages the fresh one never
+    // wrote; the second finds every page resident.
+    let mut pool = TablePool::new();
+    for _ in 0..2 {
+        let (previous, ..) =
+            build_and_drive(|| LlbpPredictor::with_pool(&params, &mut pool), &trace);
+        previous.into_pool(&mut pool);
+    }
+    let (pooled, _, pooled_ran, pooled_faults) =
+        build_and_drive(|| LlbpPredictor::with_pool(&params, &mut pool), &trace);
+    pooled.into_pool(&mut pool);
+    assert_eq!(pooled_ran, 0, "the LLBP hot path allocates nothing");
+    match (fresh_faults, pooled_faults) {
+        (Some(fresh), Some(pooled)) => assert!(
+            pooled * 10 < fresh,
+            "minor faults: {pooled} on the pool, {fresh} fresh (want under a tenth)"
+        ),
+        _ => eprintln!("skipping the fault check: /proc/thread-self/stat cannot be read"),
+    }
 }

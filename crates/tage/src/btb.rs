@@ -9,7 +9,7 @@ use bputil::hash::mix64;
 use bputil::table::SetAssoc;
 
 /// A branch target buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Btb {
     table: SetAssoc<u64>,
     lookups: u64,
@@ -50,6 +50,26 @@ impl Btb {
     pub fn update(&mut self, pc: u64, target: u64) {
         let (set, tag) = self.key(pc);
         self.table.insert_lru(set, tag, target);
+    }
+
+    /// [`Btb::lookup`] of `pc`, then [`Btb::update`] to `target`, in one
+    /// scan of the set ([`SetAssoc::get_then_insert_lru`]): the entries,
+    /// their LRU ticks and the counts end as the two calls leave them.
+    /// Returns whether the lookup hit.
+    pub fn lookup_and_update(&mut self, pc: u64, target: u64) -> bool {
+        self.lookups += 1;
+        let (set, tag) = self.key(pc);
+        let hit = self.table.get_then_insert_lru(set, tag, target);
+        self.misses += u64::from(!hit);
+        hit
+    }
+
+    /// Empties the BTB and zeroes its counts: the state [`Btb::new`] of
+    /// its geometry leaves.
+    pub fn reset(&mut self) {
+        self.table.reset();
+        self.lookups = 0;
+        self.misses = 0;
     }
 
     /// Lookups so far.
@@ -111,6 +131,29 @@ mod tests {
         }
         let resident = (0..64u64).filter(|i| btb.lookup(0x1000 + i * 8).is_some()).count();
         assert!(resident <= 8, "only {resident} can be resident in an 8-entry BTB");
+    }
+
+    #[test]
+    fn one_scan_matches_a_lookup_then_an_update() {
+        use bputil::rng::SplitMix64;
+        // Two sets of 4 ways and 24 PCs: most accesses miss a full set
+        // and evict.
+        let (mut fused, mut pair) = (Btb::new(1, 4), Btb::new(1, 4));
+        let mut rng = SplitMix64::new(0xB7B);
+        for step in 0..5_000 {
+            let pc = 0x4000 + rng.below(24) * 4;
+            let target = rng.next_u64();
+            let hit = fused.lookup_and_update(pc, target);
+            let want = pair.lookup(pc).is_some();
+            pair.update(pc, target);
+            assert_eq!(hit, want, "hit differs at step {step}");
+            assert_eq!(fused, pair, "entries, ticks or counts differ at step {step}");
+        }
+        assert!(fused.table.evictions() > 1_000, "the sets fill and evict");
+        assert_eq!((fused.lookups(), fused.misses()), (pair.lookups(), pair.misses()));
+        let resident: Vec<_> = fused.table.iter().collect();
+        assert_eq!(resident, pair.table.iter().collect::<Vec<_>>());
+        assert_eq!(resident.len(), 8);
     }
 
     #[test]

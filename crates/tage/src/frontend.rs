@@ -56,7 +56,7 @@ impl FrontEndStats {
 }
 
 /// The composed front-end model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrontEnd {
     btb: Btb,
     ras: ReturnAddressStack,
@@ -77,6 +77,15 @@ impl FrontEnd {
         }
     }
 
+    /// Empties the BTB, the RAS and ITTAGE and zeroes every count: the
+    /// state [`FrontEnd::new`] leaves, in the same storage.
+    pub fn reset(&mut self) {
+        self.btb.reset();
+        self.ras.reset();
+        self.ittage.reset();
+        self.stats = FrontEndStats::default();
+    }
+
     /// Observes one retired branch; returns the reset reason if the
     /// front-end would have redirected late on it.
     pub fn observe(&mut self, record: &BranchRecord) -> Option<ResetReason> {
@@ -84,16 +93,14 @@ impl FrontEnd {
         let reset = match record.kind() {
             BranchKind::Conditional => {
                 if record.taken() {
-                    let hit = self.btb.lookup(record.pc()).is_some();
-                    self.btb.update(record.pc(), record.target());
+                    let hit = self.btb.lookup_and_update(record.pc(), record.target());
                     (!hit).then_some(ResetReason::BtbMiss)
                 } else {
                     None
                 }
             }
             BranchKind::DirectJump | BranchKind::DirectCall => {
-                let hit = self.btb.lookup(record.pc()).is_some();
-                self.btb.update(record.pc(), record.target());
+                let hit = self.btb.lookup_and_update(record.pc(), record.target());
                 if record.kind() == BranchKind::DirectCall {
                     self.ras.push(record.pc() + 4);
                 }
@@ -207,6 +214,23 @@ mod tests {
         let mut fe = FrontEnd::new();
         fe.observe(&call(0x100, 0x2000));
         assert_eq!(fe.observe(&ret(0x2040, 0xBAD)), Some(ResetReason::RasMismatch));
+    }
+
+    #[test]
+    fn reset_restores_a_fresh_front_end() {
+        let mut fe = FrontEnd::new();
+        for i in 0..500u64 {
+            fe.observe(&call(0x100 + i % 7 * 16, 0x2000));
+            fe.observe(&BranchRecord::unconditional(
+                0x500,
+                0x9000 + i % 3,
+                BranchKind::IndirectCall,
+                1,
+            ));
+            fe.observe(&ret(0x2040, 0x104 + i % 5 * 16));
+        }
+        fe.reset();
+        assert_eq!(fe, FrontEnd::new());
     }
 
     #[test]

@@ -10,15 +10,19 @@
 
 use bputil::counter::UnsignedCounter;
 use bputil::hash::{fold_to_bits, mix64};
-use bputil::history::{FoldedHistory, HistoryBuffer};
+use bputil::history::FoldedHistory;
 use bputil::rng::SplitMix64;
 
 const NUM_TABLES: usize = 4;
 const HISTORY_LENGTHS: [usize; NUM_TABLES] = [4, 10, 22, 44];
 const INDEX_BITS: u32 = 9;
 const TAG_BITS: u32 = 10;
+const SEED: u64 = 0x0017_7A6E;
 
-#[derive(Debug, Clone, Copy)]
+// The path register holds the longest history.
+const _: () = assert!(HISTORY_LENGTHS[NUM_TABLES - 1] <= u64::BITS as usize);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     tag: u32,
     target: u64,
@@ -51,14 +55,17 @@ pub struct IttageLookup {
 }
 
 /// The indirect-target predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ittage {
     base: Vec<Entry>,
-    tables: Vec<Vec<Entry>>,
-    folded: Vec<FoldedHistory>,
-    folded_tag: Vec<FoldedHistory>,
-    /// Path history of indirect/unconditional branch PCs.
-    path: HistoryBuffer,
+    /// The tagged tables in one block: entry `i` of table `t` at
+    /// [`Ittage::slot`]`(t, i)`.
+    tables: Vec<Entry>,
+    folded: [FoldedHistory; NUM_TABLES],
+    folded_tag: [FoldedHistory; NUM_TABLES],
+    /// Path history of redirecting branches, the newest bit in bit 0.
+    /// Every history length is below 64, so one register holds them all.
+    path: u64,
     rng: SplitMix64,
     predictions: u64,
     mispredictions: u64,
@@ -71,14 +78,32 @@ impl Ittage {
     pub fn new() -> Self {
         Self {
             base: vec![Entry::empty(); 1 << INDEX_BITS],
-            tables: vec![vec![Entry::empty(); 1 << INDEX_BITS]; NUM_TABLES],
-            folded: HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, INDEX_BITS)).collect(),
-            folded_tag: HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, TAG_BITS)).collect(),
-            path: HistoryBuffer::new(128),
-            rng: SplitMix64::new(0x0017_7A6E),
+            tables: vec![Entry::empty(); NUM_TABLES << INDEX_BITS],
+            folded: HISTORY_LENGTHS.map(|l| FoldedHistory::new(l, INDEX_BITS)),
+            folded_tag: HISTORY_LENGTHS.map(|l| FoldedHistory::new(l, TAG_BITS)),
+            path: 0,
+            rng: SplitMix64::new(SEED),
             predictions: 0,
             mispredictions: 0,
         }
+    }
+
+    /// Empties every table and history and zeroes the counts: the state
+    /// [`Ittage::new`] leaves, in the same storage.
+    pub fn reset(&mut self) {
+        self.base.fill(Entry::empty());
+        self.tables.fill(Entry::empty());
+        self.folded = HISTORY_LENGTHS.map(|l| FoldedHistory::new(l, INDEX_BITS));
+        self.folded_tag = HISTORY_LENGTHS.map(|l| FoldedHistory::new(l, TAG_BITS));
+        self.path = 0;
+        self.rng = SplitMix64::new(SEED);
+        self.predictions = 0;
+        self.mispredictions = 0;
+    }
+
+    /// The position of entry `index` of tagged table `table` in the block.
+    fn slot(table: usize, index: u64) -> usize {
+        (table << INDEX_BITS) + index as usize
     }
 
     /// Target predictions made.
@@ -121,14 +146,14 @@ impl Ittage {
             ) as u32;
         }
         for t in (0..NUM_TABLES).rev() {
-            let e = &self.tables[t][indices[t] as usize];
+            let e = &self.tables[Self::slot(t, indices[t])];
             if e.valid && e.tag == tags[t] {
                 provider = Some(t);
                 break;
             }
         }
         let target = match provider {
-            Some(t) => Some(self.tables[t][indices[t] as usize].target),
+            Some(t) => Some(self.tables[Self::slot(t, indices[t])].target),
             None => self.base[base_index].valid.then(|| self.base[base_index].target),
         };
         IttageLookup { target, indices, tags, base_index, provider }
@@ -145,7 +170,7 @@ impl Ittage {
 
         // Provider (or base) update: confident entries resist target swap.
         let entry = match lookup.provider {
-            Some(t) => &mut self.tables[t][lookup.indices[t] as usize],
+            Some(t) => &mut self.tables[Self::slot(t, lookup.indices[t])],
             None => &mut self.base[lookup.base_index],
         };
         if !entry.valid {
@@ -169,7 +194,7 @@ impl Ittage {
             let start = lookup.provider.map_or(0, |t| t + 1);
             let mut allocated = false;
             for t in start..NUM_TABLES {
-                let e = &mut self.tables[t][lookup.indices[t] as usize];
+                let e = &mut self.tables[Self::slot(t, lookup.indices[t])];
                 if !e.valid || e.useful.is_zero() {
                     *e = Entry {
                         tag: lookup.tags[t],
@@ -184,7 +209,7 @@ impl Ittage {
             }
             if !allocated && self.rng.chance(1, 4) {
                 for t in start..NUM_TABLES {
-                    self.tables[t][lookup.indices[t] as usize].useful.decrement();
+                    self.tables[Self::slot(t, lookup.indices[t])].useful.decrement();
                 }
             }
         }
@@ -195,16 +220,16 @@ impl Ittage {
     /// branch (unconditional, or taken conditional).
     ///
     /// The index and tag folds of table `t` share `HISTORY_LENGTHS[t]`, so
-    /// one outgoing-bit read serves both, applied branch-free via
-    /// [`FoldedHistory::update_with_out_bit`].
+    /// one outgoing-bit read of the path register serves both, applied
+    /// branch-free via [`FoldedHistory::update_with_out_bit`].
     pub fn update_history(&mut self, pc: u64) {
         let bit = (pc >> 2) & 1 == 1;
         for (index, tag) in self.folded.iter_mut().zip(&mut self.folded_tag) {
-            let out = self.path.bit(index.original_len() - 1);
+            let out = (self.path >> (index.original_len() - 1)) & 1 == 1;
             index.update_with_out_bit(out, bit);
             tag.update_with_out_bit(out, bit);
         }
-        self.path.push(bit);
+        self.path = self.path << 1 | u64::from(bit);
     }
 }
 
@@ -272,7 +297,8 @@ mod tests {
     #[test]
     fn history_advance_matches_reference_folds() {
         // Reference: each register folded with its own outgoing-bit read
-        // (`update_before_push`), against the same path buffer.
+        // (`update_before_push`) from a path history buffer.
+        use bputil::history::HistoryBuffer;
         let mut it = Ittage::new();
         let mut path = HistoryBuffer::new(128);
         let mut folded: Vec<FoldedHistory> =
@@ -288,10 +314,27 @@ mod tests {
             }
             path.push(bit);
             it.update_history(pc);
-            assert_eq!(it.folded, folded, "index folds diverged at step {step}");
-            assert_eq!(it.folded_tag, folded_tag, "tag folds diverged at step {step}");
-            assert_eq!(it.path, path, "path diverged at step {step}");
+            assert_eq!(it.folded[..], folded[..], "index folds diverged at step {step}");
+            assert_eq!(it.folded_tag[..], folded_tag[..], "tag folds diverged at step {step}");
+            for age in 0..64 {
+                let bit = (it.path >> age) & 1 == 1;
+                assert_eq!(bit, path.bit(age), "path bit {age} diverged at step {step}");
+            }
         }
+    }
+
+    #[test]
+    fn reset_restores_a_fresh_predictor() {
+        let mut it = Ittage::new();
+        let mut rng = SplitMix64::new(0x1D);
+        for _ in 0..3_000 {
+            let pc = 0x5000 + rng.below(64) * 4;
+            let l = it.lookup(pc);
+            it.update(&l, 0x9000 + rng.below(4) * 64);
+            it.update_history(pc);
+        }
+        it.reset();
+        assert_eq!(it, Ittage::new());
     }
 
     #[test]

@@ -47,13 +47,31 @@ pub struct LoopPredictor {
     provides: u64,
 }
 
+/// The global gate's starting state: a 7-bit counter at zero.
+fn fresh_gate() -> SatCounter {
+    let mut use_loop = SatCounter::new_signed(7);
+    use_loop.set(0);
+    use_loop
+}
+
 impl LoopPredictor {
     /// Creates a loop predictor with `2^index_bits` sets, 4-way.
     #[must_use]
     pub fn new(index_bits: u32) -> Self {
-        let mut use_loop = SatCounter::new_signed(7);
-        use_loop.set(0);
-        Self { table: SetAssoc::new(index_bits, 4), use_loop, provides: 0 }
+        Self { table: SetAssoc::new(index_bits, 4), use_loop: fresh_gate(), provides: 0 }
+    }
+
+    /// Sets in the table.
+    pub(crate) fn num_sets(&self) -> usize {
+        self.table.num_sets()
+    }
+
+    /// Empties the table and resets the gate and the count: the state
+    /// [`LoopPredictor::new`] of its size leaves, in the same storage.
+    pub(crate) fn reset(&mut self) {
+        self.table.reset();
+        self.use_loop = fresh_gate();
+        self.provides = 0;
     }
 
     /// Times the loop predictor actually provided a direction.

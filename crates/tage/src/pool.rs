@@ -1,25 +1,33 @@
 //! Predictor tables that outlive the predictor built on them.
 //!
 //! A sweep worker simulates many cells one after another, and every
-//! TAGE-SC-L it builds needs the same few large tables: the statistical
-//! corrector's component tables (16 MiB in `Inf TSL`) and, for the
-//! infinite variants, the slot arena and its run map. Allocating them
-//! afresh for each cell pays their page faults and allocations again
-//! every time. A [`TablePool`] keeps them between cells instead: a
-//! predictor built with a pool (`TageScl::with_pool`) takes its tables
-//! out of it and hands them back when the cell ends (`TageScl::into_pool`).
+//! predictor it builds needs the same large tables: TAGE's table block and
+//! bimodal tables, its history buffer, fold bank and hash lanes, the loop
+//! predictor, the statistical corrector's component tables (16 MiB in
+//! `Inf TSL`), the infinite variants' slot arena and run map, and a
+//! composed predictor's own state (LLBP's pattern arenas, directories and
+//! front end). Allocating them afresh for each cell pays their page faults
+//! and allocations again every time. A [`TablePool`] keeps them between
+//! cells instead: a predictor built with a pool (`TageScl::with_pool`)
+//! takes its tables out of it and hands them back when the cell ends
+//! (`TageScl::into_pool`).
 //!
-//! Two rules keep a pooled build identical to a fresh one and the pool
+//! Three rules keep a pooled build identical to a fresh one and the pool
 //! small:
 //!
-//! * **Exact length.** A statistical-corrector table is reused only for a
-//!   table of exactly its own length, re-zeroed with one `fill(0)`. A
-//!   small table never runs on the front of a large one (eight hot 1 KiB
-//!   tables 2 MiB apart would share cache sets), and a pool that serves
-//!   one cell at a time holds at most one cell's tables of each length.
+//! * **Exact shape.** A table is reused only for a table of exactly its
+//!   own length (a loop predictor, a history buffer: its own size), reset
+//!   to the state a fresh build starts in: counters, LRU ticks and
+//!   statistics included. A small table never runs on the front of a
+//!   large one (eight hot 1 KiB tables 2 MiB apart would share cache
+//!   sets), and a pool that serves one cell at a time holds at most one
+//!   cell's tables of each length.
 //! * **Cleared infinite storage.** The arena and the run map come back
 //!   empty, with their capacity kept, so a cell grows them only past the
 //!   largest trace the pool has seen.
+//! * **One composed state.** The pool keeps at most one composed
+//!   predictor's state ([`TablePool::put_state`]); the predictor reuses
+//!   each part of it of its own shape and replaces the others.
 //!
 //! A predictor that is dropped instead of handed back (a panicking cell)
 //! takes its tables with it; the next build allocates new ones.
@@ -30,26 +38,79 @@
 //! use llbp_tage::{Predictor, TablePool, TageScl, TslConfig};
 //!
 //! let mut pool = TablePool::new();
-//! let mut first = TageScl::with_pool(TslConfig::infinite_tage(), &mut pool);
+//! let cfg = TslConfig::infinite_tage();
+//! let mut first = TageScl::with_pool(&cfg, &mut pool);
 //! let _ = first.predict_train(0x40, true);
 //! first.into_pool(&mut pool);
 //! // Built on the first one's tables, re-zeroed and cleared.
-//! let second = TageScl::with_pool(TslConfig::infinite_tage(), &mut pool);
+//! let second = TageScl::with_pool(&cfg, &mut pool);
 //! assert_eq!(second.tage().infinite_entries(), 0);
 //! ```
 
-use crate::tage::{InfSlot, Run};
+use crate::loop_pred::LoopPredictor;
+use crate::tage::{Entry, InfSlot, Run};
 use bputil::hash::FastHashMap;
+use bputil::history::HistoryBuffer;
+use bputil::kernel::{FoldBank, HashLanes};
+use std::any::Any;
+
+/// Pooled items of one kind, each taken only by a build it fits.
+#[derive(Debug)]
+struct Shelf<T>(Vec<T>);
+
+impl<T> Default for Shelf<T> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<T> Shelf<T> {
+    /// An item `fits` accepts, leaving the shelf without it.
+    fn take(&mut self, fits: impl Fn(&T) -> bool) -> Option<T> {
+        let at = self.0.iter().position(fits)?;
+        Some(self.0.swap_remove(at))
+    }
+
+    fn put(&mut self, item: T) {
+        self.0.push(item);
+    }
+}
+
+impl<T: Clone> Shelf<Vec<T>> {
+    /// `len` copies of `fill`: a pooled table of exactly that length,
+    /// refilled, or else a new allocation (zeroed pages for a zero fill).
+    fn table(&mut self, len: usize, fill: T) -> Vec<T> {
+        match self.take(|t| t.len() == len) {
+            Some(mut table) => {
+                table.fill(fill);
+                table
+            }
+            None => vec![fill; len],
+        }
+    }
+}
 
 /// Tables handed from one predictor to the next; see the [module
 /// docs](self).
 #[derive(Debug, Default)]
 pub struct TablePool {
     /// Statistical-corrector tables handed back, of any length.
-    sc_tables: Vec<Vec<i8>>,
+    sc_tables: Shelf<Vec<i8>>,
+    /// Finite TAGE table blocks.
+    tage_tables: Shelf<Vec<Entry>>,
+    /// Bimodal direction and hysteresis tables.
+    bimodal: Shelf<Vec<bool>>,
+    histories: Shelf<HistoryBuffer>,
+    loops: Shelf<LoopPredictor>,
+    /// Banks and lane plans hold fixed-size arrays: any build takes one.
+    banks: Shelf<FoldBank>,
+    lanes: Shelf<HashLanes>,
     /// The infinite-storage run map and arena, empty, capacity kept.
     infinite_runs: FastHashMap<u64, Run>,
     infinite_arena: Vec<InfSlot>,
+    /// A composed predictor's own state, at most one: an `Option<T>` for
+    /// the state's type `T`, so the box outlives the state it carries.
+    state: Option<Box<dyn Any + Send>>,
 }
 
 impl TablePool {
@@ -62,19 +123,81 @@ impl TablePool {
     /// A zeroed table of `len` counters: a pooled table of exactly that
     /// length, re-zeroed, or else a new zeroed allocation.
     pub(crate) fn sc_table(&mut self, len: usize) -> Vec<i8> {
-        match self.sc_tables.iter().position(|t| t.len() == len) {
-            Some(at) => {
-                let mut table = self.sc_tables.swap_remove(at);
-                table.fill(0);
-                table
-            }
-            None => vec![0; len],
-        }
+        self.sc_tables.table(len, 0)
     }
 
     /// Keeps `table` for a later [`TablePool::sc_table`] of its length.
     pub(crate) fn put_sc_table(&mut self, table: Vec<i8>) {
-        self.sc_tables.push(table);
+        self.sc_tables.put(table);
+    }
+
+    /// A TAGE table block of `len` empty entries.
+    pub(crate) fn tage_table(&mut self, len: usize) -> Vec<Entry> {
+        self.tage_tables.table(len, Entry::EMPTY)
+    }
+
+    /// A bimodal table of `len` entries, each `fill`.
+    pub(crate) fn bimodal_table(&mut self, len: usize, fill: bool) -> Vec<bool> {
+        self.bimodal.table(len, fill)
+    }
+
+    /// An empty history buffer of `capacity` bits (rounded up to whole
+    /// words, as [`HistoryBuffer::new`] does).
+    pub(crate) fn history(&mut self, capacity: usize) -> HistoryBuffer {
+        let words = capacity.div_ceil(64) * 64;
+        match self.histories.take(|h| h.capacity() == words) {
+            Some(mut history) => {
+                history.reset();
+                history
+            }
+            None => HistoryBuffer::new(capacity),
+        }
+    }
+
+    /// A fresh loop predictor of `2^index_bits` sets.
+    pub(crate) fn loop_predictor(&mut self, index_bits: u32) -> LoopPredictor {
+        match self.loops.take(|l| l.num_sets() == 1 << index_bits) {
+            Some(mut lp) => {
+                lp.reset();
+                lp
+            }
+            None => LoopPredictor::new(index_bits),
+        }
+    }
+
+    /// An empty fold bank and an empty lane plan.
+    pub(crate) fn bank_and_lanes(&mut self) -> (FoldBank, HashLanes) {
+        let mut bank = self.banks.take(|_| true).unwrap_or_default();
+        let mut lanes = self.lanes.take(|_| true).unwrap_or_default();
+        bank.clear();
+        lanes.clear();
+        (bank, lanes)
+    }
+
+    /// Keeps a TAGE's tables for the next builds. `tables` may be empty
+    /// (infinite storage), and is then not kept.
+    pub(crate) fn put_tage(
+        &mut self,
+        tables: Vec<Entry>,
+        bimodal: [Vec<bool>; 2],
+        history: HistoryBuffer,
+        bank: FoldBank,
+        lanes: HashLanes,
+    ) {
+        if !tables.is_empty() {
+            self.tage_tables.put(tables);
+        }
+        for table in bimodal {
+            self.bimodal.put(table);
+        }
+        self.histories.put(history);
+        self.banks.put(bank);
+        self.lanes.put(lanes);
+    }
+
+    /// Keeps `lp` for a later [`TablePool::loop_predictor`] of its size.
+    pub(crate) fn put_loop_predictor(&mut self, lp: LoopPredictor) {
+        self.loops.put(lp);
     }
 
     /// The pooled infinite storage (empty), leaving the pool without any.
@@ -94,6 +217,22 @@ impl TablePool {
         self.infinite_runs = runs;
         self.infinite_arena = arena;
     }
+
+    /// Keeps a composed predictor's own state for the next build of that
+    /// predictor, replacing (and freeing) any state kept before. Allocates
+    /// only when the pool last kept no state of this type.
+    pub fn put_state<T: Any + Send>(&mut self, state: T) {
+        match self.state.as_mut().and_then(|kept| kept.downcast_mut::<Option<T>>()) {
+            Some(slot) => *slot = Some(state),
+            None => self.state = Some(Box::new(Some(state))),
+        }
+    }
+
+    /// The state [`TablePool::put_state`] kept, if it is a `T`, leaving the
+    /// pool without it.
+    pub fn take_state<T: Any + Send>(&mut self) -> Option<T> {
+        self.state.as_mut()?.downcast_mut::<Option<T>>()?.take()
+    }
 }
 
 #[cfg(test)]
@@ -109,7 +248,7 @@ mod tests {
     fn run_beside_a_fresh_build(cfg: TslConfig, workload: Workload, pool: &mut TablePool) {
         let trace = WorkloadSpec::named(workload).with_branches(4_000).generate();
         let mut fresh = TageScl::new(cfg.clone());
-        let mut pooled = TageScl::with_pool(cfg, pool);
+        let mut pooled = TageScl::with_pool(&cfg, pool);
         let label = pooled.label().to_string();
         for (i, r) in trace.iter().enumerate() {
             if r.kind() == BranchKind::Conditional {
@@ -128,7 +267,7 @@ mod tests {
     /// The pool's corrector tables of length `len`, by address.
     fn tables_of(pool: &TablePool, len: usize) -> Vec<*const i8> {
         let mut tables: Vec<_> =
-            pool.sc_tables.iter().filter(|t| t.len() == len).map(|t| t.as_ptr()).collect();
+            pool.sc_tables.0.iter().filter(|t| t.len() == len).map(|t| t.as_ptr()).collect();
         tables.sort_unstable();
         tables
     }
@@ -149,7 +288,7 @@ mod tests {
         run_beside_a_fresh_build(TslConfig::scaled(8), Workload::Kafka, &mut pool);
         run_beside_a_fresh_build(TslConfig::infinite_tsl(), Workload::Tomcat, &mut pool);
         assert_eq!(tables_of(&pool, big), inf_tsl_tables, "the second Inf TSL reused them");
-        assert_eq!(pool.sc_tables.len(), 16, "at most one cell's tables of each length");
+        assert_eq!(pool.sc_tables.0.len(), 16, "at most one cell's tables of each length");
         assert!(pool.infinite_arena.capacity() >= arena, "the arena keeps its capacity");
     }
 }

@@ -6,7 +6,7 @@
 //! overflow does.
 
 /// A fixed-depth circular return-address stack.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReturnAddressStack {
     entries: Vec<u64>,
     top: usize,
@@ -26,6 +26,16 @@ impl ReturnAddressStack {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RAS needs at least one entry");
         Self { entries: vec![0; capacity], top: 0, depth: 0, predictions: 0, mispredictions: 0 }
+    }
+
+    /// Empties the stack and zeroes its counts: the state
+    /// [`ReturnAddressStack::new`] of its capacity leaves.
+    pub fn reset(&mut self) {
+        self.entries.fill(0);
+        self.top = 0;
+        self.depth = 0;
+        self.predictions = 0;
+        self.mispredictions = 0;
     }
 
     /// Pushes a return address (on a call).

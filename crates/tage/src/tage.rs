@@ -41,7 +41,7 @@ const _: () = assert!(2 * MAX_TABLES + MAX_SIDE_LANES <= MAX_LANES);
 /// (`TageConfig::counter_bits`, `useful_bits`) live once on [`Tage`].
 /// [`TageConfig::validate`] keeps every width within these fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
+pub(crate) struct Entry {
     tag: u16,
     /// Signed prediction counter, [`Tage::ctr_width`] wide.
     ctr: i8,
@@ -53,7 +53,7 @@ struct Entry {
 impl Entry {
     /// An invalid entry; its zeroed counters are the fresh states of
     /// `SatCounter::new_signed` and `UnsignedCounter::new`.
-    const EMPTY: Self = Self { tag: 0, ctr: 0, useful: 0, valid: false };
+    pub(crate) const EMPTY: Self = Self { tag: 0, ctr: 0, useful: 0, valid: false };
 
     /// A freshly allocated entry for `tag`, weak towards `taken`.
     fn allocated(tag: u32, taken: bool) -> Self {
@@ -172,7 +172,15 @@ pub enum UpdateMode {
 /// The core TAGE predictor.
 #[derive(Debug, Clone)]
 pub struct Tage {
-    cfg: TageConfig,
+    // --- the configuration lookups and updates read ---
+    num_tables: usize,
+    /// History length of each table; the first `num_tables` are used.
+    history_lengths: [usize; MAX_TABLES],
+    /// log2 entries per tagged table.
+    index_bits: u32,
+    storage: StorageKind,
+    /// Tables tried per allocation.
+    alloc_tries: usize,
     // --- histories ---
     ghr: HistoryBuffer,
     path: PathHistory,
@@ -231,24 +239,28 @@ impl Tage {
     /// Panics if the configuration fails [`TageConfig::validate`].
     #[must_use]
     pub fn new(cfg: TageConfig) -> Self {
-        Self::with_pool(cfg, &mut TablePool::new())
+        Self::with_pool(&cfg, &mut TablePool::new())
     }
 
-    /// [`Tage::new`] on `pool`'s infinite storage (cleared, capacity
-    /// kept) when `cfg` asks for infinite storage. The finite tables are
-    /// allocated afresh either way.
+    /// [`Tage::new`] on `pool`'s tables: the finite table block, the
+    /// bimodal tables, the history buffer, the fold bank and the hash
+    /// lanes, reset, and for infinite storage the arena and run map
+    /// (cleared, capacity kept). Keeps only the scalars and table lengths
+    /// of `cfg` it reads.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`TageConfig::validate`].
     #[must_use]
-    pub(crate) fn with_pool(cfg: TageConfig, pool: &mut TablePool) -> Self {
+    pub(crate) fn with_pool(cfg: &TageConfig, pool: &mut TablePool) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid TAGE config: {e}"));
-        assert!(cfg.num_tables() <= MAX_TABLES, "too many tables");
-        let ghr = HistoryBuffer::new(cfg.max_history() + 64);
+        let num_tables = cfg.num_tables();
+        assert!(num_tables <= MAX_TABLES, "too many tables");
+        let mut history_lengths = [0; MAX_TABLES];
+        history_lengths[..num_tables].copy_from_slice(&cfg.history_lengths);
+        let ghr = pool.history(cfg.max_history() + 64);
         let path = PathHistory::new(cfg.path_bits);
-        let mut bank = FoldBank::new();
-        let mut lanes = HashLanes::new();
+        let (mut bank, mut lanes) = pool.bank_and_lanes();
         for (t, &l) in cfg.history_lengths.iter().enumerate() {
             lanes.push(Lane::tage_index(
                 t as u32,
@@ -262,7 +274,7 @@ impl Tage {
         }
         let (tables, (infinite_runs, infinite_arena)) = match cfg.storage {
             StorageKind::Finite => {
-                (vec![Entry::EMPTY; cfg.num_tables() << cfg.index_bits], Default::default())
+                (pool.tage_table(num_tables << cfg.index_bits), Default::default())
             }
             StorageKind::Infinite => (Vec::new(), pool.take_infinite()),
         };
@@ -276,8 +288,8 @@ impl Tage {
             bank,
             lanes,
             kernel: Kernel::detect(),
-            bim_dir: vec![false; 1 << cfg.bimodal_bits],
-            bim_hyst: vec![true; 1 << (cfg.bimodal_bits - 2)],
+            bim_dir: pool.bimodal_table(1 << cfg.bimodal_bits, false),
+            bim_hyst: pool.bimodal_table(1 << (cfg.bimodal_bits - 2), true),
             tables,
             ctr_width: CounterWidth::signed(cfg.counter_bits),
             useful_max: u8::MAX >> (u8::BITS - cfg.useful_bits),
@@ -289,22 +301,21 @@ impl Tage {
             tracker,
             allocations: 0,
             alloc_failures: 0,
-            cfg,
+            num_tables,
+            history_lengths,
+            index_bits: cfg.index_bits,
+            storage: cfg.storage,
+            alloc_tries: cfg.alloc_tries,
         }
     }
 
-    /// Hands the infinite storage to `pool` for the next predictor built
-    /// on it; a finite TAGE took nothing from the pool and returns nothing.
+    /// Hands the tables [`Tage::with_pool`] takes to `pool`, for the next
+    /// predictor built on it.
     pub(crate) fn into_pool(self, pool: &mut TablePool) {
-        if self.cfg.storage == StorageKind::Infinite {
+        if self.storage == StorageKind::Infinite {
             pool.put_infinite(self.infinite_runs, self.infinite_arena);
         }
-    }
-
-    /// The configuration this instance was built from.
-    #[must_use]
-    pub fn config(&self) -> &TageConfig {
-        &self.cfg
+        pool.put_tage(self.tables, [self.bim_dir, self.bim_hyst], self.ghr, self.bank, self.lanes);
     }
 
     /// Read-only access to the useful-pattern tracker, when enabled.
@@ -360,7 +371,7 @@ impl Tage {
     /// Adds `lane` to the per-lookup hash loop; its hash lands in
     /// `TageLookup::side` at the returned position.
     pub(crate) fn push_side_lane(&mut self, lane: Lane) -> usize {
-        let side = self.lanes.len() - 2 * self.cfg.num_tables();
+        let side = self.lanes.len() - 2 * self.num_tables;
         assert!(side < MAX_SIDE_LANES, "at most {MAX_SIDE_LANES} side lanes");
         self.lanes.push(lane);
         side
@@ -423,7 +434,7 @@ impl Tage {
     /// block of all tables.
     #[inline]
     fn slot(&self, table: usize, index: u64) -> usize {
-        (table << self.cfg.index_bits) + index as usize
+        (table << self.index_bits) + index as usize
     }
 
     /// The finite-table entry at `(table, index)` when it holds `tag`.
@@ -443,7 +454,7 @@ impl Tage {
         table: usize,
         slot: u32,
     ) -> Option<&mut Entry> {
-        match self.cfg.storage {
+        match self.storage {
             StorageKind::Finite => {
                 let at = self.slot(table, lookup.indices[table]);
                 let e = &mut self.tables[at];
@@ -469,9 +480,9 @@ impl Tage {
     /// found yet. [`Tage::probe`] completes it.
     #[inline]
     pub(crate) fn hash_lookup(&self, pc: u64) -> TageLookup {
-        let n = self.cfg.num_tables();
+        let n = self.num_tables;
         let mut hashes: LaneHashes = [0; MAX_LANES];
-        let base = tage_index_base(pc, self.path.value(), self.cfg.index_bits);
+        let base = tage_index_base(pc, self.path.value(), self.index_bits);
         self.lanes.hash(self.kernel, &self.bank, pc, base, &mut hashes);
         let mut indices = [0u64; MAX_TABLES];
         let mut tags = [0u32; MAX_TABLES];
@@ -509,7 +520,7 @@ impl Tage {
     /// arbitrates the direction.
     #[inline]
     pub(crate) fn probe(&self, lookup: &mut TageLookup) {
-        let n = self.cfg.num_tables();
+        let n = self.num_tables;
         let (pc, indices, tags) = (lookup.pc, &lookup.indices, &lookup.tags);
         let bim_pred = self.bim_dir[self.bim_index(pc)];
 
@@ -522,7 +533,7 @@ impl Tage {
         let mut alt_state = None;
         let mut provider_slot = 0;
         let mut alt_slot = 0;
-        match self.cfg.storage {
+        match self.storage {
             StorageKind::Finite => {
                 for t in (0..n).rev() {
                     if let Some(e) = self.finite_entry(t, indices[t], tags[t]) {
@@ -595,8 +606,8 @@ impl Tage {
         };
 
         let provider_hist_len = match (used_alt, provider, alt_table) {
-            (false, Some(p), _) => self.cfg.history_lengths[p],
-            (true, _, Some(a)) => self.cfg.history_lengths[a],
+            (false, Some(p), _) => self.history_lengths[p],
+            (true, _, Some(a)) => self.history_lengths[a],
             _ => 0,
         };
 
@@ -668,7 +679,7 @@ impl Tage {
         // 3. Allocation on a wrong final TAGE prediction.
         if lookup.pred != taken {
             let start = lookup.provider.map_or(0, |p| p + 1);
-            if start < self.cfg.num_tables() {
+            if start < self.num_tables {
                 self.allocate(lookup, taken, start);
             }
         }
@@ -687,7 +698,7 @@ impl Tage {
     }
 
     fn allocate(&mut self, lookup: &TageLookup, taken: bool, start: usize) {
-        let n = self.cfg.num_tables();
+        let n = self.num_tables;
         // CBP-style randomised start: skip forward geometrically so twin
         // tables share allocation pressure.
         let mut first = start;
@@ -697,7 +708,7 @@ impl Tage {
             }
         }
 
-        match self.cfg.storage {
+        match self.storage {
             StorageKind::Infinite => {
                 // Unbounded storage: always allocate in the first candidate.
                 let t = first.min(n - 1);
@@ -732,7 +743,7 @@ impl Tage {
             }
             StorageKind::Finite => {
                 let mut done = false;
-                let last = (first + self.cfg.alloc_tries).min(n);
+                let last = (first + self.alloc_tries).min(n);
                 for t in first..last {
                     let at = self.slot(t, lookup.indices[t]);
                     let slot = &mut self.tables[at];
@@ -749,7 +760,7 @@ impl Tage {
                     // All candidates useful: age them and bump the global
                     // pressure tick.
                     self.alloc_failures += 1;
-                    for t in first..(first + self.cfg.alloc_tries).min(n) {
+                    for t in first..(first + self.alloc_tries).min(n) {
                         let at = self.slot(t, lookup.indices[t]);
                         let useful = &mut self.tables[at].useful;
                         *useful = useful.saturating_sub(1);
@@ -1075,7 +1086,7 @@ mod tests {
     #[test]
     fn a_saturated_tick_halves_every_tables_useful_counters() {
         let mut t = Tage::new(TageConfig { useful_bits: 2, ..small_cfg() });
-        let (n, size) = (t.cfg.num_tables(), 1usize << t.cfg.index_bits);
+        let (n, size) = (t.num_tables, 1usize << t.index_bits);
         assert_eq!(t.tables.len(), n * size, "one block holds every table");
         let full = t.useful_max;
         assert!(full >= 2, "the test needs counters that halve to a non-zero value");

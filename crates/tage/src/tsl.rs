@@ -75,36 +75,42 @@ impl TageScl {
     /// Panics if the configuration fails [`TslConfig::validate`].
     #[must_use]
     pub fn new(cfg: TslConfig) -> Self {
-        Self::with_pool(cfg, &mut TablePool::new())
+        Self::with_pool(&cfg, &mut TablePool::new())
     }
 
-    /// [`TageScl::new`] on `pool`'s tables: the statistical corrector's
-    /// component tables and, for infinite TAGE storage, its arena and run
-    /// map. Predicts exactly as a fresh build does. Hand the tables back
+    /// [`TageScl::new`] on `pool`'s tables: TAGE's table block, bimodal
+    /// tables, history buffer, fold bank and hash lanes, the loop
+    /// predictor, the statistical corrector's component tables and, for
+    /// infinite TAGE storage, its arena and run map. Predicts exactly as a
+    /// fresh build does. Reads `cfg` without keeping it: the predictor
+    /// copies its label and the scalars it reads. Hand the tables back
     /// with [`TageScl::into_pool`].
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`TslConfig::validate`].
     #[must_use]
-    pub fn with_pool(cfg: TslConfig, pool: &mut TablePool) -> Self {
+    pub fn with_pool(cfg: &TslConfig, pool: &mut TablePool) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid TSL config: {e}"));
-        let storage_bits = cfg.storage_bits();
-        let TslConfig {
-            tage,
-            sc_enabled,
-            sc_index_bits,
-            sc_history_lengths,
-            loop_enabled,
-            loop_index_bits,
-            label,
-        } = cfg;
-        let mut tage = Tage::with_pool(tage, pool);
-        let sc = sc_enabled.then(|| {
-            StatisticalCorrector::with_pool(sc_index_bits, &sc_history_lengths, &mut tage, pool)
+        let mut tage = Tage::with_pool(&cfg.tage, pool);
+        let sc = cfg.sc_enabled.then(|| {
+            StatisticalCorrector::with_pool(
+                cfg.sc_index_bits,
+                &cfg.sc_history_lengths,
+                &mut tage,
+                pool,
+            )
         });
-        let loop_pred = loop_enabled.then(|| LoopPredictor::new(loop_index_bits));
-        Self { tage, sc, loop_pred, label, storage_bits, pending: None, predictions: 0 }
+        let loop_pred = cfg.loop_enabled.then(|| pool.loop_predictor(cfg.loop_index_bits));
+        Self {
+            tage,
+            sc,
+            loop_pred,
+            label: cfg.label.clone(),
+            storage_bits: cfg.storage_bits(),
+            pending: None,
+            predictions: 0,
+        }
     }
 
     /// Hands the tables [`TageScl::with_pool`] takes to `pool`, for the
@@ -112,6 +118,9 @@ impl TageScl {
     pub fn into_pool(self, pool: &mut TablePool) {
         if let Some(sc) = self.sc {
             sc.into_pool(pool);
+        }
+        if let Some(lp) = self.loop_pred {
+            pool.put_loop_predictor(lp);
         }
         self.tage.into_pool(pool);
     }

@@ -251,7 +251,22 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &Trace) -> Result<(), TraceIo
 /// Returns a [`TraceIoError`] describing the first malformation found:
 /// wrong magic, unsupported version (a version-1 file included), invalid
 /// kind bits, inconsistent records, a short file, or a checksum mismatch.
-pub fn read_trace<R: Read>(mut reader: R) -> Result<Trace, TraceIoError> {
+pub fn read_trace<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
+    read_trace_into(reader, Vec::new())
+}
+
+/// [`read_trace`] into `records`, whose contents it replaces: a buffer a
+/// released trace handed back ([`Trace::into_records`]) holds the decoded
+/// records without a new allocation when its capacity suffices. On an
+/// error the buffer is dropped.
+///
+/// # Errors
+///
+/// As [`read_trace`].
+pub fn read_trace_into<R: Read>(
+    mut reader: R,
+    mut records: Vec<BranchRecord>,
+) -> Result<Trace, TraceIoError> {
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
     if magic != MAGIC {
@@ -269,7 +284,8 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Trace, TraceIoError> {
     let mut crc = Checksum::over_header(name.as_bytes(), count);
     let reserve =
         usize::try_from(count).map_or(MAX_RESERVED_RECORDS, |n| n.min(MAX_RESERVED_RECORDS));
-    let mut records = Vec::with_capacity(reserve);
+    records.clear();
+    records.reserve(reserve);
     let mut block = [0u8; BLOCK_BYTES];
     for _ in 0..count / BLOCK_RECORDS as u64 {
         reader.read_exact(&mut block)?;

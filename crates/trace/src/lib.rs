@@ -31,7 +31,7 @@ pub mod stats;
 pub mod synth;
 
 pub use fingerprint::{Fingerprint, StableHasher};
-pub use io::{read_trace, write_trace, TraceIoError};
+pub use io::{read_trace, read_trace_into, write_trace, TraceIoError};
 pub use record::{BranchKind, BranchRecord, Trace, TraceSoa};
 pub use stats::{BranchCharacter, Characterization, TraceStats};
 pub use synth::{NoSink, ProgressSink, Workload, WorkloadParams, WorkloadSpec, GEN_POLL_INTERVAL};

@@ -397,6 +397,14 @@ impl Trace {
         &self.records
     }
 
+    /// The record storage, for a decode to reuse
+    /// ([`crate::io::read_trace_into`]). The name and any column view are
+    /// dropped.
+    #[must_use]
+    pub fn into_records(self) -> Vec<BranchRecord> {
+        self.records
+    }
+
     /// Iterates over the records in program order.
     pub fn iter(&self) -> std::slice::Iter<'_, BranchRecord> {
         self.records.iter()

@@ -17,12 +17,14 @@ echo "== release tests =="
 # The benchmark measures release code, and integer overflow behaves
 # differently there (wrapping and masked shifts instead of panics), so
 # the fold, hash, trace-codec and golden-pin suites also run in the
-# release build. So does the engine's parity suite: its one-worker runs
-# hand pooled predictor tables from cell to cell, re-zeroed by the
-# `fill(0)` that compiles to a memset here.
-cargo test --release --offline --quiet -p bputil -p llbp-tage -p llbp-trace
+# release build. So do the engine's parity suite and LLBP's: one-worker
+# runs hand pooled predictor tables (LLBP's arenas and directories
+# included) from cell to cell, re-zeroed by the `fill` calls that compile
+# to memsets here. The allocation pins run here too, since perfbench
+# counts allocations in the release build.
+cargo test --release --offline --quiet -p bputil -p llbp-tage -p llbp-trace -p llbp-core
 cargo test --release --offline --quiet -p llbp-sim --test llbp_golden --test backend_parity \
-    --test engine_parity
+    --test engine_parity --test store_alloc
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -111,7 +111,7 @@ fn timing_and_energy_models_are_wired() {
 
     let mut p = LlbpPredictor::new(LlbpParams::default());
     let _ = cfg.run_predictor(&mut p, &trace);
-    let breakdown = EnergyModel::default().fig12(p.stats(), p.params(), 64);
+    let breakdown = EnergyModel::default().fig12(p.stats(), &LlbpParams::default(), 64);
     assert!(breakdown.total() > 1.0, "LLBP adds energy on top of the baseline");
     assert!(breakdown.llbp_structures() < 2.0, "added structures stay moderate");
 }
