@@ -3,7 +3,8 @@
 //! lookups, the infinite TAGE's lookup and the statistical corrector.
 //! These quantify the per-branch
 //! cost of each hardware structure's software model. The trace layer
-//! (generation, `LLBT` encode and decode) is timed per record.
+//! (generation, `LLBT` encode and decode) and one whole record step of the
+//! 64K TSL and of LLBP are timed per record.
 //!
 //! Uses a std-only timing harness (no external bench framework) so the
 //! workspace builds hermetically; run with `cargo bench --bench components`.
@@ -16,8 +17,8 @@ use bputil::table::SetAssoc;
 use llbp_core::rcr::RollingContextRegister;
 use llbp_core::{ContextHistoryKind, LlbpParams, LlbpPredictor, PatternArena, SetGeometry};
 use llbp_tage::tage::{Tage, TageLookup, UpdateMode};
-use llbp_tage::{StatisticalCorrector, TageConfig, TslConfig};
-use llbp_trace::{read_trace, write_trace, BranchKind, Workload, WorkloadSpec};
+use llbp_tage::{Predictor, StatisticalCorrector, TageConfig, TageScl, TslConfig};
+use llbp_trace::{read_trace, write_trace, BranchKind, Trace, Workload, WorkloadSpec};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -35,6 +36,31 @@ fn bench<F: FnMut()>(name: &str, mut f: F) {
     }
     let ns = t0.elapsed().as_secs_f64() * 1e9 / ITERS as f64;
     println!("{name:28} {ns:>10.2} ns/op");
+}
+
+/// Runs `f`, a pass over `records` records, once to warm up and then five
+/// times, and reports the median pass in nanoseconds per record.
+fn per_record(name: &str, records: usize, mut f: impl FnMut()) {
+    f();
+    let mut rounds: Vec<Duration> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed()
+        })
+        .collect();
+    rounds.sort_unstable();
+    let ns = rounds[2].as_secs_f64() * 1e9 / records as f64;
+    println!("{name:28} {ns:>10.2} ns/record");
+}
+
+/// A quick trace (150 000 records) as perfbench generates it at its
+/// development seed 1: the preset seed XOR `0x9E37_79B9_7F4A_7C15`.
+fn quick_trace(workload: Workload) -> Trace {
+    WorkloadSpec::named(workload)
+        .with_branches(150_000)
+        .with_seed(workload.params().seed ^ 0x9E37_79B9_7F4A_7C15)
+        .generate()
 }
 
 fn bench_folded_history() {
@@ -129,10 +155,7 @@ fn bench_sc() {
 /// the fewest.
 fn bench_inf_tage_lookup() {
     for workload in [Workload::NodeApp, Workload::Twitter] {
-        let trace = WorkloadSpec::named(workload)
-            .with_branches(150_000)
-            .with_seed(workload.params().seed ^ 0x9E37_79B9_7F4A_7C15)
-            .generate();
+        let trace = quick_trace(workload);
         let mut tage = Tage::new(TageConfig::infinite());
         let mut pcs = Vec::new();
         for r in &trace {
@@ -263,7 +286,7 @@ fn bench_tage_hashes() {
         let mut rng = SplitMix64::new(8);
         bench(&format!("tage_hashes/{}", kernel.name()), || {
             let (pc, path) = (black_box(rng.next_u64()), black_box(rng.next_u64()));
-            let mut out = [0u64; MAX_LANES];
+            let mut out = [0u32; MAX_LANES];
             lanes.hash(kernel, bank, pc, tage_index_base(pc, path, ib), &mut out);
             black_box(&out);
         });
@@ -275,33 +298,41 @@ fn bench_tage_hashes() {
 /// median of five rounds after one warm-up round.
 fn bench_trace() {
     const RECORDS: usize = 150_000;
-    fn per_record(name: &str, mut f: impl FnMut()) {
-        f();
-        let mut rounds: Vec<Duration> = (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed()
-            })
-            .collect();
-        rounds.sort_unstable();
-        let ns = rounds[2].as_secs_f64() * 1e9 / RECORDS as f64;
-        println!("{name:28} {ns:>10.2} ns/record");
-    }
     let spec = WorkloadSpec::named(Workload::Tomcat).with_branches(RECORDS);
-    per_record("trace_gen", || {
+    per_record("trace_gen", RECORDS, || {
         black_box(spec.generate());
     });
     let trace = spec.generate();
     let mut bytes = Vec::with_capacity(RECORDS * 20 + 64);
-    per_record("trace_encode", || {
+    per_record("trace_encode", RECORDS, || {
         bytes.clear();
         write_trace(&mut bytes, &trace).expect("writing to a Vec cannot fail");
         black_box(&bytes);
     });
-    per_record("trace_decode", || {
+    per_record("trace_decode", RECORDS, || {
         black_box(read_trace(bytes.as_slice()).expect("decodes its own encoding"));
     });
+}
+
+/// One record step of the batch tier, `predict_train` on a conditional
+/// branch and `update_history_fast` on every record, in ns per record:
+/// the 64K TSL and the default LLBP over the quick Tomcat trace at seed 1.
+/// The untimed first pass warms the predictor; each timed pass goes on
+/// training it.
+fn bench_record_step() {
+    fn pass(p: &mut impl Predictor, trace: &Trace) {
+        for r in trace {
+            if r.kind() == BranchKind::Conditional {
+                black_box(p.predict_train(r.pc(), r.taken()));
+            }
+            p.update_history_fast(r);
+        }
+    }
+    let trace = quick_trace(Workload::Tomcat);
+    let mut tsl = TageScl::new(TslConfig::cbp64k());
+    per_record("record_step/tsl64k", trace.len(), || pass(&mut tsl, &trace));
+    let mut llbp = LlbpPredictor::new(LlbpParams::default());
+    per_record("record_step/llbp", trace.len(), || pass(&mut llbp, &trace));
 }
 
 fn main() {
@@ -314,4 +345,5 @@ fn main() {
     bench_inf_tage_lookup();
     bench_fold_bank();
     bench_tage_hashes();
+    bench_record_step();
 }

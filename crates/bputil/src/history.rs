@@ -95,22 +95,29 @@ impl HistoryBuffer {
         (self.words[pos / 64] >> (pos % 64)) & 1 == 1
     }
 
-    /// [`HistoryBuffer::bit`] of every age in `ages` (at most 64), as bit
-    /// `d` of the result for `ages[d]`. Written without data-dependent
-    /// branches, so that the loop vectorizes in a build that has gathers.
-    #[inline(always)]
-    pub(crate) fn bits(&self, ages: &[usize]) -> u64 {
-        let mut out = 0u64;
-        for (d, &age) in ages.iter().enumerate() {
-            let inside = age < self.capacity;
-            let mut pos = self.head + self.capacity - 1 - if inside { age } else { 0 };
-            if pos >= self.capacity {
-                pos -= self.capacity;
-            }
-            let word = self.words.get(pos / 64).copied().unwrap_or(0);
-            out |= ((word >> (pos % 64)) & u64::from(inside)) << d;
+    /// The 64 bits from age `age` down towards the newest: bit `k` of the
+    /// result is [`HistoryBuffer::bit`]`(age - k)`, and 0 where `k > age`.
+    /// One read of two adjacent words: the ring's capacity is a whole
+    /// number of words, so the bits of falling age lie at rising
+    /// positions, wrapping only at a word boundary.
+    #[must_use]
+    pub(crate) fn window(&self, age: usize) -> u64 {
+        // Ages at or beyond the capacity read as zero: start the read at
+        // the oldest age kept and shift those in as zeros.
+        let skip = (age + 1).saturating_sub(self.capacity);
+        if skip >= 64 {
+            return 0;
         }
-        out
+        let mut pos = self.head + self.capacity - 1 - (age - skip);
+        if pos >= self.capacity {
+            pos -= self.capacity;
+        }
+        let (word, shift) = (pos / 64, pos % 64);
+        let next = self.words[if word + 1 == self.words.len() { 0 } else { word + 1 }];
+        let bits = (self.words[word] >> shift) | next.checked_shl(64 - shift as u32).unwrap_or(0);
+        // Positions past age 0 hold the oldest bits of the ring, not
+        // history: mask them off.
+        (bits << skip) & (u64::MAX >> 63usize.saturating_sub(age))
     }
 
     /// Number of bits pushed so far, capped at the capacity.
@@ -398,6 +405,27 @@ mod tests {
         // Last push was i=199 (odd -> false).
         assert!(!h.bit(0));
         assert!(h.bit(1));
+    }
+
+    #[test]
+    fn window_reads_the_bits_from_an_age_down() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for capacity in [64, 128, 192] {
+            let mut h = HistoryBuffer::new(capacity);
+            for pushed in 0..3 * capacity + 5 {
+                for age in (0..capacity + 70).step_by(7).chain([capacity - 1, capacity]) {
+                    let window = h.window(age);
+                    for k in 0..64 {
+                        let want = k <= age && h.bit(age - k);
+                        assert_eq!(window >> k & 1 == 1, want, "{capacity} {pushed} {age} {k}");
+                    }
+                }
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                h.push(rng & 1 == 1);
+            }
+        }
     }
 
     #[test]

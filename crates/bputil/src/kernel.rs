@@ -9,12 +9,16 @@
 //! * [`FoldBank`] holds every folded register of one predictor as a
 //!   structure of arrays. Each distinct `(length, width)` pair is registered
 //!   once, so TAGE's twin tables, an SC fold that equals a TAGE index fold
-//!   and LLBP's pattern-tag folds share storage. [`FoldBank::advance`] reads
-//!   the outgoing history bit once per distinct length and updates all
-//!   registers in one branch-free loop.
+//!   and LLBP's pattern-tag folds share storage. Per distinct length it
+//!   keeps a window of the outgoing history bits of the next 64 advances,
+//!   refilled from the history with one two-word read per length, so
+//!   [`FoldBank::advance`] takes each outgoing bit from a register instead
+//!   of the history buffer and updates all registers in one branch-free
+//!   loop.
 //! * [`HashLanes`] holds per-lane constants for the index/tag hashes. One
 //!   loop computes every lane: `fold_to_bits(mix64(x), width)` with `x` built
-//!   from the PC, a salt and up to two folded registers.
+//!   from the PC, a salt and up to two folded registers, and writes it into
+//!   the caller's [`LaneHashes`].
 //!
 //! Each loop body is written once and compiled twice: for the baseline
 //! target, and with AVX-512 enabled. [`Kernel`] picks the build. It can only
@@ -95,6 +99,8 @@ pub const MAX_REGISTERS: usize = 256;
 /// Distinct history lengths a bank holds: the bits of the outgoing-bit
 /// mask.
 pub const MAX_LENGTHS: usize = 64;
+/// Advances one refill of the windows serves: the bits of a window.
+const WINDOW_BITS: u32 = u64::BITS;
 
 const _: () = assert!(MAX_REGISTERS.is_power_of_two() && MAX_REGISTERS.is_multiple_of(REG_LANES));
 
@@ -138,6 +144,14 @@ struct Registers {
     rules: [FoldedHistory; MAX_REGISTERS],
     /// `length - 1` of each distinct length, in registration order.
     ages: [usize; MAX_LENGTHS],
+    /// Per distinct length, the outgoing bits of the coming advances: bit
+    /// `k` is the bit that leaves the length's window `k` advances from
+    /// now. Valid while [`FoldBank::fresh`] is non-zero.
+    windows: [u64; MAX_LENGTHS],
+    /// Per distinct length, where an advance's pushed bit enters its
+    /// window: bit `length - 1` for lengths up to 64, which a bit pushed
+    /// now leaves within the window's span; 0 for longer ones.
+    entries: [u64; MAX_LENGTHS],
 }
 
 /// Every folded-history register of one predictor, as a structure of
@@ -146,6 +160,14 @@ struct Registers {
 /// [`FoldBank::register`] returns the existing register when the same
 /// `(length, width)` pair was registered before, so each pair is stored
 /// and advanced once. All storage is allocated by [`FoldBank::new`].
+///
+/// The bank reads the history it advances with only when it refills its
+/// outgoing-bit windows: at the first advance, every 64 advances after
+/// that, and at the first advance after [`FoldBank::restore`],
+/// [`FoldBank::clear`], [`FoldBank::register`] or
+/// [`FoldBank::advance_reference`]. In between, each
+/// [`FoldBank::advance`] must be followed by pushing the same outcome
+/// into the same history, as a predictor's history update does.
 ///
 /// # Example
 ///
@@ -173,6 +195,9 @@ pub struct FoldBank {
     len: usize,
     /// Distinct lengths in use.
     lengths: usize,
+    /// Advances the windows still hold bits for; 0 makes the next
+    /// [`FoldBank::advance`] refill them from the history.
+    fresh: u32,
 }
 
 impl Default for FoldBank {
@@ -192,9 +217,12 @@ impl FoldBank {
                 shapes: [EMPTY_SHAPE; MAX_REGISTERS / REG_LANES],
                 rules: [placeholder; MAX_REGISTERS],
                 ages: [0; MAX_LENGTHS],
+                windows: [0; MAX_LENGTHS],
+                entries: [0; MAX_LENGTHS],
             }),
             len: 1,
             lengths: 0,
+            fresh: 0,
         }
     }
 
@@ -206,8 +234,11 @@ impl FoldBank {
         regs.shapes.fill(EMPTY_SHAPE);
         regs.rules.fill(FoldedHistory::new(1, 1));
         regs.ages.fill(0);
+        regs.windows.fill(0);
+        regs.entries.fill(0);
         self.len = 1;
         self.lengths = 0;
+        self.fresh = 0;
     }
 
     /// The register folding the most recent `length` history bits into
@@ -236,7 +267,10 @@ impl FoldBank {
                     "fold bank holds at most {MAX_LENGTHS} lengths"
                 );
                 regs.ages[self.lengths] = length - 1;
+                regs.entries[self.lengths] = if length <= 64 { 1 << (length - 1) } else { 0 };
                 self.lengths += 1;
+                // The new length has no window yet.
+                self.fresh = 0;
                 self.lengths - 1
             }
         };
@@ -305,30 +339,54 @@ impl FoldBank {
             f.restore(raw);
             *v = f.value();
         }
+        // The history is restored too, to another point: the windows no
+        // longer hold its coming outgoing bits.
+        self.fresh = 0;
     }
 
     /// Advances every register for the outcome `taken`. Must be called
     /// **before** `taken` is pushed into `ghr`, as
-    /// [`FoldedHistory::update_before_push`]; bit-identical to it.
+    /// [`FoldedHistory::update_before_push`]; bit-identical to it. Reads
+    /// `ghr` only to refill the windows (see [`FoldBank`]).
     #[inline]
     pub fn advance(&mut self, kernel: Kernel, ghr: &HistoryBuffer, taken: bool) {
+        if self.fresh == 0 {
+            self.refill(ghr);
+        }
+        self.fresh -= 1;
         let chunks = self.len.div_ceil(REG_LANES);
         let regs = &mut *self.regs;
-        let ages = &regs.ages[..self.lengths];
+        let windows = (&mut regs.windows, &regs.entries, self.lengths);
         let (values, _) = regs.values.as_chunks_mut::<REG_LANES>();
         let (values, shapes) = (&mut values[..chunks], &regs.shapes[..chunks]);
         match kernel.isa {
-            Isa::Baseline => advance_body(values, shapes, ghr, ages, taken),
+            Isa::Baseline => advance_body(values, shapes, windows, taken),
             // SAFETY: a `Kernel` holds `Isa::Avx512` only when
             // `Kernel::detect` found AVX-512 F, DQ and VL on this CPU.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { advance_avx512(values, shapes, ghr, ages, taken) },
+            Isa::Avx512 => unsafe { advance_avx512(values, shapes, windows, taken) },
         }
+    }
+
+    /// Reads the outgoing bits of the next [`WINDOW_BITS`] advances from
+    /// `ghr`, one two-word read per distinct length: the bits from age
+    /// `length - 1` down. A length up to 64 also leaves bits pushed after
+    /// this read within that span; those enter its window as they are
+    /// pushed.
+    #[cold]
+    fn refill(&mut self, ghr: &HistoryBuffer) {
+        let regs = &mut *self.regs;
+        for (window, &age) in regs.windows.iter_mut().zip(&regs.ages[..self.lengths]) {
+            *window = ghr.window(age);
+        }
+        self.fresh = WINDOW_BITS;
     }
 
     /// [`FoldBank::advance`] through each register's own
     /// [`FoldedHistory::update_before_push`]: the reference rule the fast
-    /// loop is checked against.
+    /// loop is checked against. It reads the outgoing bits from `ghr` and
+    /// leaves the windows behind, so the next [`FoldBank::advance`]
+    /// refills them.
     pub fn advance_reference(&mut self, ghr: &HistoryBuffer, taken: bool) {
         let regs = &mut *self.regs;
         for (v, rule) in regs.values[1..self.len].iter_mut().zip(&regs.rules[1..]) {
@@ -337,23 +395,30 @@ impl FoldBank {
             f.update_before_push(ghr, taken);
             *v = f.value();
         }
+        self.fresh = 0;
     }
 }
 
 /// One register update per lane, on the constants of [`FoldBank::register`]:
 /// shift left, insert `taken`, wrap bit `width - 1` into bit 0 and cancel
 /// the outgoing bit, all without a branch or a shift by the width (which
-/// would overflow at width 32).
+/// would overflow at width 32). The outgoing bit of each distinct length
+/// is bit 0 of its window; the windows then shift down by one, and the
+/// lengths up to 64 take `taken` in at bit `length - 1`.
 #[inline(always)]
 fn advance_body(
     values: &mut [[u32; REG_LANES]],
     shapes: &[Shape],
-    ghr: &HistoryBuffer,
-    ages: &[usize],
+    (windows, entries, lengths): (&mut [u64; MAX_LENGTHS], &[u64; MAX_LENGTHS], usize),
     taken: bool,
 ) {
-    // One outgoing-bit read per distinct length; bit `d` for `ages[d]`.
-    let outgoing = ghr.bits(ages);
+    let pushed = u64::from(taken).wrapping_neg();
+    // Bit `d` of `outgoing` for distinct length `d`. A bank of at most 32
+    // lengths (every predictor's) steps half the windows.
+    let outgoing = match (windows.first_chunk_mut::<32>(), entries.first_chunk::<32>()) {
+        (Some(windows), Some(entries)) if lengths <= 32 => step_windows(windows, entries, pushed),
+        _ => step_windows(windows, entries, pushed),
+    };
     let t = u32::from(taken);
     let (low, high) = (outgoing as u32, (outgoing >> 32) as u32);
     for (v, s) in values.iter_mut().zip(shapes) {
@@ -369,16 +434,29 @@ fn advance_body(
     }
 }
 
+/// Takes bit 0 of each of the `N` windows, as bit `d` of the result for
+/// window `d`, and shifts the windows, ORing in `entries & pushed`. `N` is
+/// a constant, so the compiler steps the windows as whole vectors; the
+/// unused ones are zero and stay zero.
+#[inline(always)]
+fn step_windows<const N: usize>(windows: &mut [u64; N], entries: &[u64; N], pushed: u64) -> u64 {
+    let mut outgoing = 0;
+    for (d, (w, &e)) in windows.iter_mut().zip(entries).enumerate() {
+        outgoing |= (*w & 1) << d;
+        *w = (*w >> 1) | (e & pushed);
+    }
+    outgoing
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn advance_avx512(
     values: &mut [[u32; REG_LANES]],
     shapes: &[Shape],
-    ghr: &HistoryBuffer,
-    ages: &[usize],
+    windows: (&mut [u64; MAX_LENGTHS], &[u64; MAX_LENGTHS], usize),
     taken: bool,
 ) {
-    advance_body(values, shapes, ghr, ages, taken);
+    advance_body(values, shapes, windows, taken);
 }
 
 /// Lanes per chunk of [`HashLanes`]: one 512-bit vector of `u64`.
@@ -480,8 +558,9 @@ const EMPTY_LANES: LaneChunk = LaneChunk {
     mask: [0; HASH_LANES],
 };
 
-/// The hashes of one lookup, in lane order.
-pub type LaneHashes = [u64; MAX_LANES];
+/// The hashes of one lookup, in lane order. Lanes are at most 32 bits
+/// wide, so each hash is a `u32`.
+pub type LaneHashes = [u32; MAX_LANES];
 
 /// The per-lane constants of every index/tag hash one lookup computes.
 ///
@@ -499,8 +578,8 @@ pub type LaneHashes = [u64; MAX_LANES];
 /// let (pc, path) = (0x4010_2c, 0x5a5);
 /// let mut out = [0; bputil::kernel::MAX_LANES];
 /// lanes.hash(Kernel::detect(), &bank, pc, tage_index_base(pc, path, 10), &mut out);
-/// assert_eq!(out[0], tage_index(pc, 0, path, 4, 10));
-/// assert_eq!(out[1], u64::from(tage_tag(pc ^ 4u64.rotate_left(11), 0, 0, 9)));
+/// assert_eq!(u64::from(out[0]), tage_index(pc, 0, path, 4, 10));
+/// assert_eq!(out[1], tage_tag(pc ^ 4u64.rotate_left(11), 0, 0, 9));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashLanes {
@@ -535,10 +614,10 @@ impl HashLanes {
     ///
     /// # Panics
     ///
-    /// Panics if the lane's width is outside `1..=63` or the plan already holds
+    /// Panics if the lane's width is outside `1..=32` or the plan already holds
     /// [`MAX_LANES`] lanes.
     pub fn push(&mut self, lane: Lane) -> usize {
-        assert!((1..=63).contains(&lane.width), "hash width out of range: {}", lane.width);
+        assert!((1..=32).contains(&lane.width), "hash width out of range: {}", lane.width);
         assert!(self.len < MAX_LANES, "at most {MAX_LANES} hash lanes");
         let i = self.len;
         self.len += 1;
@@ -575,7 +654,8 @@ impl HashLanes {
     /// Computes every lane for `pc` into `out[..self.len()]`, reading the
     /// folds from `bank` (the bank the lanes' [`FoldId`]s came from) and
     /// using `index_base` for the TAGE index lanes. Entries past the lanes
-    /// are unspecified.
+    /// are unspecified. `out` is usually a field of the caller's lookup,
+    /// which then reads the hashes where the loop wrote them.
     #[inline]
     pub fn hash(
         &self,
@@ -608,7 +688,7 @@ fn hash_body(
     folds: &[u32; MAX_REGISTERS],
     pc: u64,
     index_base: u64,
-    out: &mut [[u64; HASH_LANES]],
+    out: &mut [[u32; HASH_LANES]],
 ) {
     let swap = pc ^ index_base;
     for (c, o) in chunks.iter().zip(out) {
@@ -625,7 +705,8 @@ fn hash_body(
             }
         }
         for j in 0..HASH_LANES {
-            o[j] = x[j] & c.mask[j];
+            // The mask keeps at most 32 bits: the truncation drops zeros.
+            o[j] = (x[j] & c.mask[j]) as u32;
         }
     }
 }
@@ -638,7 +719,7 @@ fn hash_avx512(
     folds: &[u32; MAX_REGISTERS],
     pc: u64,
     index_base: u64,
-    out: &mut [[u64; HASH_LANES]],
+    out: &mut [[u32; HASH_LANES]],
 ) {
     hash_body(chunks, steps, folds, pc, index_base, out);
 }
@@ -668,22 +749,67 @@ mod tests {
     }
 
     /// Checks every register of `bank` against its own [`FoldedHistory`]
-    /// and against folding the full history, under every build and the
-    /// reference advance, over `steps` random outcomes.
+    /// after every one of `steps` random outcomes, under every build and
+    /// the reference advance, and against folding the full history at the
+    /// end. In the builds, each step may first, at random and so at no
+    /// fixed offset within the windows' 64 advances, save a snapshot of
+    /// the registers and the history, restore the last one, or clear the
+    /// bank and register its pairs again; and each advance may be a
+    /// reference one. Each of these must leave the windows refilled
+    /// before the next advance reads them.
     fn check_bank(bank: &FoldBank, steps: usize, seed: u64) {
         let max_len = bank.registers().map(|(_, l, _)| l).max().unwrap_or(1);
+        let pairs: Vec<(usize, u32)> = bank.registers().map(|(_, l, w)| (l, w)).collect();
+        let fresh_specs = |bank: &FoldBank| -> Vec<(FoldId, FoldedHistory)> {
+            bank.registers().map(|(id, l, w)| (id, FoldedHistory::new(l, w))).collect()
+        };
         for kernel in kernels().into_iter().map(Some).chain([None]) {
             let mut bank = bank.clone();
-            let mut specs: Vec<_> =
-                bank.registers().map(|(id, l, w)| (id, FoldedHistory::new(l, w))).collect();
+            let mut specs = fresh_specs(&bank);
             let mut ghr = HistoryBuffer::new(max_len + 64);
             let mut rng = SplitMix64::new(seed);
+            let mut snapshot = None;
+            // A cleared bank's registers restart from zero mid-history, so
+            // they no longer equal a fold of the whole history.
+            let mut cleared = false;
+            let mut events = [0usize; 4];
             for step in 0..steps {
+                if kernel.is_some() {
+                    match rng.below(64) {
+                        0 => {
+                            snapshot =
+                                Some((bank.values().to_vec(), ghr.checkpoint(), specs.clone()));
+                            events[0] += 1;
+                        }
+                        1 => {
+                            if let Some((values, history, saved)) = &snapshot {
+                                bank.restore(values);
+                                ghr.restore(history);
+                                specs.clone_from(saved);
+                                events[1] += 1;
+                            }
+                        }
+                        2 => {
+                            bank.clear();
+                            for &(l, w) in &pairs {
+                                bank.register(l, w);
+                            }
+                            specs = fresh_specs(&bank);
+                            cleared = true;
+                            events[2] += 1;
+                        }
+                        _ => {}
+                    }
+                }
                 let taken = rng.chance(1, 2);
                 for (_, f) in &mut specs {
                     f.update_before_push(&ghr, taken);
                 }
                 match kernel {
+                    Some(_) if rng.chance(1, 16) => {
+                        bank.advance_reference(&ghr, taken);
+                        events[3] += 1;
+                    }
                     Some(k) => bank.advance(k, &ghr, taken),
                     None => bank.advance_reference(&ghr, taken),
                 }
@@ -692,9 +818,14 @@ mod tests {
                     assert_eq!(bank.value(*id), f.value(), "{kernel:?} step {step} {f:?}");
                 }
             }
-            for (id, f) in &specs {
-                let fold = ghr.fold(f.original_len(), f.compressed_len());
-                assert_eq!(bank.value(*id), fold, "{kernel:?} {f:?}");
+            if kernel.is_some() {
+                assert!(events.iter().all(|&n| n > 0), "every interleaving ran: {events:?}");
+            }
+            if !cleared {
+                for (id, f) in &specs {
+                    let fold = ghr.fold(f.original_len(), f.compressed_len());
+                    assert_eq!(bank.value(*id), fold, "{kernel:?} {f:?}");
+                }
             }
             assert_eq!(bank.value(FoldId(0)), 0, "the zero register stays zero");
         }
@@ -713,6 +844,21 @@ mod tests {
         bank.register(100, 32);
         bank.register(1, 1);
         check_bank(&bank, 1_500, 1);
+    }
+
+    #[test]
+    fn windows_follow_the_history_at_every_length() {
+        // Lengths on both sides of the window's 64 bits and of the word
+        // boundaries a window's two-word read straddles.
+        for lengths in [&[1usize, 2, 63, 64, 65][..], &[127, 128, 129, 191, 192], &[200, 260, 300]]
+        {
+            let mut bank = FoldBank::new();
+            for &l in lengths {
+                bank.register(l, 7);
+                bank.register(l, 1);
+            }
+            check_bank(&bank, 3_000, lengths[0] as u64);
+        }
     }
 
     #[test]
@@ -815,18 +961,18 @@ mod tests {
                 for &(t, index, tag0, tag1, tag_bits) in &tables {
                     let t_ = t as usize;
                     let want = tage_index(pc, bank.value(index), path, t, index_bits);
-                    assert_eq!(out[t_], want, "{kernel:?} index of table {t}");
+                    assert_eq!(u64::from(out[t_]), want, "{kernel:?} index of table {t}");
                     let (f0, f1) = (bank.value(tag0), bank.value(tag1));
                     let want = tage_tag(pc ^ u64::from(t).rotate_left(11), f0, f1, tag_bits);
-                    assert_eq!(out[n + t_], u64::from(want), "{kernel:?} tag of table {t}");
+                    assert_eq!(out[n + t_], want, "{kernel:?} tag of table {t}");
                 }
                 for taken in [0, 1] {
                     let want = gehl_index(pc, taken << 1, 0, gehl_bits);
-                    assert_eq!(out[bias + taken as usize], u64::from(want), "{kernel:?} bias");
+                    assert_eq!(out[bias + taken as usize], want, "{kernel:?} bias");
                 }
                 for (k, &(c, fold)) in components.iter().enumerate() {
                     let want = gehl_index(pc, fold.map_or(0, |f| bank.value(f)), c, gehl_bits);
-                    assert_eq!(out[bias + 2 + k], u64::from(want), "{kernel:?} component {c}");
+                    assert_eq!(out[bias + 2 + k], want, "{kernel:?} component {c}");
                 }
             }
         }

@@ -3,7 +3,25 @@
 //! These model the SRAM arrays of a predictor: a fixed geometry (sets ×
 //! ways) with tag match and a victim-selection policy. [`SetAssoc`] keeps
 //! per-way LRU ranks and supports custom victim selection for policies like
-//! LLBP's confidence-based Context Directory replacement.
+//! LLBP's confidence-based Context Directory replacement. [`prefetch`]
+//! asks for a table row ahead of its use.
+
+/// Asks the CPU to bring the cache line holding `items[index]` closer, so
+/// a read shortly after finds it cached. A hint that changes no state: it
+/// cannot fault, whatever the index. Compiles to nothing off x86_64.
+#[inline(always)]
+pub fn prefetch<T>(items: &[T], index: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let line = items.as_ptr().wrapping_add(index).cast::<i8>();
+        // SAFETY: SSE is baseline on x86_64, and a prefetch is a hint that
+        // cannot fault, whatever the address.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(line) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (items, index);
+}
 
 /// A direct-mapped table of `V` indexed by a masked index.
 ///

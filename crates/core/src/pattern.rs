@@ -12,7 +12,8 @@
 //! packed into 8 bytes with all-zero meaning "empty slot". Moving a set
 //! between LLBP storage and the pattern buffer is a row copy, and an
 //! arena is a single zero-initialised allocation, so rows no context has
-//! touched stay zero pages.
+//! touched stay zero pages. The arena records which rows were written, so
+//! a reused arena zeroes only those.
 
 use crate::params::LlbpParams;
 
@@ -129,8 +130,12 @@ impl SetGeometry {
 /// start empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternArena {
-    /// `rows × patterns` packed [`Pattern`] words, row-major.
+    /// `rows × patterns` packed [`Pattern`] words, row-major, then one bit
+    /// per row, set when a writer touched the row since the arena was last
+    /// zeroed. One allocation holds both, so the record costs a build no
+    /// allocation and a write one `or`.
     cells: Vec<u64>,
+    rows: usize,
     patterns: usize,
     buckets: usize,
     /// History lengths per bucket (global length list size / buckets).
@@ -151,29 +156,45 @@ impl PatternArena {
     pub fn new(geometry: SetGeometry, rows: usize) -> Self {
         // `vec![0; n]` is a zeroed allocation: untouched rows cost no
         // resident memory.
-        Self::with_cells(geometry, vec![0; rows * geometry.patterns])
+        Self::with_cells(geometry, rows, vec![0; rows * geometry.patterns + rows.div_ceil(64)])
     }
 
-    /// [`PatternArena::new`] in `spare`'s storage when it holds exactly as
-    /// many pattern slots, re-zeroed with one fill; otherwise `spare` is
-    /// freed and a new arena allocated.
+    /// [`PatternArena::new`] in `spare`'s storage when it has as many rows
+    /// of as many slots: the rows a writer touched are zeroed, and the
+    /// others, still zero, are left unwritten. Otherwise `spare` is freed
+    /// and a new arena allocated.
     ///
     /// # Panics
     ///
     /// As [`PatternArena::new`].
     #[must_use]
     pub fn recycle(spare: Option<Self>, geometry: SetGeometry, rows: usize) -> Self {
-        if let Some(PatternArena { mut cells, .. }) = spare {
-            if cells.len() == rows * geometry.patterns {
-                cells.fill(0);
-                return Self::with_cells(geometry, cells);
+        if let Some(mut spare) = spare {
+            if spare.rows == rows && spare.patterns == geometry.patterns {
+                spare.zero_written_rows();
+                return Self::with_cells(geometry, rows, spare.cells);
             }
         }
         Self::new(geometry, rows)
     }
 
-    /// An arena shaped by `geometry` over `cells`, which must be zero.
-    fn with_cells(geometry: SetGeometry, cells: Vec<u64>) -> Self {
+    /// Zeroes every row written since the arena was last zeroed, and the
+    /// record of them.
+    fn zero_written_rows(&mut self) {
+        let patterns = self.patterns;
+        let (cells, written) = self.cells.split_at_mut(self.rows * patterns);
+        for (word, bits) in written.iter_mut().enumerate() {
+            while *bits != 0 {
+                let row = word * 64 + bits.trailing_zeros() as usize;
+                cells[row * patterns..(row + 1) * patterns].fill(0);
+                *bits &= *bits - 1;
+            }
+        }
+    }
+
+    /// An arena of `rows` rows shaped by `geometry` over `cells`, which
+    /// must be zero.
+    fn with_cells(geometry: SetGeometry, rows: usize, cells: Vec<u64>) -> Self {
         let SetGeometry { patterns, buckets, lengths, counter_bits } = geometry;
         assert!(patterns > 0 && buckets > 0 && lengths > 0);
         assert_eq!(patterns % buckets, 0, "slots must divide into buckets");
@@ -182,6 +203,7 @@ impl PatternArena {
         let ctr_max = (1i16 << (counter_bits - 1)) - 1;
         Self {
             cells,
+            rows,
             patterns,
             buckets,
             lengths_per_bucket: lengths / buckets,
@@ -197,11 +219,16 @@ impl PatternArena {
     }
 
     fn row(&self, row: usize) -> &[u64] {
-        &self.cells[row * self.patterns..(row + 1) * self.patterns]
+        let (cells, _) = self.cells.split_at(self.rows * self.patterns);
+        &cells[row * self.patterns..(row + 1) * self.patterns]
     }
 
+    /// `row` for writing, recorded as written.
     fn row_mut(&mut self, row: usize) -> &mut [u64] {
-        &mut self.cells[row * self.patterns..(row + 1) * self.patterns]
+        let (cells, written) = self.cells.split_at_mut(self.rows * self.patterns);
+        let row_cells = &mut cells[row * self.patterns..(row + 1) * self.patterns];
+        written[row / 64] |= 1 << (row % 64);
+        row_cells
     }
 
     /// The pattern in `slot` of `row`, if occupied.
@@ -231,6 +258,14 @@ impl PatternArena {
     /// Empties `row`.
     pub fn clear(&mut self, row: usize) {
         self.row_mut(row).fill(0);
+    }
+
+    /// Asks the CPU for `row`'s cache lines, so a copy of the row shortly
+    /// after finds them cached. A hint: it changes no state.
+    pub(crate) fn prefetch_row(&self, row: usize) {
+        let (first, last) = (row * self.patterns, (row + 1) * self.patterns - 1);
+        bputil::table::prefetch(&self.cells, first);
+        bputil::table::prefetch(&self.cells, last);
     }
 
     /// Overwrites `row` with row `src_row` of `src` (a pattern-set
@@ -512,6 +547,33 @@ mod tests {
         // One more allocation evicts the (weak) left-most.
         a.allocate(0, 5, 0x5555, true);
         assert_eq!(a.occupancy(0), 8);
+    }
+
+    #[test]
+    fn a_recycled_arena_equals_a_fresh_one() {
+        let geometry = SetGeometry { patterns: 16, buckets: 4, lengths: 16, counter_bits: 3 };
+        let mut rng = bputil::rng::SplitMix64::new(3);
+        let mut arena = PatternArena::new(geometry, 200);
+        let mut other = PatternArena::new(geometry, 200);
+        for _ in 0..300 {
+            let row = rng.below(200) as usize;
+            match rng.below(4) {
+                0 => arena.clear(row),
+                1 => {
+                    other.allocate(row, rng.below(16) as u8, rng.next_u64() as u32, true);
+                    arena.copy_from(row, &other, row);
+                }
+                2 => arena.allocate(row, rng.below(16) as u8, rng.next_u64() as u32, false),
+                _ => {
+                    arena.update(row, rng.below(16) as usize, true);
+                }
+            }
+        }
+        assert_ne!(arena, PatternArena::new(geometry, 200));
+        let recycled = PatternArena::recycle(Some(arena), geometry, 200);
+        assert_eq!(recycled, PatternArena::new(geometry, 200), "every written row is zero again");
+        let reshaped = PatternArena::recycle(Some(recycled), geometry, 100);
+        assert_eq!(reshaped, PatternArena::new(geometry, 100));
     }
 
     #[test]

@@ -26,14 +26,15 @@ use crate::stats::{LlbpStats, OverrideKind};
 use bputil::kernel::FoldId;
 use bputil::table::SetAssoc;
 use llbp_tage::tage::UpdateMode;
-use llbp_tage::{FrontEnd, PredictionInfo, Predictor, ProviderKind, TablePool, TageScl, TslLookup};
+use llbp_tage::{FrontEnd, PredictionInfo, Predictor, ProviderKind, TablePool, TageScl};
 use llbp_trace::BranchRecord;
 
-/// LLBP's view of one prediction, carried from `predict` to `train`.
-#[derive(Debug, Clone)]
+/// LLBP's own view of one prediction, carried from `predict` to `train`.
+/// The baseline's lookup stays in flight in the backing [`TageScl`]
+/// ([`TageScl::in_flight`]), which its commit stage then trains.
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     pc: u64,
-    tsl: TslLookup,
     /// Slot + length + direction of the longest LLBP match, if any.
     llbp: Option<LlbpMatch>,
     /// Final direction returned to the front-end.
@@ -49,20 +50,6 @@ struct Pending {
     alloc: Option<(u8, u32)>,
 }
 
-impl Pending {
-    fn prediction_info(&self) -> PredictionInfo {
-        let mut info = self.tsl.prediction_info();
-        if let Some(m) = &self.llbp {
-            info.llbp_hit = true;
-            info.llbp_pred = m.pred;
-            info.llbp_weak = m.weak;
-            info.llbp_hist_len = m.hist_len.min(u16::MAX as usize) as u16;
-        }
-        info.llbp_override = self.overrode;
-        info
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct LlbpMatch {
     slot: usize,
@@ -71,9 +58,13 @@ struct LlbpMatch {
     hist_len: usize,
 }
 
-/// The pattern tags of one prediction, hashed on first use.
+/// The pattern tags of the prediction in flight, hashed on first use. It
+/// lives in the predictor, and a prediction starts by clearing `known`:
+/// a tag is read only after it is hashed, so the stale tags stay.
+#[derive(Debug)]
 struct TagMemo {
     tags: [u32; MAX_LENGTHS],
+    /// Bit `i` set: `tags[i]` holds the tag of length index `i`.
     known: u64,
 }
 
@@ -236,6 +227,8 @@ pub struct LlbpPredictor {
     /// Also the clock: `stats.instructions` and `stats.cycles` advance
     /// once per record, and every cycle read in between uses the latter.
     stats: LlbpStats,
+    /// The pattern tags of the prediction in flight.
+    tags: TagMemo,
     pending: Option<Pending>,
     /// Runtime power gate (§V): `false` turns the LLBP side off.
     llbp_enabled: bool,
@@ -293,6 +286,7 @@ impl LlbpPredictor {
             prefetches,
             frontend,
             stats: LlbpStats::default(),
+            tags: TagMemo::new(),
             pending: None,
             llbp_enabled: true,
         }
@@ -387,18 +381,6 @@ impl LlbpPredictor {
         (cid & ((1u64 << self.cfg.pb_index_bits) - 1), cid >> self.cfg.pb_index_bits)
     }
 
-    /// The pattern tag of history-length index `len_idx` for `pc` under
-    /// the current history.
-    fn pattern_tag(&self, pc: u64, len_idx: usize) -> u32 {
-        let (fold0, fold1) = self.tag_folds[len_idx];
-        bputil::hash::tage_tag(
-            pc ^ (len_idx as u64).rotate_left(7),
-            self.tsl.fold(fold0),
-            self.tsl.fold(fold1),
-            self.cfg.tag_bits,
-        )
-    }
-
     /// Moves completed prefetches from storage into the PB.
     fn process_arrivals(&mut self) {
         let now = self.cycle();
@@ -490,6 +472,15 @@ impl LlbpPredictor {
         }
     }
 
+    /// Requests `cid`'s pattern set, held in storage row `row`, to arrive
+    /// in the PB after the prefetch delay. The row's cache lines are asked
+    /// for now, so its copy into the PB at arrival finds them cached.
+    fn issue_prefetch(&mut self, cid: u64, row: usize) {
+        let now = self.cycle();
+        self.prefetches.issue(cid, now, self.cfg.prefetch_delay);
+        self.storage_sets.prefetch_row(row);
+    }
+
     /// A pipeline reset: squash in-flight prefetches, then restart
     /// prefetching from the recovered front-end state — the current and
     /// upcoming contexts are re-requested immediately (§VI: "all in-flight
@@ -497,24 +488,25 @@ impl LlbpPredictor {
     fn pipeline_reset(&mut self) {
         self.stats.pipeline_resets += 1;
         self.prefetches.squash();
-        let now = self.cycle();
         for cid in [self.rcr.current_cid(), self.rcr.prefetch_cid()] {
             let (pi, pt) = self.pb_key(cid);
             if self.pb.peek_slot(pi, pt).is_some() {
                 continue;
             }
             let (si, st) = self.storage_key(cid);
-            if self.storage.peek_slot(si, st).is_some() {
-                self.prefetches.issue(cid, now, self.cfg.prefetch_delay);
+            if let Some(row) = self.storage.peek_slot(si, st) {
+                self.issue_prefetch(cid, row);
             }
         }
     }
 
     /// The prediction half of [`Predictor::predict`]: everything up to the
-    /// final direction, returned instead of stashed.
+    /// final direction. The baseline's lookup stays in flight in `tsl`;
+    /// LLBP's own part is returned.
     fn lookup(&mut self, pc: u64) -> Pending {
         self.process_arrivals();
-        let tage = self.tsl.lookup_tage(pc);
+        let tage = self.tsl.lookup_tage_in_flight(pc);
+        let (tage_hit, tage_hist_len) = (tage.provider.is_some(), tage.provider_hist_len);
         let cid = self.rcr.current_cid();
         self.stats.predictions += 1;
 
@@ -526,7 +518,7 @@ impl LlbpPredictor {
         if resident.is_none() && self.llbp_enabled {
             // The set may exist in LLBP storage but not have arrived yet.
             let (si, st) = self.storage_key(cid);
-            if self.storage.peek_slot(si, st).is_some() {
+            if let Some(row) = self.storage.peek_slot(si, st) {
                 if self.cfg.prefetch_delay == 0 {
                     // LLBP-0Lat: storage is reachable within the cycle.
                     resident = self.fill_pb_from_storage(cid);
@@ -534,17 +526,19 @@ impl LlbpPredictor {
                     self.stats.late_prefetches += 1;
                     // Demand-request the set for later predictions in this
                     // context.
-                    let now = self.cycle();
-                    self.prefetches.issue(cid, now, self.cfg.prefetch_delay);
+                    self.issue_prefetch(cid, row);
                 }
             }
         }
 
         // Only the lengths of occupied patterns are hashed, each once.
-        let mut tags = TagMemo::new();
+        self.tags.known = 0;
         let llbp = resident.and_then(|row| {
+            let (tags, tsl, folds, bits) =
+                (&mut self.tags, &self.tsl, &self.tag_folds, self.cfg.tag_bits);
             let slot = self.pb_sets.find_longest(row, |len| {
-                tags.get(usize::from(len), || self.pattern_tag(pc, usize::from(len)))
+                let len = usize::from(len);
+                tags.get(len, || pattern_tag(tsl, folds[len], pc, len, bits))
             })?;
             let p = self.pb_sets.pattern(row, slot).expect("slot was a match");
             Some(LlbpMatch {
@@ -561,39 +555,37 @@ impl LlbpPredictor {
         // catch LLBP's statistical noise. With the (ablation)
         // weak-override gate, a just-allocated pattern defers to a
         // baseline backed by a tagged TAGE match.
-        let weak_blocked =
-            |m: &LlbpMatch| self.cfg.weak_override_gate && m.weak && tage.provider.is_some();
+        let weak_blocked = |m: &LlbpMatch| self.cfg.weak_override_gate && m.weak && tage_hit;
         let inject = match &llbp {
-            Some(m) if m.hist_len >= tage.provider_hist_len && !weak_blocked(m) => Some(m.pred),
+            Some(m) if m.hist_len >= tage_hist_len && !weak_blocked(m) => Some(m.pred),
             _ => None,
         };
         let overrode = inject.is_some();
-        let tsl = self.tsl.finish_lookup(pc, tage, inject);
+        let final_pred = self.tsl.finish_in_flight(inject).pred;
 
         // The pattern a provider misprediction would allocate: the next
         // length beyond the provider's.
         let base_len = match &llbp {
             Some(m) if overrode => m.hist_len,
-            _ => tsl.tage.provider_hist_len,
+            _ => tage_hist_len,
         };
-        let alloc = self
-            .cfg
-            .lengths()
-            .iter()
-            .position(|&l| l > base_len)
-            .map(|i| (i as u8, tags.get(i, || self.pattern_tag(pc, i))));
+        let alloc = self.cfg.lengths().iter().position(|&l| l > base_len).map(|i| {
+            let (tsl, folds, bits) = (&self.tsl, &self.tag_folds, self.cfg.tag_bits);
+            (i as u8, self.tags.get(i, || pattern_tag(tsl, folds[i], pc, i, bits)))
+        });
 
-        Pending { pc, tsl, llbp, final_pred: tsl.pred, overrode, cid, alloc }
+        Pending { pc, llbp, final_pred, overrode, cid, alloc }
     }
 
     /// The training half of [`Predictor::train`] for a prediction made by
-    /// [`LlbpPredictor::lookup`].
+    /// [`LlbpPredictor::lookup`], whose baseline lookup is still in flight.
     fn commit(&mut self, pending: &Pending, taken: bool) {
+        let tsl = self.tsl.in_flight();
+        let (baseline, tage_pred, tsl_pred) = (tsl.baseline_pred, tsl.tage.pred, tsl.pred);
         // Fig. 15 classification: compare the produced direction against
         // what the baseline (no LLBP injection) would have predicted.
         if pending.llbp.is_some() {
             let final_pred = pending.final_pred;
-            let baseline = pending.tsl.baseline_pred;
             let kind = if !pending.overrode {
                 OverrideKind::NoOverride
             } else if final_pred == baseline {
@@ -625,21 +617,19 @@ impl LlbpPredictor {
             }
             let mode = match self.cfg.cancel_policy {
                 CancelPolicy::Always => UpdateMode::Cancelled,
-                CancelPolicy::OnDisagree if m.pred != pending.tsl.tage.pred => {
-                    UpdateMode::Cancelled
-                }
+                CancelPolicy::OnDisagree if m.pred != tage_pred => UpdateMode::Cancelled,
                 _ => UpdateMode::Full,
             };
-            self.tsl.commit(&pending.tsl, taken, mode);
+            self.tsl.commit_in_flight(taken, mode);
         } else {
-            self.tsl.commit(&pending.tsl, taken, UpdateMode::Full);
+            self.tsl.commit_in_flight(taken, UpdateMode::Full);
         }
 
         // Allocation on a provider misprediction: a new pattern with the
         // next-longer history, in this context's set.
         let provider_pred = match &pending.llbp {
             Some(m) if pending.overrode => m.pred,
-            _ => pending.tsl.pred,
+            _ => tsl_pred,
         };
         if provider_pred != taken && self.llbp_enabled {
             if let Some((len_idx, tag)) = pending.alloc {
@@ -652,14 +642,40 @@ impl LlbpPredictor {
             self.pipeline_reset();
         }
     }
+
+    /// The provenance record of `pending`, whose baseline lookup is in
+    /// flight.
+    fn prediction_info(&self, pending: &Pending) -> PredictionInfo {
+        let mut info = self.tsl.in_flight().prediction_info();
+        if let Some(m) = &pending.llbp {
+            info.llbp_hit = true;
+            info.llbp_pred = m.pred;
+            info.llbp_weak = m.weak;
+            info.llbp_hist_len = m.hist_len.min(u16::MAX as usize) as u16;
+        }
+        info.llbp_override = pending.overrode;
+        info
+    }
+}
+
+/// The pattern tag of history-length index `len_idx` for `pc` under the
+/// current history of `tsl`, whose bank holds the length's tag pair
+/// `folds`.
+fn pattern_tag(tsl: &TageScl, folds: (FoldId, FoldId), pc: u64, len_idx: usize, bits: u32) -> u32 {
+    let (fold0, fold1) = folds;
+    bputil::hash::tage_tag(
+        pc ^ (len_idx as u64).rotate_left(7),
+        tsl.fold(fold0),
+        tsl.fold(fold1),
+        bits,
+    )
 }
 
 impl Predictor for LlbpPredictor {
     fn predict(&mut self, pc: u64) -> bool {
         let pending = self.lookup(pc);
-        let pred = pending.final_pred;
         self.pending = Some(pending);
-        pred
+        pending.final_pred
     }
 
     fn train(&mut self, pc: u64, taken: bool) {
@@ -669,18 +685,20 @@ impl Predictor for LlbpPredictor {
     }
 
     fn predict_train(&mut self, pc: u64, taken: bool) -> (bool, ProviderKind) {
-        // Fused lookup+commit, as in `TageScl`: the ~0.5 KiB `TslLookup`
-        // stays on this stack frame instead of round-tripping through
-        // `self.pending`, which stays `None` as after a split `train()`.
+        // Fused lookup+commit, as in `TageScl`: the baseline's lookup
+        // stays in flight in `tsl` and LLBP's scalars on this frame.
+        // `pending` ends `None`, as after a split `train()`.
         let pending = self.lookup(pc);
-        let out = (pending.final_pred, pending.tsl.provider);
+        self.pending = None;
+        let out = (pending.final_pred, self.tsl.in_flight().provider);
         self.commit(&pending, taken);
         out
     }
 
     fn predict_train_info(&mut self, pc: u64, taken: bool) -> (bool, PredictionInfo) {
         let pending = self.lookup(pc);
-        let out = (pending.final_pred, pending.prediction_info());
+        self.pending = None;
+        let out = (pending.final_pred, self.prediction_info(&pending));
         self.commit(&pending, taken);
         out
     }
@@ -694,15 +712,15 @@ impl Predictor for LlbpPredictor {
     }
 
     fn last_provider(&self) -> ProviderKind {
-        // `finish_lookup` already attributes injected predictions to LLBP
-        // (or to the SC/loop predictor when they corrected it).
-        self.pending.as_ref().map_or(ProviderKind::Bimodal, |p| p.tsl.provider)
+        // The finishing stage already attributes injected predictions to
+        // LLBP (or to the SC/loop predictor when they corrected it).
+        self.pending.map_or(ProviderKind::Bimodal, |_| self.tsl.in_flight().provider)
     }
 
     fn last_prediction_info(&self, pred: bool) -> PredictionInfo {
         self.pending.as_ref().map_or_else(
             || PredictionInfo::from_provider(pred, ProviderKind::Bimodal),
-            Pending::prediction_info,
+            |pending| self.prediction_info(pending),
         )
     }
 
@@ -752,12 +770,11 @@ impl LlbpPredictor {
             let upcoming = self.rcr.prefetch_cid();
             self.stats.cd_lookups += 1;
             let (si, st) = self.storage_key(upcoming);
-            if self.storage.peek_slot(si, st).is_some() {
+            if let Some(row) = self.storage.peek_slot(si, st) {
                 self.stats.cd_hits += 1;
                 let (pi, pt) = self.pb_key(upcoming);
                 if self.pb.peek_slot(pi, pt).is_none() {
-                    let now = self.cycle();
-                    self.prefetches.issue(upcoming, now, self.cfg.prefetch_delay);
+                    self.issue_prefetch(upcoming, row);
                 }
             }
         }
@@ -901,6 +918,47 @@ mod tests {
         assert!(p.llbp_enabled());
         assert!(p.stats().cd_lookups > 0, "LLBP must resume after re-enable");
         assert!(p.stats().contexts_created > 0);
+    }
+
+    #[test]
+    fn entry_paths_agree_record_by_record() {
+        // Three identical builds of the default LLBP over one trace: the
+        // split `predict`/`train` with the reference `update_history`, the
+        // fused `predict_train` with `update_history_fast`, and the
+        // recording `predict_train_info`. The baseline's lookup stays in
+        // flight between the stages, so every prediction, provider and
+        // provenance record, and the whole speculative history after
+        // every record, must agree.
+        let trace = WorkloadSpec::named(Workload::Kafka).with_branches(20_000).generate();
+        let mut slow = LlbpPredictor::new(LlbpParams::default());
+        let mut fast = LlbpPredictor::new(LlbpParams::default());
+        let mut prov = LlbpPredictor::new(LlbpParams::default());
+        let mut overrides = 0;
+        for (i, r) in trace.iter().enumerate() {
+            if r.kind() == BranchKind::Conditional {
+                let pred = slow.predict(r.pc());
+                let provider = slow.last_provider();
+                let info = slow.last_prediction_info(pred);
+                slow.train(r.pc(), r.taken());
+                let after_train = slow.last_provider();
+                let (fast_pred, fast_provider) = fast.predict_train(r.pc(), r.taken());
+                assert_eq!((pred, provider), (fast_pred, fast_provider), "record {i}");
+                assert_eq!(fast.last_provider(), after_train, "record {i}: nothing stays pending");
+                let (prov_pred, prov_info) = prov.predict_train_info(r.pc(), r.taken());
+                assert_eq!(pred, prov_pred, "info-path prediction diverged at record {i}");
+                assert_eq!(info, prov_info, "provenance record diverged at record {i}");
+                assert_eq!((info.pred, info.provider), (pred, provider), "record {i}");
+                overrides += u64::from(info.llbp_override);
+            }
+            slow.update_history(r);
+            fast.update_history_fast(r);
+            prov.update_history_fast(r);
+            assert_eq!(slow.checkpoint(), fast.checkpoint(), "history diverged at record {i}");
+            assert_eq!(slow.checkpoint(), prov.checkpoint(), "info-path history diverged at {i}");
+        }
+        assert!(overrides > 0, "LLBP overrode some predictions");
+        assert_eq!(slow.stats(), fast.stats());
+        assert_eq!(slow.stats(), prov.stats());
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub fn useful_patterns_per_context(trace: &Trace, window: usize, focus: &[u64]) 
                             .fold(0u64, |acc, (i, &pc)| acc ^ (pc >> 1) << (2 * i as u64 % 48))
                     };
                     let key = mix64(r.pc() ^ mix64(ctx).rotate_left(23));
-                    tracker.record(key, p as u8, l.indices[p], l.tags[p]);
+                    tracker.record(key, p as u8, l.index(p), l.tag(p));
                 }
             }
             tage.commit(&l, r.taken(), UpdateMode::Full);

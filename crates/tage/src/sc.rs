@@ -17,6 +17,7 @@ use crate::pool::TablePool;
 use crate::tage::{Tage, TageLookup};
 use bputil::counter::{CounterWidth, SatCounter};
 use bputil::kernel::Lane;
+use bputil::table::prefetch;
 
 /// Weight of the TAGE vote inside the SC sum.
 const TAGE_VOTE: i32 = 16;
@@ -51,8 +52,8 @@ pub struct StatisticalCorrector {
     /// inline, so the corrector allocates nothing beyond its tables.
     tables: [Vec<i8>; MAX_COMPONENTS],
     components: usize,
-    /// Position of the bias lanes (not taken, then taken) in
-    /// `TageLookup::side`; the component lanes follow.
+    /// Position of the bias lanes (not taken, then taken) among the side
+    /// lanes of a `TageLookup`; the component lanes follow.
     first_lane: usize,
     /// Adaptive confidence threshold (O-GEHL style).
     threshold: i32,
@@ -141,11 +142,11 @@ impl StatisticalCorrector {
     #[inline]
     pub(crate) fn prefetch(&self, tage: &TageLookup) {
         let n = self.components;
-        let lanes = &tage.side[self.first_lane..self.first_lane + n + 1];
-        prefetch_row(&self.tables[0], lanes[0]);
-        prefetch_row(&self.tables[0], lanes[1]);
+        let lanes = &tage.side()[self.first_lane..self.first_lane + n + 1];
+        prefetch(&self.tables[0], lanes[0] as usize);
+        prefetch(&self.tables[0], lanes[1] as usize);
         for (table, &i) in self.tables[1..n].iter().zip(&lanes[2..]) {
-            prefetch_row(table, i);
+            prefetch(table, i as usize);
         }
     }
 
@@ -155,10 +156,12 @@ impl StatisticalCorrector {
     #[must_use]
     pub fn lookup(&self, tage: &TageLookup, tage_pred: bool) -> ScLookup {
         let n = self.components;
-        let lanes = &tage.side[self.first_lane..];
+        let lanes = &tage.side()[self.first_lane..];
         let mut indices = [0u32; MAX_COMPONENTS];
         indices[0] = lanes[usize::from(tage_pred)];
-        indices[1..n].copy_from_slice(&lanes[2..n + 1]);
+        // A copy of fixed length, which compiles to a few moves rather
+        // than a call; the entries past the `n` components go unread.
+        indices[1..].copy_from_slice(&lanes[2..MAX_COMPONENTS + 1]);
         let mut sum: i32 = if tage_pred { TAGE_VOTE } else { -TAGE_VOTE };
         for (&i, table) in indices.iter().zip(&self.tables[..n]) {
             sum += 2 * i32::from(table[i as usize]) + 1;
@@ -207,22 +210,6 @@ impl StatisticalCorrector {
             }
         }
     }
-}
-
-/// Asks the CPU to bring counter `i` of `table` into the cache; a hint
-/// that changes no state. Compiles to nothing off x86_64.
-#[inline(always)]
-fn prefetch_row(table: &[i8], i: u32) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let row = table.as_ptr().wrapping_add(i as usize);
-        // SAFETY: SSE is baseline on x86_64, and a prefetch is a hint that
-        // cannot fault, whatever the address.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(row) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (table, i);
 }
 
 #[cfg(test)]

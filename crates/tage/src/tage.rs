@@ -116,17 +116,19 @@ const FIRST_RUN_ROOM: u32 = 2;
 /// Everything computed during a TAGE lookup, consumed again at update.
 ///
 /// LLBP reads `provider_hist_len` to arbitrate by history length (§V-B).
+/// The hash loop writes every lane straight into the lookup
+/// ([`Tage::hash_into`]); [`TageLookup::index`] and [`TageLookup::tag`]
+/// read a table's hashes where the loop left them.
 #[derive(Debug, Clone, Copy)]
 pub struct TageLookup {
     /// The PC this lookup was made for.
     pub pc: u64,
-    /// Per-table indices (only the first `num_tables` are meaningful).
-    pub indices: [u64; MAX_TABLES],
-    /// Per-table partial tags.
-    pub tags: [u32; MAX_TABLES],
-    /// The hashes of the lanes added with [`Tage::push_side_lane`] (the
-    /// statistical corrector's component indices), in push order.
-    pub(crate) side: [u32; MAX_SIDE_LANES],
+    /// Every lane's hash in lane order: the tables' indices, their tags,
+    /// then the lanes added with [`Tage::push_side_lane`] (the statistical
+    /// corrector's component indices), in push order.
+    hashes: LaneHashes,
+    /// The tagged tables: where the tag lanes start in `hashes`.
+    tables: usize,
     /// Longest-history matching table, if any.
     pub provider: Option<usize>,
     /// Direction predicted by the provider entry.
@@ -158,6 +160,51 @@ pub struct TageLookup {
     /// unchanged no slot was allocated since, so no run has moved and
     /// `allocate` needs no search for an existing slot.
     live_slots: u32,
+}
+
+impl TageLookup {
+    /// A lookup of nothing, for a caller to look up into.
+    pub(crate) const EMPTY: Self = Self {
+        pc: 0,
+        hashes: [0; MAX_LANES],
+        tables: 0,
+        provider: None,
+        provider_pred: false,
+        provider_weak: false,
+        alt_table: None,
+        alt_pred: false,
+        bim_pred: false,
+        pred: false,
+        used_alt: false,
+        provider_hist_len: 0,
+        provider_slot: 0,
+        alt_slot: 0,
+        run_start: 0,
+        live_slots: 0,
+    };
+
+    /// The index of tagged table `table`.
+    #[inline]
+    #[must_use]
+    pub fn index(&self, table: usize) -> u64 {
+        debug_assert!(table < self.tables, "table {table} of {}", self.tables);
+        u64::from(self.hashes[table])
+    }
+
+    /// The partial tag of tagged table `table`.
+    #[inline]
+    #[must_use]
+    pub fn tag(&self, table: usize) -> u32 {
+        debug_assert!(table < self.tables, "table {table} of {}", self.tables);
+        self.hashes[self.tables + table]
+    }
+
+    /// The hashes of the lanes added with [`Tage::push_side_lane`], in
+    /// push order (entries past them are unspecified).
+    #[inline]
+    pub(crate) fn side(&self) -> &[u32] {
+        &self.hashes[2 * self.tables..]
+    }
 }
 
 /// How a resolved branch should update TAGE state.
@@ -456,9 +503,9 @@ impl Tage {
     ) -> Option<&mut Entry> {
         match self.storage {
             StorageKind::Finite => {
-                let at = self.slot(table, lookup.indices[table]);
+                let at = self.slot(table, lookup.index(table));
                 let e = &mut self.tables[at];
-                (e.valid && u32::from(e.tag) == lookup.tags[table]).then_some(e)
+                (e.valid && u32::from(e.tag) == lookup.tag(table)).then_some(e)
             }
             StorageKind::Infinite => {
                 let at = self.run_start(lookup) + slot;
@@ -467,61 +514,36 @@ impl Tage {
         }
     }
 
-    /// Performs a full lookup for the conditional branch at `pc`.
+    /// Performs a full lookup for the conditional branch at `pc`: the
+    /// by-value form of [`Tage::hash_into`] then [`Tage::probe`].
     #[must_use]
     pub fn lookup(&self, pc: u64) -> TageLookup {
-        let mut lookup = self.hash_lookup(pc);
+        let mut lookup = TageLookup::EMPTY;
+        self.hash_into(pc, &mut lookup);
         self.probe(&mut lookup);
         lookup
     }
 
-    /// The first stage of [`Tage::lookup`]: every lane's hash for `pc`
-    /// (the tables' indices and tags and the side lanes), with nothing
-    /// found yet. [`Tage::probe`] completes it.
+    /// The first stage of a lookup, in place: every lane's hash for `pc`
+    /// (the tables' indices and tags and the side lanes), written by the
+    /// hash loop straight into `lookup`. What the previous lookup found
+    /// stays until [`Tage::probe`] overwrites it.
     #[inline]
-    pub(crate) fn hash_lookup(&self, pc: u64) -> TageLookup {
-        let n = self.num_tables;
-        let mut hashes: LaneHashes = [0; MAX_LANES];
+    pub(crate) fn hash_into(&self, pc: u64, lookup: &mut TageLookup) {
         let base = tage_index_base(pc, self.path.value(), self.index_bits);
-        self.lanes.hash(self.kernel, &self.bank, pc, base, &mut hashes);
-        let mut indices = [0u64; MAX_TABLES];
-        let mut tags = [0u32; MAX_TABLES];
-        let mut side = [0u32; MAX_SIDE_LANES];
-        indices[..n].copy_from_slice(&hashes[..n]);
-        for (tag, &h) in tags.iter_mut().zip(&hashes[n..2 * n]) {
-            *tag = h as u32;
-        }
-        for (s, &h) in side.iter_mut().zip(&hashes[2 * n..self.lanes.len()]) {
-            *s = h as u32;
-        }
-        TageLookup {
-            pc,
-            indices,
-            tags,
-            side,
-            provider: None,
-            provider_pred: false,
-            provider_weak: false,
-            alt_table: None,
-            alt_pred: false,
-            bim_pred: false,
-            pred: false,
-            used_alt: false,
-            provider_hist_len: 0,
-            provider_slot: 0,
-            alt_slot: 0,
-            run_start: 0,
-            live_slots: self.infinite_live,
-        }
+        self.lanes.hash(self.kernel, &self.bank, pc, base, &mut lookup.hashes);
+        lookup.pc = pc;
+        lookup.tables = self.num_tables;
+        lookup.live_slots = self.infinite_live;
     }
 
-    /// The second stage of [`Tage::lookup`]: probes the bimodal table and
-    /// the tagged storage under the hashes of [`Tage::hash_lookup`] and
-    /// arbitrates the direction.
+    /// The second stage of a lookup, in place: probes the bimodal table
+    /// and the tagged storage under the hashes of [`Tage::hash_into`] and
+    /// arbitrates the direction, overwriting every result field.
     #[inline]
     pub(crate) fn probe(&self, lookup: &mut TageLookup) {
         let n = self.num_tables;
-        let (pc, indices, tags) = (lookup.pc, &lookup.indices, &lookup.tags);
+        let pc = lookup.pc;
         let bim_pred = self.bim_dir[self.bim_index(pc)];
 
         // One storage probe per table: the provider's and alternate's
@@ -533,10 +555,11 @@ impl Tage {
         let mut alt_state = None;
         let mut provider_slot = 0;
         let mut alt_slot = 0;
+        let mut run_start = 0;
         match self.storage {
             StorageKind::Finite => {
                 for t in (0..n).rev() {
-                    if let Some(e) = self.finite_entry(t, indices[t], tags[t]) {
+                    if let Some(e) = self.finite_entry(t, lookup.index(t), lookup.tag(t)) {
                         if provider.is_none() {
                             provider = Some(t);
                             provider_state =
@@ -557,10 +580,10 @@ impl Tage {
                 // can match the current (index, tag), so tracking the top
                 // two table numbers reproduces the reverse scan exactly.
                 if let Some(&run) = self.infinite_runs.get(&pc) {
-                    lookup.run_start = run.start;
+                    run_start = run.start;
                     for (at, s) in (0..).zip(&self.infinite_arena[run.slots()]) {
                         let t = usize::from(s.table);
-                        if t < n && s.matches(t, indices[t], tags[t]) {
+                        if t < n && s.matches(t, lookup.index(t), lookup.tag(t)) {
                             let ctr = s.entry.ctr;
                             let state = (CounterWidth::taken(ctr), CounterWidth::is_weak(ctr));
                             match provider {
@@ -622,6 +645,7 @@ impl Tage {
         lookup.provider_hist_len = provider_hist_len;
         lookup.provider_slot = provider_slot;
         lookup.alt_slot = alt_slot;
+        lookup.run_start = run_start;
     }
 
     /// Trains the predictor with the resolved direction.
@@ -657,7 +681,7 @@ impl Tage {
                 }
                 if provider_correct {
                     if let Some(tr) = &mut self.tracker {
-                        tr.record(pc, p as u8, lookup.indices[p], lookup.tags[p]);
+                        tr.record(pc, p as u8, lookup.index(p), lookup.tag(p));
                     }
                 }
             }
@@ -712,7 +736,7 @@ impl Tage {
             StorageKind::Infinite => {
                 // Unbounded storage: always allocate in the first candidate.
                 let t = first.min(n - 1);
-                let (index, tag) = (lookup.indices[t], lookup.tags[t]);
+                let (index, tag) = (lookup.index(t), lookup.tag(t));
                 // `t` lies above the provider, so a slot matching
                 // `(t, index, tag)` when the lookup scanned the run would
                 // have been the provider: there was none. Only a slot
@@ -745,10 +769,10 @@ impl Tage {
                 let mut done = false;
                 let last = (first + self.alloc_tries).min(n);
                 for t in first..last {
-                    let at = self.slot(t, lookup.indices[t]);
+                    let at = self.slot(t, lookup.index(t));
                     let slot = &mut self.tables[at];
                     if !slot.valid || slot.useful == 0 {
-                        *slot = Entry::allocated(lookup.tags[t], taken);
+                        *slot = Entry::allocated(lookup.tag(t), taken);
                         self.allocations += 1;
                         done = true;
                         break;
@@ -761,7 +785,7 @@ impl Tage {
                     // pressure tick.
                     self.alloc_failures += 1;
                     for t in first..(first + self.alloc_tries).min(n) {
-                        let at = self.slot(t, lookup.indices[t]);
+                        let at = self.slot(t, lookup.index(t));
                         let useful = &mut self.tables[at].useful;
                         *useful = useful.saturating_sub(1);
                     }
@@ -1097,7 +1121,7 @@ mod tests {
         }
         let pc = 0x4000;
         let l = t.lookup(pc);
-        assert!(l.tags[..n].iter().all(|&tag| tag != 0), "pick a PC whose tags are non-zero");
+        assert!((0..n).all(|t| l.tag(t) != 0), "pick a PC whose tags are non-zero");
         assert_eq!(l.provider, None);
         t.tick = 1023;
         t.commit(&l, !l.pred, UpdateMode::Full);
@@ -1108,7 +1132,7 @@ mod tests {
         for table in [0, n - 1] {
             for index in 0..size {
                 let useful = t.tables[t.slot(table, index as u64)].useful;
-                let candidate = index as u64 == l.indices[table];
+                let candidate = index as u64 == l.index(table);
                 assert!(
                     useful == halved || (candidate && useful == aged),
                     "table {table} entry {index}: useful {useful}, want {halved}"
@@ -1123,6 +1147,8 @@ mod tests {
         let a = t.lookup(0x1234);
         let b = t.lookup(0x1234);
         assert_eq!(a.pred, b.pred);
-        assert_eq!(a.indices[..4], b.indices[..4]);
+        for t in 0..4 {
+            assert_eq!((a.index(t), a.tag(t)), (b.index(t), b.tag(t)));
+        }
     }
 }

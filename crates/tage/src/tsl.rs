@@ -12,6 +12,13 @@ use bputil::kernel::FoldId;
 use llbp_trace::BranchRecord;
 
 /// Everything computed during a TAGE-SC-L lookup.
+///
+/// A [`TageScl`] keeps the lookup of the branch in flight as a field and
+/// runs its stages on it in place ([`TageScl::lookup_tage_in_flight`],
+/// [`TageScl::finish_in_flight`], [`TageScl::commit_in_flight`]); the
+/// by-value [`TageScl::lookup`], [`TageScl::lookup_tage`],
+/// [`TageScl::finish_lookup`] and [`TageScl::commit`] run the same stage
+/// bodies on a lookup of their own.
 #[derive(Debug, Clone, Copy)]
 pub struct TslLookup {
     /// The core TAGE lookup (LLBP arbitrates against its history length).
@@ -32,6 +39,16 @@ pub struct TslLookup {
 }
 
 impl TslLookup {
+    /// A lookup of nothing, for a caller to look up into.
+    const EMPTY: Self = Self {
+        tage: TageLookup::EMPTY,
+        sc: None,
+        loop_lookup: None,
+        pred: false,
+        baseline_pred: false,
+        provider: ProviderKind::Bimodal,
+    };
+
     /// Provenance record of this lookup. The LLBP fields stay at their
     /// defaults; the composite predictor in `crates/core` fills them in
     /// when it wraps this lookup.
@@ -63,7 +80,12 @@ pub struct TageScl {
     /// it this predictor reads after construction.
     label: String,
     storage_bits: u64,
-    pending: Option<TslLookup>,
+    /// The lookup of the branch in flight, written and read in place by
+    /// the lookup stages and the commit.
+    flight: TslLookup,
+    /// Whether `flight` holds a [`Predictor::predict`] that
+    /// [`Predictor::train`] has yet to commit.
+    pending: bool,
     predictions: u64,
 }
 
@@ -108,7 +130,8 @@ impl TageScl {
             loop_pred,
             label: cfg.label.clone(),
             storage_bits: cfg.storage_bits(),
-            pending: None,
+            flight: TslLookup::EMPTY,
+            pending: false,
             predictions: 0,
         }
     }
@@ -162,86 +185,81 @@ impl TageScl {
     /// *replacing* TAGE's direction with `inject` before the statistical
     /// corrector and loop predictor apply — the composition point LLBP
     /// uses (§V-B, footnote 2: LLBP overrides TAGE, and the auxiliary
-    /// correctors then operate on the combined prediction).
+    /// correctors then operate on the combined prediction). The by-value
+    /// form of [`TageScl::finish_in_flight`].
     pub fn finish_lookup(&mut self, pc: u64, tage: TageLookup, inject: Option<bool>) -> TslLookup {
-        let injected_dir = inject.unwrap_or(tage.pred);
-        let mut pred = injected_dir;
-        let mut baseline = tage.pred;
-        let mut provider = if inject.is_some() {
-            ProviderKind::Llbp
-        } else {
-            match tage.provider {
-                Some(t) if !tage.used_alt => ProviderKind::Tage { table: t },
-                Some(_) => tage
-                    .alt_table
-                    .map_or(ProviderKind::Bimodal, |t| ProviderKind::Tage { table: t }),
-                None => ProviderKind::Bimodal,
-            }
-        };
-
-        let sc = self.sc.as_mut().map(|s| {
-            // The real datapath corrects the (possibly injected) direction;
-            // the baseline path is recomputed for attribution only.
-            let l = s.lookup(&tage, pred);
-            let corrected = s.arbitrate(&l, pred);
-            if corrected != pred {
-                provider = ProviderKind::StatisticalCorrector;
-                pred = corrected;
-            }
-            if inject.is_some() {
-                let lb = s.lookup(&tage, baseline);
-                if lb.confident && lb.pred != baseline {
-                    baseline = lb.pred;
-                }
-            } else {
-                baseline = pred;
-            }
-            l
-        });
-
-        let loop_lookup = self.loop_pred.as_mut().map(|lp| {
-            let l = lp.lookup(pc);
-            if let Some(p) = l.pred {
-                if p != pred {
-                    provider = ProviderKind::Loop;
-                }
-                pred = p;
-                baseline = p;
-            }
-            l
-        });
-
-        TslLookup { tage, sc, loop_lookup, pred, baseline_pred: baseline, provider }
+        let mut lookup = TslLookup { tage, ..TslLookup::EMPTY };
+        finish_stage(self.sc.as_mut(), self.loop_pred.as_mut(), pc, inject, &mut lookup);
+        lookup
     }
 
     /// The core TAGE stage only (pure); combine with
-    /// [`TageScl::finish_lookup`]. Between TAGE's hash loop and its table
-    /// probes it prefetches every statistical-corrector row the finishing
-    /// stage may read, so those loads overlap the probes.
+    /// [`TageScl::finish_lookup`]. The by-value form of
+    /// [`TageScl::lookup_tage_in_flight`].
     #[must_use]
     pub fn lookup_tage(&self, pc: u64) -> TageLookup {
-        let mut tage = self.tage.hash_lookup(pc);
-        if let Some(sc) = &self.sc {
-            sc.prefetch(&tage);
-        }
-        self.tage.probe(&mut tage);
+        let mut tage = TageLookup::EMPTY;
+        tage_stage(&self.tage, self.sc.as_ref(), pc, &mut tage);
         tage
     }
 
-    /// Trains all components with the resolved direction.
+    /// Trains all components with the resolved direction of `lookup`, a
+    /// lookup of this predictor. The by-value form of
+    /// [`TageScl::commit_in_flight`].
     ///
     /// With [`UpdateMode::Cancelled`] (LLBP overrode the baseline), the
     /// core TAGE cancels its update per §V-D; the SC and loop predictor
     /// still observe the outcome — they are outcome-trained side tables
     /// whose state LLBP does not replicate.
     pub fn commit(&mut self, lookup: &TslLookup, taken: bool, mode: UpdateMode) {
-        if let (Some(lp), Some(ll)) = (&mut self.loop_pred, &lookup.loop_lookup) {
-            lp.train(ll, taken, lookup.tage.pred, lookup.tage.pred != taken);
-        }
-        if let (Some(sc), Some(sl)) = (&mut self.sc, &lookup.sc) {
-            sc.train(sl, taken);
-        }
-        self.tage.commit(&lookup.tage, taken, mode);
+        commit_stage(
+            &mut self.tage,
+            self.sc.as_mut(),
+            self.loop_pred.as_mut(),
+            lookup,
+            taken,
+            mode,
+        );
+    }
+
+    /// The first stage of the lookup in flight: the TAGE stage for the
+    /// conditional branch at `pc`, in place. Between TAGE's hash loop,
+    /// which writes every hash into the lookup, and its table probes, it
+    /// prefetches every statistical-corrector row the finishing stage may
+    /// read, so those loads overlap the probes. Returns the TAGE part;
+    /// [`TageScl::finish_in_flight`] completes the lookup.
+    pub fn lookup_tage_in_flight(&mut self, pc: u64) -> &TageLookup {
+        tage_stage(&self.tage, self.sc.as_ref(), pc, &mut self.flight.tage);
+        &self.flight.tage
+    }
+
+    /// The second stage of the lookup in flight: the statistical corrector
+    /// and the loop predictor, with TAGE's direction replaced by `inject`
+    /// when given (the composition point of [`TageScl::finish_lookup`]).
+    pub fn finish_in_flight(&mut self, inject: Option<bool>) -> &TslLookup {
+        let pc = self.flight.tage.pc;
+        finish_stage(self.sc.as_mut(), self.loop_pred.as_mut(), pc, inject, &mut self.flight);
+        &self.flight
+    }
+
+    /// The last stage: trains every component with the resolved direction
+    /// of the lookup in flight, as [`TageScl::commit`] does.
+    pub fn commit_in_flight(&mut self, taken: bool, mode: UpdateMode) {
+        let (sc, lp) = (self.sc.as_mut(), self.loop_pred.as_mut());
+        commit_stage(&mut self.tage, sc, lp, &self.flight, taken, mode);
+    }
+
+    /// The lookup in flight: what the last lookup stages computed.
+    #[must_use]
+    pub fn in_flight(&self) -> &TslLookup {
+        &self.flight
+    }
+
+    /// Both lookup stages in flight for `pc`, then the prediction count.
+    fn predict_in_flight(&mut self, pc: u64) {
+        self.lookup_tage_in_flight(pc);
+        self.finish_in_flight(None);
+        self.predictions += 1;
     }
 
     /// Advances histories for a retired branch of any kind: the TAGE's
@@ -286,41 +304,131 @@ pub struct TslCheckpoint {
     tage: crate::tage::TageCheckpoint,
 }
 
+/// The TAGE stage of a lookup into `out`: TAGE's hash loop, the
+/// corrector's prefetch, then TAGE's probes.
+#[inline]
+fn tage_stage(tage: &Tage, sc: Option<&StatisticalCorrector>, pc: u64, out: &mut TageLookup) {
+    tage.hash_into(pc, out);
+    if let Some(sc) = sc {
+        sc.prefetch(out);
+    }
+    tage.probe(out);
+}
+
+/// The finishing stage of `lookup`, whose TAGE stage is done: the
+/// statistical corrector and the loop predictor correct the direction
+/// (TAGE's, or `inject` in its place) and the provider is attributed.
+#[inline]
+fn finish_stage(
+    sc: Option<&mut StatisticalCorrector>,
+    loop_pred: Option<&mut LoopPredictor>,
+    pc: u64,
+    inject: Option<bool>,
+    lookup: &mut TslLookup,
+) {
+    let tage = &lookup.tage;
+    let mut pred = inject.unwrap_or(tage.pred);
+    let mut baseline = tage.pred;
+    let mut provider = if inject.is_some() {
+        ProviderKind::Llbp
+    } else {
+        match tage.provider {
+            Some(t) if !tage.used_alt => ProviderKind::Tage { table: t },
+            Some(_) => {
+                tage.alt_table.map_or(ProviderKind::Bimodal, |t| ProviderKind::Tage { table: t })
+            }
+            None => ProviderKind::Bimodal,
+        }
+    };
+
+    lookup.sc = sc.map(|s| {
+        // The real datapath corrects the (possibly injected) direction;
+        // the baseline path is recomputed for attribution only.
+        let l = s.lookup(tage, pred);
+        let corrected = s.arbitrate(&l, pred);
+        if corrected != pred {
+            provider = ProviderKind::StatisticalCorrector;
+            pred = corrected;
+        }
+        if inject.is_some() {
+            let lb = s.lookup(tage, baseline);
+            if lb.confident && lb.pred != baseline {
+                baseline = lb.pred;
+            }
+        } else {
+            baseline = pred;
+        }
+        l
+    });
+
+    lookup.loop_lookup = loop_pred.map(|lp| {
+        let l = lp.lookup(pc);
+        if let Some(p) = l.pred {
+            if p != pred {
+                provider = ProviderKind::Loop;
+            }
+            pred = p;
+            baseline = p;
+        }
+        l
+    });
+
+    lookup.pred = pred;
+    lookup.baseline_pred = baseline;
+    lookup.provider = provider;
+}
+
+/// Trains the components of a TAGE-SC-L with the resolved direction of
+/// `lookup`.
+#[inline]
+fn commit_stage(
+    tage: &mut Tage,
+    sc: Option<&mut StatisticalCorrector>,
+    loop_pred: Option<&mut LoopPredictor>,
+    lookup: &TslLookup,
+    taken: bool,
+    mode: UpdateMode,
+) {
+    if let (Some(lp), Some(ll)) = (loop_pred, &lookup.loop_lookup) {
+        lp.train(ll, taken, lookup.tage.pred, lookup.tage.pred != taken);
+    }
+    if let (Some(sc), Some(sl)) = (sc, &lookup.sc) {
+        sc.train(sl, taken);
+    }
+    tage.commit(&lookup.tage, taken, mode);
+}
+
 impl Predictor for TageScl {
     fn predict(&mut self, pc: u64) -> bool {
-        let lookup = self.lookup(pc);
-        let pred = lookup.pred;
-        self.pending = Some(lookup);
-        self.predictions += 1;
-        pred
+        self.predict_in_flight(pc);
+        self.pending = true;
+        self.flight.pred
     }
 
     fn train(&mut self, pc: u64, taken: bool) {
-        let lookup = self.pending.take().expect("train() without a matching predict()");
-        debug_assert_eq!(lookup.tage.pc, pc, "train() PC does not match predict()");
-        self.commit(&lookup, taken, UpdateMode::Full);
+        assert!(std::mem::take(&mut self.pending), "train() without a matching predict()");
+        debug_assert_eq!(self.flight.tage.pc, pc, "train() PC does not match predict()");
+        self.commit_in_flight(taken, UpdateMode::Full);
     }
 
     fn predict_train(&mut self, pc: u64, taken: bool) -> (bool, ProviderKind) {
-        // Fused lookup+commit: the ~0.5 KiB `TslLookup` never round-trips
-        // through `self.pending` (predict stashes it, train takes it back
-        // out), it lives on this stack frame only. `pending` stays `None`,
-        // which is indistinguishable from the split path after `train()`.
-        let lookup = self.lookup(pc);
-        self.predictions += 1;
-        let out = (lookup.pred, lookup.provider);
-        self.commit(&lookup, taken, UpdateMode::Full);
+        // Fused lookup+commit on the lookup in flight. `pending` ends
+        // `false`, as after the split path's `train()`.
+        self.predict_in_flight(pc);
+        self.pending = false;
+        let out = (self.flight.pred, self.flight.provider);
+        self.commit_in_flight(taken, UpdateMode::Full);
         out
     }
 
     fn predict_train_info(&mut self, pc: u64, taken: bool) -> (bool, PredictionInfo) {
         // Same fusion as `predict_train`: the provenance record is filled
-        // straight from the lookup this frame already computed, so the
-        // recording path adds a few stores, not a second lookup.
-        let lookup = self.lookup(pc);
-        self.predictions += 1;
-        let out = (lookup.pred, lookup.prediction_info());
-        self.commit(&lookup, taken, UpdateMode::Full);
+        // straight from the lookup in flight, so the recording path adds a
+        // few stores, not a second lookup.
+        self.predict_in_flight(pc);
+        self.pending = false;
+        let out = (self.flight.pred, self.flight.prediction_info());
+        self.commit_in_flight(taken, UpdateMode::Full);
         out
     }
 
@@ -333,14 +441,19 @@ impl Predictor for TageScl {
     }
 
     fn last_provider(&self) -> ProviderKind {
-        self.pending.as_ref().map_or(ProviderKind::Bimodal, |l| l.provider)
+        if self.pending {
+            self.flight.provider
+        } else {
+            ProviderKind::Bimodal
+        }
     }
 
     fn last_prediction_info(&self, pred: bool) -> PredictionInfo {
-        self.pending.as_ref().map_or_else(
-            || PredictionInfo::from_provider(pred, ProviderKind::Bimodal),
-            TslLookup::prediction_info,
-        )
+        if self.pending {
+            self.flight.prediction_info()
+        } else {
+            PredictionInfo::from_provider(pred, ProviderKind::Bimodal)
+        }
     }
 
     fn label(&self) -> &str {

@@ -106,7 +106,9 @@ fn rollback_without_speculation_is_identity() {
     p.restore(&cp);
     let l2 = p.lookup(0x1234);
     assert_eq!(l1.pred, l2.pred);
-    assert_eq!(l1.tage.indices[..8], l2.tage.indices[..8]);
+    for t in 0..8 {
+        assert_eq!((l1.tage.index(t), l1.tage.tag(t)), (l2.tage.index(t), l2.tage.tag(t)));
+    }
 }
 
 #[test]
