@@ -24,8 +24,6 @@
 //! under `target/llbp-cache/` (override with `LLBP_CACHE_DIR`), so a
 //! re-run of any figure — or a figure sharing grid cells with a previous
 //! one — skips generation and simulation for everything already stored.
-//! `LLBP_STORE=tcp://host:port` points the memo store at a shared
-//! `llbp_store` server instead of the local directory (DESIGN.md §11);
 //! `--server tcp://host:port` runs the whole sweep on an `llbp_serve`
 //! daemon instead (DESIGN.md §12).
 
@@ -287,24 +285,13 @@ pub fn export_telemetry(opts: &Opts) {
     }
 }
 
-/// Opens the shared persistent memo store: rooted at `LLBP_CACHE_DIR`
-/// (defaulting to `target/llbp-cache/`), served through the backend
-/// `LLBP_STORE` selects (`local`, or `tcp://host:port` for a shared
-/// `llbp-store` server). Returns `None` — and the binaries degrade to
-/// uncached operation — if the local directory cannot be created. A
-/// *malformed* `LLBP_STORE` spec exits with status 2 instead: silently
-/// running local when the user asked for a shared store would fork the
-/// campaign's results.
+/// Opens the shared persistent memo store, rooted at `LLBP_CACHE_DIR`
+/// (defaulting to `target/llbp-cache/`). Returns `None` — and the
+/// binaries degrade to uncached operation — if the directory cannot be
+/// created.
 #[must_use]
 pub fn memo_store(opts: &Opts) -> Option<Arc<MemoStore>> {
-    let mut store = match MemoStore::open_default() {
-        Ok(store) => store,
-        Err(err @ llbp_sim::SimError::Config { .. }) => {
-            eprintln!("error: {err}");
-            std::process::exit(err.exit_code());
-        }
-        Err(_) => return None,
-    };
+    let mut store = MemoStore::open_default().ok()?;
     if let Some(faults) = fault_injector() {
         store.attach_faults(faults);
     }

@@ -465,9 +465,9 @@ pub struct SweepReport {
     /// (`"avx512"` or `"baseline"`, from [`Kernel::detect`]), so archived
     /// throughput records say which code path produced a number.
     pub kernel: &'static str,
-    /// Storage tier serving memoized cells (`"local"`, `"remote"`, or
-    /// `"none"` for storeless sweeps), so archived throughput records
-    /// say where the cells came from.
+    /// Where the memoized cells came from: `"local"` for a run with a
+    /// store, `"none"` for a storeless sweep, `"serve"` for a report a
+    /// sweep daemon streamed back.
     pub store_tier: &'static str,
     /// Provenance summary, `Some` only when the engine ran with
     /// [`SweepEngine::with_prov`] — absent means no recorder touched the
@@ -1045,7 +1045,7 @@ impl SweepEngine {
             lock_takeovers,
             backend: spec.sim.backend.resolve().label(),
             kernel: Kernel::detect().name(),
-            store_tier: self.store.as_ref().map_or("none", |store| store.tier()),
+            store_tier: if self.store.is_some() { "local" } else { "none" },
             prov: self.prov_summary(&fingerprints),
         };
         // Mirror the campaign summary into the metrics registry so a

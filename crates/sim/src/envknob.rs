@@ -14,12 +14,11 @@
 //!   value, and the parse error — surfacing as exit code 2 like every
 //!   other config error.
 //!
-//! All `LLBP_*` readers (engine retries/timeout/workers, lock wait,
-//! remote-store timeout, the serve client's poll cadence) go through
-//! [`parse_env`] / [`parse_env_or`]. Constructors
-//! that must stay infallible (e.g. [`SweepEngine::new`]) capture the
-//! error and defer it to the first fallible entry point instead of
-//! dropping it.
+//! All `LLBP_*` readers (engine retries/timeout/workers, lock wait, the
+//! serve client's poll cadence) go through [`parse_env`] /
+//! [`parse_env_or`]. Constructors that must stay infallible (e.g.
+//! [`SweepEngine::new`]) capture the error and defer it to the first
+//! fallible entry point instead of dropping it.
 //!
 //! [`SweepEngine::new`]: crate::engine::SweepEngine::new
 

@@ -75,20 +75,21 @@ pub enum SimError {
         /// PID recorded in the lock file, when it was readable.
         holder: Option<u32>,
     },
-    /// A remote-store network operation failed: connect refused, the
-    /// connection dropped mid-frame, a response timed out, or an injected
-    /// `net:*` fault fired. Always transient — the remote tier retries
-    /// with backoff and ultimately degrades to its local overlay, so a
-    /// surfaced `Network` error means even degradation was impossible.
+    /// A request to the sweep daemon failed: connect refused, the
+    /// connection dropped mid-frame, the daemon refused the request, or
+    /// an injected `net:*` fault fired. Transient: `run_remote`
+    /// reconnects and resubmits up to `MAX_STRIKES` times before it
+    /// surfaces one. A campaign the daemon reports failed (`op:
+    /// "campaign"`) surfaces at once.
     Network {
-        /// Which protocol operation failed (`"connect"`, `"get"`, …).
+        /// Which protocol operation failed (`"connect"`, `"submit"`, …).
         op: &'static str,
         /// Underlying error text.
         detail: String,
     },
-    /// Invalid configuration: a malformed `LLBP_FAULT_SPEC` rule, a bad
-    /// `LLBP_STORE` address, or any other operator input the process must
-    /// reject rather than silently reinterpret. Never retried — the same
+    /// Invalid configuration: a malformed `LLBP_FAULT_SPEC` rule, an
+    /// unparsable `LLBP_*` knob, or any other operator input the process
+    /// must reject rather than silently reinterpret. Never retried — the same
     /// input will fail the same way — and mapped to exit status 2 by the
     /// experiment binaries.
     Config {
@@ -128,7 +129,7 @@ impl SimError {
     /// The process exit status campaign binaries map this error to when
     /// it is campaign-fatal. Distinct codes let scripts react per class:
     /// `2` config (do not retry), `3` contention (retry when the holder
-    /// finishes), `4` network (check the store endpoint). Everything else
+    /// finishes), `4` network (check the sweep daemon). Everything else
     /// is a generic `1`.
     #[must_use]
     pub fn exit_code(&self) -> i32 {
@@ -163,7 +164,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "campaign journal {path} is locked by another campaign")
             }
             SimError::Network { op, detail } => {
-                write!(f, "remote store {op} failed: {detail}")
+                write!(f, "sweep daemon {op} failed: {detail}")
             }
             SimError::Config { detail } => write!(f, "invalid configuration: {detail}"),
         }
@@ -295,7 +296,7 @@ mod tests {
             !SimError::CacheContention { path: "j".into(), holder: Some(1) }.is_transient(),
             "contention fails the campaign fast, never the per-cell retry loop"
         );
-        assert!(SimError::Network { op: "get", detail: "x".into() }.is_transient());
+        assert!(SimError::Network { op: "poll", detail: "x".into() }.is_transient());
         assert!(
             !SimError::Config { detail: "x".into() }.is_transient(),
             "the same malformed input fails the same way every time"

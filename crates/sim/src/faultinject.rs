@@ -22,8 +22,8 @@
 //!                           watchdog must interrupt the generator itself
 //! lock:count=1              report journal contention on the first campaign open
 //! stale:cell=2              demote cell 2's first verify-resume check to stale
-//! net:drop                  sever the remote-store connection mid-request
-//! net:timeout               stall a remote-store request past its deadline
+//! net:drop                  sever the sweep-daemon connection mid-request
+//! net:timeout               stall a sweep-daemon request past its deadline
 //! net:torn-write            send a truncated request frame, then sever
 //! net:disconnect:count=2    close the connection before the next 2 requests
 //! ```
@@ -54,12 +54,13 @@ pub const INJECTED_PANIC_TAG: &str = "llbp injected panic";
 /// Fixed seed of the IO-fault random stream (reproducible by design).
 const IO_FAULT_SEED: u64 = 0xFA17_FA17_FA17_FA17;
 
-/// Network fault sub-kinds injected at the remote-store framing layer.
+/// Network fault sub-kinds injected at the sweep-daemon client.
 ///
-/// Each maps to one way a real TCP peer can misbehave; the remote
-/// backend consults [`FaultInjector::next_net_fault`] once per request
-/// and simulates the returned kind, so every distributed failure mode
-/// has a deterministic reproduction.
+/// Each maps to one way a real TCP peer can misbehave; the client
+/// ([`ServeClient`](crate::serve::client::ServeClient)) consults
+/// [`FaultInjector::next_net_fault`] once per request and simulates the
+/// returned kind, so every failure mode of the daemon protocol has a
+/// deterministic reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFaultKind {
     /// Sever the connection after the request frame is written but
@@ -69,8 +70,8 @@ pub enum NetFaultKind {
     /// (`net:timeout`).
     Timeout,
     /// Write only part of the request frame, then sever the connection
-    /// (`net:torn-write`) — the server must reject the torn frame
-    /// without corrupting the store.
+    /// (`net:torn-write`) — the daemon must reject the torn frame
+    /// without acting on it.
     TornWrite,
     /// Close the connection before the request is sent
     /// (`net:disconnect`); the next request must reconnect.
@@ -134,7 +135,7 @@ pub enum FaultRule {
         /// Number of checks that report stale.
         count: u32,
     },
-    /// Inject a network fault into the first `count` remote-store
+    /// Inject a network fault into the first `count` sweep-daemon
     /// requests that consult this rule.
     Net {
         /// Which misbehavior to simulate.
@@ -280,11 +281,11 @@ impl FaultInjector {
         stale
     }
 
-    /// The next injected network fault for a remote-store request, if
+    /// The next injected network fault for a sweep-daemon request, if
     /// any. Each `net:*` rule fires for its first `count` consultations,
     /// in rule order, so `net:disconnect:count=1;net:drop` disconnects
     /// the first request and drops the second. Consulted once per
-    /// request by the protocol framing layer.
+    /// request by the daemon client.
     #[must_use]
     pub fn next_net_fault(&self) -> Option<NetFaultKind> {
         for (i, rule) in self.rules.iter().enumerate() {

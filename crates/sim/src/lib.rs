@@ -46,7 +46,7 @@ pub use journal::{campaign_fingerprint, CampaignJournal, CellOutcome};
 pub use l1i::L1iCache;
 pub use lock::{LockFile, LOCK_WAIT_ENV};
 pub use memo::{CachedCell, MemoStore, MEMO_FORMAT_VERSION};
-pub use store::{ObjectKind, StorageBackend, STORE_ENV};
+pub use store::ObjectKind;
 pub use timing::TimingModel;
 
 /// The observability crate, re-exported so downstream harnesses can build

@@ -32,8 +32,8 @@ use crate::config::{PredictorKind, SimConfig};
 use crate::driver::{LlbpCellStats, SimResult};
 use crate::error::SimError;
 use crate::faultinject::FaultInjector;
-use crate::store::local::{object_path_in, LocalDir};
-use crate::store::{ObjectKind, StorageBackend};
+use crate::store::local::LocalDir;
+use crate::store::ObjectKind;
 use bputil::hash::FastHashMap;
 use llbp_core::LlbpStats;
 use llbp_tage::FrontEndStats;
@@ -80,8 +80,7 @@ pub struct CachedCell {
 /// The persistent content-addressed store.
 #[derive(Debug)]
 pub struct MemoStore {
-    root: PathBuf,
-    backend: Arc<dyn StorageBackend>,
+    dir: LocalDir,
     salt: u64,
     trace_loads: AtomicU64,
     trace_stores: AtomicU64,
@@ -132,33 +131,8 @@ impl MemoStore {
     /// Returns the underlying error when the directory tree cannot be
     /// created.
     pub fn open_with_salt(dir: impl Into<PathBuf>, salt: u64) -> std::io::Result<Self> {
-        let root = dir.into();
-        let backend: Arc<dyn StorageBackend> = Arc::new(LocalDir::open(&root)?);
-        Ok(Self::assemble(root, backend, salt))
-    }
-
-    /// Opens a store whose object IO goes through an explicit backend
-    /// (the remote tier, or anything a test wants to interpose). `root`
-    /// stays the *local* directory holding journals and their locks —
-    /// for a remote backend it doubles as the degradation overlay.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error when the local directory tree
-    /// cannot be created.
-    pub fn open_with_backend(
-        dir: impl Into<PathBuf>,
-        backend: Arc<dyn StorageBackend>,
-    ) -> std::io::Result<Self> {
-        let root = dir.into();
-        std::fs::create_dir_all(&root)?;
-        Ok(Self::assemble(root, backend, 0))
-    }
-
-    fn assemble(root: PathBuf, backend: Arc<dyn StorageBackend>, salt: u64) -> Self {
-        Self {
-            root,
-            backend,
+        Ok(Self {
+            dir: LocalDir::open(dir)?,
             salt,
             trace_loads: AtomicU64::new(0),
             trace_stores: AtomicU64::new(0),
@@ -170,15 +144,13 @@ impl MemoStore {
             telemetry: llbp_obs::Telemetry::disabled(),
             in_flight: Mutex::new(HashSet::new()),
             released: Condvar::new(),
-        }
+        })
     }
 
     /// Attaches a [`FaultInjector`]: its `io` rules fire on every
-    /// load/store operation, and its `net:*` rules are forwarded to the
-    /// backend's framing layer (the fault-injection harness; production
+    /// load/store operation (the fault-injection harness; production
     /// stores have none attached).
     pub fn attach_faults(&mut self, faults: Arc<FaultInjector>) {
-        self.backend.attach_faults(Arc::clone(&faults));
         self.faults = Some(faults);
     }
 
@@ -198,34 +170,24 @@ impl MemoStore {
         }
     }
 
-    /// Opens the default store: rooted at `$LLBP_CACHE_DIR` (else
-    /// [`DEFAULT_CACHE_DIR`]), with object IO through the backend
-    /// `$LLBP_STORE` selects (else the local directory itself).
+    /// Opens the default store, rooted at `$LLBP_CACHE_DIR` (else
+    /// [`DEFAULT_CACHE_DIR`]).
     ///
     /// # Errors
     ///
-    /// [`SimError::Config`] for a malformed `LLBP_STORE` spec,
-    /// [`SimError::MemoIo`] when the directory tree cannot be created.
-    pub fn open_default() -> Result<Self, SimError> {
-        let root = match std::env::var(CACHE_DIR_ENV) {
-            Ok(dir) if !dir.trim().is_empty() => PathBuf::from(dir),
-            _ => PathBuf::from(DEFAULT_CACHE_DIR),
-        };
-        let backend = crate::store::backend_from_env(&root)?;
-        Self::open_with_backend(root, backend)
-            .map_err(|e| SimError::MemoIo { op: "open_store", detail: e.to_string() })
+    /// Returns the underlying error when the directory tree cannot be
+    /// created.
+    pub fn open_default() -> std::io::Result<Self> {
+        match std::env::var(CACHE_DIR_ENV) {
+            Ok(dir) if !dir.trim().is_empty() => Self::open(dir),
+            _ => Self::open(DEFAULT_CACHE_DIR),
+        }
     }
 
     /// The store's root directory.
     #[must_use]
     pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// The storage tier serving object IO (`"local"` / `"remote"`).
-    #[must_use]
-    pub fn tier(&self) -> &'static str {
-        self.backend.tier()
+        self.dir.root()
     }
 
     /// Traces successfully loaded from disk.
@@ -334,23 +296,22 @@ impl MemoStore {
     // Traces
     // ------------------------------------------------------------------
 
-    /// The local-layout path of a result cell (meaningful for the local
-    /// tier and the remote tier's overlay; tests and the tier-1 smoke
-    /// tamper with cells through it).
+    /// The path of a result cell (tests and the tier-1 smoke tamper
+    /// with cells through it).
     #[must_use]
     pub fn result_path(&self, fp: Fingerprint) -> PathBuf {
-        object_path_in(&self.root, ObjectKind::Result, fp)
+        self.dir.object_path(ObjectKind::Result, fp)
     }
 
     /// Loads the trace addressed by `fp`. `Ok(None)` is a miss — no
     /// such object, or an object that is corrupt (bad magic,
-    /// truncation, checksum mismatch) and must be regenerated. The local
-    /// tier decodes the file as it reads it, through a small buffer, so
-    /// the object's bytes are never held whole.
+    /// truncation, checksum mismatch) and must be regenerated. The file
+    /// is decoded as it is read, through a small buffer, so the object's
+    /// bytes are never held whole.
     ///
     /// # Errors
     ///
-    /// Returns a *transient* [`SimError`] when the backend could not
+    /// Returns a *transient* [`SimError`] when the store could not
     /// answer (local IO trouble, or an injected IO fault). Callers may
     /// retry or degrade to regeneration.
     pub fn load_trace(&self, fp: Fingerprint) -> Result<Option<Trace>, SimError> {
@@ -370,12 +331,7 @@ impl MemoStore {
         records: Vec<BranchRecord>,
     ) -> Result<Option<Trace>, SimError> {
         self.check_faults("load_trace")?;
-        let mut decoded = None;
-        let mut records = Some(records);
-        self.backend.stream(ObjectKind::Trace, fp, &mut |reader| {
-            decoded = Some(read_trace_into(reader, records.take().unwrap_or_default()));
-        })?;
-        match decoded {
+        match self.dir.stream(ObjectKind::Trace, fp, |reader| read_trace_into(reader, records))? {
             Some(Ok(trace)) => {
                 self.trace_loads.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.counter("memo_trace_loads").inc();
@@ -407,7 +363,7 @@ impl MemoStore {
             TraceIoError::Io(io) => io,
             other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
         })?;
-        self.backend.put(ObjectKind::Trace, fp, &buf).map_err(std::io::Error::other)?;
+        self.dir.put(ObjectKind::Trace, fp, &buf).map_err(std::io::Error::other)?;
         self.trace_stores.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter("memo_trace_stores").inc();
         self.telemetry.counter("memo_bytes_written").add(buf.len() as u64);
@@ -418,7 +374,7 @@ impl MemoStore {
     /// cell will still be rejected by [`MemoStore::load_result`]).
     #[must_use]
     pub fn has_result(&self, fp: Fingerprint) -> bool {
-        self.backend.contains(ObjectKind::Result, fp).unwrap_or(false)
+        self.dir.contains(ObjectKind::Result, fp)
     }
 
     /// Claims the cell addressed by `fp` for this process, blocking while
@@ -442,7 +398,7 @@ impl MemoStore {
         // The wall time sits at a fixed offset right after magic+version;
         // a 16-byte head read avoids shipping (and validating) the whole
         // cell just to schedule it.
-        let head = self.backend.head(ObjectKind::Result, fp, 16).ok()??;
+        let head = self.dir.head(ObjectKind::Result, fp, 16).ok()??;
         if head.len() < 16 || head[0..4] != CELL_MAGIC {
             return None;
         }
@@ -465,7 +421,7 @@ impl MemoStore {
     /// The sweep engine retries these with backoff.
     pub fn load_result(&self, fp: Fingerprint) -> Result<Option<CachedCell>, SimError> {
         self.check_faults("load_result")?;
-        let Some(bytes) = self.backend.get(ObjectKind::Result, fp)? else {
+        let Some(bytes) = self.dir.get(ObjectKind::Result, fp)? else {
             return Ok(None);
         };
         let Some(cell) = decode_cell(&bytes) else {
@@ -488,7 +444,7 @@ impl MemoStore {
     /// that fails validation.
     pub fn result_bytes(&self, fp: Fingerprint) -> Result<Option<Vec<u8>>, SimError> {
         self.check_faults("result_bytes")?;
-        let Some(bytes) = self.backend.get(ObjectKind::Result, fp)? else {
+        let Some(bytes) = self.dir.get(ObjectKind::Result, fp)? else {
             return Ok(None);
         };
         if decode_cell(&bytes).is_none() {
@@ -513,7 +469,7 @@ impl MemoStore {
     ) -> std::io::Result<Fingerprint> {
         self.check_faults("store_result").map_err(std::io::Error::other)?;
         let (bytes, digest) = encode_cell(result, wall, trace_len);
-        self.backend.put(ObjectKind::Result, fp, &bytes).map_err(std::io::Error::other)?;
+        self.dir.put(ObjectKind::Result, fp, &bytes).map_err(std::io::Error::other)?;
         self.result_stores.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter("memo_result_stores").inc();
         self.telemetry.counter("memo_bytes_written").add(bytes.len() as u64);
@@ -538,7 +494,7 @@ impl MemoStore {
         expected: Option<Fingerprint>,
     ) -> Result<bool, SimError> {
         self.check_faults("verify_result")?;
-        let Some(bytes) = self.backend.get(ObjectKind::Result, fp)? else {
+        let Some(bytes) = self.dir.get(ObjectKind::Result, fp)? else {
             return Ok(false);
         };
         let Some(cell) = decode_cell(&bytes) else {
@@ -551,12 +507,12 @@ impl MemoStore {
     // Provenance streams
     // ------------------------------------------------------------------
 
-    /// The local-layout path of a provenance stream. Streams are keyed by
-    /// the *result* fingerprint of the cell they annotate, so `prov_tool`
+    /// The path of a provenance stream. Streams are keyed by the
+    /// *result* fingerprint of the cell they annotate, so `prov_tool`
     /// can walk from a campaign cell to its stream without re-hashing.
     #[must_use]
     pub fn prov_path(&self, fp: Fingerprint) -> PathBuf {
-        object_path_in(&self.root, ObjectKind::Prov, fp)
+        self.dir.object_path(ObjectKind::Prov, fp)
     }
 
     /// Whether a provenance stream exists for the result cell `fp` (no
@@ -564,7 +520,7 @@ impl MemoStore {
     /// [`MemoStore::load_prov`]).
     #[must_use]
     pub fn has_prov(&self, fp: Fingerprint) -> bool {
-        self.backend.contains(ObjectKind::Prov, fp).unwrap_or(false)
+        self.dir.contains(ObjectKind::Prov, fp)
     }
 
     /// Loads the provenance stream of the result cell `fp`. `Ok(None)`
@@ -573,11 +529,11 @@ impl MemoStore {
     ///
     /// # Errors
     ///
-    /// Returns a *transient* [`SimError`] when the backend could not
+    /// Returns a *transient* [`SimError`] when the store could not
     /// answer, as [`MemoStore::load_result`].
     pub fn load_prov(&self, fp: Fingerprint) -> Result<Option<llbp_prov::ProvStream>, SimError> {
         self.check_faults("load_prov")?;
-        let Some(bytes) = self.backend.get(ObjectKind::Prov, fp)? else {
+        let Some(bytes) = self.dir.get(ObjectKind::Prov, fp)? else {
             return Ok(None);
         };
         let Ok(stream) = llbp_prov::decode_stream(&bytes) else {
@@ -602,7 +558,7 @@ impl MemoStore {
     ) -> std::io::Result<()> {
         self.check_faults("store_prov").map_err(std::io::Error::other)?;
         let bytes = llbp_prov::encode_stream(stream);
-        self.backend.put(ObjectKind::Prov, fp, &bytes).map_err(std::io::Error::other)?;
+        self.dir.put(ObjectKind::Prov, fp, &bytes).map_err(std::io::Error::other)?;
         self.prov_stores.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter("memo_prov_stores").inc();
         self.telemetry.counter("memo_bytes_written").add(bytes.len() as u64);
@@ -1032,7 +988,7 @@ mod tests {
         }
         v1.extend_from_slice(&fnv.to_le_bytes());
         let fp = store.trace_fingerprint(&spec);
-        store.backend.put(ObjectKind::Trace, fp, &v1).expect("put v1 object");
+        store.dir.put(ObjectKind::Trace, fp, &v1).expect("put v1 object");
         assert!(store.load_trace(fp).expect("no io fault").is_none());
         assert_eq!(store.trace_loads(), 0);
         let _ = fs::remove_dir_all(dir);

@@ -11,13 +11,12 @@
 //! and the archived JSON says `"store":"serve"` so the records are
 //! honest about the execution tier.
 
+use super::proto::{self, Op, Request, Response, Status};
 use super::wire;
 use super::{CampaignStatus, StreamedCell};
 use crate::engine::{JobError, JobRecord, JobStats, SweepEngine, SweepJob, SweepReport, SweepSpec};
 use crate::error::{backoff_delay, SimError};
 use crate::faultinject::{FaultInjector, NetFaultKind};
-use crate::store::proto::{self, Op, Request, Response, Status};
-use crate::store::ObjectKind;
 use llbp_trace::fingerprint::Fingerprint;
 use std::io::Write;
 use std::net::TcpStream;
@@ -55,7 +54,7 @@ pub struct ServeClient {
 
 impl ServeClient {
     /// Connects to `addr` (a bare `host:port`, or with the `tcp://`
-    /// scheme the `--server` flag and `LLBP_STORE` both use).
+    /// scheme the `--server` flag uses).
     ///
     /// # Errors
     ///
@@ -65,8 +64,8 @@ impl ServeClient {
     }
 
     /// [`ServeClient::connect`] with a fault injector armed: the `net:*`
-    /// rules fire once per request, exactly as they do in the remote
-    /// store backend, so fault campaigns exercise the daemon protocol.
+    /// rules fire once per request, so fault campaigns exercise the
+    /// daemon protocol.
     ///
     /// # Errors
     ///
@@ -87,8 +86,8 @@ impl ServeClient {
         Ok(self.conn.as_mut().expect("connection just established"))
     }
 
-    /// Simulates the next armed network fault, mirroring the remote
-    /// store backend's failure modes (see `store::remote`).
+    /// Simulates the next armed network fault, each kind one way a real
+    /// TCP peer can misbehave (see [`NetFaultKind`]).
     fn inject_fault(&mut self, op: &'static str, request: &Request) -> Result<(), SimError> {
         let Some(kind) = self.faults.as_ref().and_then(|faults| faults.next_net_fault()) else {
             return Ok(());
@@ -131,7 +130,7 @@ impl ServeClient {
         aux: u32,
         payload: Vec<u8>,
     ) -> Result<Response, SimError> {
-        let request = Request { op, kind: ObjectKind::Result, fp, aux, payload };
+        let request = Request { op, fp, aux, payload };
         self.inject_fault(opname, &request)?;
         let stream = self.ensure_conn()?;
         let result =
@@ -276,10 +275,9 @@ pub fn run_remote(addr: &str, spec: &SweepSpec) -> Result<SweepReport, SimError>
 }
 
 /// [`run_remote`] with a fault injector armed on the client side (the
-/// `net:*` family fires once per request, as in the remote store
-/// backend). Transient failures — injected or real — cost one backoff
-/// tick: the client reconnects and resubmits, and the daemon-resident
-/// campaign never noticed.
+/// `net:*` family fires once per request). Transient failures —
+/// injected or real — cost one backoff tick: the client reconnects and
+/// resubmits, and the daemon-resident campaign never noticed.
 ///
 /// # Errors
 ///

@@ -6,10 +6,10 @@
 //! each pay for the shared cells while both are in flight. The daemon
 //! closes that gap by being the one process where every campaign runs:
 //!
-//! * Clients submit a [`SweepSpec`] over the same length-prefixed
-//!   framing the object store speaks ([`crate::store::proto`], ops
-//!   `SubmitSweep`/`PollSweep`/`StreamCells`), encoded field-exactly by
-//!   [`wire`] so cell fingerprints match a local run bit-for-bit.
+//! * Clients submit a [`SweepSpec`] over a length-prefixed TCP framing
+//!   ([`proto`], ops `SubmitSweep`/`PollSweep`/`StreamCells`), encoded
+//!   field-exactly by [`wire`] so cell fingerprints match a local run
+//!   bit-for-bit.
 //! * Each campaign is one [`SweepEngine`] run over the daemon's store,
 //!   with workers, retries and the watchdog from the same `LLBP_*` knobs
 //!   as any local run. It takes the grid's journal lock and resumes from
@@ -34,6 +34,7 @@
 //! run on resubmission.
 
 pub mod client;
+pub mod proto;
 pub mod wire;
 
 use crate::engine::{grid_fingerprints, SweepEngine, SweepReport, SweepSpec};
@@ -41,9 +42,9 @@ use crate::error::SimError;
 use crate::faultinject::FaultInjector;
 use crate::journal::{campaign_fingerprint, CellOutcome};
 use crate::memo::MemoStore;
-use crate::store::proto::{self, Op, Request, Response};
 use llbp_obs::Telemetry;
 use llbp_trace::fingerprint::Fingerprint;
+use proto::{Op, Request, Response};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -51,7 +52,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Per-connection idle timeout, matching the object store's.
+/// Per-connection idle timeout: a client that goes silent this long has
+/// its connection reaped (it reconnects on its next request).
 const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Soft cap on one `StreamCells` response: half the frame bound, so a
@@ -438,9 +440,6 @@ fn answer(state: &Arc<DaemonState>, request: &Request) -> Response {
             Response::ok(llbp_obs::export::prometheus(&state.telemetry.metrics()).into_bytes())
         }
         Op::Shutdown => Response::ok(Vec::new()),
-        Op::Get | Op::Put | Op::Head | Op::Contains => {
-            Response::err("not a sweep-daemon operation (dial llbp-store instead)")
-        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! The length-prefixed TCP object protocol between workers and
-//! `llbp-store`.
+//! The length-prefixed TCP framing between `llbp-serve` and its
+//! clients.
 //!
 //! One request, one response, fixed little-endian framing — simple
 //! enough that a torn frame (a connection severed mid-write, or the
@@ -7,45 +7,34 @@
 //! read, never misparsed as a different request:
 //!
 //! ```text
-//! request:  op u8 | kind u8 | fp u128 | aux u32 | len u32 | payload[len]
-//! response: status u8       |                     len u32 | payload[len]
+//! request:  op u8 | fp u128 | aux u32 | len u32 | payload[len]
+//! response: status u8                 | len u32 | payload[len]
 //! ```
 //!
-//! `aux` carries the requested prefix length for [`Op::Head`] and is
-//! zero otherwise. `len` is bounded by [`MAX_FRAME`]; a frame claiming
-//! more is rejected before any allocation, so a garbage peer cannot
-//! balloon the server. Responses are [`Status::Ok`] (payload is the
-//! object / the answer), [`Status::Miss`] (no such object — an
-//! *answer*, not an error) or [`Status::Err`] (payload is the server's
-//! error text; the client maps it to [`SimError::Network`]).
+//! `fp` carries a campaign ticket and `aux` the `StreamCells` cursor;
+//! both are zero where an op has no use for them. `len` is bounded by
+//! [`MAX_FRAME`]; a frame claiming more is rejected before any
+//! allocation, so a garbage peer cannot balloon the daemon. Responses
+//! are [`Status::Ok`] (payload is the answer), [`Status::Miss`] (no
+//! such campaign — an *answer*, not an error) or [`Status::Err`]
+//! (payload is the daemon's error text; the client maps it to
+//! [`SimError::Network`]).
 //!
 //! [`SimError::Network`]: crate::error::SimError::Network
 
-use super::ObjectKind;
 use crate::error::SimError;
 use llbp_trace::fingerprint::Fingerprint;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload (64 MiB — an order of magnitude above
-/// the largest trace the figures generate).
+/// the largest response the daemon streams).
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Request opcodes.
-///
-/// Opcodes 1–4 are the object-store operations served by `llbp-store`;
-/// 5–9 are the sweep-daemon operations served by `llbp-serve` (see
-/// [`crate::serve`]), reusing the same framing so one listener (and one
-/// fault grammar) covers both.
+/// Request opcodes. Their wire tags start at 5: tags 1–4 belonged to
+/// the object-store operations of an earlier protocol and no longer
+/// parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// Fetch a whole object.
-    Get,
-    /// Publish an object (payload carries the bytes).
-    Put,
-    /// Fetch an object's first `aux` bytes.
-    Head,
-    /// Existence probe.
-    Contains,
     /// Submit a sweep campaign (payload carries the wire-encoded
     /// [`SweepSpec`](crate::engine::SweepSpec); the `Ok` response
     /// payload is the 16-byte campaign ticket).
@@ -65,10 +54,6 @@ pub enum Op {
 impl Op {
     fn wire(self) -> u8 {
         match self {
-            Op::Get => 1,
-            Op::Put => 2,
-            Op::Head => 3,
-            Op::Contains => 4,
             Op::SubmitSweep => 5,
             Op::PollSweep => 6,
             Op::StreamCells => 7,
@@ -79,10 +64,6 @@ impl Op {
 
     fn from_wire(tag: u8) -> Option<Self> {
         match tag {
-            1 => Some(Op::Get),
-            2 => Some(Op::Put),
-            3 => Some(Op::Head),
-            4 => Some(Op::Contains),
             5 => Some(Op::SubmitSweep),
             6 => Some(Op::PollSweep),
             7 => Some(Op::StreamCells),
@@ -98,9 +79,9 @@ impl Op {
 pub enum Status {
     /// The operation succeeded; the payload is the answer.
     Ok,
-    /// The addressed object does not exist (a clean miss).
+    /// The addressed campaign does not exist (a clean miss).
     Miss,
-    /// The server could not serve the request; the payload explains.
+    /// The daemon could not serve the request; the payload explains.
     Err,
 }
 
@@ -128,13 +109,12 @@ impl Status {
 pub struct Request {
     /// What to do.
     pub op: Op,
-    /// Which object family.
-    pub kind: ObjectKind,
-    /// Which object.
+    /// The campaign ticket of [`Op::PollSweep`] and [`Op::StreamCells`]
+    /// (zero otherwise).
     pub fp: Fingerprint,
-    /// [`Op::Head`]'s requested prefix length (zero otherwise).
+    /// [`Op::StreamCells`]'s cell cursor (zero otherwise).
     pub aux: u32,
-    /// [`Op::Put`]'s object bytes (empty otherwise).
+    /// [`Op::SubmitSweep`]'s encoded spec (empty otherwise).
     pub payload: Vec<u8>,
 }
 
@@ -160,7 +140,7 @@ impl Response {
         Self { status: Status::Miss, payload: Vec::new() }
     }
 
-    /// A server-side failure described by `detail`.
+    /// A daemon-side failure described by `detail`.
     #[must_use]
     pub fn err(detail: &str) -> Self {
         Self { status: Status::Err, payload: detail.as_bytes().to_vec() }
@@ -185,7 +165,7 @@ fn bad_frame(what: &str) -> io::Error {
 /// [`SimError::Network`] when `len` exceeds [`MAX_FRAME`]. This is
 /// deterministic — retrying the same payload cannot help — so callers
 /// must not burn retry budget on it.
-pub fn check_frame_len(op: &'static str, len: usize) -> Result<(), SimError> {
+fn check_frame_len(op: &'static str, len: usize) -> Result<(), SimError> {
     if len > MAX_FRAME as usize {
         return Err(SimError::Network {
             op,
@@ -236,9 +216,8 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
 /// a deliberately truncated prefix of it).
 #[must_use]
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(26 + req.payload.len());
+    let mut bytes = Vec::with_capacity(25 + req.payload.len());
     bytes.push(req.op.wire());
-    bytes.push(req.kind.wire());
     bytes.extend_from_slice(&req.fp.0.to_le_bytes());
     bytes.extend_from_slice(&req.aux.to_le_bytes());
     bytes.extend_from_slice(&(req.payload.len() as u32).to_le_bytes());
@@ -251,17 +230,16 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// # Errors
 ///
 /// `UnexpectedEof` on a severed/torn connection, `InvalidData` on a
-/// frame that cannot be a request (unknown opcode/kind, oversized
-/// payload). Both mean "close this connection".
+/// frame that cannot be a request (unknown opcode, oversized payload).
+/// Both mean "close this connection".
 pub fn read_request(r: &mut impl Read) -> io::Result<Request> {
-    let mut head = [0u8; 22];
+    let mut head = [0u8; 21];
     r.read_exact(&mut head)?;
     let op = Op::from_wire(head[0]).ok_or_else(|| bad_frame("unknown opcode"))?;
-    let kind = ObjectKind::from_wire(head[1]).ok_or_else(|| bad_frame("unknown object kind"))?;
-    let fp = Fingerprint(u128::from_le_bytes(head[2..18].try_into().expect("slice length")));
-    let aux = u32::from_le_bytes(head[18..22].try_into().expect("slice length"));
+    let fp = Fingerprint(u128::from_le_bytes(head[1..17].try_into().expect("slice length")));
+    let aux = u32::from_le_bytes(head[17..21].try_into().expect("slice length"));
     let payload = read_payload(r)?;
-    Ok(Request { op, kind, fp, aux, payload })
+    Ok(Request { op, fp, aux, payload })
 }
 
 /// Writes one response frame and flushes it.
@@ -297,29 +275,8 @@ pub fn read_response(r: &mut impl Read) -> io::Result<Response> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn request_frames_roundtrip() {
-        for req in [
-            Request {
-                op: Op::Put,
-                kind: ObjectKind::Result,
-                fp: Fingerprint(0xdead_beef),
-                aux: 0,
-                payload: b"cell bytes".to_vec(),
-            },
-            Request {
-                op: Op::Head,
-                kind: ObjectKind::Trace,
-                fp: Fingerprint(u128::MAX),
-                aux: 16,
-                payload: Vec::new(),
-            },
-        ] {
-            let mut wire = Vec::new();
-            write_request(&mut wire, &req).expect("write");
-            let back = read_request(&mut wire.as_slice()).expect("read");
-            assert_eq!(back, req);
-        }
+    fn submit(payload: Vec<u8>) -> Request {
+        Request { op: Op::SubmitSweep, fp: Fingerprint(0), aux: 0, payload }
     }
 
     #[test]
@@ -333,15 +290,8 @@ mod tests {
 
     #[test]
     fn torn_frames_read_as_errors_not_garbage() {
-        let req = Request {
-            op: Op::Put,
-            kind: ObjectKind::Result,
-            fp: Fingerprint(7),
-            aux: 0,
-            payload: vec![0xAA; 100],
-        };
-        let wire = encode_request(&req);
-        for cut in [0, 1, 10, 22, wire.len() - 1] {
+        let wire = encode_request(&submit(vec![0xAA; 100]));
+        for cut in [0, 1, 10, 21, 25, wire.len() - 1] {
             let err = read_request(&mut &wire[..cut]).expect_err("torn frame cut={cut}");
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut={cut}");
         }
@@ -350,23 +300,11 @@ mod tests {
     #[test]
     fn hostile_frames_are_rejected_before_allocation() {
         // Unknown opcode.
-        let mut bad = encode_request(&Request {
-            op: Op::Get,
-            kind: ObjectKind::Trace,
-            fp: Fingerprint(0),
-            aux: 0,
-            payload: Vec::new(),
-        });
+        let mut bad = encode_request(&submit(Vec::new()));
         bad[0] = 0xFF;
         assert!(read_request(&mut bad.as_slice()).is_err());
         // A length field claiming 4 GiB on a tiny frame.
-        let mut huge = encode_request(&Request {
-            op: Op::Put,
-            kind: ObjectKind::Result,
-            fp: Fingerprint(0),
-            aux: 0,
-            payload: Vec::new(),
-        });
+        let mut huge = encode_request(&submit(Vec::new()));
         let len_at = huge.len() - 4;
         huge[len_at..].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = read_request(&mut huge.as_slice()).expect_err("oversized frame");
@@ -375,44 +313,44 @@ mod tests {
 
     #[test]
     fn serve_opcodes_roundtrip_and_unknown_tags_reject() {
-        for op in [Op::SubmitSweep, Op::PollSweep, Op::StreamCells, Op::Metrics, Op::Shutdown] {
-            let req = Request {
-                op,
-                kind: ObjectKind::Result,
-                fp: Fingerprint(0xABCD),
-                aux: 9,
-                payload: b"spec".to_vec(),
-            };
+        for (op, fp, aux, payload) in [
+            (Op::SubmitSweep, Fingerprint(0), 0, b"spec".to_vec()),
+            (Op::PollSweep, Fingerprint(u128::MAX), 0, Vec::new()),
+            (Op::StreamCells, Fingerprint(0xdead_beef), 9, Vec::new()),
+            (Op::Metrics, Fingerprint(0), 0, Vec::new()),
+            (Op::Shutdown, Fingerprint(0xABCD), u32::MAX, b"x".to_vec()),
+        ] {
+            let req = Request { op, fp, aux, payload };
             let mut wire = Vec::new();
             write_request(&mut wire, &req).expect("write");
+            assert_eq!(wire.len(), 25 + req.payload.len(), "{op:?}");
             assert_eq!(read_request(&mut wire.as_slice()).expect("read"), req);
         }
-        assert_eq!(Op::from_wire(10), None, "tag 10 is unassigned");
-        assert_eq!(Op::from_wire(0), None);
+        for tag in [0, 1, 2, 3, 4, 10] {
+            assert_eq!(Op::from_wire(tag), None, "tag {tag} is unassigned");
+            let mut wire = encode_request(&submit(Vec::new()));
+            wire[0] = tag;
+            let err = read_request(&mut wire.as_slice()).expect_err("unassigned opcode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}");
+        }
     }
 
     #[test]
     fn oversized_payloads_reject_at_encode_time() {
         // The typed boundary: exactly MAX_FRAME is fine, one past is a
         // deterministic Network error (never retried, never truncated).
-        assert!(check_frame_len("put", MAX_FRAME as usize).is_ok());
-        let err = check_frame_len("put", MAX_FRAME as usize + 1).expect_err("over the bound");
+        assert!(check_frame_len("submit", MAX_FRAME as usize).is_ok());
+        let err = check_frame_len("submit", MAX_FRAME as usize + 1).expect_err("over the bound");
         assert_eq!(err.class(), "network");
         assert!(err.to_string().contains("frame bound"), "explains the bound: {err}");
         // `len as u32` truncation territory (> 4 GiB) is a fortiori
         // rejected — this is the original desync bug.
-        assert!(check_frame_len("put", u64::MAX as usize).is_err());
+        assert!(check_frame_len("submit", u64::MAX as usize).is_err());
         // The raw write paths refuse before allocating the wire buffer;
         // the payload itself is never cloned, so a huge *claimed* vec is
         // cheap to construct for the check… but Vec::with_capacity of
         // 64 MiB+1 is real memory, so exercise the just-over case only.
-        let req = Request {
-            op: Op::Put,
-            kind: ObjectKind::Result,
-            fp: Fingerprint(1),
-            aux: 0,
-            payload: vec![0u8; MAX_FRAME as usize + 1],
-        };
+        let req = submit(vec![0u8; MAX_FRAME as usize + 1]);
         let err = write_request(&mut Vec::new(), &req).expect_err("write refuses");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let resp = Response { status: Status::Ok, payload: vec![0u8; MAX_FRAME as usize + 1] };

@@ -41,7 +41,7 @@ const EMPTY_LIST: &str = "-";
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Encodes a spec for [`Op::SubmitSweep`](crate::store::proto::Op).
+/// Encodes a spec for [`Op::SubmitSweep`](super::proto::Op).
 #[must_use]
 pub fn encode_spec(spec: &SweepSpec) -> Vec<u8> {
     let mut out = String::new();

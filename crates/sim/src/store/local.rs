@@ -1,12 +1,11 @@
-//! The local directory backend: the original memo-store layout.
+//! The memo store's directory layout.
 //!
 //! Objects live at `<root>/<kind>/<fp>.<ext>`; writes go through a
 //! unique temp file in `<root>/tmp/` plus an atomic rename, so readers
 //! (including other processes sharing the directory) only ever observe
-//! complete files. This backend is both the default tier and the
-//! degradation overlay of the remote tier.
+//! complete files.
 
-use super::{ObjectKind, StorageBackend};
+use super::ObjectKind;
 use crate::error::SimError;
 use llbp_trace::fingerprint::Fingerprint;
 use std::fs;
@@ -14,7 +13,7 @@ use std::io::{BufReader, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Read buffer of [`StorageBackend::stream`]: a quick trace object
+/// Read buffer of [`LocalDir::stream`]: a quick trace object
 /// (≈3 MB) takes about 46 reads through it.
 const STREAM_BUFFER: usize = 64 << 10;
 
@@ -125,14 +124,13 @@ impl LocalDir {
             }
         }
     }
-}
 
-impl StorageBackend for LocalDir {
-    fn tier(&self) -> &'static str {
-        "local"
-    }
-
-    fn get(&self, kind: ObjectKind, fp: Fingerprint) -> Result<Option<Vec<u8>>, SimError> {
+    /// Reads the whole object, `Ok(None)` on miss.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MemoIo`] when the object exists but cannot be read.
+    pub fn get(&self, kind: ObjectKind, fp: Fingerprint) -> Result<Option<Vec<u8>>, SimError> {
         match fs::read(self.object_path(kind, fp)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
@@ -140,24 +138,43 @@ impl StorageBackend for LocalDir {
         }
     }
 
-    fn stream(
+    /// Hands the object to `consume` as a reader through a small buffer,
+    /// so its bytes are never held whole, and returns what `consume`
+    /// returned; on a miss `consume` is not called and the result is
+    /// `Ok(None)`. An IO error `consume` meets while reading is its own
+    /// to classify.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MemoIo`] when the object exists but cannot be opened.
+    pub fn stream<T>(
         &self,
         kind: ObjectKind,
         fp: Fingerprint,
-        consume: &mut dyn FnMut(&mut dyn Read),
-    ) -> Result<(), SimError> {
-        if let Some(file) = self.open_object(kind, fp, "stream")? {
-            consume(&mut BufReader::with_capacity(STREAM_BUFFER, file));
-        }
-        Ok(())
+        consume: impl FnOnce(&mut dyn Read) -> T,
+    ) -> Result<Option<T>, SimError> {
+        let file = self.open_object(kind, fp, "stream")?;
+        Ok(file.map(|file| consume(&mut BufReader::with_capacity(STREAM_BUFFER, file))))
     }
 
-    fn put(&self, kind: ObjectKind, fp: Fingerprint, bytes: &[u8]) -> Result<(), SimError> {
+    /// Publishes an object atomically: readers never observe a partial
+    /// write.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MemoIo`] when the write or the rename fails.
+    pub fn put(&self, kind: ObjectKind, fp: Fingerprint, bytes: &[u8]) -> Result<(), SimError> {
         self.publish(bytes, &self.object_path(kind, fp))
             .map_err(|e| SimError::MemoIo { op: "put", detail: e.to_string() })
     }
 
-    fn head(
+    /// Reads the object's first `len` bytes (the whole object when
+    /// shorter), `Ok(None)` on miss.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MemoIo`] when the object exists but cannot be read.
+    pub fn head(
         &self,
         kind: ObjectKind,
         fp: Fingerprint,
@@ -180,8 +197,10 @@ impl StorageBackend for LocalDir {
         Ok(Some(buf))
     }
 
-    fn contains(&self, kind: ObjectKind, fp: Fingerprint) -> Result<bool, SimError> {
-        Ok(self.object_path(kind, fp).exists())
+    /// Whether the object exists (no validation).
+    #[must_use]
+    pub fn contains(&self, kind: ObjectKind, fp: Fingerprint) -> bool {
+        self.object_path(kind, fp).exists()
     }
 }
 
@@ -206,10 +225,10 @@ mod tests {
         let fp = Fingerprint(0xabcd);
         for kind in [ObjectKind::Trace, ObjectKind::Result, ObjectKind::Prov] {
             assert_eq!(store.get(kind, fp).expect("clean"), None);
-            assert!(!store.contains(kind, fp).expect("clean"));
+            assert!(!store.contains(kind, fp));
             store.put(kind, fp, b"hello world").expect("put");
             assert_eq!(store.get(kind, fp).expect("hit"), Some(b"hello world".to_vec()));
-            assert!(store.contains(kind, fp).expect("hit"));
+            assert!(store.contains(kind, fp));
         }
         // The two kinds address disjoint namespaces even for equal fps.
         store.put(ObjectKind::Trace, fp, b"trace bytes").expect("put");
@@ -226,14 +245,12 @@ mod tests {
         let (store, dir) = scratch();
         let fp = Fingerprint(2);
         let streamed = || {
-            let mut read = None;
-            let mut consume = |r: &mut dyn Read| {
+            let consume = |r: &mut dyn Read| {
                 let mut bytes = Vec::new();
                 r.read_to_end(&mut bytes).expect("readable");
-                read = Some(bytes);
+                bytes
             };
-            store.stream(ObjectKind::Trace, fp, &mut consume).expect("no IO trouble");
-            read
+            store.stream(ObjectKind::Trace, fp, consume).expect("no IO trouble")
         };
         assert_eq!(streamed(), None, "a miss never calls the consumer");
         let bytes: Vec<u8> = (0..200_000u32).map(|i| i.to_le_bytes()[0]).collect();

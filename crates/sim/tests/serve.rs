@@ -11,12 +11,17 @@ use llbp_sim::engine::grid_fingerprints;
 use llbp_sim::journal::{campaign_fingerprint, read_outcomes};
 use llbp_sim::lock::ProcessStamp;
 use llbp_sim::serve::client::{run_remote, run_remote_with, ServeClient};
+use llbp_sim::serve::proto::{self, Op, Request};
+use llbp_sim::serve::wire::encode_spec;
 use llbp_sim::serve::{ServeDaemon, ServeHandle};
 use llbp_sim::{
     CampaignJournal, CellOutcome, FaultInjector, MemoStore, PredictorKind, SimConfig, SweepEngine,
     SweepSpec,
 };
+use llbp_trace::fingerprint::Fingerprint;
 use llbp_trace::{Workload, WorkloadSpec};
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -164,22 +169,67 @@ fn remote_report_matches_a_local_run_cell_for_cell() {
 
 #[test]
 fn injected_disconnects_cost_a_retry_tick_not_the_campaign() {
-    let root = scratch_dir("netfault");
-    let (handle, addr, join) = start_daemon(&root);
     let spec = spec_for(&[Workload::Http, Workload::Kafka]);
+    // Two injected faults of each kind (one per request): the client
+    // reconnects and idempotently resubmits, and the campaign still
+    // completes whole.
+    for kind in ["disconnect", "drop", "timeout", "torn-write"] {
+        let root = scratch_dir("netfault");
+        let (handle, addr, join) = start_daemon(&root);
+        let rule = format!("net:{kind}:count=2");
+        let faults = Arc::new(FaultInjector::parse(&rule).expect("spec parses"));
+        let report = run_remote_with(&addr, &spec, Some(faults)).expect("survives the faults");
+        handle.shutdown();
+        join.join().expect("daemon thread");
+        assert_eq!(report.jobs.len(), 4, "{rule}");
+        assert!(report.failed.is_empty(), "{rule} failures: {:?}", report.failed);
+        assert_eq!(report.memo_misses, 4, "{rule}: every cell simulated despite the faults");
+        assert_eq!(published_cells(&root), 4, "{rule}");
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
 
-    // Two injected disconnects (one per request, like the remote store
-    // backend's fault model): the client reconnects and idempotently
-    // resubmits, and the campaign still completes whole.
-    let faults = Arc::new(FaultInjector::parse("net:disconnect:count=2").expect("spec parses"));
-    let report = run_remote_with(&addr, &spec, Some(faults)).expect("survives disconnects");
-    assert_eq!(report.jobs.len(), 4);
-    assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
-    assert_eq!(report.memo_misses, 4, "every cell simulated despite the faults");
-    assert_eq!(published_cells(&root), 4);
+/// The value of counter `name` in a Prometheus scrape; a counter the
+/// daemon never touched is absent and reads 0.
+fn scraped_counter(metrics: &str, name: &str) -> u64 {
+    let prefix = format!("llbp_{name} ");
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(&prefix))
+        .map_or(0, |value| value.parse().expect("counter value"))
+}
 
+#[test]
+fn a_torn_submit_frame_closes_the_connection_without_starting_a_campaign() {
+    let root = scratch_dir("torn");
+    let (handle, addr, join) = start_daemon(&root);
+    let request = Request {
+        op: Op::SubmitSweep,
+        fp: Fingerprint(0),
+        aux: 0,
+        payload: encode_spec(&spec_for(&[Workload::Http])),
+    };
+    let frame = proto::encode_request(&request);
+    let mut conn = TcpStream::connect(addr.trim_start_matches("tcp://")).expect("daemon dials");
+    conn.write_all(&frame[..frame.len() / 2]).expect("half a frame");
+    drop(conn);
+
+    let metrics = ServeClient::connect(&addr).expect("fresh connection").metrics().expect("scrape");
     handle.shutdown();
     join.join().expect("daemon thread");
+    assert_eq!(scraped_counter(&metrics, "serve_campaigns_total"), 0, "{metrics}");
+    assert_eq!(scraped_counter(&metrics, "serve_requests_total"), 1, "only the scrape counts");
+    assert_eq!(published_cells(&root), 0);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn an_unreachable_daemon_is_a_network_error_that_names_it() {
+    let err = run_remote("127.0.0.1:1", &spec_for(&[Workload::Http]))
+        .expect_err("nothing listens on port 1");
+    assert_eq!(err.class(), "network");
+    assert_eq!(err.exit_code(), 4);
+    assert!(err.to_string().starts_with("sweep daemon connect failed"), "{err}");
 }
 
 #[test]
@@ -322,6 +372,7 @@ fn a_daemon_campaign_respects_a_live_journal_lock_and_reruns_once_it_is_free() {
 
     let (handle, addr, join) = start_daemon(&root);
     let err = run_remote(&addr, &spec).expect_err("a live holder's journal is not shared");
+    assert!(err.to_string().starts_with("sweep daemon campaign failed"), "{err}");
     assert!(err.to_string().contains(".journal.lock"), "the error names the lock: {err}");
     assert_eq!(
         std::fs::read(holder.path()).expect("holder's journal"),

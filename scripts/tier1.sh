@@ -224,66 +224,17 @@ stop_serve() {
     [ "$SERVE_STATUS" -eq 0 ] || { echo "$1: daemon exited $SERVE_STATUS after shutdown"; exit 1; }
 }
 
-echo "== live store smoke =="
-# A campaign against a live llbp_store — with one injected network
-# disconnect — must print stdout byte-identical to a plain local run.
-DIST_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR"' EXIT
-LLBP_CACHE_DIR="$DIST_DIR/serial" ./target/release/fig02_mpki_limits --quick \
-    --workloads HTTP,Kafka,Tomcat > "$DIST_DIR/serial.out" 2> /dev/null
-./target/release/llbp_store --root "$DIST_DIR/shared" --print-addr \
-    > "$DIST_DIR/store.addr" 2> "$DIST_DIR/store.err" &
-STORE_PID=$!
-for _ in $(seq 50); do [ -s "$DIST_DIR/store.addr" ] && break; sleep 0.1; done
-[ -s "$DIST_DIR/store.addr" ] || {
-    echo "live store smoke: llbp_store never printed its address:"
-    cat "$DIST_DIR/store.err"; kill "$STORE_PID" 2>/dev/null || true; exit 1
-}
-LIVE_STATUS=0
-LLBP_CACHE_DIR="$DIST_DIR/live" LLBP_STORE="tcp://$(cat "$DIST_DIR/store.addr")" \
-    LLBP_FAULT_SPEC="net:disconnect:count=1" \
-    ./target/release/fig02_mpki_limits --quick --workloads HTTP,Kafka,Tomcat \
-    > "$DIST_DIR/live.out" 2> "$DIST_DIR/live.err" || LIVE_STATUS=$?
-kill "$STORE_PID" 2>/dev/null || true
-wait "$STORE_PID" 2>/dev/null || true
-[ "$LIVE_STATUS" -eq 0 ] || {
-    echo "live store smoke: campaign exited $LIVE_STATUS:"; cat "$DIST_DIR/live.err"; exit 1
-}
-grep -q '"store":"remote"' "$DIST_DIR/live.err" || {
-    echo "live store smoke: campaign did not run on the remote store:"
-    cat "$DIST_DIR/live.err"; exit 1
-}
-cmp -s "$DIST_DIR/serial.out" "$DIST_DIR/live.out" || {
-    echo "live store smoke: remote-store stdout diverged from the serial run:"
-    diff "$DIST_DIR/serial.out" "$DIST_DIR/live.out" || true
-    exit 1
-}
-
-echo "== remote-store degradation smoke =="
-# With the remote store unreachable from the start, a campaign must
-# degrade to its local overlay and still print the byte-identical
-# figure, exiting 0.
-LLBP_CACHE_DIR="$DIST_DIR/degraded" LLBP_STORE="tcp://127.0.0.1:1" \
-    ./target/release/fig02_mpki_limits --quick --workloads HTTP,Kafka,Tomcat \
-    > "$DIST_DIR/degraded.out" 2> "$DIST_DIR/degraded.err" || {
-    echo "degradation smoke: unreachable store failed the run:"
-    cat "$DIST_DIR/degraded.err"; exit 1
-}
-cmp -s "$DIST_DIR/serial.out" "$DIST_DIR/degraded.out" || {
-    echo "degradation smoke: degraded run changed the figure output:"
-    diff "$DIST_DIR/serial.out" "$DIST_DIR/degraded.out" || true
-    exit 1
-}
-
 echo "== daemon chaos smoke =="
 # A 2-worker daemon whose cell 0 stalls is killed with SIGKILL right after
 # it publishes its first cell, holding the grid's journal lock. Every
 # complete line of the journal it leaves must parse. A fresh daemon on
 # the same root must take over the dead holder's lock and, through one
-# injected client-side disconnect, serve stdout byte-identical to the
-# serial run.
+# injected client-side disconnect, serve stdout byte-identical to a
+# serial local run.
 CHAOS_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$CHAOS_DIR"' EXIT
+LLBP_CACHE_DIR="$CHAOS_DIR/serial" ./target/release/fig02_mpki_limits --quick \
+    --workloads HTTP,Kafka,Tomcat > "$CHAOS_DIR/serial.out" 2> /dev/null
 LLBP_WORKERS=2 LLBP_FAULT_SPEC="slow:cell=0,ms=60000" start_serve "$CHAOS_DIR/shared" "$CHAOS_DIR/killed"
 ./target/release/llbp_client --server "$SERVE_ADDR" submit --quick \
     --workloads HTTP,Kafka,Tomcat > /dev/null 2> "$CHAOS_DIR/submit.err" || {
@@ -318,9 +269,9 @@ LLBP_CACHE_DIR="$CHAOS_DIR/client" LLBP_FAULT_SPEC="net:disconnect:count=1" \
     kill "$SERVE_PID" 2>/dev/null || true; exit 1
 }
 stop_serve "daemon chaos smoke"
-cmp -s "$DIST_DIR/serial.out" "$CHAOS_DIR/chaos.out" || {
+cmp -s "$CHAOS_DIR/serial.out" "$CHAOS_DIR/chaos.out" || {
     echo "daemon chaos smoke: recovered stdout diverged from the serial run:"
-    diff "$DIST_DIR/serial.out" "$CHAOS_DIR/chaos.out" || true
+    diff "$CHAOS_DIR/serial.out" "$CHAOS_DIR/chaos.out" || true
     exit 1
 }
 grep -Eq '"lock_takeovers":[1-9]' "$CHAOS_DIR/chaos.err" || {
@@ -333,7 +284,7 @@ echo "== serve daemon smoke =="
 # injected client-side disconnect — must print stdout byte-identical to
 # a local run, expose live Prometheus metrics, and shut down cleanly.
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$CHAOS_DIR" "$SERVE_DIR"' EXIT
 LLBP_CACHE_DIR="$SERVE_DIR/local" ./target/release/fig02_mpki_limits --quick \
     > "$SERVE_DIR/local.out" 2> /dev/null
 start_serve "$SERVE_DIR/shared" "$SERVE_DIR/serve"
@@ -371,7 +322,7 @@ echo "== provenance smoke =="
 # pairs whose first side alternates), so process start-up, trace decodes
 # and store writes, which both sides share, stay out of the ratio.
 PROV_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CHAOS_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$CHAOS_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
 LLBP_CACHE_DIR="$PROV_DIR/off1" ./target/release/fig02_mpki_limits --quick --strict \
     > "$PROV_DIR/off1.out" 2> "$PROV_DIR/off1.err"
 LLBP_CACHE_DIR="$PROV_DIR/on1" ./target/release/fig02_mpki_limits --quick --strict --prov \
