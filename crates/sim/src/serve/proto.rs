@@ -312,18 +312,35 @@ mod tests {
     }
 
     #[test]
-    fn serve_opcodes_roundtrip_and_unknown_tags_reject() {
-        for (op, fp, aux, payload) in [
-            (Op::SubmitSweep, Fingerprint(0), 0, b"spec".to_vec()),
-            (Op::PollSweep, Fingerprint(u128::MAX), 0, Vec::new()),
-            (Op::StreamCells, Fingerprint(0xdead_beef), 9, Vec::new()),
-            (Op::Metrics, Fingerprint(0), 0, Vec::new()),
-            (Op::Shutdown, Fingerprint(0xABCD), u32::MAX, b"x".to_vec()),
+    fn request_frames_roundtrip() {
+        for req in [
+            Request {
+                op: Op::SubmitSweep,
+                fp: Fingerprint(0xdead_beef),
+                aux: 0,
+                payload: b"spec bytes".to_vec(),
+            },
+            Request {
+                op: Op::StreamCells,
+                fp: Fingerprint(u128::MAX),
+                aux: u32::MAX,
+                payload: Vec::new(),
+            },
         ] {
-            let req = Request { op, fp, aux, payload };
             let mut wire = Vec::new();
             write_request(&mut wire, &req).expect("write");
-            assert_eq!(wire.len(), 25 + req.payload.len(), "{op:?}");
+            assert_eq!(wire.len(), 25 + req.payload.len(), "{:?}", req.op);
+            assert_eq!(read_request(&mut wire.as_slice()).expect("read"), req);
+        }
+    }
+
+    #[test]
+    fn serve_opcodes_roundtrip_and_unknown_tags_reject() {
+        for op in [Op::SubmitSweep, Op::PollSweep, Op::StreamCells, Op::Metrics, Op::Shutdown] {
+            assert_eq!(Op::from_wire(op.wire()), Some(op));
+            let req = Request { op, fp: Fingerprint(0xABCD), aux: 9, payload: b"x".to_vec() };
+            let mut wire = Vec::new();
+            write_request(&mut wire, &req).expect("write");
             assert_eq!(read_request(&mut wire.as_slice()).expect("read"), req);
         }
         for tag in [0, 1, 2, 3, 4, 10] {
