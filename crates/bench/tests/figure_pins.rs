@@ -1,6 +1,7 @@
-//! Figure pins: the built `fig02_mpki_limits` and `fig09_mpki_reduction`
-//! binaries, run cold on three workloads at 20k branch records, must
-//! print exactly the committed text in `tests/pins/`.
+//! Figure pins: the built `fig02_mpki_limits`, `fig09_mpki_reduction`,
+//! `fig11_bandwidth` and `fig13_cid_sensitivity` binaries, run cold on
+//! three workloads at 20k branch records, must print exactly the
+//! committed text in `tests/pins/`.
 //!
 //! Output is deterministic, so any difference is a real change to the
 //! figures. A change that moves these outputs on purpose regenerates
@@ -48,4 +49,16 @@ fn fig02_stdout_matches_its_pin() {
 fn fig09_stdout_matches_its_pin() {
     let out = cold_stdout(env!("CARGO_BIN_EXE_fig09_mpki_reduction"));
     assert_eq!(out, include_str!("pins/fig09_mpki_reduction.md"));
+}
+
+#[test]
+fn fig11_stdout_matches_its_pin() {
+    let out = cold_stdout(env!("CARGO_BIN_EXE_fig11_bandwidth"));
+    assert_eq!(out, include_str!("pins/fig11_bandwidth.md"));
+}
+
+#[test]
+fn fig13_stdout_matches_its_pin() {
+    let out = cold_stdout(env!("CARGO_BIN_EXE_fig13_cid_sensitivity"));
+    assert_eq!(out, include_str!("pins/fig13_cid_sensitivity.md"));
 }
