@@ -460,11 +460,11 @@ fn advance_avx512(
 }
 
 /// Lanes per chunk of [`HashLanes`]: one 512-bit vector of `u64`.
-const HASH_LANES: usize = 8;
+pub const HASH_LANES: usize = 8;
 /// Lanes a [`HashLanes`] holds: an index and a tag lane for each of 32
-/// TAGE tables plus 17 statistical-corrector lanes, rounded up to whole
-/// chunks.
-pub const MAX_LANES: usize = 88;
+/// TAGE tables plus 17 statistical-corrector lanes, with room for 15 more
+/// (an LLBP's pattern tags, next to a TAGE of fewer tables).
+pub const MAX_LANES: usize = 96;
 /// XOR-tree steps of the narrowest width: 1, 2, 4, 8, 16 and 32.
 const MAX_FOLD_STEPS: usize = 6;
 
@@ -513,6 +513,14 @@ impl Lane {
             fold1: Some(tag1),
             width: tag_bits,
         }
+    }
+
+    /// The lane computing an LLBP pattern tag of history-length index
+    /// `len_idx` for its two tag folds: [`crate::hash::tage_tag`] of the
+    /// PC salted by `len_idx.rotate_left(7)`.
+    #[must_use]
+    pub fn pattern_tag(len_idx: u32, tag0: FoldId, tag1: FoldId, tag_bits: u32) -> Self {
+        Self { salt: u64::from(len_idx).rotate_left(7), ..Self::tage_tag(0, tag0, tag1, tag_bits) }
     }
 
     /// The lane computing [`crate::hash::gehl_index`] of `component` for
@@ -651,21 +659,28 @@ impl HashLanes {
         self.len == 0
     }
 
+    /// The hashes [`HashLanes::hash`] writes: the lanes rounded up to
+    /// whole chunks of [`HASH_LANES`].
+    #[must_use]
+    pub fn stride(&self) -> usize {
+        self.len.next_multiple_of(HASH_LANES)
+    }
+
     /// Computes every lane for `pc` into `out[..self.len()]`, reading the
     /// folds from `bank` (the bank the lanes' [`FoldId`]s came from) and
-    /// using `index_base` for the TAGE index lanes. Entries past the lanes
-    /// are unspecified. `out` is usually a field of the caller's lookup,
-    /// which then reads the hashes where the loop wrote them.
+    /// using `index_base` for the TAGE index lanes. Entries from there to
+    /// [`HashLanes::stride`] are unspecified, and `out` must hold that
+    /// many. `out` is usually a field of the caller's lookup, which then
+    /// reads the hashes where the loop wrote them, or one row of a block
+    /// of lookups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` holds fewer than [`HashLanes::stride`] hashes.
     #[inline]
-    pub fn hash(
-        &self,
-        kernel: Kernel,
-        bank: &FoldBank,
-        pc: u64,
-        index_base: u64,
-        out: &mut LaneHashes,
-    ) {
+    pub fn hash(&self, kernel: Kernel, bank: &FoldBank, pc: u64, index_base: u64, out: &mut [u32]) {
         let chunks = &self.chunks[..self.len.div_ceil(HASH_LANES)];
+        assert!(out.len() >= chunks.len() * HASH_LANES, "a hash row of {} lanes", out.len());
         let folds = &bank.regs.values;
         let (out, _) = out.as_chunks_mut::<HASH_LANES>();
         let steps = self.steps;
@@ -945,11 +960,22 @@ mod tests {
             for &(t, _, tag0, tag1, tag_bits) in &tables {
                 lanes.push(Lane::tage_tag(t, tag0, tag1, tag_bits));
             }
+            let patterns: Vec<_> = tables
+                .iter()
+                .map(|&(t, _, tag0, tag1, tag_bits)| (t, tag0, tag1, tag_bits))
+                .take(rng.below(4) as usize)
+                .collect();
             let bias = lanes.push(Lane::gehl(0, None, 0, gehl_bits));
             lanes.push(Lane::gehl(0, None, 2, gehl_bits));
             for &(c, fold) in &components {
                 lanes.push(Lane::gehl(c, fold, 0, gehl_bits));
             }
+            let first_pattern = lanes.len();
+            for &(len_idx, tag0, tag1, tag_bits) in &patterns {
+                lanes.push(Lane::pattern_tag(len_idx, tag0, tag1, tag_bits));
+            }
+            assert_eq!(lanes.stride() % HASH_LANES, 0);
+            assert!(lanes.stride() >= lanes.len());
             let values: Vec<u32> = (0..bank.len()).map(|_| rng.next_u64() as u32).collect();
             bank.restore(&values);
             let (pc, path) = (rng.next_u64(), rng.next_u64());
@@ -973,6 +999,11 @@ mod tests {
                 for (k, &(c, fold)) in components.iter().enumerate() {
                     let want = gehl_index(pc, fold.map_or(0, |f| bank.value(f)), c, gehl_bits);
                     assert_eq!(out[bias + 2 + k], want, "{kernel:?} component {c}");
+                }
+                for (k, &(len_idx, tag0, tag1, tag_bits)) in patterns.iter().enumerate() {
+                    let salted = pc ^ u64::from(len_idx).rotate_left(7);
+                    let want = tage_tag(salted, bank.value(tag0), bank.value(tag1), tag_bits);
+                    assert_eq!(out[first_pattern + k], want, "{kernel:?} pattern {len_idx}");
                 }
             }
         }

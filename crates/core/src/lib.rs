@@ -41,5 +41,5 @@ pub use params::{CancelPolicy, CdReplacement, ContextHistoryKind, LlbpParams};
 pub use pattern::{Pattern, PatternArena, SetGeometry};
 pub use predictor::{LlbpCheckpoint, LlbpPredictor};
 pub use prefetch::PrefetchQueue;
-pub use rcr::RollingContextRegister;
+pub use rcr::{ContextIds, RollingContextRegister};
 pub use stats::{LlbpStats, OverrideKind};

@@ -42,6 +42,19 @@ pub enum ContextHistoryKind {
     All,
 }
 
+impl ContextHistoryKind {
+    /// Whether `record` participates in a context history of this kind.
+    #[inline]
+    #[must_use]
+    pub fn observes(self, record: &llbp_trace::BranchRecord) -> bool {
+        match self {
+            ContextHistoryKind::Unconditional => record.kind().is_unconditional(),
+            ContextHistoryKind::CallReturn => record.kind().is_call_or_return(),
+            ContextHistoryKind::All => record.kind().is_unconditional() || record.taken(),
+        }
+    }
+}
+
 /// LLBP configuration. [`LlbpParams::default`] reproduces the paper's
 /// evaluated design (§VI): 14K pattern sets of 16 patterns (4 buckets × 4),
 /// 13-bit pattern tags, 3-bit counters, CD 7-way with 2-bit confidence
@@ -279,8 +292,29 @@ impl LlbpParams {
         if self.window == 0 {
             return Err("context window must be non-zero".into());
         }
-        if !(1..=32).contains(&self.tag_bits) {
-            return Err(format!("tag_bits out of range: {}", self.tag_bits));
+        // The widths a packed `Pattern` holds, the limits
+        // `TageConfig::validate` applies to TAGE's own entries.
+        let max_tag = crate::pattern::MAX_TAG_BITS;
+        if !(1..=max_tag).contains(&self.tag_bits) {
+            return Err(format!("tag_bits must be in 1..={max_tag}, got {}", self.tag_bits));
+        }
+        let max_ctr = crate::pattern::MAX_COUNTER_BITS;
+        if !(1..=max_ctr).contains(&self.counter_bits) {
+            return Err(format!(
+                "counter_bits must be in 1..={max_ctr}, got {}",
+                self.counter_bits
+            ));
+        }
+        // The pattern tags are lanes of the baseline's hash loop, after
+        // TAGE's index and tag lanes and the corrector's.
+        let sc_lanes =
+            if self.tsl.sc_enabled { 2 + self.tsl.sc_history_lengths.len() } else { 0 };
+        let lanes = 2 * self.tsl.tage.num_tables() + sc_lanes + self.history_lengths.len();
+        if lanes > bputil::kernel::MAX_LANES {
+            return Err(format!(
+                "{lanes} hash lanes (TAGE, corrector and pattern tags) exceed the loop's {}",
+                bputil::kernel::MAX_LANES
+            ));
         }
         // Every LLBP length must exist in the backing TAGE so the
         // history-length arbitration compares like with like.
@@ -342,6 +376,18 @@ mod tests {
         let mut p = LlbpParams::default();
         p.history_lengths[0] = 13; // not a TAGE length
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validate_caps_widths_at_what_a_pattern_holds() {
+        let with = |tag_bits: u32, counter_bits: u32| {
+            LlbpParams { tag_bits, counter_bits, ..LlbpParams::default() }.validate()
+        };
+        assert!(with(16, 8).is_ok());
+        assert!(with(17, 3).unwrap_err().contains("tag_bits"));
+        assert!(with(0, 3).unwrap_err().contains("tag_bits"));
+        assert!(with(13, 9).unwrap_err().contains("counter_bits"));
+        assert!(with(13, 0).unwrap_err().contains("counter_bits"));
     }
 
     #[test]

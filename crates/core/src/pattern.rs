@@ -9,7 +9,7 @@
 //! right-to-left scan, mirroring TAGE's multiplexer cascade.
 //!
 //! Sets live as fixed-stride rows of a [`PatternArena`], each pattern
-//! packed into 8 bytes with all-zero meaning "empty slot". Moving a set
+//! packed into 4 bytes with all-zero meaning "empty slot". Moving a set
 //! between LLBP storage and the pattern buffer is a row copy, and an
 //! arena is a single zero-initialised allocation, so rows no context has
 //! touched stay zero pages. The arena records which rows were written, so
@@ -17,31 +17,44 @@
 
 use crate::params::LlbpParams;
 
-/// Most history lengths one LLBP can use: a prediction memoises its
-/// per-length pattern tags under a `u64` mask.
+/// Most history lengths one LLBP can use: a pattern stores its length
+/// index in 6 bits.
 pub const MAX_LENGTHS: usize = 64;
 
-/// One LLBP pattern, packed into 8 bytes: the partial tag in bits 0–31,
-/// the history-length index in bits 32–39, the signed prediction counter
-/// in bits 40–55 and an occupied flag in bit 63. The all-zero word is the
+/// Widest partial tag a pattern holds.
+pub const MAX_TAG_BITS: u32 = 16;
+
+/// Widest prediction counter a pattern holds.
+pub const MAX_COUNTER_BITS: u32 = 8;
+
+/// One LLBP pattern, packed into 4 bytes: the partial tag in bits 0–15,
+/// the history-length index in bits 16–21, the signed prediction counter
+/// in bits 22–29 and an occupied flag in bit 31. The all-zero word is the
 /// empty slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Pattern(u64);
+pub struct Pattern(u32);
+
+const _: () = assert!(MAX_LENGTHS == 1 << 6);
 
 impl Pattern {
-    const OCCUPIED: u64 = 1 << 63;
-    const CTR_SHIFT: u32 = 40;
-    const CTR_MASK: u64 = 0xFFFF << Self::CTR_SHIFT;
+    const OCCUPIED: u32 = 1 << 31;
+    const LEN_SHIFT: u32 = 16;
+    const CTR_SHIFT: u32 = 22;
+    const CTR_MASK: u32 = 0xFF << Self::CTR_SHIFT;
 
     /// A pattern with partial tag `tag` (a hash of the PC and the folded
-    /// history of this length), index `len_idx` into the global LLBP
-    /// history-length list, and raw counter value `ctr` (sign = direction).
+    /// history of this length, at most [`MAX_TAG_BITS`] wide), index
+    /// `len_idx` (below [`MAX_LENGTHS`]) into the global LLBP
+    /// history-length list, and raw counter value `ctr` (sign =
+    /// direction).
     #[must_use]
-    pub fn new(tag: u32, len_idx: u8, ctr: i16) -> Self {
+    pub fn new(tag: u32, len_idx: u8, ctr: i8) -> Self {
+        debug_assert!(tag >> MAX_TAG_BITS == 0, "tag {tag:#x} is wider than {MAX_TAG_BITS} bits");
+        debug_assert!(usize::from(len_idx) < MAX_LENGTHS, "length index {len_idx}");
         Self(
-            u64::from(tag)
-                | u64::from(len_idx) << 32
-                | u64::from(ctr as u16) << Self::CTR_SHIFT
+            tag & 0xFFFF
+                | u32::from(len_idx & 0x3F) << Self::LEN_SHIFT
+                | u32::from(ctr as u8) << Self::CTR_SHIFT
                 | Self::OCCUPIED,
         )
     }
@@ -55,19 +68,19 @@ impl Pattern {
     /// The partial tag.
     #[must_use]
     pub fn tag(self) -> u32 {
-        self.0 as u32
+        self.0 & 0xFFFF
     }
 
     /// Index into the global LLBP history-length list.
     #[must_use]
     pub fn len_idx(self) -> u8 {
-        (self.0 >> 32) as u8
+        (self.0 >> Self::LEN_SHIFT) as u8 & 0x3F
     }
 
     /// The raw counter value.
     #[must_use]
-    pub fn ctr(self) -> i16 {
-        (self.0 >> Self::CTR_SHIFT) as u16 as i16
+    pub fn ctr(self) -> i8 {
+        (self.0 >> Self::CTR_SHIFT) as u8 as i8
     }
 
     /// Predicted direction: taken when the counter is non-negative.
@@ -93,8 +106,8 @@ impl Pattern {
         }
     }
 
-    fn with_ctr(self, ctr: i16) -> Self {
-        Self(self.0 & !Self::CTR_MASK | u64::from(ctr as u16) << Self::CTR_SHIFT)
+    fn with_ctr(self, ctr: i8) -> Self {
+        Self(self.0 & !Self::CTR_MASK | u32::from(ctr as u8) << Self::CTR_SHIFT)
     }
 }
 
@@ -134,14 +147,14 @@ pub struct PatternArena {
     /// per row, set when a writer touched the row since the arena was last
     /// zeroed. One allocation holds both, so the record costs a build no
     /// allocation and a write one `or`.
-    cells: Vec<u64>,
+    cells: Vec<u32>,
     rows: usize,
     patterns: usize,
     buckets: usize,
     /// History lengths per bucket (global length list size / buckets).
     lengths_per_bucket: usize,
-    ctr_min: i16,
-    ctr_max: i16,
+    ctr_min: i8,
+    ctr_max: i8,
 }
 
 impl PatternArena {
@@ -151,12 +164,12 @@ impl PatternArena {
     ///
     /// Panics if the pattern count or the length count is not a multiple
     /// of the bucket count, if any of them is zero, or if the counter
-    /// width is not in `1..=15`.
+    /// width is not in `1..=`[`MAX_COUNTER_BITS`].
     #[must_use]
     pub fn new(geometry: SetGeometry, rows: usize) -> Self {
         // `vec![0; n]` is a zeroed allocation: untouched rows cost no
         // resident memory.
-        Self::with_cells(geometry, rows, vec![0; rows * geometry.patterns + rows.div_ceil(64)])
+        Self::with_cells(geometry, rows, vec![0; rows * geometry.patterns + rows.div_ceil(32)])
     }
 
     /// [`PatternArena::new`] in `spare`'s storage when it has as many rows
@@ -185,7 +198,7 @@ impl PatternArena {
         let (cells, written) = self.cells.split_at_mut(self.rows * patterns);
         for (word, bits) in written.iter_mut().enumerate() {
             while *bits != 0 {
-                let row = word * 64 + bits.trailing_zeros() as usize;
+                let row = word * 32 + bits.trailing_zeros() as usize;
                 cells[row * patterns..(row + 1) * patterns].fill(0);
                 *bits &= *bits - 1;
             }
@@ -194,13 +207,17 @@ impl PatternArena {
 
     /// An arena of `rows` rows shaped by `geometry` over `cells`, which
     /// must be zero.
-    fn with_cells(geometry: SetGeometry, rows: usize, cells: Vec<u64>) -> Self {
+    fn with_cells(geometry: SetGeometry, rows: usize, cells: Vec<u32>) -> Self {
         let SetGeometry { patterns, buckets, lengths, counter_bits } = geometry;
         assert!(patterns > 0 && buckets > 0 && lengths > 0);
         assert_eq!(patterns % buckets, 0, "slots must divide into buckets");
         assert_eq!(lengths % buckets, 0, "lengths must divide into buckets");
-        assert!((1..=15).contains(&counter_bits), "counter width out of range: {counter_bits}");
+        assert!(
+            (1..=MAX_COUNTER_BITS).contains(&counter_bits),
+            "counter width out of range: {counter_bits}"
+        );
         let ctr_max = (1i16 << (counter_bits - 1)) - 1;
+        let ctr_max = i8::try_from(ctr_max).expect("at most 8 counter bits");
         Self {
             cells,
             rows,
@@ -218,16 +235,16 @@ impl PatternArena {
         self.patterns
     }
 
-    fn row(&self, row: usize) -> &[u64] {
+    fn row(&self, row: usize) -> &[u32] {
         let (cells, _) = self.cells.split_at(self.rows * self.patterns);
         &cells[row * self.patterns..(row + 1) * self.patterns]
     }
 
     /// `row` for writing, recorded as written.
-    fn row_mut(&mut self, row: usize) -> &mut [u64] {
+    fn row_mut(&mut self, row: usize) -> &mut [u32] {
         let (cells, written) = self.cells.split_at_mut(self.rows * self.patterns);
         let row_cells = &mut cells[row * self.patterns..(row + 1) * self.patterns];
-        written[row / 64] |= 1 << (row % 64);
+        written[row / 32] |= 1 << (row % 32);
         row_cells
     }
 
@@ -302,8 +319,8 @@ impl PatternArena {
         if p.is_empty() {
             return false;
         }
-        let step = i16::from(taken) * 2 - 1;
-        *cell = p.with_ctr((p.ctr() + step).clamp(min, max)).0;
+        let step = i8::from(taken) * 2 - 1;
+        *cell = p.with_ctr(p.ctr().saturating_add(step).clamp(min, max)).0;
         true
     }
 
@@ -336,7 +353,7 @@ impl PatternArena {
 
         // Step 4: restore sorted order within the bucket (empties first).
         // A stable insertion sort: the bucket is sorted but for one slot.
-        let key = |c: u64| if c == 0 { -1 } else { i16::from(Pattern(c).len_idx()) };
+        let key = |c: u32| if c == 0 { -1 } else { i16::from(Pattern(c).len_idx()) };
         for i in 1..per {
             let mut j = i;
             while j > 0 && key(bucket[j - 1]) > key(bucket[j]) {
@@ -388,11 +405,15 @@ mod tests {
 
     #[test]
     fn packed_fields_round_trip() {
-        for ctr in [-4i16, -1, 0, 3] {
-            let p = Pattern::new(0xFFFF_FFFF, 15, ctr);
-            assert!(!p.is_empty());
-            assert_eq!((p.tag(), p.len_idx(), p.ctr()), (0xFFFF_FFFF, 15, ctr));
+        for ctr in [i8::MIN, -4, -1, 0, 3, i8::MAX] {
+            for (tag, len_idx) in [(0xFFFF, 63), (0, 0), (0x1234, 15)] {
+                let p = Pattern::new(tag, len_idx, ctr);
+                assert!(!p.is_empty());
+                assert_eq!((p.tag(), p.len_idx(), p.ctr()), (tag, len_idx, ctr));
+                assert_eq!(p.with_ctr(-ctr.saturating_add(1)).len_idx(), len_idx);
+            }
         }
+        assert_eq!(std::mem::size_of::<Pattern>(), 4);
         let zero = Pattern::new(0, 0, 0);
         assert!(!zero.is_empty(), "a tag-0, length-0 weak pattern is still occupied");
         assert!(Pattern::default().is_empty());
@@ -560,10 +581,12 @@ mod tests {
             match rng.below(4) {
                 0 => arena.clear(row),
                 1 => {
-                    other.allocate(row, rng.below(16) as u8, rng.next_u64() as u32, true);
+                    other.allocate(row, rng.below(16) as u8, rng.next_u64() as u32 & 0xFFFF, true);
                     arena.copy_from(row, &other, row);
                 }
-                2 => arena.allocate(row, rng.below(16) as u8, rng.next_u64() as u32, false),
+                2 => {
+                    arena.allocate(row, rng.below(16) as u8, rng.next_u64() as u32 & 0xFFFF, false)
+                }
                 _ => {
                     arena.update(row, rng.below(16) as usize, true);
                 }

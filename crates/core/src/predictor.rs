@@ -17,16 +17,28 @@
 //! its pattern set into the PB with the configured delay. Pipeline resets
 //! (own mispredictions and indirect-branch target changes) squash
 //! in-flight prefetches.
+//!
+//! The pattern tags are lanes of the baseline's per-lookup hash loop
+//! ([`register_pattern_lanes`]), and the front end and the RCR read only
+//! the trace. A lone predictor advances all of these itself. A member of
+//! a unit of predictors that share one history geometry
+//! ([`LlbpPredictor::unit_member`]) owns only the tables it trains: it
+//! predicts from the hashes a shared stage computed
+//! ([`LlbpPredictor::predict_train_staged`]) and retires each record with
+//! the pipeline reset and the context IDs that stage derived
+//! ([`LlbpPredictor::retire_staged`]).
 
-use crate::params::{CancelPolicy, CdReplacement, LlbpParams};
+use crate::params::{CancelPolicy, CdReplacement, ContextHistoryKind, LlbpParams};
 use crate::pattern::{PatternArena, SetGeometry, MAX_LENGTHS};
 use crate::prefetch::PrefetchQueue;
-use crate::rcr::RollingContextRegister;
+use crate::rcr::{ContextIds, RollingContextRegister};
 use crate::stats::{LlbpStats, OverrideKind};
-use bputil::kernel::FoldId;
+use bputil::kernel::Lane;
 use bputil::table::SetAssoc;
 use llbp_tage::tage::UpdateMode;
-use llbp_tage::{FrontEnd, PredictionInfo, Predictor, ProviderKind, TablePool, TageScl};
+use llbp_tage::{
+    FrontEnd, PredictionInfo, Predictor, ProviderKind, TablePool, TageHistory, TageScl,
+};
 use llbp_trace::BranchRecord;
 
 /// LLBP's own view of one prediction, carried from `predict` to `train`.
@@ -58,30 +70,6 @@ struct LlbpMatch {
     hist_len: usize,
 }
 
-/// The pattern tags of the prediction in flight, hashed on first use. It
-/// lives in the predictor, and a prediction starts by clearing `known`:
-/// a tag is read only after it is hashed, so the stale tags stay.
-#[derive(Debug)]
-struct TagMemo {
-    tags: [u32; MAX_LENGTHS],
-    /// Bit `i` set: `tags[i]` holds the tag of length index `i`.
-    known: u64,
-}
-
-impl TagMemo {
-    fn new() -> Self {
-        Self { tags: [0; MAX_LENGTHS], known: 0 }
-    }
-
-    fn get(&mut self, len_idx: usize, hash: impl FnOnce() -> u32) -> u32 {
-        if self.known >> len_idx & 1 == 0 {
-            self.tags[len_idx] = hash();
-            self.known |= 1 << len_idx;
-        }
-        self.tags[len_idx]
-    }
-}
-
 /// A snapshot of the composed predictor's speculative history state
 /// (§V-E2 rollback support).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +85,6 @@ struct Config {
     /// The pattern history lengths; the first `num_lengths` are used.
     history_lengths: [usize; MAX_LENGTHS],
     num_lengths: usize,
-    tag_bits: u32,
     cd_index_bits: u32,
     pb_index_bits: u32,
     prefetch_delay: u64,
@@ -106,6 +93,7 @@ struct Config {
     cd_replacement: CdReplacement,
     cancel_policy: CancelPolicy,
     weak_override_gate: bool,
+    history_kind: ContextHistoryKind,
 }
 
 impl Config {
@@ -118,7 +106,6 @@ impl Config {
         Self {
             history_lengths,
             num_lengths,
-            tag_bits: params.tag_bits,
             cd_index_bits: params.cd_index_bits,
             pb_index_bits: params.pb_index_bits,
             prefetch_delay: params.prefetch_delay,
@@ -127,6 +114,7 @@ impl Config {
             cd_replacement: params.cd_replacement,
             cancel_policy: params.cancel_policy,
             weak_override_gate: params.weak_override_gate,
+            history_kind: params.history_kind,
         }
     }
 
@@ -136,33 +124,29 @@ impl Config {
     }
 }
 
-/// LLBP's own tables and front end, kept in a [`TablePool`] between
-/// cells ([`TablePool::put_state`]). A build reuses each part of its own
-/// shape, reset to a fresh build's state, and allocates the others anew.
+/// LLBP's own tables, kept in a [`TablePool`] between cells
+/// ([`TablePool::put_state`]). A build reuses each part of its own shape,
+/// reset to a fresh build's state, and allocates the others anew.
 #[derive(Debug)]
 struct LlbpTables {
     storage: SetAssoc<()>,
     storage_sets: PatternArena,
     pb: SetAssoc<bool>,
     pb_sets: PatternArena,
-    rcr: RollingContextRegister,
     prefetches: PrefetchQueue,
-    frontend: FrontEnd,
 }
 
 impl LlbpTables {
     /// The tables `params` configures, in `spare`'s storage where a part
     /// has the same shape.
     fn recycle(spare: Option<Self>, params: &LlbpParams) -> Self {
-        let (storage, storage_sets, pb, pb_sets, rcr, prefetches, frontend) = match spare {
+        let (storage, storage_sets, pb, pb_sets, prefetches) = match spare {
             Some(t) => (
                 Some(t.storage),
                 Some(t.storage_sets),
                 Some(t.pb),
                 Some(t.pb_sets),
-                Some(t.rcr),
                 Some(t.prefetches),
-                Some(t.frontend),
             ),
             None => Default::default(),
         };
@@ -172,23 +156,89 @@ impl LlbpTables {
         let storage_sets = PatternArena::recycle(storage_sets, geometry, rows);
         let pb = SetAssoc::recycle(pb, params.pb_index_bits, params.pb_ways);
         let pb_sets = PatternArena::recycle(pb_sets, geometry, pb.num_sets() * pb.ways());
-        let rcr = RollingContextRegister::recycle(
-            rcr,
-            params.window,
-            params.prefetch_distance,
-            params.cid_bits,
-            params.history_kind,
-        );
         let prefetches = prefetches.map_or_else(PrefetchQueue::new, |mut queue| {
             queue.reset();
             queue
         });
-        let frontend = frontend.map_or_else(FrontEnd::new, |mut frontend| {
-            frontend.reset();
-            frontend
-        });
-        Self { storage, storage_sets, pb, pb_sets, rcr, prefetches, frontend }
+        Self { storage, storage_sets, pb, pb_sets, prefetches }
     }
+}
+
+/// What LLBP derives from the trace alone: the front end, whose late
+/// redirects are the non-direction pipeline resets, and the RCR. A lone
+/// predictor owns one; the members of a unit read what their stage's
+/// tracked ([`LlbpPredictor::retire_staged`]).
+#[derive(Debug)]
+struct Tracker {
+    frontend: FrontEnd,
+    rcr: RollingContextRegister,
+}
+
+impl Tracker {
+    /// The tracker `params` configures, on a front end and an RCR from
+    /// `pool` (each reset to a fresh build's state).
+    fn with_pool(params: &LlbpParams, pool: &mut TablePool) -> Self {
+        Self { frontend: frontend_with_pool(pool), rcr: rcr_with_pool(params, pool) }
+    }
+
+    /// Observes one retired record: whether the front end resets the
+    /// pipeline on it, and the context IDs after the RCR's push when the
+    /// RCR observes it.
+    #[inline]
+    fn observe(&mut self, record: &BranchRecord) -> (bool, Option<ContextIds>) {
+        let reset = self.frontend.observe(record).is_some();
+        let pushed = self.rcr.observes(record).then(|| {
+            self.rcr.push(record.pc());
+            self.rcr.cids()
+        });
+        (reset, pushed)
+    }
+}
+
+/// A front end in the state [`FrontEnd::new`] leaves, on one from `pool`
+/// when it holds one ([`TablePool::put_state`]).
+#[must_use]
+pub fn frontend_with_pool(pool: &mut TablePool) -> FrontEnd {
+    pool.take_state::<FrontEnd>().map_or_else(FrontEnd::new, |mut frontend| {
+        frontend.reset();
+        frontend
+    })
+}
+
+/// The RCR `params` configures, in the storage of one from `pool` when it
+/// holds one ([`RollingContextRegister::recycle`]).
+#[must_use]
+pub fn rcr_with_pool(params: &LlbpParams, pool: &mut TablePool) -> RollingContextRegister {
+    RollingContextRegister::recycle(
+        pool.take_state(),
+        params.window,
+        params.prefetch_distance,
+        params.cid_bits,
+        params.history_kind,
+    )
+}
+
+/// Registers LLBP's pattern tags with `history`, the history of its
+/// baseline or a stage shared by predictors of the baseline's geometry:
+/// per history-length index, its folded tag pair (the length at
+/// `tag_bits` and `tag_bits - 1`; a pair a TAGE table already folds is
+/// that table's register) and a hash lane computing the tag
+/// ([`Lane::pattern_tag`]). Returns the position of the first pattern lane
+/// among the side lanes; length index `i` is `i` lanes after it. LLBPs
+/// with equal pattern lengths and tag widths register equal lanes.
+///
+/// # Panics
+///
+/// Panics when the lanes do not fit the hash loop, which
+/// [`LlbpParams::validate`] rules out.
+pub fn register_pattern_lanes(params: &LlbpParams, history: &mut TageHistory) -> usize {
+    let tag1_bits = (params.tag_bits - 1).max(1);
+    let lanes = params.history_lengths.iter().zip(0..).map(|(&l, len_idx)| {
+        let (tag0, tag1) =
+            (history.register_fold(l, params.tag_bits), history.register_fold(l, tag1_bits));
+        history.push_side_lane(Lane::pattern_tag(len_idx, tag0, tag1, params.tag_bits))
+    });
+    lanes.min().expect("validated: at least one length")
 }
 
 /// The Last-Level Branch Predictor backing a TAGE-SC-L baseline.
@@ -206,11 +256,14 @@ pub struct LlbpPredictor {
     label: String,
     storage_bits: u64,
     tsl: TageScl,
-    rcr: RollingContextRegister,
-    /// Per history-length index: its folded tag pair (the length at
-    /// `tag_bits` and `tag_bits - 1`), registers of the backing TSL's bank.
-    /// A pair a TAGE table already folds is that table's register.
-    tag_folds: [(FoldId, FoldId); MAX_LENGTHS],
+    /// The front end and the RCR: `None` for a member of a unit, whose
+    /// stage tracks them.
+    tracker: Option<Tracker>,
+    /// The context IDs in effect: the RCR's after its last push.
+    cids: ContextIds,
+    /// Where the pattern tags start among the baseline lookup's side
+    /// lanes ([`register_pattern_lanes`]).
+    pattern_lane: usize,
     /// The context directory; its way slots index `storage_sets`.
     storage: SetAssoc<()>,
     /// Bulk pattern-set storage, one row per context-directory way.
@@ -221,14 +274,9 @@ pub struct LlbpPredictor {
     /// The pattern buffer's sets, one row per PB way.
     pb_sets: PatternArena,
     prefetches: PrefetchQueue,
-    /// Front-end target predictors (BTB/RAS/ITTAGE): their late redirects
-    /// are the non-direction pipeline resets that squash prefetches.
-    frontend: FrontEnd,
     /// Also the clock: `stats.instructions` and `stats.cycles` advance
     /// once per record, and every cycle read in between uses the latter.
     stats: LlbpStats,
-    /// The pattern tags of the prediction in flight.
-    tags: TagMemo,
     pending: Option<Pending>,
     /// Runtime power gate (§V): `false` turns the LLBP side off.
     llbp_enabled: bool,
@@ -250,25 +298,41 @@ impl LlbpPredictor {
     /// arenas, the context directory, the pattern buffer, the RCR, the
     /// prefetch queue and the front end (BTB, RAS, ITTAGE). Each is reused
     /// only for the same shape and reset to a fresh build's state; a part
-    /// of another shape is freed and allocated anew, so the pool holds one
-    /// LLBP's tables at most. Reads `params` without keeping it: the
-    /// predictor copies its label and the scalars it reads. Hand the
-    /// tables back with [`LlbpPredictor::into_pool`].
+    /// of another shape is freed and allocated anew, so a pool serving one
+    /// cell at a time holds one LLBP's tables at most. Reads `params`
+    /// without keeping it: the predictor copies its label and the scalars
+    /// it reads. Hand the tables back with [`LlbpPredictor::into_pool`].
     ///
     /// # Panics
     ///
     /// Panics if the parameters fail [`LlbpParams::validate`].
     #[must_use]
     pub fn with_pool(params: &LlbpParams, pool: &mut TablePool) -> Self {
+        let tracker = Tracker::with_pool(params, pool);
+        Self::build(params, pool, Some(tracker))
+    }
+
+    /// A member of a unit of predictors that share one history geometry:
+    /// [`LlbpPredictor::with_pool`] without a front end or an RCR. It runs
+    /// only through [`LlbpPredictor::predict_train_staged`] and
+    /// [`LlbpPredictor::retire_staged`], from the values a shared stage
+    /// computed; its front-end statistics are the stage's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters fail [`LlbpParams::validate`].
+    #[must_use]
+    pub fn unit_member(params: &LlbpParams, pool: &mut TablePool) -> Self {
+        Self::build(params, pool, None)
+    }
+
+    fn build(params: &LlbpParams, pool: &mut TablePool, tracker: Option<Tracker>) -> Self {
         params.validate().unwrap_or_else(|e| panic!("invalid LLBP params: {e}"));
         let mut tsl = TageScl::with_pool(&params.tsl, pool);
-        let mut tag_folds = [(FoldId::ZERO, FoldId::ZERO); MAX_LENGTHS];
-        for (pair, &l) in tag_folds.iter_mut().zip(&params.history_lengths) {
-            let tag1_bits = (params.tag_bits - 1).max(1);
-            *pair = (tsl.register_fold(l, params.tag_bits), tsl.register_fold(l, tag1_bits));
-        }
-        let LlbpTables { storage, storage_sets, pb, pb_sets, rcr, prefetches, frontend } =
+        let pattern_lane = register_pattern_lanes(params, tsl.history_mut());
+        let LlbpTables { storage, storage_sets, pb, pb_sets, prefetches } =
             LlbpTables::recycle(pool.take_state(), params);
+        let cids = tracker.as_ref().map(|t| t.rcr.cids()).unwrap_or_default();
         Self {
             cfg: Config::of(params),
             label: params.label.clone(),
@@ -277,35 +341,36 @@ impl LlbpPredictor {
                 + params.pb_bits()
                 + params.tsl.storage_bits(),
             tsl,
-            rcr,
-            tag_folds,
+            tracker,
+            cids,
+            pattern_lane,
             storage,
             storage_sets,
             pb,
             pb_sets,
             prefetches,
-            frontend,
             stats: LlbpStats::default(),
-            tags: TagMemo::new(),
             pending: None,
             llbp_enabled: true,
         }
     }
 
-    /// Hands the tables [`LlbpPredictor::with_pool`] takes to `pool`, for
-    /// the next predictor built on it.
+    /// Hands the tables [`LlbpPredictor::with_pool`] or
+    /// [`LlbpPredictor::unit_member`] takes to `pool`, for the next
+    /// predictor built on it.
     pub fn into_pool(self, pool: &mut TablePool) {
-        let Self { tsl, storage, storage_sets, pb, pb_sets, rcr, prefetches, frontend, .. } = self;
+        let Self { tsl, tracker, storage, storage_sets, pb, pb_sets, prefetches, .. } = self;
         tsl.into_pool(pool);
-        pool.put_state(LlbpTables {
-            storage,
-            storage_sets,
-            pb,
-            pb_sets,
-            rcr,
-            prefetches,
-            frontend,
-        });
+        pool.put_state(LlbpTables { storage, storage_sets, pb, pb_sets, prefetches });
+        if let Some(Tracker { frontend, rcr }) = tracker {
+            pool.put_state(frontend);
+            pool.put_state(rcr);
+        }
+    }
+
+    /// The own front end and RCR of a lone predictor.
+    fn tracker(&self) -> &Tracker {
+        self.tracker.as_ref().expect("a unit member's front end and RCR are its stage's")
     }
 
     /// The backing TAGE-SC-L (for probes).
@@ -321,9 +386,14 @@ impl LlbpPredictor {
     }
 
     /// The front-end target predictors (for probes).
+    ///
+    /// # Panics
+    ///
+    /// Panics for a [`LlbpPredictor::unit_member`], whose front end is its
+    /// stage's.
     #[must_use]
     pub fn frontend(&self) -> &FrontEnd {
-        &self.frontend
+        &self.tracker().frontend
     }
 
     /// Enables or disables the LLBP side at runtime (§V: "when the
@@ -348,9 +418,14 @@ impl LlbpPredictor {
     /// whose bank holds LLBP's folded pattern histories, plus the RCR
     /// (§V-E2: "Rolling back the RCR can be done in the same way as for
     /// the folded history registers in TAGE").
+    ///
+    /// # Panics
+    ///
+    /// Panics for a [`LlbpPredictor::unit_member`], whose histories are its
+    /// stage's.
     #[must_use]
     pub fn checkpoint(&self) -> LlbpCheckpoint {
-        LlbpCheckpoint { tsl: self.tsl.checkpoint(), rcr: self.rcr.checkpoint() }
+        LlbpCheckpoint { tsl: self.tsl.checkpoint(), rcr: self.tracker().rcr.checkpoint() }
     }
 
     /// Restores a checkpoint taken by [`LlbpPredictor::checkpoint`],
@@ -360,10 +435,13 @@ impl LlbpPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint came from a different configuration.
+    /// Panics if the checkpoint came from a different configuration, or
+    /// for a [`LlbpPredictor::unit_member`].
     pub fn restore(&mut self, checkpoint: &LlbpCheckpoint) {
         self.tsl.restore(&checkpoint.tsl);
-        self.rcr.restore(&checkpoint.rcr);
+        let tracker = self.tracker.as_mut().expect("a unit member's RCR is its stage's");
+        tracker.rcr.restore(&checkpoint.rcr);
+        self.cids = tracker.rcr.cids();
         self.prefetches.squash();
     }
 
@@ -488,7 +566,7 @@ impl LlbpPredictor {
     fn pipeline_reset(&mut self) {
         self.stats.pipeline_resets += 1;
         self.prefetches.squash();
-        for cid in [self.rcr.current_cid(), self.rcr.prefetch_cid()] {
+        for cid in [self.cids.current, self.cids.prefetch] {
             let (pi, pt) = self.pb_key(cid);
             if self.pb.peek_slot(pi, pt).is_some() {
                 continue;
@@ -501,13 +579,19 @@ impl LlbpPredictor {
     }
 
     /// The prediction half of [`Predictor::predict`]: everything up to the
-    /// final direction. The baseline's lookup stays in flight in `tsl`;
-    /// LLBP's own part is returned.
-    fn lookup(&mut self, pc: u64) -> Pending {
+    /// final direction, with the baseline's hashes computed from its own
+    /// history or copied from the `staged` hashes of a shared one. The
+    /// baseline's lookup stays in flight in `tsl`; LLBP's own part is
+    /// returned.
+    #[inline]
+    fn lookup(&mut self, pc: u64, staged: Option<&[u32]>) -> Pending {
         self.process_arrivals();
-        let tage = self.tsl.lookup_tage_in_flight(pc);
+        let tage = match staged {
+            None => self.tsl.lookup_tage_in_flight(pc),
+            Some(hashes) => self.tsl.lookup_tage_staged(pc, hashes),
+        };
         let (tage_hit, tage_hist_len) = (tage.provider.is_some(), tage.provider_hist_len);
-        let cid = self.rcr.current_cid();
+        let cid = self.cids.current;
         self.stats.predictions += 1;
 
         let (pi, pt) = self.pb_key(cid);
@@ -531,15 +615,11 @@ impl LlbpPredictor {
             }
         }
 
-        // Only the lengths of occupied patterns are hashed, each once.
-        self.tags.known = 0;
+        // The pattern tags are lanes of the hash loop, in the lookup in
+        // flight.
         let llbp = resident.and_then(|row| {
-            let (tags, tsl, folds, bits) =
-                (&mut self.tags, &self.tsl, &self.tag_folds, self.cfg.tag_bits);
-            let slot = self.pb_sets.find_longest(row, |len| {
-                let len = usize::from(len);
-                tags.get(len, || pattern_tag(tsl, folds[len], pc, len, bits))
-            })?;
+            let tags = &self.tsl.in_flight().tage.side()[self.pattern_lane..];
+            let slot = self.pb_sets.find_longest(row, |len| tags[usize::from(len)])?;
             let p = self.pb_sets.pattern(row, slot).expect("slot was a match");
             Some(LlbpMatch {
                 slot,
@@ -569,10 +649,12 @@ impl LlbpPredictor {
             Some(m) if overrode => m.hist_len,
             _ => tage_hist_len,
         };
-        let alloc = self.cfg.lengths().iter().position(|&l| l > base_len).map(|i| {
-            let (tsl, folds, bits) = (&self.tsl, &self.tag_folds, self.cfg.tag_bits);
-            (i as u8, self.tags.get(i, || pattern_tag(tsl, folds[i], pc, i, bits)))
-        });
+        let alloc = self
+            .cfg
+            .lengths()
+            .iter()
+            .position(|&l| l > base_len)
+            .map(|i| (i as u8, self.tsl.in_flight().tage.side()[self.pattern_lane + i]));
 
         Pending { pc, llbp, final_pred, overrode, cid, alloc }
     }
@@ -658,22 +740,9 @@ impl LlbpPredictor {
     }
 }
 
-/// The pattern tag of history-length index `len_idx` for `pc` under the
-/// current history of `tsl`, whose bank holds the length's tag pair
-/// `folds`.
-fn pattern_tag(tsl: &TageScl, folds: (FoldId, FoldId), pc: u64, len_idx: usize, bits: u32) -> u32 {
-    let (fold0, fold1) = folds;
-    bputil::hash::tage_tag(
-        pc ^ (len_idx as u64).rotate_left(7),
-        tsl.fold(fold0),
-        tsl.fold(fold1),
-        bits,
-    )
-}
-
 impl Predictor for LlbpPredictor {
     fn predict(&mut self, pc: u64) -> bool {
-        let pending = self.lookup(pc);
+        let pending = self.lookup(pc, None);
         self.pending = Some(pending);
         pending.final_pred
     }
@@ -685,22 +754,11 @@ impl Predictor for LlbpPredictor {
     }
 
     fn predict_train(&mut self, pc: u64, taken: bool) -> (bool, ProviderKind) {
-        // Fused lookup+commit, as in `TageScl`: the baseline's lookup
-        // stays in flight in `tsl` and LLBP's scalars on this frame.
-        // `pending` ends `None`, as after a split `train()`.
-        let pending = self.lookup(pc);
-        self.pending = None;
-        let out = (pending.final_pred, self.tsl.in_flight().provider);
-        self.commit(&pending, taken);
-        out
+        self.predict_train_from(pc, taken, None)
     }
 
     fn predict_train_info(&mut self, pc: u64, taken: bool) -> (bool, PredictionInfo) {
-        let pending = self.lookup(pc);
-        self.pending = None;
-        let out = (pending.final_pred, self.prediction_info(&pending));
-        self.commit(&pending, taken);
-        out
+        self.predict_train_info_from(pc, taken, None)
     }
 
     fn update_history(&mut self, record: &BranchRecord) {
@@ -734,23 +792,94 @@ impl Predictor for LlbpPredictor {
 }
 
 impl LlbpPredictor {
+    /// The fused lookup and commit of [`Predictor::predict_train`], from
+    /// `staged` hashes when given. The baseline's lookup stays in flight in
+    /// `tsl` and LLBP's scalars on this frame; `pending` ends `None`, as
+    /// after a split `train()`.
+    #[inline]
+    fn predict_train_from(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        staged: Option<&[u32]>,
+    ) -> (bool, ProviderKind) {
+        let pending = self.lookup(pc, staged);
+        self.pending = None;
+        let out = (pending.final_pred, self.tsl.in_flight().provider);
+        self.commit(&pending, taken);
+        out
+    }
+
+    /// [`LlbpPredictor::predict_train_from`] returning the provenance
+    /// record.
+    #[inline]
+    fn predict_train_info_from(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        staged: Option<&[u32]>,
+    ) -> (bool, PredictionInfo) {
+        let pending = self.lookup(pc, staged);
+        self.pending = None;
+        let out = (pending.final_pred, self.prediction_info(&pending));
+        self.commit(&pending, taken);
+        out
+    }
+
+    /// [`Predictor::predict_train`] from `hashes`, every lane's hash for
+    /// `pc` as a shared history of this predictor's geometry computed them
+    /// ([`TageHistory::hash`], with the pattern lanes of
+    /// [`register_pattern_lanes`]). The baseline's history does not
+    /// advance: the stage that owns the shared one does.
+    pub fn predict_train_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, ProviderKind) {
+        self.predict_train_from(pc, taken, Some(hashes))
+    }
+
+    /// [`Predictor::predict_train_info`] from staged hashes, as
+    /// [`LlbpPredictor::predict_train_staged`].
+    pub fn predict_train_info_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, PredictionInfo) {
+        self.predict_train_info_from(pc, taken, Some(hashes))
+    }
+
+    /// Whether this predictor's RCR observes `record`: whether
+    /// [`LlbpPredictor::retire_staged`] takes context IDs for it.
+    #[inline]
+    #[must_use]
+    pub fn observes(&self, record: &BranchRecord) -> bool {
+        self.cfg.history_kind.observes(record)
+    }
+
+    /// [`Predictor::update_history_fast`] for a unit member, from what its
+    /// stage derived from `record`: whether the front end `reset` the
+    /// pipeline on it, and, when the member's RCR observes it, the context
+    /// IDs after the RCR's push. The baseline's history does not advance.
+    #[inline]
+    pub fn retire_staged(
+        &mut self,
+        record: &BranchRecord,
+        reset: bool,
+        pushed: Option<ContextIds>,
+    ) {
+        self.retire(record, reset, pushed);
+    }
+
     /// The shared body of [`Predictor::update_history`] /
     /// [`Predictor::update_history_fast`]: identical except that the fast
     /// variant advances the backing TAGE-SC-L's bank, LLBP's folds
     /// included, through its branch-free loop.
     fn advance_history(&mut self, record: &BranchRecord, fast: bool) {
-        self.stats.instructions += record.instructions();
-        self.stats.cycles = self.stats.instructions / self.cfg.fetch_width.max(1);
-        self.process_arrivals();
-
-        // Late front-end redirects (BTB misses on taken branches, RAS
-        // mismatches, indirect-target mispredictions) flush the front-end
-        // and squash LLBP's prefetches (§VI; the PHPWiki pathology,
-        // §VII-A, is indirect-target driven).
-        if self.frontend.observe(record).is_some() {
-            self.pipeline_reset();
-        }
-
+        let tracker = self.tracker.as_mut().expect("a unit member retires through its stage");
+        let (reset, pushed) = tracker.observe(record);
         // LLBP's folded pattern histories are registers of the backing
         // TAGE's bank and advance with it.
         if fast {
@@ -758,16 +887,36 @@ impl LlbpPredictor {
         } else {
             self.tsl.update_history(record);
         }
+        self.retire(record, reset, pushed);
+    }
+
+    /// Everything a retired record does to LLBP beyond its histories: the
+    /// clock, prefetch arrivals, the front end's pipeline `reset`, and the
+    /// context IDs `pushed` when the RCR observed the record.
+    #[inline]
+    fn retire(&mut self, record: &BranchRecord, reset: bool, pushed: Option<ContextIds>) {
+        self.stats.instructions += record.instructions();
+        self.stats.cycles = self.stats.instructions / self.cfg.fetch_width.max(1);
+        self.process_arrivals();
+
+        // Late front-end redirects (BTB misses on taken branches, RAS
+        // mismatches, indirect-target mispredictions) flush the front-end
+        // and squash LLBP's prefetches (§VI; the PHPWiki pathology,
+        // §VII-A, is indirect-target driven). The reset reads the context
+        // IDs from before this record's push.
+        if reset {
+            self.pipeline_reset();
+        }
 
         // Context tracking + prefetch issue. The RCR always advances (so
         // re-enabling a power-gated LLBP is seamless); directory lookups
         // and prefetches only happen while enabled.
-        if self.rcr.observes(record) {
-            self.rcr.push(record.pc());
+        if let Some(cids) = pushed {
+            self.cids = cids;
             if !self.llbp_enabled {
                 return;
             }
-            let upcoming = self.rcr.prefetch_cid();
+            let upcoming = cids.prefetch;
             self.stats.cd_lookups += 1;
             let (si, st) = self.storage_key(upcoming);
             if let Some(row) = self.storage.peek_slot(si, st) {
@@ -982,9 +1131,9 @@ mod tests {
             assert!(pooled.storage_sets == fresh.storage_sets, "{label}: LLBP storage");
             assert!(pooled.pb == fresh.pb, "{label}: pattern buffer");
             assert!(pooled.pb_sets == fresh.pb_sets, "{label}: pattern buffer sets");
-            assert!(pooled.rcr == fresh.rcr, "{label}: RCR");
+            assert!(pooled.tracker().rcr == fresh.tracker().rcr, "{label}: RCR");
             assert!(pooled.prefetches == fresh.prefetches, "{label}: prefetch queue");
-            assert!(pooled.frontend == fresh.frontend, "{label}: front end");
+            assert!(pooled.tracker().frontend == fresh.tracker().frontend, "{label}: front end");
             for (i, r) in trace.iter().enumerate() {
                 if r.kind() == BranchKind::Conditional {
                     let want = fresh.predict_train(r.pc(), r.taken());

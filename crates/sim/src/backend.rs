@@ -21,6 +21,14 @@
 //!   Per-branch tracking and provenance recording are compile-time
 //!   splits, so the common loop carries neither.
 //!
+//! On the batch tier the sweep engine also runs a trace's cells that
+//! share a TAGE-SC-L history geometry as one *unit* ([`run_unit`]): a
+//! shared stage advances the histories, hashes every lane (LLBP's pattern
+//! tags included) and tracks the front end and the RCRs once per
+//! [`UNIT_BLOCK`] records, and each member then runs the block from the
+//! staged values through its own monomorphized loop, training only its
+//! own tables. Every member's result equals its lone run's.
+//!
 //! Selection threads through [`crate::SimConfig::backend`]: `auto` (the
 //! default) resolves to the fastest tier, the `LLBP_BACKEND` environment
 //! variable and the experiment binaries' `--backend` flag override it.
@@ -33,11 +41,15 @@ use crate::config::{PredictorKind, SimConfig};
 use crate::driver::{finish_provider_counts, warmup_len, LlbpCellStats, SimResult};
 use crate::error::{CancelToken, SimError};
 use bputil::hash::FastHashMap;
-use llbp_core::LlbpPredictor;
+use llbp_core::predictor::{frontend_with_pool, rcr_with_pool, register_pattern_lanes};
+use llbp_core::{ContextIds, LlbpParams, LlbpPredictor, Pattern, RollingContextRegister};
 use llbp_prov::ProvRecorder;
 use llbp_tage::classic::{Gshare, HashedPerceptron, TwoLevelLocal};
-use llbp_tage::{Predictor, ProviderKind, TablePool, TageScl};
-use llbp_trace::Trace;
+use llbp_tage::{
+    FrontEnd, PredictionInfo, Predictor, ProviderKind, TablePool, TageHistory, TageScl, TslConfig,
+};
+use llbp_trace::{BranchRecord, Trace};
+use std::time::{Duration, Instant};
 
 /// Environment variable selecting the execution backend for harness
 /// binaries (`reference` | `batch` | `auto`). The
@@ -190,6 +202,462 @@ pub(crate) fn run_batch(
             predictor.into_pool(pool);
             result
         }
+    }
+}
+
+/// Records per block of a unit's staged pass: the stage hashes a block's
+/// conditionals into one buffer of rows, which stays in cache while each
+/// member runs the block.
+pub const UNIT_BLOCK: usize = 1024;
+
+/// Most bytes of tables the members of one unit may hold together
+/// ([`table_bytes`]); a unit of one is always allowed. The members of a
+/// unit are resident at once, so this bounds what running a trace's cells
+/// together adds to a worker's memory over running them one by one.
+pub const UNIT_TABLE_BUDGET: usize = 2 << 20;
+
+/// The TAGE-SC-L whose histories a predictor of `kind` runs on: its own
+/// configuration or an LLBP's baseline. `None` for the kinds a unit does
+/// not take (the classic predictors, and TSL presets not resolved to
+/// [`PredictorKind::CustomTsl`]).
+fn staged_tsl(kind: &PredictorKind) -> Option<&TslConfig> {
+    match kind {
+        PredictorKind::Llbp(params) => Some(&params.tsl),
+        PredictorKind::CustomTsl(cfg) => Some(cfg),
+        _ => None,
+    }
+}
+
+/// Whether cells of `a` and `b` on one trace can run as one unit: both
+/// run on TAGE-SC-L histories of one geometry
+/// ([`TslConfig::same_history`]), and two LLBPs also hash equal pattern
+/// tags (equal pattern lengths and tag width).
+pub(crate) fn shares_stage(a: &PredictorKind, b: &PredictorKind) -> bool {
+    let (Some(ta), Some(tb)) = (staged_tsl(a), staged_tsl(b)) else { return false };
+    ta.same_history(tb)
+        && match (a, b) {
+            (PredictorKind::Llbp(pa), PredictorKind::Llbp(pb)) => {
+                (&pa.history_lengths, pa.tag_bits) == (&pb.history_lengths, pb.tag_bits)
+            }
+            _ => true,
+        }
+}
+
+/// The bytes of the tables a predictor of `kind` trains, as
+/// [`UNIT_TABLE_BUDGET`] counts them: an LLBP's pattern storage at
+/// [`Pattern`]'s packed size plus its baseline's storage, a TAGE-SC-L's
+/// storage ([`TslConfig::storage_bits`], the finite-equivalent geometry
+/// for infinite TAGE).
+pub(crate) fn table_bytes(kind: &PredictorKind) -> usize {
+    let tsl = staged_tsl(kind).map_or(0, |cfg| (cfg.storage_bits() / 8) as usize);
+    match kind {
+        PredictorKind::Llbp(p) => {
+            tsl + p.num_contexts() * p.patterns_per_set * std::mem::size_of::<Pattern>()
+        }
+        _ => tsl,
+    }
+}
+
+/// A member of a unit: a predictor that runs from the stage's values.
+/// Members live in the pooled [`StageBuffers::members`], so the larger
+/// variant costs no allocation; boxing it would cost one per member.
+#[allow(clippy::large_enum_variant)]
+enum Member {
+    Tsl(TageScl),
+    /// An LLBP and the stage's RCR for its context configuration.
+    Llbp(LlbpPredictor, usize),
+}
+
+/// The per-block values a unit's stage computes once for all members,
+/// kept in the worker's [`TablePool`] between units.
+#[derive(Default)]
+struct StageBuffers {
+    /// One row of [`TageHistory::hash`] per conditional of the block.
+    hashes: Vec<u32>,
+    /// Per record of the block: whether the front end reset the pipeline.
+    resets: Vec<bool>,
+    /// Per stage RCR: the context IDs after each push in the block.
+    cids: Vec<Vec<ContextIds>>,
+    /// The stage's RCRs, one per context configuration in `contexts`.
+    rcrs: Vec<RollingContextRegister>,
+    contexts: Vec<ContextKey>,
+    members: Vec<(Member, Tally, Duration)>,
+}
+
+/// The context configuration of an LLBP's RCR: window, distance, CID
+/// width and history kind.
+type ContextKey = (usize, usize, u32, llbp_core::ContextHistoryKind);
+
+/// The context configuration of an LLBP's RCR.
+fn context_key(p: &LlbpParams) -> ContextKey {
+    (p.window, p.prefetch_distance, p.cid_bits, p.history_kind)
+}
+
+/// Runs the cells of `kinds` (at least one, every pair passing
+/// [`shares_stage`]) on `trace` as one unit on the batch tier: one shared
+/// stage and one monomorphized block loop per member. `provs[i]` records
+/// member `i`. Appends each member's result, equal to its lone
+/// [`run_batch`], to `results` with its wall: its own block time plus an
+/// equal share of the stage's. Every table and buffer comes from `pool`
+/// and goes back to it, also when the token fires, so a worker's units
+/// allocate only on their first build.
+///
+/// # Errors
+///
+/// Returns [`SimError::Timeout`] for the whole unit when the token fires
+/// mid-run; `results` then gains nothing.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_unit<'k>(
+    cfg: &SimConfig,
+    kinds: impl ExactSizeIterator<Item = &'k PredictorKind>,
+    trace: &Trace,
+    token: &CancelToken,
+    progress: &llbp_obs::Counter,
+    provs: &mut [ProvRecorder],
+    pool: &mut TablePool,
+    results: &mut Vec<(SimResult, Duration)>,
+) -> Result<(), SimError> {
+    let mut buffers = pool.take_state::<StageBuffers>().unwrap_or_default();
+    let count = u32::try_from(kinds.len()).expect("a unit's member count fits in u32");
+    let mut history: Option<TageHistory> = None;
+    let mut frontend: Option<FrontEnd> = None;
+    for kind in kinds {
+        let history = history.get_or_insert_with(|| {
+            TageHistory::for_tsl(staged_tsl(kind).expect("a TAGE-SC-L geometry"), pool)
+        });
+        let member = match kind {
+            PredictorKind::Llbp(params) => {
+                if frontend.is_none() {
+                    register_pattern_lanes(params, history);
+                    frontend = Some(frontend_with_pool(pool));
+                }
+                let key = context_key(params);
+                let rcr = buffers.contexts.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    buffers.contexts.push(key);
+                    buffers.rcrs.push(rcr_with_pool(params, pool));
+                    buffers.contexts.len() - 1
+                });
+                Member::Llbp(LlbpPredictor::unit_member(params, pool), rcr)
+            }
+            tsl => Member::Tsl(TageScl::with_pool(staged_tsl(tsl).expect("a TSL"), pool)),
+        };
+        buffers.members.push((member, Tally::default(), Duration::ZERO));
+    }
+    let mut history = history.expect("a unit has a member");
+    // Room for a push per record: a block grows no buffer.
+    buffers.cids.resize_with(buffers.rcrs.len(), Vec::new);
+    for cids in &mut buffers.cids {
+        cids.reserve(UNIT_BLOCK);
+    }
+    let stride = history.lanes().stride();
+    buffers.hashes.resize(UNIT_BLOCK * stride, 0);
+    buffers.resets.resize(UNIT_BLOCK, false);
+
+    let outcome = unit_loop(
+        cfg,
+        trace,
+        token,
+        progress,
+        provs,
+        &mut history,
+        frontend.as_mut(),
+        &mut buffers,
+    );
+    let stage_share = outcome.as_ref().map_or(Duration::ZERO, |stage| *stage / count);
+    for (member, tally, wall) in buffers.members.drain(..) {
+        let ok = outcome.is_ok();
+        match member {
+            Member::Tsl(predictor) => {
+                if ok {
+                    let result =
+                        tally.finish(predictor.label(), trace.name(), cfg.track_per_branch);
+                    results.push((result, wall + stage_share));
+                }
+                predictor.into_pool(pool);
+            }
+            Member::Llbp(predictor, _) => {
+                if ok {
+                    let llbp = LlbpCellStats {
+                        llbp: predictor.stats().clone(),
+                        frontend: *frontend
+                            .as_ref()
+                            .expect("an LLBP's unit has a front end")
+                            .stats(),
+                    };
+                    let result =
+                        tally.finish(predictor.label(), trace.name(), cfg.track_per_branch);
+                    results.push((SimResult { llbp: Some(llbp), ..result }, wall + stage_share));
+                }
+                predictor.into_pool(pool);
+            }
+        }
+    }
+    for rcr in buffers.rcrs.drain(..) {
+        pool.put_state(rcr);
+    }
+    buffers.contexts.clear();
+    for cids in &mut buffers.cids {
+        cids.clear();
+    }
+    if let Some(frontend) = frontend {
+        pool.put_state(frontend);
+    }
+    history.into_pool(pool);
+    pool.put_state(buffers);
+    outcome.map(|_| ())
+}
+
+/// The block loop of [`run_unit`]: per block, the stage, then each
+/// member. Returns the stage's total time.
+#[allow(clippy::too_many_arguments)]
+fn unit_loop(
+    cfg: &SimConfig,
+    trace: &Trace,
+    token: &CancelToken,
+    progress: &llbp_obs::Counter,
+    provs: &mut [ProvRecorder],
+    history: &mut TageHistory,
+    mut frontend: Option<&mut FrontEnd>,
+    buffers: &mut StageBuffers,
+) -> Result<Duration, SimError> {
+    let warmup = warmup_len(cfg, trace);
+    let records = trace.records();
+    let stride = history.lanes().stride();
+    let mut stage_time = Duration::ZERO;
+    let mut i = 0usize;
+    while i < records.len() {
+        if token.is_cancelled() {
+            return Err(token.cancellation_error());
+        }
+        let limit = if i < warmup { warmup } else { records.len() };
+        let end = (i + UNIT_BLOCK).min(limit);
+        let block = &records[i..end];
+        let measure = i >= warmup;
+
+        let started = Instant::now();
+        let StageBuffers { hashes, resets, cids, rcrs, members, .. } = &mut *buffers;
+        let mut row = 0;
+        for (k, record) in block.iter().enumerate() {
+            if record.packed_meta() & META_KIND_MASK == META_COND {
+                history.hash(record.pc(), &mut hashes[row * stride..(row + 1) * stride]);
+                row += 1;
+            }
+            if let Some(frontend) = frontend.as_deref_mut() {
+                resets[k] = frontend.observe(record).is_some();
+            }
+            for (rcr, pushed) in rcrs.iter_mut().zip(cids.iter_mut()) {
+                if rcr.observes(record) {
+                    rcr.push(record.pc());
+                    pushed.push(rcr.cids());
+                }
+            }
+            history.advance(record);
+        }
+        let instructions = if measure {
+            block.iter().map(|record| u64::from(record.packed_meta() >> 4) + 1).sum::<u64>()
+        } else {
+            0
+        };
+        let staged =
+            Staged { block, hashes: &hashes[..], stride, resets: &resets[..], cids: &cids[..] };
+        stage_time += started.elapsed();
+
+        for ((member, tally, wall), prov) in members.iter_mut().zip(provs.iter_mut()) {
+            let started = Instant::now();
+            tally.instructions += instructions;
+            match member {
+                Member::Tsl(p) => member_block(cfg, p, &staged, None, tally, prov, measure),
+                Member::Llbp(p, rcr) => {
+                    member_block(cfg, p, &staged, Some(*rcr), tally, prov, measure);
+                }
+            }
+            progress.add(block.len() as u64);
+            *wall += started.elapsed();
+        }
+        for pushed in cids.iter_mut() {
+            pushed.clear();
+        }
+        i = end;
+    }
+    Ok(stage_time)
+}
+
+/// One block's staged values, as the members read them.
+struct Staged<'a> {
+    block: &'a [BranchRecord],
+    hashes: &'a [u32],
+    stride: usize,
+    resets: &'a [bool],
+    cids: &'a [Vec<ContextIds>],
+}
+
+/// A predictor that runs a block from staged values.
+trait StagedPredictor {
+    fn predict_train_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, ProviderKind);
+    fn predict_train_info_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, PredictionInfo);
+    /// Retires record `k` of the block; `cids` is the member's RCR's
+    /// pushes and `next` the first of them not yet taken.
+    fn retire_staged(
+        &mut self,
+        staged: &Staged<'_>,
+        k: usize,
+        cids: Option<usize>,
+        next: &mut usize,
+    );
+}
+
+impl StagedPredictor for TageScl {
+    #[inline]
+    fn predict_train_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, ProviderKind) {
+        TageScl::predict_train_staged(self, pc, taken, hashes)
+    }
+
+    #[inline]
+    fn predict_train_info_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, PredictionInfo) {
+        TageScl::predict_train_info_staged(self, pc, taken, hashes)
+    }
+
+    #[inline]
+    fn retire_staged(&mut self, _: &Staged<'_>, _: usize, _: Option<usize>, _: &mut usize) {}
+}
+
+impl StagedPredictor for LlbpPredictor {
+    #[inline]
+    fn predict_train_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, ProviderKind) {
+        LlbpPredictor::predict_train_staged(self, pc, taken, hashes)
+    }
+
+    #[inline]
+    fn predict_train_info_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, PredictionInfo) {
+        LlbpPredictor::predict_train_info_staged(self, pc, taken, hashes)
+    }
+
+    #[inline]
+    fn retire_staged(
+        &mut self,
+        staged: &Staged<'_>,
+        k: usize,
+        rcr: Option<usize>,
+        next: &mut usize,
+    ) {
+        let record = &staged.block[k];
+        let pushed = self.observes(record).then(|| {
+            let cids = staged.cids[rcr.expect("an LLBP member has a stage RCR")][*next];
+            *next += 1;
+            cids
+        });
+        LlbpPredictor::retire_staged(self, record, staged.resets[k], pushed);
+    }
+}
+
+/// One block of one member, through the loop instantiated for its type
+/// and the run's tracking and provenance switches.
+fn member_block<P: StagedPredictor + Predictor>(
+    cfg: &SimConfig,
+    predictor: &mut P,
+    staged: &Staged<'_>,
+    rcr: Option<usize>,
+    tally: &mut Tally,
+    prov: &mut ProvRecorder,
+    measure: bool,
+) {
+    if !measure {
+        return member_block_inner::<P, false, false, false>(predictor, staged, rcr, tally, prov);
+    }
+    match (cfg.track_per_branch, prov.is_enabled()) {
+        (false, false) => {
+            member_block_inner::<P, true, false, false>(predictor, staged, rcr, tally, prov)
+        }
+        (false, true) => {
+            member_block_inner::<P, true, false, true>(predictor, staged, rcr, tally, prov)
+        }
+        (true, false) => {
+            member_block_inner::<P, true, true, false>(predictor, staged, rcr, tally, prov)
+        }
+        (true, true) => {
+            member_block_inner::<P, true, true, true>(predictor, staged, rcr, tally, prov)
+        }
+    }
+}
+
+/// [`batch_loop_inner`]'s record body over one staged block: the
+/// predictions read the stage's hash rows, and an LLBP retires each record
+/// with the stage's reset and context IDs.
+#[inline]
+fn member_block_inner<
+    P: StagedPredictor + Predictor,
+    const MEASURE: bool,
+    const TRACK: bool,
+    const PROV: bool,
+>(
+    predictor: &mut P,
+    staged: &Staged<'_>,
+    rcr: Option<usize>,
+    tally: &mut Tally,
+    prov: &mut ProvRecorder,
+) {
+    let (mut row, mut next) = (0, 0);
+    for (k, record) in staged.block.iter().enumerate() {
+        let meta = record.packed_meta();
+        if meta & META_KIND_MASK == META_COND {
+            let pc = record.pc();
+            let taken = meta & META_TAKEN_BIT != 0;
+            let hashes = &staged.hashes[row * staged.stride..(row + 1) * staged.stride];
+            row += 1;
+            if MEASURE {
+                let (pred, ordinal) = if PROV {
+                    let (pred, info) = predictor.predict_train_info_staged(pc, taken, hashes);
+                    prov.record(pc, taken, &info);
+                    (pred, info.provider.ordinal())
+                } else {
+                    let (pred, provider) = predictor.predict_train_staged(pc, taken, hashes);
+                    (pred, provider.ordinal())
+                };
+                let wrong = pred != taken;
+                tally.conditional_branches += 1;
+                tally.mispredictions += u64::from(wrong);
+                tally.providers[ordinal] += 1;
+                if TRACK {
+                    *tally.per_branch_executions.entry(pc).or_default() += 1;
+                    if wrong {
+                        *tally.per_branch_mispredicts.entry(pc).or_default() += 1;
+                    }
+                }
+            } else {
+                let _ = predictor.predict_train_staged(pc, taken, hashes);
+            }
+        }
+        predictor.retire_staged(staged, k, rcr, &mut next);
     }
 }
 

@@ -59,6 +59,7 @@
 //! assert_eq!(base.label, "64K TSL");
 //! ```
 
+use crate::backend::BackendKind;
 use crate::cache::TraceCache;
 use crate::config::{PredictorKind, SimConfig};
 use crate::driver::SimResult;
@@ -74,9 +75,10 @@ use llbp_tage::TablePool;
 use llbp_trace::{Fingerprint, WorkloadSpec};
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Environment variable bounding per-cell retries of transient failures
@@ -306,6 +308,35 @@ fn cell_fingerprints(spec: &SweepSpec, store: &MemoStore, traces: &TraceKeys) ->
             store.result_fingerprint_of(&predictors[job.predictor], traces.key(job.workload), &sim)
         })
         .collect()
+}
+
+/// A cell's final outcome: its record and stored digest, or its error.
+type CellResult = Result<(JobRecord, Option<Fingerprint>), Box<JobError>>;
+
+/// A cell as its attempts see it: grid index, fingerprint, whether a
+/// resume trusts it and whether verify-resume demoted it.
+type CellRef = (usize, Option<Fingerprint>, bool, bool);
+
+/// The run's memo-hit, memo-miss and resumed-cell counters.
+type Counters<'a> = (&'a AtomicU64, &'a AtomicU64, &'a AtomicU64);
+
+/// The cells of unit `u` in `order`.
+fn unit_members<'a>(
+    order: &'a [usize],
+    unit_of: &'a [usize],
+    u: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    order.iter().copied().filter(move |&index| unit_of[index] == u)
+}
+
+/// A worker's reusable lists for running units, kept in its
+/// [`TablePool`] between units.
+#[derive(Default)]
+struct UnitScratch {
+    /// The members of the unit in flight that must simulate.
+    pending: Vec<usize>,
+    recorders: Vec<ProvRecorder>,
+    results: Vec<(SimResult, Duration)>,
 }
 
 /// Called by [`SweepEngine::try_run_observed`] with each cell's grid
@@ -974,23 +1005,13 @@ impl SweepEngine {
         let resumed = AtomicU64::new(0);
         // Each predictor resolved once: its cells borrow their configuration.
         let kinds: Vec<_> = spec.predictors.iter().map(PredictorKind::resolve_preset).collect();
-        let mut claimed = run_indexed_with(self.workers, n, TablePool::new, |pool, slot| {
-            let index = order[slot];
-            // Queue wait: campaign start until a worker claims the cell.
-            if self.telemetry.is_enabled() {
-                self.telemetry.record_span("queue_wait", started, Instant::now(), index as i64);
-            }
+        let (cells, items) = self.plan_units(spec, &kinds, &order, &fingerprints, |index| {
+            !memoized[index] && !done_before.contains_key(&index) && !force_fresh.contains(&index)
+        });
+        let outcomes: Vec<OnceLock<CellResult>> = (0..n).map(|_| OnceLock::new()).collect();
+        // Everything a finished cell does, whether it ran alone or in a unit.
+        let finish = |index: usize, outcome: CellResult| {
             let workload = spec.job(index).workload;
-            let outcome = self.run_cell(
-                spec,
-                index,
-                (cache, traces.key(workload)),
-                fingerprints.get(index).copied(),
-                done_before.contains_key(&index),
-                force_fresh.contains(&index),
-                (&memo_hits, &memo_misses, &resumed),
-                (&kinds, pool),
-            );
             if own_cache && traces.finish(workload, !memoized[index]) {
                 cache.release(traces.key(workload));
             }
@@ -1008,14 +1029,48 @@ impl SweepEngine {
                     observe(index, &recorded);
                 }
             }
-            (index, outcome)
+            let _ = outcomes[index].set(outcome);
+        };
+        let counters = (&memo_hits, &memo_misses, &resumed);
+        run_indexed_with(self.workers, items.len(), TablePool::new, |pool, slot| {
+            let members = &cells[items[slot].clone()];
+            // Queue wait: campaign start until a worker claims the cell.
+            if self.telemetry.is_enabled() {
+                let now = Instant::now();
+                for &index in members {
+                    self.telemetry.record_span("queue_wait", started, now, index as i64);
+                }
+            }
+            let workload = spec.job(members[0]).workload;
+            let trace = (cache, traces.key(workload));
+            if let [index] = *members {
+                let outcome = self.run_cell(
+                    spec,
+                    index,
+                    trace,
+                    fingerprints.get(index).copied(),
+                    done_before.contains_key(&index),
+                    force_fresh.contains(&index),
+                    counters,
+                    (&kinds, pool),
+                );
+                finish(index, outcome);
+            } else {
+                self.run_unit(
+                    spec,
+                    members,
+                    trace,
+                    &fingerprints,
+                    counters,
+                    (&kinds, pool),
+                    &finish,
+                );
+            }
         });
-        // Workers claim in schedule order; reports stay in grid order.
-        claimed.sort_unstable_by_key(|&(index, _)| index);
         let mut jobs = Vec::with_capacity(n);
         let mut failed = Vec::new();
-        for (index, outcome) in claimed {
-            match outcome {
+        for (index, outcome) in outcomes.into_iter().enumerate() {
+            match outcome.into_inner().expect("every cell finishes") {
                 Ok((record, _digest)) => jobs.push(record),
                 Err(err) => {
                     // A placeholder keeps dense grid indexing valid;
@@ -1114,27 +1169,32 @@ impl SweepEngine {
         fingerprint: Option<Fingerprint>,
         resumable: bool,
         force_fresh: bool,
-        counters: (&AtomicU64, &AtomicU64, &AtomicU64),
+        counters: Counters<'_>,
         (kinds, pool): (&[Cow<'_, PredictorKind>], &mut TablePool),
-    ) -> Result<(JobRecord, Option<Fingerprint>), Box<JobError>> {
-        let job = spec.job(index);
+    ) -> CellResult {
         // Held across every attempt: another campaign on this store that
         // reaches the same cell waits here, then memo-hits.
         let _slot = self.store.as_ref().zip(fingerprint).map(|(store, fp)| store.claim_cell(fp));
+        let cell = (index, fingerprint, resumable, force_fresh);
+        let first = self.attempt_cell(spec, cell, trace, counters, 0, (kinds, &mut *pool));
+        self.settle_cell(spec, cell, trace, counters, first, (kinds, pool))
+    }
+
+    /// The retry loop of [`SweepEngine::run_cell`] from `first`, the
+    /// outcome of attempt 0, on. The caller holds the cell's claim.
+    fn settle_cell(
+        &self,
+        spec: &SweepSpec,
+        cell: CellRef,
+        trace: (&TraceCache, &Arc<str>),
+        counters: Counters<'_>,
+        first: Result<(JobRecord, Option<Fingerprint>), SimError>,
+        (kinds, pool): (&[Cow<'_, PredictorKind>], &mut TablePool),
+    ) -> CellResult {
+        let index = cell.0;
         let mut attempt = 0u32;
+        let mut outcome = first;
         loop {
-            let outcome = self.attempt_cell(
-                spec,
-                job,
-                index,
-                trace,
-                fingerprint,
-                resumable,
-                force_fresh,
-                counters,
-                attempt,
-                (kinds, &mut *pool),
-            );
             match outcome {
                 Ok(record) => return Ok(record),
                 Err(error) if error.is_transient() && attempt < self.max_retries => {
@@ -1144,11 +1204,20 @@ impl SweepEngine {
                     self.telemetry.mark("retry", index as i64);
                     std::thread::sleep(backoff_delay(attempt));
                     attempt += 1;
+                    outcome = self.attempt_cell(
+                        spec,
+                        cell,
+                        trace,
+                        counters,
+                        attempt,
+                        (kinds, &mut *pool),
+                    );
                 }
                 Err(error) => {
                     if matches!(error, SimError::Timeout { .. }) {
                         self.telemetry.mark("watchdog_kill", index as i64);
                     }
+                    let job = spec.job(index);
                     return Err(Box::new(JobError {
                         job,
                         index,
@@ -1170,27 +1239,74 @@ impl SweepEngine {
     /// panic drops the predictor's tables with it. On success, also
     /// returns the memoized cell's content digest (when a store is
     /// attached and the write-back landed) for the journal.
-    #[allow(clippy::too_many_arguments)]
     fn attempt_cell(
         &self,
         spec: &SweepSpec,
-        job: SweepJob,
-        index: usize,
+        cell: CellRef,
         (cache, key): (&TraceCache, &Arc<str>),
-        fingerprint: Option<Fingerprint>,
-        resumable: bool,
-        force_fresh: bool,
-        (memo_hits, memo_misses, resumed): (&AtomicU64, &AtomicU64, &AtomicU64),
+        counters: Counters<'_>,
         attempt: u32,
         (kinds, pool): (&[Cow<'_, PredictorKind>], &mut TablePool),
     ) -> Result<(JobRecord, Option<Fingerprint>), SimError> {
-        // The watchdog deadline starts before fault injection so that an
-        // injected-slow attempt is charged for its sleep: the simulation
-        // loop's first poll then observes the expired deadline.
-        let token = match self.job_timeout {
+        let (index, fingerprint, ..) = cell;
+        let token = self.attempt_token();
+        if let Some(served) = self.open_attempt(cell, counters, attempt, spec)? {
+            return Ok(served);
+        }
+        let gen_delay = self.gen_delay(index, attempt);
+        let trace = self.trace_for(spec, index, (cache, key), &token, gen_delay)?;
+        let kind = &*kinds[spec.job(index).predictor];
+        let sim_records = self.telemetry.counter("sim_records_total");
+        let mut recorder = self.recorder();
+        let sim_started = Instant::now();
+        let result = {
+            let _span = self.telemetry.span("simulation").with_cell(index as i64);
+            catch_unwind(AssertUnwindSafe(|| {
+                spec.sim.run_pooled(kind, &trace, &token, &sim_records, &mut recorder, pool)
+            }))
+            .map_err(|payload| SimError::PredictorPanic {
+                label: kind.label(),
+                detail: panic_message(payload.as_ref()),
+            })??
+        };
+        let wall = sim_started.elapsed();
+        Ok(self.publish(spec, index, fingerprint, counters, recorder, result, wall, trace.len()))
+    }
+
+    /// A fresh watchdog token for one attempt. Its deadline starts before
+    /// fault injection so that an injected-slow attempt is charged for
+    /// its sleep: the simulation loop's first poll then observes the
+    /// expired deadline.
+    fn attempt_token(&self) -> CancelToken {
+        match self.job_timeout {
             Some(limit) => CancelToken::with_timeout(limit),
             None => CancelToken::none(),
-        };
+        }
+    }
+
+    /// The injected trace-generation delay of one attempt, if any.
+    fn gen_delay(&self, index: usize, attempt: u32) -> Option<Duration> {
+        self.faults.as_ref().and_then(|f| f.generation_delay(index, attempt))
+    }
+
+    /// A recorder for one simulated cell: live when provenance is on.
+    fn recorder(&self) -> ProvRecorder {
+        match self.prov {
+            Some(cfg) => ProvRecorder::enabled(cfg),
+            None => ProvRecorder::disabled(),
+        }
+    }
+
+    /// The start of an attempt, up to the simulation: the injected
+    /// faults, then the memo probe. `Some` is the cell served from the
+    /// store; `None` means the cell must simulate.
+    fn open_attempt(
+        &self,
+        (index, fingerprint, resumable, force_fresh): CellRef,
+        (memo_hits, _, resumed): Counters<'_>,
+        attempt: u32,
+        spec: &SweepSpec,
+    ) -> Result<Option<(JobRecord, Option<Fingerprint>)>, SimError> {
         if let Some(faults) = &self.faults {
             catch_unwind(AssertUnwindSafe(|| faults.on_job_start(index, attempt))).map_err(
                 |payload| SimError::Injected { detail: panic_message(payload.as_ref()) },
@@ -1217,40 +1333,50 @@ impl SweepEngine {
                     }
                     let stats =
                         JobStats { wall: probe_started.elapsed(), branches: cell.trace_len };
-                    return Ok((JobRecord { job, result: cell.result, stats }, Some(cell.digest)));
+                    let job = spec.job(index);
+                    return Ok(Some((
+                        JobRecord { job, result: cell.result, stats },
+                        Some(cell.digest),
+                    )));
                 }
             }
         }
-        let wspec = &spec.workloads[job.workload];
-        let gen_delay = self.faults.as_ref().and_then(|f| f.generation_delay(index, attempt));
-        let trace = {
-            let _span = self.telemetry.span("generation").with_cell(index as i64);
-            catch_unwind(AssertUnwindSafe(|| {
-                cache.get_or_generate_keyed(key, wspec, &token, gen_delay)
-            }))
+        Ok(None)
+    }
+
+    /// The trace of cell `index`'s workload, generated (under
+    /// `catch_unwind`) when the cache misses.
+    fn trace_for(
+        &self,
+        spec: &SweepSpec,
+        index: usize,
+        (cache, key): (&TraceCache, &Arc<str>),
+        token: &CancelToken,
+        gen_delay: Option<Duration>,
+    ) -> Result<Arc<llbp_trace::Trace>, SimError> {
+        let wspec = &spec.workloads[spec.job(index).workload];
+        let _span = self.telemetry.span("generation").with_cell(index as i64);
+        catch_unwind(AssertUnwindSafe(|| cache.get_or_generate_keyed(key, wspec, token, gen_delay)))
             .map_err(|payload| SimError::TraceGen {
                 workload: wspec.name().to_string(),
                 detail: panic_message(payload.as_ref()),
-            })??
-        };
-        let kind = &*kinds[job.predictor];
-        let sim_records = self.telemetry.counter("sim_records_total");
-        let mut recorder = match self.prov {
-            Some(cfg) => ProvRecorder::enabled(cfg),
-            None => ProvRecorder::disabled(),
-        };
-        let sim_started = Instant::now();
-        let result = {
-            let _span = self.telemetry.span("simulation").with_cell(index as i64);
-            catch_unwind(AssertUnwindSafe(|| {
-                spec.sim.run_pooled(kind, &trace, &token, &sim_records, &mut recorder, pool)
-            }))
-            .map_err(|payload| SimError::PredictorPanic {
-                label: kind.label(),
-                detail: panic_message(payload.as_ref()),
-            })??
-        };
-        let wall = sim_started.elapsed();
+            })?
+    }
+
+    /// Counts a simulated cell and writes it back: its provenance stream,
+    /// then its result.
+    #[allow(clippy::too_many_arguments)]
+    fn publish(
+        &self,
+        spec: &SweepSpec,
+        index: usize,
+        fingerprint: Option<Fingerprint>,
+        (_, memo_misses, _): Counters<'_>,
+        recorder: ProvRecorder,
+        result: SimResult,
+        wall: Duration,
+        trace_len: usize,
+    ) -> (JobRecord, Option<Fingerprint>) {
         // Counted on successful simulation (not per probe attempt), so
         // the counter still reads "cells simulated" under retries.
         memo_misses.fetch_add(1, Ordering::Relaxed);
@@ -1266,14 +1392,312 @@ impl SweepEngine {
                 let _ = store.store_prov(fp, &stream);
             }
             let _span = self.telemetry.span("write_back").with_cell(index as i64);
-            self.write_back(store, fp, &result, wall, trace.len() as u64)
+            self.write_back(store, fp, &result, wall, trace_len as u64)
         } else {
             None
         };
-        Ok((
-            JobRecord { job, result, stats: JobStats { wall, branches: trace.len() as u64 } },
-            digest,
-        ))
+        let stats = JobStats { wall, branches: trace_len as u64 };
+        (JobRecord { job: spec.job(index), result, stats }, digest)
+    }
+
+    /// Runs the cells `members` of one trace as one unit
+    /// ([`crate::backend::run_unit`]), calling `finish` once per member
+    /// with its outcome. The unit claims its members' fingerprints in
+    /// fingerprint order, each distinct one once, and holds them until
+    /// every member is settled. Each member then makes its own first
+    /// attempt up to the simulation (faults and memo probe); the members
+    /// left simulate together under one watchdog deadline. A member whose
+    /// attempt fails, or every member when the unit times out, continues
+    /// alone on [`SweepEngine::settle_cell`]'s retry loop; when the unit
+    /// panics, every member starts over alone.
+    #[allow(clippy::too_many_arguments)]
+    fn run_unit(
+        &self,
+        spec: &SweepSpec,
+        members: &[usize],
+        trace: (&TraceCache, &Arc<str>),
+        fingerprints: &[Fingerprint],
+        counters: Counters<'_>,
+        (kinds, pool): (&[Cow<'_, PredictorKind>], &mut TablePool),
+        finish: &(dyn Fn(usize, CellResult) + Sync),
+    ) {
+        self.claim_in_order(members, fingerprints, None, || {
+            let mut scratch = pool.take_state::<UnitScratch>().unwrap_or_default();
+            self.run_unit_claimed(
+                spec,
+                members,
+                trace,
+                fingerprints,
+                counters,
+                (kinds, &mut *pool),
+                finish,
+                &mut scratch,
+            );
+            scratch.pending.clear();
+            pool.put_state(scratch);
+        });
+    }
+
+    /// Claims the distinct fingerprints of `members` above `after` in
+    /// ascending order, then runs `f` holding every claim. Ordered claims
+    /// cannot deadlock against another unit or cell claiming the same
+    /// fingerprints; each is claimed once, so a grid that lists one
+    /// predictor twice cannot deadlock against itself either.
+    fn claim_in_order<R>(
+        &self,
+        members: &[usize],
+        fingerprints: &[Fingerprint],
+        after: Option<Fingerprint>,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        let next = members
+            .iter()
+            .filter_map(|&index| fingerprints.get(index).copied())
+            .filter(|&fp| after.is_none_or(|after| fp > after))
+            .min();
+        match (next, &self.store) {
+            (Some(fp), Some(store)) => {
+                let _slot = store.claim_cell(fp);
+                self.claim_in_order(members, fingerprints, Some(fp), f)
+            }
+            _ => f(),
+        }
+    }
+
+    /// [`SweepEngine::run_unit`] once the unit holds its claims.
+    #[allow(clippy::too_many_arguments)]
+    fn run_unit_claimed(
+        &self,
+        spec: &SweepSpec,
+        members: &[usize],
+        trace: (&TraceCache, &Arc<str>),
+        fingerprints: &[Fingerprint],
+        counters: Counters<'_>,
+        (kinds, pool): (&[Cow<'_, PredictorKind>], &mut TablePool),
+        finish: &(dyn Fn(usize, CellResult) + Sync),
+        scratch: &mut UnitScratch,
+    ) {
+        let cell = |index: usize| (index, fingerprints.get(index).copied(), false, false);
+        let pending = &mut scratch.pending;
+        for &index in members {
+            let token = self.attempt_token();
+            let opened = self.open_attempt(cell(index), counters, 0, spec).and_then(|served| {
+                if token.is_cancelled() {
+                    return Err(token.cancellation_error());
+                }
+                Ok(served)
+            });
+            match opened {
+                Ok(None) => pending.push(index),
+                Ok(Some(served)) => finish(index, Ok(served)),
+                Err(error) => {
+                    let first = Err(error);
+                    let outcome = self.settle_cell(
+                        spec,
+                        cell(index),
+                        trace,
+                        counters,
+                        first,
+                        (kinds, &mut *pool),
+                    );
+                    finish(index, outcome);
+                }
+            }
+        }
+        let pending = &scratch.pending;
+        if pending.is_empty() {
+            return;
+        }
+        let token = self.attempt_token();
+        // A member's injected generation delay stalls the unit's one
+        // generation, as it would stall the member's own.
+        let gen_delay = pending.iter().find_map(|&index| self.gen_delay(index, 0));
+        let trace_data = match self.trace_for(spec, pending[0], trace, &token, gen_delay) {
+            Ok(data) => data,
+            Err(error) => {
+                for &index in pending {
+                    let first = Err(error.clone());
+                    let outcome = self.settle_cell(
+                        spec,
+                        cell(index),
+                        trace,
+                        counters,
+                        first,
+                        (kinds, &mut *pool),
+                    );
+                    finish(index, outcome);
+                }
+                return;
+            }
+        };
+        scratch.recorders.extend(pending.iter().map(|_| self.recorder()));
+        let sim_records = self.telemetry.counter("sim_records_total");
+        let sim_started = Instant::now();
+        let pass = catch_unwind(AssertUnwindSafe(|| {
+            crate::backend::run_unit(
+                &spec.sim,
+                pending.iter().map(|&index| &*kinds[spec.job(index).predictor]),
+                &trace_data,
+                &token,
+                &sim_records,
+                &mut scratch.recorders,
+                pool,
+                &mut scratch.results,
+            )
+        }));
+        if self.telemetry.is_enabled() {
+            let now = Instant::now();
+            for &index in pending {
+                self.telemetry.record_span("simulation", sim_started, now, index as i64);
+            }
+        }
+        match pass {
+            Ok(Ok(())) => {
+                let done =
+                    pending.iter().zip(scratch.results.drain(..)).zip(scratch.recorders.drain(..));
+                for ((&index, (result, wall)), recorder) in done {
+                    let fp = fingerprints.get(index).copied();
+                    let record = self.publish(
+                        spec,
+                        index,
+                        fp,
+                        counters,
+                        recorder,
+                        result,
+                        wall,
+                        trace_data.len(),
+                    );
+                    finish(index, Ok(record));
+                }
+            }
+            Ok(Err(error)) => {
+                scratch.recorders.clear();
+                for &index in pending {
+                    let first = Err(error.clone());
+                    let outcome = self.settle_cell(
+                        spec,
+                        cell(index),
+                        trace,
+                        counters,
+                        first,
+                        (kinds, &mut *pool),
+                    );
+                    finish(index, outcome);
+                }
+            }
+            Err(_) => {
+                scratch.recorders.clear();
+                scratch.results.clear();
+                for &index in pending {
+                    let first = self.attempt_cell(
+                        spec,
+                        cell(index),
+                        trace,
+                        counters,
+                        0,
+                        (kinds, &mut *pool),
+                    );
+                    let outcome = self.settle_cell(
+                        spec,
+                        cell(index),
+                        trace,
+                        counters,
+                        first,
+                        (kinds, &mut *pool),
+                    );
+                    finish(index, outcome);
+                }
+            }
+        }
+    }
+
+    /// The run's work items in claim order, as ranges of the returned
+    /// cell list: one cell, or a unit of cells of one trace that share a
+    /// stage ([`crate::backend::shares_stage`]). Only the batch tier forms
+    /// units, and only of cells that `simulate` says must simulate; a unit
+    /// holds no two cells of one fingerprint, and its members' tables
+    /// ([`crate::backend::table_bytes`]) stay within
+    /// [`crate::backend::UNIT_TABLE_BUDGET`]. While there are fewer items
+    /// than workers, the largest unit splits in two. A unit takes the
+    /// place in `order` of its first member.
+    fn plan_units(
+        &self,
+        spec: &SweepSpec,
+        kinds: &[Cow<'_, PredictorKind>],
+        order: &[usize],
+        fingerprints: &[Fingerprint],
+        simulate: impl Fn(usize) -> bool,
+    ) -> (Vec<usize>, Vec<Range<usize>>) {
+        let n = order.len();
+        // Each cell's unit, and per unit its first cell in `order`, its
+        // member count and the bytes its members hold: one list for the
+        // whole plan, so planning allocates nothing per unit.
+        let mut unit_of = vec![usize::MAX; n];
+        let mut units: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
+        if spec.sim.backend.resolve() == BackendKind::Batch {
+            let kind = |index: usize| &*kinds[spec.job(index).predictor];
+            for &index in order.iter().filter(|&&index| simulate(index)) {
+                let bytes = crate::backend::table_bytes(kind(index));
+                let joins = (0..units.len()).find(|&u| {
+                    let (first, _, held) = units[u];
+                    spec.job(first).workload == spec.job(index).workload
+                        && crate::backend::shares_stage(kind(first), kind(index))
+                        && held + bytes <= crate::backend::UNIT_TABLE_BUDGET
+                        && (fingerprints.is_empty()
+                            || unit_members(order, &unit_of, u)
+                                .all(|c| fingerprints[c] != fingerprints[index]))
+                });
+                let u = joins.unwrap_or_else(|| {
+                    units.push((index, 0, 0));
+                    units.len() - 1
+                });
+                unit_of[index] = u;
+                units[u].1 += 1;
+                units[u].2 += bytes;
+            }
+            // While there are fewer items than workers, the largest unit
+            // hands its later half to a unit of its own.
+            let items = |units: &[(usize, usize, usize)]| {
+                n - units.iter().map(|&(_, count, _)| count).sum::<usize>() + units.len()
+            };
+            while items(&units) < self.workers {
+                let Some(u) = (0..units.len()).max_by_key(|&u| units[u].1) else { break };
+                let count = units[u].1;
+                if count < 2 {
+                    break;
+                }
+                let (half, new) = (count / 2, units.len());
+                let mut seen = 0;
+                let mut tail = usize::MAX;
+                for &index in order {
+                    if unit_of[index] == u {
+                        if seen >= half {
+                            unit_of[index] = new;
+                            if tail == usize::MAX {
+                                tail = index;
+                            }
+                        }
+                        seen += 1;
+                    }
+                }
+                units.push((tail, count - half, 0));
+                units[u].1 = half;
+            }
+        }
+        let mut cells = Vec::with_capacity(n);
+        let mut items = Vec::with_capacity(n);
+        for &index in order {
+            let start = cells.len();
+            match unit_of[index] {
+                u if u == usize::MAX || units[u].1 == 1 => cells.push(index),
+                u if units[u].0 == index => {
+                    cells.extend(order.iter().copied().filter(|&c| unit_of[c] == u));
+                }
+                _ => continue,
+            }
+            items.push(start..cells.len());
+        }
+        (cells, items)
     }
 
     /// Persists a freshly simulated cell with its own bounded retry,
@@ -1486,6 +1910,82 @@ mod tests {
             ],
             SimConfig::default(),
         )
+    }
+
+    /// The work items `engine` plans for `spec` in grid order, each as
+    /// its cells; cells `simulate` rejects run alone.
+    fn plan(
+        engine: &SweepEngine,
+        spec: &SweepSpec,
+        simulate: fn(usize) -> bool,
+    ) -> Vec<Vec<usize>> {
+        let kinds: Vec<_> = spec.predictors.iter().map(PredictorKind::resolve_preset).collect();
+        let order: Vec<usize> = (0..spec.num_jobs()).collect();
+        let (cells, items) = engine.plan_units(spec, &kinds, &order, &[], simulate);
+        items.into_iter().map(|range| cells[range].to_vec()).collect()
+    }
+
+    #[test]
+    fn units_group_a_traces_cells_by_history_geometry() {
+        use llbp_core::LlbpParams;
+        let one = SweepEngine::with_workers(1);
+        let workloads = vec![
+            WorkloadSpec::named(Workload::Http).with_branches(2_000),
+            WorkloadSpec::named(Workload::Kafka).with_branches(2_000),
+        ];
+        let fig09 = SweepSpec::new(
+            vec![
+                PredictorKind::Tsl64K,
+                PredictorKind::Llbp(LlbpParams::default()),
+                PredictorKind::Llbp(LlbpParams::zero_latency()),
+                PredictorKind::TslScaled(8),
+            ],
+            workloads.clone(),
+            SimConfig::default(),
+        );
+        let all = |_| true;
+        assert_eq!(plan(&one, &fig09, all), [vec![0, 1, 2], vec![3], vec![4, 5, 6], vec![7]]);
+        // Cells that need not simulate (memo hits, resumed cells) run alone.
+        assert_eq!(
+            plan(&one, &fig09, |index| index != 1),
+            [vec![0, 2], vec![1], vec![3], vec![4, 5, 6], vec![7]]
+        );
+        // The reference tier forms no units.
+        let reference = SweepSpec {
+            sim: SimConfig { backend: BackendKind::Reference, ..SimConfig::default() },
+            ..fig09.clone()
+        };
+        assert!(plan(&one, &reference, all).iter().all(|cells| cells.len() == 1));
+        // With fewer items than workers, the largest unit splits.
+        let single = SweepSpec { workloads: workloads[..1].to_vec(), ..fig09 };
+        assert_eq!(
+            plan(&SweepEngine::with_workers(3), &single, all),
+            [vec![0], vec![1, 2], vec![3]]
+        );
+        assert_eq!(plan(&SweepEngine::with_workers(8), &single, all).len(), 4);
+
+        let fig02 = SweepSpec::new(
+            vec![PredictorKind::Tsl64K, PredictorKind::InfTage, PredictorKind::InfTsl],
+            workloads.clone(),
+            SimConfig::default(),
+        );
+        assert_eq!(plan(&one, &fig02, all), [vec![0, 1], vec![2], vec![3, 4], vec![5]]);
+
+        // A unit's tables stay within the budget: fig14's largest study
+        // design (32 MiB of patterns) runs alone.
+        let study = SweepSpec::new(
+            vec![
+                PredictorKind::Tsl64K,
+                PredictorKind::Llbp(LlbpParams::study_full_assoc(131_072, 64)),
+                PredictorKind::Llbp(LlbpParams::study_full_assoc(1_024, 64)),
+            ],
+            workloads[..1].to_vec(),
+            SimConfig::default(),
+        );
+        assert!(
+            crate::backend::table_bytes(&study.predictors[1]) > crate::backend::UNIT_TABLE_BUDGET
+        );
+        assert_eq!(plan(&one, &study, all), [vec![0, 2], vec![1]]);
     }
 
     #[test]

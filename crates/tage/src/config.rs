@@ -258,6 +258,21 @@ impl TslConfig {
         }
     }
 
+    /// Whether predictors of `self` and `other` keep the same histories
+    /// and compute the same per-lookup hashes from them: equal TAGE
+    /// lengths, index, tag and path bits, and an equal statistical
+    /// corrector. Storage, counters and the loop predictor may differ.
+    #[must_use]
+    pub fn same_history(&self, other: &Self) -> bool {
+        let (a, b) = (&self.tage, &other.tage);
+        (&a.history_lengths, &a.tag_bits, a.index_bits, a.path_bits)
+            == (&b.history_lengths, &b.tag_bits, b.index_bits, b.path_bits)
+            && self.sc_enabled == other.sc_enabled
+            && (!self.sc_enabled
+                || (self.sc_index_bits, &self.sc_history_lengths)
+                    == (other.sc_index_bits, &other.sc_history_lengths))
+    }
+
     /// Storage bits of the whole composition (finite geometry).
     #[must_use]
     pub fn storage_bits(&self) -> u64 {

@@ -46,6 +46,7 @@ pub mod btb;
 pub mod classic;
 pub mod config;
 pub mod frontend;
+pub mod history;
 pub mod ittage;
 pub mod loop_pred;
 pub mod pool;
@@ -58,6 +59,7 @@ pub mod useful;
 pub use btb::Btb;
 pub use config::{StorageKind, TageConfig, TslConfig};
 pub use frontend::{FrontEnd, FrontEndStats, ResetReason};
+pub use history::TageHistory;
 pub use ittage::Ittage;
 pub use loop_pred::LoopPredictor;
 pub use pool::TablePool;

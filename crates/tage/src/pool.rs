@@ -25,9 +25,13 @@
 //! * **Cleared infinite storage.** The arena and the run map come back
 //!   empty, with their capacity kept, so a cell grows them only past the
 //!   largest trace the pool has seen.
-//! * **One composed state.** The pool keeps at most one composed
-//!   predictor's state ([`TablePool::put_state`]); the predictor reuses
-//!   each part of it of its own shape and replaces the others.
+//! * **Composed states by type.** The pool keeps every composed
+//!   predictor's state handed back ([`TablePool::put_state`]), and a
+//!   build takes one of its type; the predictor reuses each part of it of
+//!   its own shape and replaces the others. A pool that serves one cell
+//!   at a time holds one state per type; one that serves a unit of cells
+//!   (the sweep engine's shared-history units) holds as many as the unit
+//!   built at once.
 //!
 //! A predictor that is dropped instead of handed back (a panicking cell)
 //! takes its tables with it; the next build allocates new ones.
@@ -108,9 +112,10 @@ pub struct TablePool {
     /// The infinite-storage run map and arena, empty, capacity kept.
     infinite_runs: FastHashMap<u64, Run>,
     infinite_arena: Vec<InfSlot>,
-    /// A composed predictor's own state, at most one: an `Option<T>` for
-    /// the state's type `T`, so the box outlives the state it carries.
-    state: Option<Box<dyn Any + Send>>,
+    /// Composed predictors' own states: each an `Option<T>` for the
+    /// state's type `T`, so a box outlives the state it carries and a
+    /// state handed back fills an emptied box of its type.
+    states: Vec<Box<dyn Any + Send>>,
 }
 
 impl TablePool {
@@ -176,20 +181,18 @@ impl TablePool {
 
     /// Keeps a TAGE's tables for the next builds. `tables` may be empty
     /// (infinite storage), and is then not kept.
-    pub(crate) fn put_tage(
-        &mut self,
-        tables: Vec<Entry>,
-        bimodal: [Vec<bool>; 2],
-        history: HistoryBuffer,
-        bank: FoldBank,
-        lanes: HashLanes,
-    ) {
+    pub(crate) fn put_tage(&mut self, tables: Vec<Entry>, bimodal: [Vec<bool>; 2]) {
         if !tables.is_empty() {
             self.tage_tables.put(tables);
         }
         for table in bimodal {
             self.bimodal.put(table);
         }
+    }
+
+    /// Keeps a history buffer, fold bank and lane plan for the next
+    /// builds.
+    pub(crate) fn put_history(&mut self, history: HistoryBuffer, bank: FoldBank, lanes: HashLanes) {
         self.histories.put(history);
         self.banks.put(bank);
         self.lanes.put(lanes);
@@ -219,19 +222,24 @@ impl TablePool {
     }
 
     /// Keeps a composed predictor's own state for the next build of that
-    /// predictor, replacing (and freeing) any state kept before. Allocates
-    /// only when the pool last kept no state of this type.
+    /// predictor. Allocates only when every box of this type the pool
+    /// holds is full, so a pool serving the same builds again allocates
+    /// nothing.
     pub fn put_state<T: Any + Send>(&mut self, state: T) {
-        match self.state.as_mut().and_then(|kept| kept.downcast_mut::<Option<T>>()) {
+        let empty = self
+            .states
+            .iter_mut()
+            .find_map(|kept| kept.downcast_mut::<Option<T>>().filter(|slot| slot.is_none()));
+        match empty {
             Some(slot) => *slot = Some(state),
-            None => self.state = Some(Box::new(Some(state))),
+            None => self.states.push(Box::new(Some(state))),
         }
     }
 
-    /// The state [`TablePool::put_state`] kept, if it is a `T`, leaving the
-    /// pool without it.
+    /// A state [`TablePool::put_state`] kept of type `T`, if any, leaving
+    /// the pool without it.
     pub fn take_state<T: Any + Send>(&mut self) -> Option<T> {
-        self.state.as_mut()?.downcast_mut::<Option<T>>()?.take()
+        self.states.iter_mut().find_map(|kept| kept.downcast_mut::<Option<T>>()?.take())
     }
 }
 

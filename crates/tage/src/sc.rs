@@ -13,6 +13,7 @@
 //! ([`bputil::hash::gehl_index`]) are lanes of that TAGE's per-lookup hash
 //! loop, delivered in the [`TageLookup`].
 
+use crate::history::TageHistory;
 use crate::pool::TablePool;
 use crate::tage::{Tage, TageLookup};
 use bputil::counter::{CounterWidth, SatCounter};
@@ -89,20 +90,12 @@ impl StatisticalCorrector {
         tage: &mut Tage,
         pool: &mut TablePool,
     ) -> Self {
-        assert!(!history_lengths.is_empty(), "SC needs at least one component");
-        assert!(history_lengths.len() < MAX_COMPONENTS, "too many SC components");
-        assert!((1..=30).contains(&index_bits), "SC index width out of range: {index_bits}");
+        let first_lane = Self::register(index_bits, history_lengths, tage.history_mut());
         let entries = 1usize << index_bits;
         let components = history_lengths.len() + 1;
         let mut tables: [Vec<i8>; MAX_COMPONENTS] = Default::default();
-        tables[0] = pool.sc_table(entries);
-        // The bias hashes the TAGE direction in place of a fold.
-        let first_lane = tage.push_side_lane(Lane::gehl(0, None, 0, index_bits));
-        tage.push_side_lane(Lane::gehl(0, None, 1 << 1, index_bits));
-        for (c, &l) in (1..).zip(history_lengths) {
-            tables[c as usize] = pool.sc_table(entries);
-            let fold = (l > 0).then(|| tage.register_fold(l, index_bits));
-            tage.push_side_lane(Lane::gehl(c, fold, 0, index_bits));
+        for table in &mut tables[..components] {
+            *table = pool.sc_table(entries);
         }
         Self {
             tables,
@@ -112,6 +105,32 @@ impl StatisticalCorrector {
             tc: SatCounter::new_signed(7),
             overrides: 0,
         }
+    }
+
+    /// Registers the folds and hash lanes of a corrector with
+    /// `2^index_bits` entries per component and the given GEHL history
+    /// lengths in `history`, returning the position of its first lane
+    /// among the side lanes.
+    ///
+    /// # Panics
+    ///
+    /// As [`StatisticalCorrector::new`].
+    pub(crate) fn register(
+        index_bits: u32,
+        history_lengths: &[usize],
+        history: &mut TageHistory,
+    ) -> usize {
+        assert!(!history_lengths.is_empty(), "SC needs at least one component");
+        assert!(history_lengths.len() < MAX_COMPONENTS, "too many SC components");
+        assert!((1..=30).contains(&index_bits), "SC index width out of range: {index_bits}");
+        // The bias hashes the TAGE direction in place of a fold.
+        let first_lane = history.push_side_lane(Lane::gehl(0, None, 0, index_bits));
+        history.push_side_lane(Lane::gehl(0, None, 1 << 1, index_bits));
+        for (c, &l) in (1..).zip(history_lengths) {
+            let fold = (l > 0).then(|| history.register_fold(l, index_bits));
+            history.push_side_lane(Lane::gehl(c, fold, 0, index_bits));
+        }
+        first_lane
     }
 
     /// Hands the component tables to `pool` for the next corrector built

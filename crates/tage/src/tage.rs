@@ -6,11 +6,12 @@
 //! `use_alt_on_na` arbitration, usefulness-guided allocation with a global
 //! tick-based reset, and folded histories maintained incrementally.
 //!
-//! The folded histories live in a [`FoldBank`] and the per-table index and
-//! tag hashes are [`HashLanes`] (`bputil::kernel`): each is one loop over
-//! all registers or tables, run as AVX-512 where the CPU has it. A statistical
-//! corrector built on this TAGE registers its folds and hashes in the same
-//! bank and loop, and a composed predictor its folds.
+//! The histories, folded ones included, and the per-table index and tag
+//! hashes live in a [`TageHistory`]: its fold bank and hash lanes
+//! (`bputil::kernel`) are each one loop over all registers or tables, run
+//! as AVX-512 where the CPU has it. A statistical corrector built on this
+//! TAGE registers its folds and hashes in the same bank and loop, and a
+//! composed predictor its folds and pattern tags.
 //!
 //! Two storage backings are supported (§VI of the paper): realistic finite
 //! direct-mapped tables, and the *infinite* study variant where entries
@@ -18,21 +19,23 @@
 //! functions stay identical.
 
 use crate::config::{StorageKind, TageConfig};
+use crate::history::TageHistory;
 use crate::pool::TablePool;
 use crate::useful::UsefulPatternTracker;
 use bputil::counter::{CounterWidth, SatCounter};
-use bputil::hash::{tage_index_base, FastHashMap};
-use bputil::history::{HistoryBuffer, PathHistory};
-use bputil::kernel::{FoldBank, FoldId, HashLanes, Kernel, Lane, LaneHashes, MAX_LANES};
+use bputil::hash::FastHashMap;
+use bputil::history::HistoryBuffer;
+use bputil::kernel::{FoldBank, HashLanes, LaneHashes, HASH_LANES, MAX_LANES};
 use bputil::rng::SplitMix64;
-use llbp_trace::{BranchKind, BranchRecord};
+use llbp_trace::BranchRecord;
 
 /// Upper bound on tagged tables, sized generously above CBP-5's 30.
 pub const MAX_TABLES: usize = 32;
 
-/// Hash lanes beyond TAGE's own index and tag lanes: the statistical
-/// corrector's bias (twice, one per TAGE direction) and up to 15
-/// component lanes.
+/// Hash lanes beyond TAGE's own index and tag lanes that the statistical
+/// corrector may use: its bias (twice, one per TAGE direction) and up to
+/// 15 component lanes. Composed predictors add theirs after these, up to
+/// [`MAX_LANES`] in all.
 pub(crate) const MAX_SIDE_LANES: usize = 17;
 
 const _: () = assert!(2 * MAX_TABLES + MAX_SIDE_LANES <= MAX_LANES);
@@ -124,8 +127,9 @@ pub struct TageLookup {
     /// The PC this lookup was made for.
     pub pc: u64,
     /// Every lane's hash in lane order: the tables' indices, their tags,
-    /// then the lanes added with [`Tage::push_side_lane`] (the statistical
-    /// corrector's component indices), in push order.
+    /// then the side lanes ([`TageHistory::push_side_lane`]: the
+    /// statistical corrector's component indices, a composed predictor's
+    /// pattern tags), in push order.
     hashes: LaneHashes,
     /// The tagged tables: where the tag lanes start in `hashes`.
     tables: usize,
@@ -199,10 +203,11 @@ impl TageLookup {
         self.hashes[self.tables + table]
     }
 
-    /// The hashes of the lanes added with [`Tage::push_side_lane`], in
+    /// The hashes of the side lanes ([`TageHistory::push_side_lane`]), in
     /// push order (entries past them are unspecified).
     #[inline]
-    pub(crate) fn side(&self) -> &[u32] {
+    #[must_use]
+    pub fn side(&self) -> &[u32] {
         &self.hashes[2 * self.tables..]
     }
 }
@@ -228,17 +233,8 @@ pub struct Tage {
     storage: StorageKind,
     /// Tables tried per allocation.
     alloc_tries: usize,
-    // --- histories ---
-    ghr: HistoryBuffer,
-    path: PathHistory,
-    /// Every folded register: TAGE's index and two tag folds per table,
-    /// plus those composed predictors registered.
-    bank: FoldBank,
-    /// Index lanes of tables `0..n`, tag lanes of tables `0..n`, then the
-    /// side lanes.
-    lanes: HashLanes,
-    /// The build of the bank and hash loops, chosen at construction.
-    kernel: Kernel,
+    // --- histories and the hash lanes over them ---
+    history: TageHistory,
     // --- storage ---
     bim_dir: Vec<bool>,
     bim_hyst: Vec<bool>,
@@ -305,20 +301,7 @@ impl Tage {
         assert!(num_tables <= MAX_TABLES, "too many tables");
         let mut history_lengths = [0; MAX_TABLES];
         history_lengths[..num_tables].copy_from_slice(&cfg.history_lengths);
-        let ghr = pool.history(cfg.max_history() + 64);
-        let path = PathHistory::new(cfg.path_bits);
-        let (mut bank, mut lanes) = pool.bank_and_lanes();
-        for (t, &l) in cfg.history_lengths.iter().enumerate() {
-            lanes.push(Lane::tage_index(
-                t as u32,
-                bank.register(l, cfg.index_bits),
-                cfg.index_bits,
-            ));
-        }
-        for (t, (&l, &bits)) in cfg.history_lengths.iter().zip(&cfg.tag_bits).enumerate() {
-            let (tag0, tag1) = (bank.register(l, bits), bank.register(l, (bits - 1).max(1)));
-            lanes.push(Lane::tage_tag(t as u32, tag0, tag1, bits));
-        }
+        let history = TageHistory::with_pool(cfg, pool);
         let (tables, (infinite_runs, infinite_arena)) = match cfg.storage {
             StorageKind::Finite => {
                 (pool.tage_table(num_tables << cfg.index_bits), Default::default())
@@ -330,11 +313,7 @@ impl Tage {
         use_alt_on_na.set(0);
         Self {
             rng: SplitMix64::new(cfg.seed),
-            ghr,
-            path,
-            bank,
-            lanes,
-            kernel: Kernel::detect(),
+            history,
             bim_dir: pool.bimodal_table(1 << cfg.bimodal_bits, false),
             bim_hyst: pool.bimodal_table(1 << (cfg.bimodal_bits - 2), true),
             tables,
@@ -362,7 +341,8 @@ impl Tage {
         if self.storage == StorageKind::Infinite {
             pool.put_infinite(self.infinite_runs, self.infinite_arena);
         }
-        pool.put_tage(self.tables, [self.bim_dir, self.bim_hyst], self.ghr, self.bank, self.lanes);
+        pool.put_tage(self.tables, [self.bim_dir, self.bim_hyst]);
+        self.history.into_pool(pool);
     }
 
     /// Read-only access to the useful-pattern tracker, when enabled.
@@ -386,42 +366,26 @@ impl Tage {
     /// The registers of every folded history this TAGE advances.
     #[must_use]
     pub fn fold_bank(&self) -> &FoldBank {
-        &self.bank
+        self.history.bank()
     }
 
     /// The per-lookup hash lanes: the index lanes of tables `0..n`, their
     /// tag lanes, then the side lanes.
     #[must_use]
     pub fn hash_lanes(&self) -> &HashLanes {
-        &self.lanes
+        self.history.lanes()
     }
 
-    /// A folded history of `length` bits at `width` bits that advances
-    /// with this TAGE's global history: an existing register when TAGE (or
-    /// an earlier caller) folds the same pair. Read it with
-    /// [`Tage::fold`].
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`FoldBank::register`] does.
-    pub fn register_fold(&mut self, length: usize, width: u32) -> FoldId {
-        self.bank.register(length, width)
-    }
-
-    /// The current value of a register of [`Tage::register_fold`].
-    #[inline]
+    /// The histories and hash lanes this TAGE reads.
     #[must_use]
-    pub fn fold(&self, id: FoldId) -> u32 {
-        self.bank.value(id)
+    pub fn history(&self) -> &TageHistory {
+        &self.history
     }
 
-    /// Adds `lane` to the per-lookup hash loop; its hash lands in
-    /// `TageLookup::side` at the returned position.
-    pub(crate) fn push_side_lane(&mut self, lane: Lane) -> usize {
-        let side = self.lanes.len() - 2 * self.num_tables;
-        assert!(side < MAX_SIDE_LANES, "at most {MAX_SIDE_LANES} side lanes");
-        self.lanes.push(lane);
-        side
+    /// The histories and hash lanes, for a composed predictor that
+    /// registers folds and side lanes of its own.
+    pub fn history_mut(&mut self) -> &mut TageHistory {
+        &mut self.history
     }
 
     /// Number of live entries in infinite storage (0 for finite storage).
@@ -530,8 +494,27 @@ impl Tage {
     /// stays until [`Tage::probe`] overwrites it.
     #[inline]
     pub(crate) fn hash_into(&self, pc: u64, lookup: &mut TageLookup) {
-        let base = tage_index_base(pc, self.path.value(), self.index_bits);
-        self.lanes.hash(self.kernel, &self.bank, pc, base, &mut lookup.hashes);
+        self.history.hash(pc, &mut lookup.hashes);
+        self.begin_lookup(pc, lookup);
+    }
+
+    /// [`Tage::hash_into`] from hashes a shared [`TageHistory`] of this
+    /// TAGE's geometry computed for `pc`: `hashes` holds at least this
+    /// TAGE's own lanes, in its lane order, and the lookup copies them.
+    #[inline]
+    pub(crate) fn take_hashes(&self, pc: u64, hashes: &[u32], lookup: &mut TageLookup) {
+        let chunks = self.history.lanes().len().div_ceil(HASH_LANES);
+        let (from, _) = hashes.as_chunks::<HASH_LANES>();
+        let (to, _) = lookup.hashes.as_chunks_mut::<HASH_LANES>();
+        for (to, from) in to.iter_mut().zip(&from[..chunks]) {
+            *to = *from;
+        }
+        self.begin_lookup(pc, lookup);
+    }
+
+    /// The fields of a lookup its hashes do not fill.
+    #[inline]
+    fn begin_lookup(&self, pc: u64, lookup: &mut TageLookup) {
         lookup.pc = pc;
         lookup.tables = self.num_tables;
         lookup.live_slots = self.infinite_live;
@@ -805,43 +788,25 @@ impl Tage {
         }
     }
 
-    /// The bit a retired branch inserts into global history: conditionals
-    /// insert their outcome; unconditional branches insert a
-    /// PC/target-derived path bit, which lets long histories encode
-    /// calling context.
-    fn history_bit(record: &BranchRecord) -> bool {
-        if record.kind() == BranchKind::Conditional {
-            record.taken()
-        } else {
-            ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
-        }
-    }
-
     /// Advances global, folded and path histories for a retired branch of
     /// any kind. Every register of the bank, the registered ones included,
     /// advances by its own `FoldedHistory::update_before_push`: the
     /// reference rule.
     pub fn update_history(&mut self, record: &BranchRecord) {
-        let bit = Self::history_bit(record);
-        self.bank.advance_reference(&self.ghr, bit);
-        self.ghr.push(bit);
-        self.path.push(record.pc() >> 2);
+        self.history.advance_reference(record);
     }
 
     /// [`Tage::update_history`] through the bank's branch-free loop
     /// ([`FoldBank::advance`]): one outgoing-bit read per distinct length.
     /// Bit-identical to the reference path.
     pub fn update_history_fast(&mut self, record: &BranchRecord) {
-        let bit = Self::history_bit(record);
-        self.bank.advance(self.kernel, &self.ghr, bit);
-        self.ghr.push(bit);
-        self.path.push(record.pc() >> 2);
+        self.history.advance(record);
     }
 
     /// The global history buffer (exposed for composition and tests).
     #[must_use]
     pub fn ghr(&self) -> &HistoryBuffer {
-        &self.ghr
+        self.history.ghr()
     }
 
     /// Captures all speculative history state (§V-E2): the GHR, the path
@@ -850,11 +815,7 @@ impl Tage {
     /// never touches them in this model.
     #[must_use]
     pub fn checkpoint(&self) -> TageCheckpoint {
-        TageCheckpoint {
-            ghr: self.ghr.checkpoint(),
-            path: self.path.value(),
-            folds: self.bank.values().to_vec(),
-        }
+        self.history.checkpoint()
     }
 
     /// Restores a checkpoint taken by [`Tage::checkpoint`], rolling back
@@ -865,19 +826,17 @@ impl Tage {
     /// Panics if the checkpoint came from a differently-configured
     /// predictor.
     pub fn restore(&mut self, checkpoint: &TageCheckpoint) {
-        self.bank.restore(&checkpoint.folds);
-        self.ghr.restore(&checkpoint.ghr);
-        self.path.restore(checkpoint.path);
+        self.history.restore(checkpoint);
     }
 }
 
 /// A snapshot of TAGE's speculative history state (§V-E2 rollback).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TageCheckpoint {
-    ghr: bputil::history::HistoryCheckpoint,
-    path: u64,
+    pub(crate) ghr: bputil::history::HistoryCheckpoint,
+    pub(crate) path: u64,
     /// Every register of the bank, in register order.
-    folds: Vec<u32>,
+    pub(crate) folds: Vec<u32>,
 }
 
 #[cfg(test)]

@@ -2,13 +2,13 @@
 //! predictor, arbitrated as in CBP-5.
 
 use crate::config::TslConfig;
+use crate::history::TageHistory;
 use crate::loop_pred::{LoopLookup, LoopPredictor};
 use crate::pool::TablePool;
 use crate::predictor::{PredictionInfo, Predictor, ProviderKind};
 use crate::sc::{ScLookup, StatisticalCorrector};
 use crate::tage::{Tage, TageLookup, UpdateMode};
 use bputil::history::HistoryBuffer;
-use bputil::kernel::FoldId;
 use llbp_trace::BranchRecord;
 
 /// Everything computed during a TAGE-SC-L lookup.
@@ -19,6 +19,12 @@ use llbp_trace::BranchRecord;
 /// by-value [`TageScl::lookup`], [`TageScl::lookup_tage`],
 /// [`TageScl::finish_lookup`] and [`TageScl::commit`] run the same stage
 /// bodies on a lookup of their own.
+///
+/// The hashes of a lookup's first stage are a pure function of the trace
+/// and the history geometry. Predictors of one geometry can therefore run
+/// from hashes a shared [`TageHistory`] computed
+/// ([`TageScl::lookup_tage_staged`], [`TageScl::predict_train_staged`]):
+/// they then advance no history of their own.
 #[derive(Debug, Clone, Copy)]
 pub struct TslLookup {
     /// The core TAGE lookup (LLBP arbitrates against its history length).
@@ -160,17 +166,10 @@ impl TageScl {
         self.tage.ghr()
     }
 
-    /// A folded history that advances with this predictor's history, in
-    /// the TAGE's bank ([`Tage::register_fold`]).
-    pub fn register_fold(&mut self, length: usize, width: u32) -> FoldId {
-        self.tage.register_fold(length, width)
-    }
-
-    /// The current value of a register of [`TageScl::register_fold`].
-    #[inline]
-    #[must_use]
-    pub fn fold(&self, id: FoldId) -> u32 {
-        self.tage.fold(id)
+    /// The histories and hash lanes, for a composed predictor that
+    /// registers folds and side lanes of its own ([`Tage::history_mut`]).
+    pub fn history_mut(&mut self) -> &mut TageHistory {
+        self.tage.history_mut()
     }
 
     /// Performs a full lookup without committing any state (except loop
@@ -199,7 +198,7 @@ impl TageScl {
     #[must_use]
     pub fn lookup_tage(&self, pc: u64) -> TageLookup {
         let mut tage = TageLookup::EMPTY;
-        tage_stage(&self.tage, self.sc.as_ref(), pc, &mut tage);
+        tage_stage(&self.tage, self.sc.as_ref(), pc, None, &mut tage);
         tage
     }
 
@@ -229,7 +228,17 @@ impl TageScl {
     /// read, so those loads overlap the probes. Returns the TAGE part;
     /// [`TageScl::finish_in_flight`] completes the lookup.
     pub fn lookup_tage_in_flight(&mut self, pc: u64) -> &TageLookup {
-        tage_stage(&self.tage, self.sc.as_ref(), pc, &mut self.flight.tage);
+        tage_stage(&self.tage, self.sc.as_ref(), pc, None, &mut self.flight.tage);
+        &self.flight.tage
+    }
+
+    /// [`TageScl::lookup_tage_in_flight`] from `hashes`, every lane's hash
+    /// for `pc` as a [`TageHistory`] of this predictor's geometry computed
+    /// them ([`TageHistory::hash`]) in place of this predictor's own
+    /// history. The lookup copies this predictor's lanes from `hashes`;
+    /// lanes past them are ignored.
+    pub fn lookup_tage_staged(&mut self, pc: u64, hashes: &[u32]) -> &TageLookup {
+        tage_stage(&self.tage, self.sc.as_ref(), pc, Some(hashes), &mut self.flight.tage);
         &self.flight.tage
     }
 
@@ -255,11 +264,45 @@ impl TageScl {
         &self.flight
     }
 
-    /// Both lookup stages in flight for `pc`, then the prediction count.
-    fn predict_in_flight(&mut self, pc: u64) {
-        self.lookup_tage_in_flight(pc);
+    /// Both lookup stages in flight for `pc`, the first from `staged`
+    /// hashes when given, then the prediction count.
+    #[inline]
+    fn predict_in_flight(&mut self, pc: u64, staged: Option<&[u32]>) {
+        tage_stage(&self.tage, self.sc.as_ref(), pc, staged, &mut self.flight.tage);
         self.finish_in_flight(None);
         self.predictions += 1;
+    }
+
+    /// [`Predictor::predict_train`] from the hashes a shared
+    /// [`TageHistory`] of this predictor's geometry computed for `pc`
+    /// ([`TageScl::lookup_tage_staged`]). The predictor's own history does
+    /// not advance: its owner advances the shared one.
+    pub fn predict_train_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, ProviderKind) {
+        self.predict_in_flight(pc, Some(hashes));
+        self.pending = false;
+        let out = (self.flight.pred, self.flight.provider);
+        self.commit_in_flight(taken, UpdateMode::Full);
+        out
+    }
+
+    /// [`Predictor::predict_train_info`] from staged hashes, as
+    /// [`TageScl::predict_train_staged`].
+    pub fn predict_train_info_staged(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        hashes: &[u32],
+    ) -> (bool, PredictionInfo) {
+        self.predict_in_flight(pc, Some(hashes));
+        self.pending = false;
+        let out = (self.flight.pred, self.flight.prediction_info());
+        self.commit_in_flight(taken, UpdateMode::Full);
+        out
     }
 
     /// Advances histories for a retired branch of any kind: the TAGE's
@@ -304,11 +347,21 @@ pub struct TslCheckpoint {
     tage: crate::tage::TageCheckpoint,
 }
 
-/// The TAGE stage of a lookup into `out`: TAGE's hash loop, the
-/// corrector's prefetch, then TAGE's probes.
+/// The TAGE stage of a lookup into `out`: TAGE's hash loop (or a copy of
+/// the `staged` hashes a shared history computed), the corrector's
+/// prefetch, then TAGE's probes.
 #[inline]
-fn tage_stage(tage: &Tage, sc: Option<&StatisticalCorrector>, pc: u64, out: &mut TageLookup) {
-    tage.hash_into(pc, out);
+fn tage_stage(
+    tage: &Tage,
+    sc: Option<&StatisticalCorrector>,
+    pc: u64,
+    staged: Option<&[u32]>,
+    out: &mut TageLookup,
+) {
+    match staged {
+        None => tage.hash_into(pc, out),
+        Some(hashes) => tage.take_hashes(pc, hashes, out),
+    }
     if let Some(sc) = sc {
         sc.prefetch(out);
     }
@@ -400,7 +453,7 @@ fn commit_stage(
 
 impl Predictor for TageScl {
     fn predict(&mut self, pc: u64) -> bool {
-        self.predict_in_flight(pc);
+        self.predict_in_flight(pc, None);
         self.pending = true;
         self.flight.pred
     }
@@ -414,7 +467,7 @@ impl Predictor for TageScl {
     fn predict_train(&mut self, pc: u64, taken: bool) -> (bool, ProviderKind) {
         // Fused lookup+commit on the lookup in flight. `pending` ends
         // `false`, as after the split path's `train()`.
-        self.predict_in_flight(pc);
+        self.predict_in_flight(pc, None);
         self.pending = false;
         let out = (self.flight.pred, self.flight.provider);
         self.commit_in_flight(taken, UpdateMode::Full);
@@ -425,7 +478,7 @@ impl Predictor for TageScl {
         // Same fusion as `predict_train`: the provenance record is filled
         // straight from the lookup in flight, so the recording path adds a
         // few stores, not a second lookup.
-        self.predict_in_flight(pc);
+        self.predict_in_flight(pc, None);
         self.pending = false;
         let out = (self.flight.pred, self.flight.prediction_info());
         self.commit_in_flight(taken, UpdateMode::Full);
@@ -547,6 +600,45 @@ mod tests {
         }
         assert_eq!(slow.predictions(), fast.predictions());
         assert_eq!(slow.predictions(), prov.predictions());
+    }
+
+    #[test]
+    fn staged_hashes_predict_as_the_predictors_own_history() {
+        // Two TSLs of one geometry (64K TSL and Inf TAGE) run from one
+        // shared history beside lone builds of both: every prediction,
+        // provider and provenance record agrees.
+        let trace = WorkloadSpec::named(Workload::Tomcat).with_branches(20_000).generate();
+        let mut pool = crate::TablePool::new();
+        let cfgs = [TslConfig::cbp64k(), TslConfig::infinite_tage()];
+        let mut shared = TageHistory::for_tsl(&cfgs[0], &mut pool);
+        let mut lone: Vec<TageScl> = cfgs.iter().map(|c| TageScl::new(c.clone())).collect();
+        let mut staged: Vec<TageScl> = cfgs.iter().map(|c| TageScl::new(c.clone())).collect();
+        let mut hashes = vec![0; shared.lanes().stride()];
+        for (i, r) in trace.iter().enumerate() {
+            if r.kind() == BranchKind::Conditional {
+                shared.hash(r.pc(), &mut hashes);
+                for (k, (lone, staged)) in lone.iter_mut().zip(&mut staged).enumerate() {
+                    let want = lone.predict_train_info(r.pc(), r.taken());
+                    if k == 0 {
+                        let got = staged.predict_train_info_staged(r.pc(), r.taken(), &hashes);
+                        assert_eq!(got, want, "{} diverged at record {i}", lone.label());
+                    } else {
+                        let got = staged.predict_train_staged(r.pc(), r.taken(), &hashes);
+                        assert_eq!(
+                            got,
+                            (want.0, want.1.provider),
+                            "{} at record {i}",
+                            lone.label()
+                        );
+                    }
+                }
+            }
+            shared.advance(r);
+            for p in &mut lone {
+                p.update_history_fast(r);
+            }
+        }
+        assert_eq!(lone[1].tage().infinite_entries(), staged[1].tage().infinite_entries());
     }
 
     #[test]

@@ -200,6 +200,23 @@ cmp -s "$BACKEND_DIR/reference.out" "$BACKEND_DIR/env.out" || {
     exit 1
 }
 
+# fig09 runs three cells per trace as one staged unit on the batch tier
+# (64K TSL, LLBP, LLBP-0Lat): its figure must match the reference tier's,
+# and one worker (whole units) must print what two workers print.
+LLBP_CACHE_DIR="$BACKEND_DIR/fig09-reference" ./target/release/fig09_mpki_reduction --quick \
+    --strict --backend reference > "$BACKEND_DIR/fig09-reference.out" 2> /dev/null
+for workers in 1 2; do
+    LLBP_CACHE_DIR="$BACKEND_DIR/fig09-w$workers" LLBP_WORKERS=$workers \
+        ./target/release/fig09_mpki_reduction --quick --strict --backend batch \
+        > "$BACKEND_DIR/fig09-w$workers.out" 2> /dev/null
+    cmp -s "$BACKEND_DIR/fig09-reference.out" "$BACKEND_DIR/fig09-w$workers.out" || {
+        echo "backend smoke: fig09 on the batch tier at $workers worker(s) changed the figure:"
+        diff "$BACKEND_DIR/fig09-reference.out" "$BACKEND_DIR/fig09-w$workers.out" || true
+        exit 1
+    }
+done
+echo "backend smoke: fig09 units match the reference tier at 1 and 2 workers"
+
 # Starts llbp_serve over cache root $1 with the caller's environment,
 # logging to $2.addr / $2.err; sets SERVE_PID and SERVE_ADDR.
 start_serve() {
