@@ -307,8 +307,7 @@ impl LlbpParams {
         }
         // The pattern tags are lanes of the baseline's hash loop, after
         // TAGE's index and tag lanes and the corrector's.
-        let sc_lanes =
-            if self.tsl.sc_enabled { 2 + self.tsl.sc_history_lengths.len() } else { 0 };
+        let sc_lanes = if self.tsl.sc_enabled { 2 + self.tsl.sc_history_lengths.len() } else { 0 };
         let lanes = 2 * self.tsl.tage.num_tables() + sc_lanes + self.history_lengths.len();
         if lanes > bputil::kernel::MAX_LANES {
             return Err(format!(

@@ -643,16 +643,7 @@ fn member_block_inner<
                     let (pred, provider) = predictor.predict_train_staged(pc, taken, hashes);
                     (pred, provider.ordinal())
                 };
-                let wrong = pred != taken;
-                tally.conditional_branches += 1;
-                tally.mispredictions += u64::from(wrong);
-                tally.providers[ordinal] += 1;
-                if TRACK {
-                    *tally.per_branch_executions.entry(pc).or_default() += 1;
-                    if wrong {
-                        *tally.per_branch_mispredicts.entry(pc).or_default() += 1;
-                    }
-                }
+                tally.count::<TRACK>(pc, pred != taken, ordinal);
             } else {
                 let _ = predictor.predict_train_staged(pc, taken, hashes);
             }
@@ -676,6 +667,21 @@ struct Tally {
 }
 
 impl Tally {
+    /// Counts one measured conditional branch at `pc`, mispredicted when
+    /// `wrong`, whose final direction came from provider `ordinal`.
+    #[inline]
+    fn count<const TRACK: bool>(&mut self, pc: u64, wrong: bool, ordinal: usize) {
+        self.conditional_branches += 1;
+        self.mispredictions += u64::from(wrong);
+        self.providers[ordinal] += 1;
+        if TRACK {
+            *self.per_branch_executions.entry(pc).or_default() += 1;
+            if wrong {
+                *self.per_branch_mispredicts.entry(pc).or_default() += 1;
+            }
+        }
+    }
+
     /// Assembles the [`SimResult`], matching the reference tier's shape
     /// exactly (empty-but-present maps when tracking is on, pruned
     /// zero-count providers).
@@ -776,16 +782,7 @@ fn batch_loop_inner<P: Predictor, const TRACK: bool, const PROV: bool>(
                     let (pred, provider) = predictor.predict_train(pc, taken);
                     (pred, provider.ordinal())
                 };
-                let wrong = pred != taken;
-                tally.conditional_branches += 1;
-                tally.mispredictions += u64::from(wrong);
-                tally.providers[ordinal] += 1;
-                if TRACK {
-                    *tally.per_branch_executions.entry(pc).or_default() += 1;
-                    if wrong {
-                        *tally.per_branch_mispredicts.entry(pc).or_default() += 1;
-                    }
-                }
+                tally.count::<TRACK>(pc, pred != taken, ordinal);
             }
             predictor.update_history_fast(record);
         }
