@@ -1481,8 +1481,10 @@ impl SweepEngine {
         let pending = &mut scratch.pending;
         for &index in members {
             let token = self.attempt_token();
+            // A member that must simulate after an injected-slow start
+            // times out here, as its own loop's first poll would.
             let opened = self.open_attempt(cell(index), counters, 0, spec).and_then(|served| {
-                if token.is_cancelled() {
+                if served.is_none() && token.is_cancelled() {
                     return Err(token.cancellation_error());
                 }
                 Ok(served)
